@@ -38,7 +38,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         # d softmax = s * (g - sum(g * s))
         inner = (grad * out_data).sum(axis=axis, keepdims=True)
-        x._accumulate(out_data * (grad - inner))
+        x._accumulate(out_data * (grad - inner), True)
 
     return x._make(out_data, (x,), backward, "softmax")
 
@@ -50,13 +50,16 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     soft = np.exp(out_data)
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad - soft * grad.sum(axis=axis, keepdims=True))
+        x._accumulate(grad - soft * grad.sum(axis=axis, keepdims=True), True)
 
     return x._make(out_data, (x,), backward, "log_softmax")
 
 
 _SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
+# Python floats, not np.float64 scalars: under NumPy >= 2 dividing a float32
+# array by an np.float64 scalar promotes the whole closure to float64.
+_INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 
 def gelu(x: Tensor, approximate: bool = False) -> Tensor:
@@ -70,8 +73,8 @@ def gelu(x: Tensor, approximate: bool = False) -> Tensor:
     out_data = x.data * cdf
 
     def backward(grad: np.ndarray) -> None:
-        pdf = np.exp(-0.5 * x.data * x.data) / np.sqrt(2.0 * np.pi)
-        x._accumulate(grad * (cdf + x.data * pdf))
+        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
+        x._accumulate(grad * (cdf + x.data * pdf), True)
 
     return x._make(out_data.astype(x.dtype), (x,), backward, "gelu")
 
@@ -95,15 +98,15 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     def backward(grad: np.ndarray) -> None:
         if weight.requires_grad:
             axes = tuple(range(grad.ndim - 1))
-            weight._accumulate((grad * x_hat).sum(axis=axes))
+            weight._accumulate((grad * x_hat).sum(axis=axes), True)
         if bias.requires_grad:
             axes = tuple(range(grad.ndim - 1))
-            bias._accumulate(grad.sum(axis=axes))
+            bias._accumulate(grad.sum(axis=axes), True)
         if x.requires_grad:
             g = grad * weight.data
             mean_g = g.mean(axis=-1, keepdims=True)
             mean_gx = (g * x_hat).mean(axis=-1, keepdims=True)
-            x._accumulate(inv_std * (g - mean_g - x_hat * mean_gx))
+            x._accumulate(inv_std * (g - mean_g - x_hat * mean_gx), True)
 
     requires = x.requires_grad or weight.requires_grad or bias.requires_grad
     return Tensor(
@@ -123,7 +126,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
     mask = (rng.random(x.shape) < keep).astype(x.dtype) / keep
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad * mask)
+        x._accumulate(grad * mask, True)
 
     return x._make(x.data * mask, (x,), backward, "dropout")
 

@@ -97,6 +97,16 @@ class AdamW(Optimizer):
         self._step = 0
         self._m: list[np.ndarray | None] = [None] * len(self.params)
         self._v: list[np.ndarray | None] = [None] * len(self.params)
+        # Two reusable work arrays per dtype, sized for the largest parameter;
+        # step() writes every intermediate into views of them.
+        self._scratch: dict[np.dtype, np.ndarray] = {}
+
+    def _scratch_for(self, like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        buf = self._scratch.get(like.dtype)
+        if buf is None:
+            buf = np.empty((2, max(p.data.size for p in self.params)), dtype=like.dtype)
+            self._scratch[like.dtype] = buf
+        return buf[0, : like.size].reshape(like.shape), buf[1, : like.size].reshape(like.shape)
 
     def _state_for(self, i: int, p: Tensor) -> tuple[np.ndarray, np.ndarray]:
         if self._m[i] is None:
@@ -119,15 +129,27 @@ class AdamW(Optimizer):
                 continue
             g = p.grad
             m, v = self._state_for(i, p)
+            # Same operations in the same order as the textbook form
+            #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+            #   p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
+            # (bitwise identical), with no per-parameter temporaries.
+            s1, s2 = self._scratch_for(m)
+            sg = s1 if g.dtype == m.dtype else self._scratch_for(g)[0]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=sg)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            np.multiply(g, g, out=sg)
+            sg *= 1.0 - self.beta2
+            v += sg
             if self.weight_decay:
                 p.data *= 1.0 - self.lr * self.weight_decay
-            m_hat = m / bc1
-            v_hat = v / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.divide(m, bc1, out=s1)
+            s1 *= self.lr
+            np.divide(v, bc2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += self.eps
+            s1 /= s2
+            p.data -= s1
 
     def state_dict(self) -> dict:
         """Snapshot the moment estimates and step count for checkpointing.

@@ -8,7 +8,12 @@ cross-attention channel aggregation, ViT blocks, MAE decoder) end to end.
 
 Design notes
 ------------
-* Gradients are plain ``numpy`` arrays stored on the leaf tensors.
+* Gradients are plain ``numpy`` arrays stored on the leaf tensors.  A gradient
+  array has exactly one owner: a closure that has just created a buffer hands
+  it over with ``_accumulate(buf, True)`` and must not touch it again; every
+  other array (views of the incoming grad, pass-through grads, anything from
+  outside this package) is copied on first touch.  An interior node's grad is
+  dropped as soon as its closure has run.
 * Broadcasting follows NumPy semantics; backward passes un-broadcast by
   summing over the broadcast axes.
 * ``matmul`` reports FLOPs to :mod:`repro.tensor.flops` so that small real
@@ -63,6 +68,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+_BASIC_INDEX = (slice, int, np.integer, type(None), type(Ellipsis))
+
+
+def _is_basic_index(idx) -> bool:
+    """True for NumPy basic indexing (slices, ints, ``None``, ``Ellipsis``)."""
+    if isinstance(idx, tuple):
+        return all(isinstance(i, _BASIC_INDEX) for i in idx)
+    return isinstance(idx, _BASIC_INDEX)
 
 
 def _as_array(value, dtype=None) -> np.ndarray:
@@ -200,7 +215,7 @@ class Tensor:
         out_data = self.data.astype(dtype)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.astype(self.data.dtype))
+            self._accumulate(grad.astype(self.data.dtype), True)
 
         return self._make(out_data, (self,), backward, "astype")
 
@@ -230,12 +245,15 @@ class Tensor:
             op=op,
         )
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add *grad* into ``self.grad``.  ``owned=True`` (callers inside
+        ``repro.tensor`` only) gives away a buffer the caller has just created
+        and holds no other reference to; anything else is copied."""
         if not self.requires_grad:
             return
         if self.grad is None:
             buf = np.asarray(grad, dtype=self.data.dtype)
-            if buf.base is not None or buf is grad:
+            if not owned and (buf.base is not None or buf is grad):
                 buf = buf.copy()
             self.grad = buf
             tracker = current_tracker()
@@ -274,6 +292,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None  # interior grads are dead once consumed
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -302,7 +321,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(_unbroadcast(grad, self.shape))
-            other._accumulate(_unbroadcast(-grad, other.shape))
+            other._accumulate(_unbroadcast(-grad, other.shape), True)
 
         return self._make(out_data, (self, other), backward, "sub")
 
@@ -314,8 +333,8 @@ class Tensor:
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad * other.data, self.shape))
-            other._accumulate(_unbroadcast(grad * self.data, other.shape))
+            self._accumulate(_unbroadcast(grad * other.data, self.shape), True)
+            other._accumulate(_unbroadcast(grad * self.data, other.shape), True)
 
         return self._make(out_data, (self, other), backward, "mul")
 
@@ -326,9 +345,9 @@ class Tensor:
         out_data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad / other.data, self.shape))
+            self._accumulate(_unbroadcast(grad / other.data, self.shape), True)
             other._accumulate(
-                _unbroadcast(-grad * self.data / (other.data * other.data), other.shape)
+                _unbroadcast(-grad * self.data / (other.data * other.data), other.shape), True
             )
 
         return self._make(out_data, (self, other), backward, "div")
@@ -338,7 +357,7 @@ class Tensor:
 
     def __neg__(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(-grad)
+            self._accumulate(-grad, True)
 
         return self._make(-self.data, (self,), backward, "neg")
 
@@ -348,7 +367,7 @@ class Tensor:
         out_data = self.data**exponent
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1))
+            self._accumulate(grad * exponent * self.data ** (exponent - 1), True)
 
         return self._make(out_data, (self,), backward, "pow")
 
@@ -367,22 +386,34 @@ class Tensor:
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other = self._coerce(other)
         a, b = self.data, other.data
-        out_data = a @ b
-        # FLOPs: 2 * (product of output shape) * inner dim.
+        if a.ndim == 1 or b.ndim == 1:
+            # np.matmul's rule: a 1-D operand is a row / column matrix.
+            out = (self.expand_dims(0) if a.ndim == 1 else self) @ (
+                other.expand_dims(1) if b.ndim == 1 else other
+            )
+            out = out.squeeze(-2) if a.ndim == 1 else out
+            return out.squeeze(-1) if b.ndim == 1 else out
         inner = a.shape[-1]
-        add_flops(2 * int(np.prod(out_data.shape)) * inner, "matmul")
+        # N-D @ 2-D (every Linear) is one GEMM over the flattened leading axes,
+        # forward and backward: no [batch, K, N] temporary, no sum over batch.
+        flat = b.ndim == 2 and a.ndim >= 3
+        if flat:
+            out_data = (a.reshape(-1, inner) @ b).reshape(a.shape[:-1] + b.shape[1:])
+        else:
+            out_data = a @ b
+        # FLOPs: 2 * (product of output shape) * inner dim.
+        add_flops(2 * out_data.size * inner, "matmul")
 
         def backward(grad: np.ndarray) -> None:
+            a2, g = (a.reshape(-1, inner), grad.reshape(-1, grad.shape[-1])) if flat else (a, grad)
             if self.requires_grad:
-                gb = np.swapaxes(b, -1, -2)
-                ga = grad @ gb
-                add_flops(2 * int(np.prod(ga.shape)) * grad.shape[-1], "matmul_bwd")
-                self._accumulate(_unbroadcast(ga, self.shape))
+                ga = g @ np.swapaxes(b, -1, -2)
+                add_flops(2 * ga.size * g.shape[-1], "matmul_bwd")
+                self._accumulate(_unbroadcast(ga, a2.shape).reshape(a.shape), True)
             if other.requires_grad:
-                ga_t = np.swapaxes(a, -1, -2)
-                gb2 = ga_t @ grad
-                add_flops(2 * int(np.prod(gb2.shape)) * ga_t.shape[-1], "matmul_bwd")
-                other._accumulate(_unbroadcast(gb2, other.shape))
+                gb = np.swapaxes(a2, -1, -2) @ g
+                add_flops(2 * gb.size * a2.shape[-2], "matmul_bwd")
+                other._accumulate(_unbroadcast(gb, b.shape), True)
 
         return self._make(out_data, (self, other), backward, "matmul")
 
@@ -399,7 +430,7 @@ class Tensor:
             g = grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.shape).astype(self.data.dtype))
+            self._accumulate(np.broadcast_to(g, self.shape).astype(self.data.dtype), True)
 
         return self._make(np.asarray(out_data), (self,), backward, "sum")
 
@@ -429,7 +460,7 @@ class Tensor:
             mask = (self.data == o).astype(self.data.dtype)
             # Split gradient between ties, matching numerical gradcheck.
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accumulate(mask * g / counts)
+            self._accumulate(mask * g / counts, True)
 
         return self._make(np.asarray(out_data), (self,), backward, "max")
 
@@ -440,13 +471,13 @@ class Tensor:
         out_data = np.exp(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data)
+            self._accumulate(grad * out_data, True)
 
         return self._make(out_data, (self,), backward, "exp")
 
     def log(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data)
+            self._accumulate(grad / self.data, True)
 
         return self._make(np.log(self.data), (self,), backward, "log")
 
@@ -454,7 +485,7 @@ class Tensor:
         out_data = np.sqrt(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * 0.5 / out_data)
+            self._accumulate(grad * 0.5 / out_data, True)
 
         return self._make(out_data, (self,), backward, "sqrt")
 
@@ -462,7 +493,7 @@ class Tensor:
         out_data = np.tanh(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - out_data * out_data))
+            self._accumulate(grad * (1.0 - out_data * out_data), True)
 
         return self._make(out_data, (self,), backward, "tanh")
 
@@ -470,7 +501,7 @@ class Tensor:
         out_data = 1.0 / (1.0 + np.exp(-self.data))
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data * (1.0 - out_data))
+            self._accumulate(grad * out_data * (1.0 - out_data), True)
 
         return self._make(out_data, (self,), backward, "sigmoid")
 
@@ -478,7 +509,7 @@ class Tensor:
         mask = (self.data > 0).astype(self.data.dtype)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate(grad * mask, True)
 
         return self._make(self.data * mask, (self,), backward, "relu")
 
@@ -486,7 +517,7 @@ class Tensor:
         sign = np.sign(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * sign)
+            self._accumulate(grad * sign, True)
 
         return self._make(np.abs(self.data), (self,), backward, "abs")
 
@@ -505,7 +536,7 @@ class Tensor:
         mask = ((self.data >= lo) & (self.data <= hi)).astype(self.data.dtype)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate(grad * mask, True)
 
         return self._make(out_data, (self,), backward, "clip")
 
@@ -545,8 +576,11 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data)
-            np.add.at(full, idx, grad)
-            self._accumulate(full)
+            if _is_basic_index(idx):
+                full[idx] = grad  # no element is selected twice
+            else:
+                np.add.at(full, idx, grad)  # array indices may repeat: sum
+            self._accumulate(full, True)
 
         return self._make(out_data, (self,), backward, "getitem")
 

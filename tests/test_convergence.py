@@ -31,13 +31,13 @@ def _mae_batches():
     return ds.batch(range(6))
 
 
-def train_serial_mae(batch):
+def train_serial_mae(batch, agg="cross", steps=STEPS):
     model = build_serial_mae(
         channels=C, image=IMG, patch=P, dim=D, depth=DEPTH, heads=HEADS,
-        rng=np.random.default_rng(0), mask_ratio=0.5, agg="cross",
+        rng=np.random.default_rng(0), mask_ratio=0.5, agg=agg,
     )
-    tr = Trainer(model, TrainConfig(lr=3e-3, total_steps=STEPS, warmup_steps=2))
-    return [tr.step(batch, np.random.default_rng(1000 + i)) for i in range(STEPS)]
+    tr = Trainer(model, TrainConfig(lr=3e-3, total_steps=steps, warmup_steps=2))
+    return [tr.step(batch, np.random.default_rng(1000 + i)) for i in range(steps)]
 
 
 def train_dchag_mae(comm, batch, kind="linear"):
@@ -104,6 +104,32 @@ class TestMAEConvergence:
 
 
 WC, WH, WW, WP = 16, 32, 64, 8  # 16 of 80 channels, full 5.625-degree grid
+
+
+# Twelve serial ``Trainer.step`` losses recorded at commit 369df72, before the
+# tensor engine's gradient path was reworked (flat-GEMM matmul backward,
+# adopted buffers, slice scatter).  Engine PRs inherit this fence: a faster
+# engine may reorder float32 sums (~1e-7 relative) but not change the maths.
+PINNED_SERIAL_LOSSES = {
+    "cross": [
+        0.1555403470993042, 0.12386073917150497, 0.07318811863660812,
+        0.06528580188751221, 0.03705308958888054, 0.02901547960937023,
+        0.023103486746549606, 0.03217390924692154, 0.03324047103524208,
+        0.023142283782362938, 0.024765050038695335, 0.029428984969854355,
+    ],
+    "linear": [
+        0.15220296382904053, 0.12281279265880585, 0.07434316724538803,
+        0.06535391509532928, 0.03721781075000763, 0.02852635644376278,
+        0.02278602123260498, 0.03105684369802475, 0.03202813118696213,
+        0.023519888520240784, 0.024795200675725937, 0.028492635115981102,
+    ],
+}
+
+
+@pytest.mark.parametrize("agg", ["cross", "linear"])
+def test_serial_loss_trajectory_is_pinned(agg):
+    losses = train_serial_mae(_mae_batches(), agg=agg, steps=12)
+    np.testing.assert_allclose(losses, PINNED_SERIAL_LOSSES[agg], rtol=1e-6, atol=0)
 
 
 def _weather_model_serial():

@@ -70,6 +70,38 @@ class TestAdamW:
             opt.step()
         assert tracker.peak_bytes >= 3 * 1000 * 4  # param + m + v
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_step_is_bitwise_the_textbook_formula(self, weight_decay, dtype):
+        # The scratch-buffer step must reproduce the allocating formula bit
+        # for bit (elastic N->M->N gates compare optimizer bytes exactly).
+        rng = np.random.default_rng(3)
+        shapes = [(7, 5), (5,), (), (2, 3, 4)]
+        params = [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True, dtype=dtype)
+                  for s in shapes]
+        opt = AdamW(params, lr=3e-3, weight_decay=weight_decay)
+        ref_p = [p.data.copy() for p in params]
+        ref_m = [np.zeros(s, dtype=np.float32) for s in shapes]
+        ref_v = [np.zeros(s, dtype=np.float32) for s in shapes]
+        for t in range(1, 6):
+            opt.lr = lr = 3e-3 / t
+            bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+            for p, rp, m, v in zip(params, ref_p, ref_m, ref_v):
+                g = p.grad = np.asarray(rng.standard_normal(p.shape), dtype=dtype)
+                m *= 0.9
+                m += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * (g * g)
+                if weight_decay:
+                    rp *= 1.0 - lr * weight_decay
+                rp -= lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+            opt.step()
+            state = opt.state_dict()
+            for i, p in enumerate(params):
+                assert np.array_equal(p.data, ref_p[i])
+                assert np.array_equal(state["m"][i], ref_m[i])
+                assert np.array_equal(state["v"][i], ref_v[i])
+
     def test_skips_params_without_grad(self):
         x = Tensor(np.ones(4, dtype=np.float32), requires_grad=True)
         opt = AdamW([x], weight_decay=0.0)

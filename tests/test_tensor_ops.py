@@ -64,6 +64,53 @@ class TestMatmul:
         check_gradients(lambda a, b: a @ b, [r(3, 4), r(2, 4, 5)])
         check_gradients(lambda a, b: a @ b, [r(2, 3, 4), r(4, 5)])
 
+    def test_flat_gemm_path_grads(self):
+        # N-D @ 2-D lowers to one flattened GEMM: contiguous and
+        # transposed-view left operands, 3-D and 4-D.
+        check_gradients(lambda a, b: a @ b, [r(2, 3, 2, 4), r(4, 5)])
+        check_gradients(lambda a, b: a.transpose(1, 0, 2) @ b, [r(3, 2, 4), r(4, 5)])
+        check_gradients(lambda a, b: a.swapaxes(-1, -2) @ b, [r(2, 4, 3), r(4, 5)])
+        check_gradients(lambda a, b: a @ b.T, [r(2, 3, 4), r(5, 4)])
+
+    def test_2d_times_nd_grads(self):
+        # the LinearChannelMixer broadcast: [G, C] @ [B, N, C, D]
+        check_gradients(lambda w, x: w @ x, [r(2, 3), r(2, 2, 3, 4)])
+
+    def test_broadcast_batch_dims_grads(self):
+        check_gradients(lambda a, b: a @ b, [r(2, 1, 3, 4), r(1, 3, 4, 2)])
+        check_gradients(lambda a, b: a @ b, [r(3, 2, 4), r(2, 1, 4, 5)])
+
+    def test_1d_operand_grads(self):
+        check_gradients(lambda a, b: a @ b, [r(4), r(4, 5)])
+        check_gradients(lambda a, b: a @ b, [r(3, 4), r(4)])
+        check_gradients(lambda a, b: a @ b, [r(4), r(4)])
+        check_gradients(lambda a, b: a @ b, [r(4), r(2, 4, 5)])
+        check_gradients(lambda a, b: a @ b, [r(2, 3, 4), r(4)])
+
+    def test_flat_gemm_matches_batched_weight_grad(self):
+        # The front-end Linear shape [B*N, C, D] @ [D, H] (and its C == 1
+        # twin): the flat-GEMM dW must equal batched-then-summed to round-off.
+        rng = np.random.default_rng(5)
+        for c in (8, 1):
+            a = rng.standard_normal((64, c, 32)).astype(np.float32)
+            w = rng.standard_normal((32, 16)).astype(np.float32)
+            g = rng.standard_normal((64, c, 16)).astype(np.float32)
+            x, wt = Tensor(a, requires_grad=True), Tensor(w, requires_grad=True)
+            out = x @ wt
+            np.testing.assert_allclose(out.data, a @ w, rtol=1e-5, atol=1e-5)
+            out.backward(g)
+            batched_dw = (np.swapaxes(a, -1, -2) @ g).sum(axis=0)
+            np.testing.assert_allclose(wt.grad, batched_dw, rtol=1e-4, atol=1e-4)
+            np.testing.assert_allclose(x.grad, g @ w.T, rtol=1e-5, atol=1e-5)
+
+    def test_flops_match_batched_count(self):
+        from repro.tensor import FlopCounter, count_flops
+
+        a, w = Tensor(r(6, 3, 4), requires_grad=True), Tensor(r(4, 5), requires_grad=True)
+        with count_flops(FlopCounter()) as counter:
+            (a @ w).sum().backward()
+        assert counter.total == 3 * 2 * 6 * 3 * 4 * 5  # forward + dX + dW
+
     def test_matches_numpy(self):
         a, b = r(4, 6), r(6, 2)
         np.testing.assert_allclose((Tensor(a) @ Tensor(b)).data, (a @ b).astype(np.float32), rtol=1e-5)
@@ -138,6 +185,26 @@ class TestShape:
     def test_fancy_index_grads(self):
         idx = np.array([0, 2, 2])  # repeated index accumulates
         check_gradients(lambda a: a[idx], [r(4, 3)])
+        check_gradients(lambda a: a[:, idx, :], [r(2, 4, 3)])  # the MAE gather
+        check_gradients(lambda a: a[idx, idx], [r(4, 3)])
+
+    def test_basic_index_grads(self):
+        # every form the slice-assignment backward branches on
+        check_gradients(lambda a: a[::-1], [r(4, 3)])
+        check_gradients(lambda a: a[:, 3:0:-2], [r(3, 5)])
+        check_gradients(lambda a: a[None, 1:, ..., None], [r(3, 2, 4)])
+        check_gradients(lambda a: a[..., -1], [r(3, 2, 4)])
+        check_gradients(lambda a: a[np.int64(1), :2], [r(3, 4)])
+
+    def test_boolean_mask_grads(self):
+        mask = np.array([True, False, True, True])
+        check_gradients(lambda a: a[mask], [r(4, 3)])
+        check_gradients(lambda a: a[:, np.array([True, False, True])], [r(4, 3)])
+
+    def test_repeated_index_sums(self):
+        x = Tensor(np.zeros(3), requires_grad=True)
+        x[np.array([0, 0, 0, 2])].backward(np.ones(4, dtype=np.float32))
+        np.testing.assert_array_equal(x.grad, [3.0, 0.0, 1.0])
 
     def test_expand_squeeze(self):
         check_gradients(lambda a: a.expand_dims(1), [r(3, 4)])
@@ -158,6 +225,15 @@ class TestShape:
         parts = s.split(2, axis=0)
         np.testing.assert_allclose(parts[0].squeeze(0).data, a.data)
         np.testing.assert_allclose(parts[1].squeeze(0).data, b.data)
+
+    def test_split_concat_roundtrip_grads(self):
+        for axis in (0, 1, -1):
+            check_gradients(
+                lambda a: Tensor.concat(a.split(2, axis=axis)[::-1], axis=axis) * a,
+                [r(4, 2, 6)],
+            )
+        # parts used unequally: each slice's grad lands in its own rows
+        check_gradients(lambda a: a.split(3, axis=1)[0] * 2.0 + a.split(3, axis=1)[2], [r(2, 6)])
 
     def test_split_errors_on_uneven(self):
         with pytest.raises(ValueError):

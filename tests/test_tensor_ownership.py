@@ -1,0 +1,234 @@
+"""The gradient data path's ownership rule: a gradient array has one owner.
+
+Closures inside ``repro.tensor`` hand over buffers they have just created
+(``_accumulate(buf, True)``); everything else — views of the incoming grad,
+pass-through grads, the caller's ``backward(gradient=…)`` array and every
+caller outside ``repro.tensor`` — is copied on first touch.  Interior grads
+are dropped once consumed; leaves keep theirs.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from repro.dist import copy_to_group, run_spmd
+from repro.models import build_serial_mae
+from repro.parallel import SPContext, all_to_all_tokens_to_heads, scatter_sequence
+from repro.tensor import Tensor, checkpoint
+from repro.tensor import functional as F
+
+RNG = np.random.default_rng(99)
+
+
+def r(*shape):
+    return RNG.standard_normal(shape).astype(np.float32)
+
+
+def leaf(*shape):
+    return Tensor(r(*shape), requires_grad=True)
+
+
+def assert_disjoint(grads):
+    for (i, a), (j, b) in itertools.combinations(enumerate(grads), 2):
+        assert not np.shares_memory(a, b), f"grads {i} and {j} share memory"
+
+
+class TestNoSharedGrads:
+    def test_view_and_passthrough_ops(self):
+        # every op whose closure forwards the incoming grad or a view of it
+        a, b, c, d = leaf(4, 6), leaf(4, 6), leaf(6, 4), leaf(2, 12)
+        lo, hi = (a + b).split(2, axis=1)
+        out = (
+            Tensor.concat([hi, lo], axis=1)
+            + c.transpose()
+            + d.reshape(4, 6)
+            + (a - b).swapaxes(0, 1).swapaxes(0, 1)
+            + a.expand_dims(0).squeeze(0)
+            + b.pad([(0, 0), (0, 0)])
+        )
+        out.backward(np.ones((4, 6), dtype=np.float32))
+        assert_disjoint([t.grad for t in (a, b, c, d)])
+        np.testing.assert_array_equal(c.grad, np.ones((6, 4)))
+        np.testing.assert_array_equal(a.grad, 3 * np.ones((4, 6)))
+        np.testing.assert_array_equal(b.grad, np.ones((4, 6)))
+
+    @pytest.mark.parametrize("agg", ["cross", "linear"])
+    def test_model_parameter_grads(self, agg):
+        model = build_serial_mae(
+            channels=4, image=8, patch=4, dim=16, depth=1, heads=2,
+            rng=np.random.default_rng(0), mask_ratio=0.5, agg=agg,
+        )
+        model.loss(r(2, 4, 8, 8), np.random.default_rng(1)).backward()
+        grads = [p.grad for p in model.parameters() if p.grad is not None]
+        assert len(grads) > 10
+        assert_disjoint(grads)
+
+
+class TestUnownedArraysAreCopied:
+    def test_backward_gradient_argument(self):
+        x = leaf(3, 4)
+        seed = r(3, 4)
+        kept = seed.copy()
+        x.backward(seed)  # a leaf root: the seed lands directly on x
+        assert not np.shares_memory(x.grad, seed)
+        (x * 2.0).backward(seed)  # accumulates in place into x.grad, not seed
+        np.testing.assert_array_equal(seed, kept)
+        np.testing.assert_allclose(x.grad, 3 * kept, rtol=1e-6)
+        seed[...] = 0.0
+        np.testing.assert_allclose(x.grad, 3 * kept, rtol=1e-6)
+
+    @pytest.mark.parametrize("as_view", [False, True])
+    def test_external_accumulate_copies(self, as_view):
+        # what dist/autograd.py, parallel/sp.py and tensor/checkpoint.py do
+        x = leaf(4, 3)
+        pool = r(8, 3)
+        buf = pool[:4] if as_view else pool[:4].copy()
+        kept = buf.copy()
+        x._accumulate(buf)
+        assert not np.shares_memory(x.grad, buf)
+        x._accumulate(buf)
+        np.testing.assert_array_equal(buf, kept)
+        buf[...] = -1.0  # the pool reuses its buffer next step
+        np.testing.assert_array_equal(x.grad, 2 * kept)
+
+    def test_pooled_collective_buffers_are_not_adopted(self):
+        # "_accumulate copies unowned arrays — pool-safe" (parallel/sp.py):
+        # the same pooled site runs three times; no leaf may end up holding
+        # the pool's buffer, and earlier grads must survive later visits.
+        xs = [r(2, 8, 4) for _ in range(3)]
+        hs = [r(2, 4, 4, 3) for _ in range(3)]
+
+        def fn(comm):
+            ctx = SPContext(comm)
+            key = ctx.pool_key("ownership.a2a")
+            leaves = []
+            for x, h in zip(xs, hs):
+                a, b, c = (Tensor(v, requires_grad=True) for v in (x, h, x))
+                scatter_sequence(ctx, a).sum().backward()
+                all_to_all_tokens_to_heads(ctx, b, pool_key=key).sum().backward()
+                (copy_to_group(comm, c, pool_key="ownership.f") * 2.0).sum().backward()
+                leaves += [a, b, c]
+            assert comm.pool.hits > 0
+            pooled = list(comm.pool._buffers.values())
+            for t in leaves:
+                assert not any(np.shares_memory(t.grad, p) for p in pooled)
+            return [t.grad for t in leaves]
+
+        for grads in run_spmd(fn, 2):
+            assert_disjoint(grads)
+            for a, b, c in zip(grads[0::3], grads[1::3], grads[2::3]):
+                np.testing.assert_array_equal(a, np.ones((2, 8, 4)))
+                np.testing.assert_array_equal(b, np.ones((2, 4, 4, 3)))
+                np.testing.assert_array_equal(c, 4 * np.ones((2, 8, 4)))
+
+    def test_checkpoint_inner_grads_are_copied_out(self):
+        x, w = leaf(3, 4), leaf(4, 4)
+        checkpoint(lambda t: (t @ w).tanh(), x).sum().backward()
+        ref_x, ref_w = leaf(3, 4), Tensor(w.data, requires_grad=True)
+        ref_x.data[...] = x.data
+        (ref_x @ ref_w).tanh().sum().backward()
+        np.testing.assert_allclose(x.grad, ref_x.grad, rtol=1e-6)
+        np.testing.assert_allclose(w.grad, ref_w.grad, rtol=1e-6)
+        assert not np.shares_memory(x.grad, w.grad)
+
+
+class TestAccumulation:
+    def test_diamond_of_adopted_buffers(self):
+        x = leaf(3, 3)
+        a, b = x * 3.0, x.exp()  # both hand x an owned buffer
+        (a * b + a).sum().backward()
+        e = np.exp(x.data)
+        np.testing.assert_allclose(x.grad, 3 * e + 3 * x.data * e + 3, rtol=1e-5)
+
+    def test_tensor_as_both_operands(self):
+        x = leaf(3, 3)
+        (x @ x).sum().backward()
+        ones = np.ones((3, 3), dtype=np.float32)
+        np.testing.assert_allclose(x.grad, ones @ x.data.T + x.data.T @ ones, rtol=1e-5)
+
+        y = leaf(4)
+        (y + y).backward(np.ones(4, dtype=np.float32))
+        np.testing.assert_array_equal(y.grad, 2 * np.ones(4))
+        z = leaf(4)
+        (z * z - z).backward(np.ones(4, dtype=np.float32))
+        np.testing.assert_allclose(z.grad, 2 * z.data - 1, rtol=1e-6)
+
+    def test_second_backward_adds_to_leaf(self):
+        x = leaf(5)
+        (x * 2.0).sum().backward()
+        first = x.grad
+        (x * 3.0).sum().backward()
+        assert x.grad is first  # accumulated in place
+        np.testing.assert_array_equal(x.grad, 5 * np.ones(5))
+
+
+class TestInteriorGradRelease:
+    def test_interior_none_leaves_kept(self):
+        x, w = leaf(2, 3, 4), leaf(4, 5)
+        h = x @ w
+        parts = h.split(5, axis=-1)
+        y = F.gelu(parts[0] + parts[4])
+        loss = (y * y).mean()
+        loss.backward()
+        for t in (h, *parts, y, loss):
+            assert t.grad is None
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+
+# -- float32 stays float32 ------------------------------------------------------
+
+def _f32_graphs():
+    x, y, w = leaf(2, 3, 4), leaf(2, 3, 4), leaf(4, 4)
+    pos = Tensor(np.abs(r(2, 3, 4)) + 0.5, requires_grad=True)
+    gamma, beta, vec = leaf(4), leaf(4), leaf(4)
+    idx = np.array([0, 2, 2])
+    return {
+        "add": lambda: x + y, "add_bcast": lambda: x + vec, "sub": lambda: x - vec,
+        "rsub": lambda: 1.0 - x, "mul": lambda: x * y, "mul_scalar": lambda: 0.5 * x,
+        "div": lambda: x / pos, "rdiv": lambda: 2.0 / pos, "neg": lambda: -x,
+        "pow": lambda: pos**3, "pow_frac": lambda: pos**0.5,
+        "matmul_flat": lambda: x @ w, "matmul_batched": lambda: x @ y.swapaxes(-1, -2),
+        "matmul_2d_nd": lambda: w[:3, :3] @ x, "matmul_1d": lambda: x @ vec,
+        "sum": lambda: x.sum(axis=1), "mean": lambda: x.mean(axis=-1, keepdims=True),
+        "var": lambda: x.var(axis=-1), "max": lambda: x.max(axis=1), "min": lambda: x.min(),
+        "exp": lambda: x.exp(), "log": lambda: pos.log(), "sqrt": lambda: pos.sqrt(),
+        "tanh": lambda: x.tanh(), "sigmoid": lambda: x.sigmoid(), "relu": lambda: x.relu(),
+        "abs": lambda: x.abs(), "clip": lambda: x.clip(-0.5, 0.5),
+        "where": lambda: Tensor.where(x.data > 0, x, y),
+        "reshape": lambda: x.reshape(6, 4), "transpose": lambda: x.transpose(2, 0, 1),
+        "swapaxes": lambda: x.swapaxes(0, 2), "getitem_slice": lambda: x[:, 1:, ::2],
+        "getitem_array": lambda: x[:, idx], "expand_squeeze": lambda: x.expand_dims(1).squeeze(1),
+        "broadcast_to": lambda: vec.broadcast_to((3, 4)),
+        "pad": lambda: x.pad([(0, 0), (1, 1), (0, 2)]),
+        "concat": lambda: Tensor.concat([x, y], axis=1), "stack": lambda: Tensor.stack([x, y]),
+        "split": lambda: x.split(2, axis=2)[1], "flatten": lambda: x.flatten(1),
+        "softmax": lambda: F.softmax(x), "log_softmax": lambda: F.log_softmax(x),
+        "gelu": lambda: F.gelu(x), "gelu_tanh": lambda: F.gelu(x, approximate=True),
+        "layer_norm": lambda: F.layer_norm(x, gamma, beta),
+        "dropout": lambda: F.dropout(x, 0.25, np.random.default_rng(0)),
+        "mse": lambda: F.mse_loss(x, y),
+        "masked_mse": lambda: F.masked_mse_loss(x, y, np.ones((2, 3, 1))),
+        "weighted_mse": lambda: F.weighted_mse_loss(x, y, np.arange(1.0, 4.0)[:, None]),
+        "cross_entropy": lambda: F.cross_entropy(x, np.array([[0, 1, 2], [3, 0, 1]])),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_f32_graphs()))
+def test_float32_grads_never_pass_through_float64(name, monkeypatch):
+    """For float32 inputs every closure must hand ``_accumulate`` a float32
+    array — a float64 intermediate means a silent promotion (as the
+    ``np.float64`` scalar in ``gelu``'s backward once caused) that costs
+    twice the bandwidth and is then cast back."""
+    seen = []
+    accumulate = Tensor._accumulate
+
+    def spy(self, grad, owned=False):
+        seen.append(np.asarray(grad).dtype)
+        accumulate(self, grad, owned)
+
+    out = _f32_graphs()[name]()
+    assert out.dtype == np.float32
+    monkeypatch.setattr(Tensor, "_accumulate", spy)
+    out.backward(np.ones_like(out.data))
+    assert seen and set(seen) == {np.dtype(np.float32)}, (name, seen)
