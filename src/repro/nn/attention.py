@@ -9,11 +9,37 @@ Self-attention operates over the spatial token axis::
 
 Channel cross-attention operates over the *channel* axis independently at
 every spatial location — the key structural point of the paper.  With input
-``[B, C, N, D]`` the spatial axis is folded into the batch, a set of learned
-query tokens attends over the C channels, and the result is ``[B, Q, N, D]``
-(``Q = 1`` reduces the channels to a single representation).  The attention
-score matrix is ``[B*N, heads, Q, C]`` — *quadratic in C* when ``Q ~ C``
-(the paper's memory argument) and linear in C for the aggregating ``Q = 1``.
+``[B, C, N, D]`` the spatial axis is folded into the batch, ``Q`` learned
+query tokens attend over the C channels, and the result is ``[B, Q, N, D]``
+(``Q = 1`` reduces the channels to a single representation).
+
+Absorbed-query form
+-------------------
+The query is a learned parameter, not a function of the input, so
+:func:`channel_query_attention` folds it into the key weights and pools the
+raw channel tokens *before* the value projection (``h`` heads of width
+``hd = D/h``, ``q = q_proj(query_tokens)`` computed once on ``[Q, D]``)::
+
+    scores[bn, c, (h,q)] = tokens[bn, c, :] · (W_k,h q_h,q) + b_k,h · q_h,q
+    pooled[bn, (h,q), :] = softmax_c(scores / √hd) @ tokens[bn]
+    out_h[bn, q, :]      = pooled_h @ W_v,h + (Σ_c attn) · b_v,h
+
+This is the explicit ``softmax(q kᵀ/√hd) v``, with ``k`` and ``v`` projected
+from every channel token, re-associated — so it is exact, dropout on the
+attention weights included (``Σ_c attn`` stays in the graph).  No
+``[B·N, C, 2D]`` K/V tensor exists; the largest intermediates are the
+``[B·N, C, h·Q]`` scores and the ``[B·N, h·Q, D]`` pooled tokens.  Forward
+matmul FLOPs of the whole layer::
+
+    B·N · (2·C·D·h·Q  +  2·h·Q·C·D  +  2·Q·D²  +  2·Q·D²)  +  4·Q·D² + 2·Q·D
+           scores        pooling       values     proj        q_proj, W_k q, b_k·q
+
+against ``B·N · (4·C·D² + 4·Q·C·D + 2·Q·D²)`` (plus a ``q_proj`` on ``B·N``
+broadcast query copies) for the explicit form: the per-location attention
+cost falls from ``2·(2·C·D² + 2·Q·C·D)`` to ``2·(2·C·D·h·Q + Q·D²)``.  The
+score matrix is still ``[B·N, heads, Q, C]`` — quadratic in C when ``Q ~ C``
+(the paper's memory argument) — and the absorbed form stops paying once
+``h·Q ≳ D``; every construction site in this repo aggregates with ``Q = 1``.
 """
 
 from __future__ import annotations
@@ -31,6 +57,7 @@ __all__ = [
     "split_heads",
     "merge_heads",
     "scaled_dot_product_attention",
+    "channel_query_attention",
 ]
 
 
@@ -66,6 +93,53 @@ def scaled_dot_product_attention(
     if dropout is not None:
         attn = dropout(attn)
     return attn @ v
+
+
+def channel_query_attention(
+    x: Tensor,
+    query_tokens: Tensor,
+    q_proj: Linear,
+    kv_proj: Linear,
+    heads: int,
+    dropout: Module | None = None,
+) -> Tensor:
+    """Learned-query attention over the channel axis, query absorbed into the
+    key weights (module docstring): ``[B, C, N, D] -> [B*N, Q, heads*hd]``,
+    heads merged, ready for the output projection.
+
+    ``q_proj`` (``D -> heads*hd``) and ``kv_proj`` (``D -> 2*heads*hd``, keys
+    then values) may be the full layers or a tensor-parallel rank's column
+    shards with ``heads`` the local head count.
+    """
+    b, c, n, d = x.shape
+    if d != q_proj.in_features:
+        raise ValueError(f"expected dim {q_proj.in_features}, got {d}")
+    nq = query_tokens.shape[0]
+    hd = q_proj.out_features // heads
+    # Fold spatial into batch: channels become the attention sequence.
+    tokens = x.transpose(0, 2, 1, 3).reshape(b * n, c, d)         # [B*N, C, D]
+
+    # Weight side, independent of the input: a handful of [D, D]-sized nodes.
+    q = q_proj(query_tokens) * (1.0 / float(np.sqrt(hd)))         # [Q, h*hd]
+    q = q.reshape(nq, heads, hd).transpose(1, 2, 0)               # [h, hd, Q]
+    w_kv = kv_proj.weight.reshape(d, 2, heads, hd).transpose(1, 2, 0, 3)  # [2, h, D, hd]
+    b_kv = kv_proj.bias.reshape(2, heads, 1, hd)
+    w_score = (w_kv[0] @ q).transpose(1, 0, 2).reshape(d, heads * nq)  # [D, h*Q]
+    b_score = (b_kv[0] @ q).reshape(heads * nq)
+
+    scores = tokens @ w_score + b_score                           # [B*N, C, h*Q]
+    attn = F.softmax(scores.swapaxes(-1, -2), axis=-1)            # [B*N, h*Q, C]
+    if dropout is not None:
+        attn = dropout(attn)
+    pooled = attn @ tokens                                        # [B*N, h*Q, D]
+
+    def by_head(t: Tensor) -> Tensor:                             # [B*N, h*Q, k] -> [h, B*N*Q, k]
+        return t.reshape(b * n, heads, nq, -1).transpose(1, 0, 2, 3).reshape(heads, b * n * nq, -1)
+
+    # batched x batched on purpose: [B*N, h, Q, D] @ [h, D, hd] would broadcast
+    # W_v and rebuild a [B*N, h, D, hd] temporary in its dW backward.
+    out = by_head(pooled) @ w_kv[1] + by_head(attn.sum(axis=-1, keepdims=True)) * b_kv[1]
+    return out.reshape(heads, b * n, nq, hd).transpose(1, 2, 0, 3).reshape(b * n, nq, heads * hd)
 
 
 class MultiHeadSelfAttention(Module):
@@ -146,16 +220,10 @@ class ChannelCrossAttention(Module):
     def forward(self, x: Tensor) -> Tensor:
         """[B, C, N, D] -> [B, N, D] (Q=1) or [B, Q, N, D] (Q>1)."""
         b, c, n, d = x.shape
-        # Fold spatial into batch: channels become the attention sequence.
-        tokens = x.transpose(0, 2, 1, 3).reshape(b * n, c, d)  # [B*N, C, D]
-        q_in = self.query_tokens.expand_dims(0).broadcast_to((b * n, self.num_queries, d))
-        q = _split_heads(self.q_proj(q_in), self.heads)           # [B*N, h, Q, hd]
-        kv = self.kv_proj(tokens)                                 # [B*N, C, 2D]
-        k, v = kv.split(2, axis=-1)
-        k = _split_heads(k, self.heads)                           # [B*N, h, C, hd]
-        v = _split_heads(v, self.heads)
-        out = scaled_dot_product_attention(q, k, v, self.attn_drop)  # [B*N, h, Q, hd]
-        out = self.proj(_merge_heads(out))                        # [B*N, Q, D]
+        out = channel_query_attention(
+            x, self.query_tokens, self.q_proj, self.kv_proj, self.heads, self.attn_drop
+        )
+        out = self.proj(out)                                      # [B*N, Q, D]
         out = out.reshape(b, n, self.num_queries, d).transpose(0, 2, 1, 3)  # [B, Q, N, D]
         if self.num_queries == 1:
             return out.squeeze(1)

@@ -21,7 +21,12 @@ import numpy as np
 
 from ..dist import Communicator, ProcessGroup, copy_to_group, reduce_from_group, site_key
 from ..nn import LayerNorm, Linear, Module, ModuleList
-from ..nn.attention import _merge_heads, _split_heads, scaled_dot_product_attention
+from ..nn.attention import (
+    _merge_heads,
+    _split_heads,
+    channel_query_attention,
+    scaled_dot_product_attention,
+)
 from ..tensor import Tensor, functional as F
 
 __all__ = [
@@ -391,14 +396,10 @@ class TPChannelCrossAttention(Module):
         b, c, n, d = x.shape
         with ctx.scope():
             x = copy_to_group(ctx.comm, x, ctx.group, pool_key=key_f)
-            tokens = x.transpose(0, 2, 1, 3).reshape(b * n, c, d)
-            q_in = self.query_tokens.expand_dims(0).broadcast_to((b * n, self.num_queries, d))
-            q = _split_heads(self.q_proj(q_in), self.local_heads)
-            k, v = self.kv_proj(tokens).split(2, axis=-1)
-            k = _split_heads(k, self.local_heads)
-            v = _split_heads(v, self.local_heads)
-            out = scaled_dot_product_attention(q, k, v)
-            out = self.proj(_merge_heads(out))
+            out = channel_query_attention(
+                x, self.query_tokens, self.q_proj, self.kv_proj, self.local_heads
+            )
+            out = self.proj(out)
             ctx.charge(ctx.block_seconds)
             out = reduce_from_group(ctx.comm, out, ctx.group, pool_key=key_g) + self.proj_bias
         out = out.reshape(b, n, self.num_queries, d).transpose(0, 2, 1, 3)

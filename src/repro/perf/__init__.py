@@ -2,7 +2,7 @@
 
 These closed-form models regenerate every memory/throughput figure in the
 paper; small-scale real runs (memory tracker + FLOP counter) validate them
-in ``tests/test_perf_validation.py``.
+in ``tests/test_perf_models.py``.
 """
 
 from .autotune import (

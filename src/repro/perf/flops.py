@@ -3,7 +3,7 @@
 Forward FLOPs; training steps cost ``3×`` forward (backward ≈ 2× forward),
 the standard estimate the paper's TFLOPs/sec numbers are based on.  The
 runtime counter in :mod:`repro.tensor.flops` validates these formulas at
-small scale (see ``tests/test_perf_validation.py``).
+small scale (see ``tests/test_perf_models.py::TestFlopsModel``).
 """
 
 from __future__ import annotations
@@ -52,7 +52,9 @@ def _cross_attention_flops(channels: int, n: int, d: int, batch: int) -> float:
 
     q/k/v projections (3 · 2·C·D²), scores + weighted sum (2 · 2·C²·D),
     output projection (2·C·D²) — the quadratic-in-C term mirrors the score
-    matrix of the memory model.
+    matrix of the memory model.  This prices the paper's GPU module, with
+    explicit K/V projections, on purpose: it is not the cost of
+    :func:`repro.nn.attention.channel_query_attention`'s absorbed-query form.
     """
     c = channels
     return batch * n * (6 * c * d * d + 4 * c * c * d + 2 * c * d * d) / AGG_TIME_BOTTLENECK

@@ -5,6 +5,8 @@ import pytest
 
 from repro.nn import (
     ChannelCrossAttention,
+    Dropout,
+    Linear,
     LinearChannelMixer,
     MAEDecoder,
     MultiHeadSelfAttention,
@@ -13,7 +15,14 @@ from repro.nn import (
     random_masking,
     unpatchify,
 )
-from repro.tensor import Tensor, functional as F
+from repro.nn.attention import (
+    channel_query_attention,
+    merge_heads,
+    scaled_dot_product_attention,
+    split_heads,
+)
+from repro.tensor import MemoryTracker, Tensor, count_flops, functional as F, track_memory
+from repro.tensor.grad_check import check_gradients
 
 RNG = np.random.default_rng(11)
 
@@ -98,6 +107,143 @@ class TestChannelCrossAttention:
         x = Tensor(RNG.standard_normal((1, 4, 3, 8)).astype(np.float32), requires_grad=True)
         agg(x).sum().backward()
         assert x.grad is not None and agg.query_tokens.grad is not None
+
+
+def explicit_cross_attention(layer, x, dropout=None):
+    """The explicit q/k/v formulation the layer used before the query was
+    absorbed — every channel token projected to K and V, then a Q-row
+    attention.  Lives here only, as the oracle for the absorbed form."""
+    b, c, n, d = x.shape
+    h, nq = layer.heads, layer.num_queries
+    tokens = x.transpose(0, 2, 1, 3).reshape(b * n, c, d)
+    q_in = layer.query_tokens.expand_dims(0).broadcast_to((b * n, nq, d))
+    q = split_heads(layer.q_proj(q_in), h)
+    k, v = layer.kv_proj(tokens).split(2, axis=-1)
+    out = scaled_dot_product_attention(q, split_heads(k, h), split_heads(v, h), dropout)
+    out = layer.proj(merge_heads(out)).reshape(b, n, nq, d).transpose(0, 2, 1, 3)
+    return out.squeeze(1) if nq == 1 else out
+
+
+def _graph_ops(root):
+    ops, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops.append(node.op)
+            stack.extend(node._parents)
+    return ops
+
+
+class TestAbsorbedQueryEquivalence:
+    """The absorbed form is the explicit one re-associated: float64 agreement
+    on the output, the input gradient and every parameter gradient."""
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("channels", [1, 5])
+    @pytest.mark.parametrize("queries", [1, 3])
+    def test_matches_explicit_form_float64(self, queries, channels, heads, dropout):
+        rng = np.random.default_rng(3)
+        layer = ChannelCrossAttention(8, heads, rng, num_queries=queries, dropout=dropout)
+        for p in layer.parameters():  # biases start at zero: randomise everything
+            p.data = rng.standard_normal(p.shape) * 0.5
+        x = rng.standard_normal((2, channels, 3, 8))
+        weight = rng.standard_normal(layer(Tensor(x, dtype=np.float64)).shape)
+
+        def run(forward):
+            layer.zero_grad()
+            xt = Tensor(x, requires_grad=True, dtype=np.float64)
+            out = forward(xt)
+            (out * Tensor(weight, dtype=np.float64)).sum().backward()
+            return [out.data, xt.grad] + [p.grad for p in layer.parameters()]
+
+        def explicit(xt):
+            drop = Dropout(dropout, np.random.default_rng(5)) if dropout else None
+            return explicit_cross_attention(layer, xt, drop)
+
+        def absorbed(xt):
+            if dropout:
+                layer.attn_drop.rng = np.random.default_rng(5)  # the same mask
+            return layer(xt)
+
+        names = ["out", "x.grad"] + [n for n, _ in layer.named_parameters()]
+        for name, want, got in zip(names, run(explicit), run(absorbed)):
+            assert got.dtype == np.float64
+            # atol: the key bias's gradient is zero up to rounding in both forms
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-13, err_msg=name)
+
+    @pytest.mark.parametrize("queries,heads", [(1, 2), (3, 2), (1, 1)])
+    def test_numerical_jacobian(self, queries, heads):
+        rng = np.random.default_rng(4)
+        d = 4
+
+        def linear(w, b):
+            lin = Linear(*w.shape, weight=np.zeros(w.shape), bias_value=np.zeros(b.shape))
+            lin.weight, lin.bias = w, b
+            return lin
+
+        def fn(x, query, q_w, q_b, kv_w, kv_b):
+            return channel_query_attention(x, query, linear(q_w, q_b), linear(kv_w, kv_b), heads)
+
+        shapes = [(1, 3, 2, d), (queries, d), (d, d), (d,), (d, 2 * d), (2 * d,)]
+        check_gradients(fn, [rng.standard_normal(s) for s in shapes])
+
+    def test_rejects_wrong_trailing_dim(self):
+        layer = ChannelCrossAttention(8, 2, RNG)
+        with pytest.raises(ValueError, match="expected dim 8, got 6"):
+            layer(Tensor(np.zeros((1, 4, 3, 6), dtype=np.float32)))
+
+
+class TestAbsorbedQueryCost:
+    """Pins on what the absorbed form must not do, at the e2e benchmark's
+    ``train_serial`` shape (B=4, C=32, N=64, D=128, 4 heads, Q=1)."""
+
+    B, C, N, D, H, Q = 4, 32, 64, 128, 4, 1
+
+    def _layer_and_input(self):
+        rng = np.random.default_rng(0)
+        layer = ChannelCrossAttention(self.D, self.H, rng, num_queries=self.Q)
+        x = rng.standard_normal((self.B, self.C, self.N, self.D)).astype(np.float32)
+        return layer, x
+
+    def test_forward_matmul_flops_match_closed_form(self):
+        b_n, c, d, h, q = self.B * self.N, self.C, self.D, self.H, self.Q
+        layer, x = self._layer_and_input()
+        with count_flops() as counter:
+            layer(Tensor(x))
+        # scores + pooling + values + proj per location; q_proj, W_k q, b_k.q once
+        closed_form = b_n * (2 * c * d * h * q + 2 * h * q * c * d + 4 * q * d * d) + (
+            4 * q * d * d + 2 * q * d
+        )
+        assert counter.by_category["matmul"] == closed_form
+        assert closed_form < 2 * b_n * (2 * c * d * d + 2 * q * c * d) / 10
+
+    def test_no_kv_tensor_and_bounded_peak(self):
+        layer, x = self._layer_and_input()
+        token_bytes = x.nbytes  # the [B*N, C, D] token tensor: 4 MiB
+        sizes = []
+
+        class Recording(MemoryTracker):
+            def allocate(self, nbytes):
+                sizes.append(nbytes)
+                super().allocate(nbytes)
+
+        xt = Tensor(x, requires_grad=True)  # the input is the caller's, not the layer's
+        with track_memory(Recording()) as tracker:
+            layer(xt).sum().backward()
+        assert 2 * token_bytes not in sizes  # B*N*C*2D float32 elements
+        assert max(sizes) == token_bytes
+        assert tracker.peak_bytes <= 3 * token_bytes
+
+    def test_query_projected_once_without_broadcast(self):
+        layer, x = self._layer_and_input()
+        seen = []
+        project = layer.q_proj.forward
+        layer.q_proj.forward = lambda t: seen.append(t.shape) or project(t)
+        out = layer(Tensor(x, requires_grad=True))
+        assert seen == [(self.Q, self.D)]
+        assert "broadcast_to" not in _graph_ops(out)
 
 
 class TestLinearChannelMixer:

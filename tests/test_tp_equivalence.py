@@ -161,6 +161,21 @@ class TestTPViT:
         assert hist["all_reduce"] == 2 * 2 * DEPTH * 2
 
 
+def _tp_cross_attention(comm, serial):
+    return TPChannelCrossAttention(
+        TPContext(comm),
+        DIM,
+        HEADS,
+        master_query_tokens=serial.query_tokens.data,
+        master_q_w=serial.q_proj.weight.data,
+        master_q_b=serial.q_proj.bias.data,
+        master_kv_w=serial.kv_proj.weight.data,
+        master_kv_b=serial.kv_proj.bias.data,
+        master_proj_w=serial.proj.weight.data,
+        master_proj_b=serial.proj.bias.data,
+    )
+
+
 class TestTPCrossAttention:
     @pytest.mark.parametrize("tp", [2, 4])
     def test_matches_serial(self, tp):
@@ -169,19 +184,50 @@ class TestTPCrossAttention:
         expect = serial(Tensor(x)).data
 
         def fn(comm):
-            m = TPChannelCrossAttention(
-                TPContext(comm),
-                DIM,
-                HEADS,
-                master_query_tokens=serial.query_tokens.data,
-                master_q_w=serial.q_proj.weight.data,
-                master_q_b=serial.q_proj.bias.data,
-                master_kv_w=serial.kv_proj.weight.data,
-                master_kv_b=serial.kv_proj.bias.data,
-                master_proj_w=serial.proj.weight.data,
-                master_proj_b=serial.proj.bias.data,
-            )
-            return m(Tensor(x)).data.copy()
+            return _tp_cross_attention(comm, serial)(Tensor(x)).data.copy()
 
         for out in run_spmd(fn, tp):
             np.testing.assert_allclose(out, expect, rtol=3e-4, atol=3e-5)
+
+    @pytest.mark.parametrize("tp", [2, 4])
+    def test_shard_gradients_match_serial_slices(self, tp):
+        """Every rank's parameter gradients are the serial gradients of its
+        heads' columns (q, k, v) and rows (proj); the input gradient and the
+        post-reduce bias are replicated; the replicated query tokens hold
+        each rank's heads' share, summing to the serial gradient."""
+        rng = np.random.default_rng(9)
+        serial = ChannelCrossAttention(DIM, HEADS, rng)
+        for lin in (serial.q_proj, serial.kv_proj, serial.proj):  # zero-init biases
+            lin.bias.data = (rng.standard_normal(lin.bias.shape) * 0.1).astype(np.float32)
+        x = RNG.standard_normal((2, 5, 4, DIM)).astype(np.float32)
+
+        def loss_grads(layer):
+            xt = Tensor(x, requires_grad=True)
+            (layer(xt) ** 2).mean().backward()
+            return {"x": xt.grad.copy(), **{n: p.grad.copy() for n, p in layer.named_parameters()}}
+
+        want = loss_grads(serial)
+        results = run_spmd(lambda comm: loss_grads(_tp_cross_attention(comm, serial)), tp)
+        width = DIM // tp
+        close = dict(rtol=2e-3, atol=2e-6)
+        for rank, got in enumerate(results):
+            cols = slice(rank * width, (rank + 1) * width)
+            kv_cols = np.r_[cols, DIM + cols.start : DIM + cols.stop]
+            np.testing.assert_allclose(got["x"], want["x"], **close)
+            np.testing.assert_allclose(got["q_proj.weight"], want["q_proj.weight"][:, cols], **close)
+            np.testing.assert_allclose(got["q_proj.bias"], want["q_proj.bias"][cols], **close)
+            np.testing.assert_allclose(got["kv_proj.weight"], want["kv_proj.weight"][:, kv_cols], **close)
+            np.testing.assert_allclose(got["kv_proj.bias"], want["kv_proj.bias"][kv_cols], **close)
+            np.testing.assert_allclose(got["proj.linear.weight"], want["proj.weight"][cols], **close)
+            np.testing.assert_allclose(got["proj_bias"], want["proj.bias"], **close)
+        np.testing.assert_allclose(
+            sum(got["query_tokens"] for got in results), want["query_tokens"], **close
+        )
+
+    def test_rejects_wrong_trailing_dim(self):
+        from repro.dist import SpmdError
+
+        serial = ChannelCrossAttention(DIM, HEADS, np.random.default_rng(9))
+        bad = Tensor(np.zeros((1, 3, 2, DIM + 1), dtype=np.float32))
+        with pytest.raises(SpmdError, match=f"expected dim {DIM}, got {DIM + 1}"):
+            run_spmd(lambda comm: _tp_cross_attention(comm, serial)(bad), 2)
