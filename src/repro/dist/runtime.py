@@ -21,14 +21,15 @@ Worlds are fully isolated: every :func:`run_spmd` call builds a fresh
 different threads never interfere.
 
 Virtual clock: ``run_spmd(..., clock=VirtualClock(machine))`` attaches a
-deterministic simulated clock (:class:`repro.perf.clock.VirtualClock`, duck
-typed — this module never imports it).  Every collective then advances the
-member ranks to ``max(arrival times) + α–β collective cost``, every traffic
-record carries virtual ``vstart``/``vend`` stamps, and ranks can charge
-compute intervals with :meth:`Communicator.charge_compute` — the substrate
-from which :mod:`repro.perf.overlap` derives communication/compute overlap
-fractions instead of assuming them.  Timelines depend only on program order
-(never on thread scheduling), so repeated runs are bitwise identical.
+deterministic simulated clock (:class:`repro.perf.clock.VirtualClock`, held
+to the :class:`SimClock` protocol — this module never imports it).  Every
+collective then advances the member ranks to ``max(arrival times) + α–β
+collective cost``, every traffic record carries virtual ``vstart``/``vend``
+stamps, and ranks can charge compute intervals with
+:meth:`Communicator.charge_compute` — the substrate from which
+:mod:`repro.perf.overlap` derives communication/compute overlap fractions
+instead of assuming them.  Timelines depend only on program order (never on
+thread scheduling), so repeated runs are bitwise identical.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import contextlib
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -236,6 +237,43 @@ class _GroupState:
         self.next_seq = [0] * size
 
 
+@runtime_checkable
+class SimClock(Protocol):
+    """What the runtime calls on a virtual clock.
+
+    :class:`repro.perf.clock.VirtualClock` is the implementation and
+    documents the semantics; the protocol exists so :class:`World` can
+    reject anything else up front instead of every call site probing.
+    """
+
+    capturing: bool
+
+    def bind(self, world_size: int) -> None: ...
+    def now(self, rank: int) -> float: ...
+    def sync(self, rank: int, t: float) -> None: ...
+    def charge(
+        self, rank: int, seconds: float, phase: str = ..., label: str = ...
+    ) -> tuple[float, float]: ...
+    def collective_seconds(
+        self, op: str, payload_bytes: int, ranks: Sequence[int]
+    ) -> float: ...
+    def p2p_seconds(self, nbytes: int, src: int, dst: int) -> float: ...
+    def collective_arrival(self, rank: int, op: str, phase: str) -> float: ...
+    def collective_complete(
+        self, rank: int, op: str, phase: str, issue: float, start: float,
+        end: float, payload_bytes: int = ..., ranks: Sequence[int] = ...,
+    ) -> None: ...
+    def drain(self, rank: int) -> float: ...
+    def finalize_rank(self, rank: int) -> None: ...
+    def capture_collective(
+        self, rank: int, op: str, phase: str, payload_bytes: int,
+        ranks: Sequence[int],
+    ) -> None: ...
+    def capture_drain(self, rank: int) -> None: ...
+    def capture_send(self, rank: int, nbytes: int, dst: int, tag: int) -> None: ...
+    def capture_recv(self, rank: int, src: int, tag: int) -> None: ...
+
+
 class World:
     """Shared state of one SPMD run: groups, mailboxes, traffic, abort flag.
 
@@ -246,11 +284,10 @@ class World:
     ``"ok"``, ``"failed"`` (the rank that raised) or ``"aborted"`` (peers
     unwound by the abort) — and stays readable after the world dies.
 
-    ``clock`` is an optional virtual clock (duck typed against
-    :class:`repro.perf.clock.VirtualClock`: ``bind``/``now``/``sync``/
-    ``charge``/``collective_seconds``/``p2p_seconds``); when installed,
-    every collective advances the simulated per-rank timelines and stamps
-    its traffic records with virtual start/end times.
+    ``clock`` is an optional virtual clock (a :class:`SimClock`, checked
+    here once so no call site probes for methods); when installed, every
+    collective advances the simulated per-rank timelines and stamps its
+    traffic records with virtual start/end times.
     """
 
     def __init__(
@@ -258,10 +295,15 @@ class World:
         size: int,
         timeline: bool = False,
         failure_plan: Any | None = None,
-        clock: Any | None = None,
+        clock: SimClock | None = None,
     ) -> None:
         if size < 1:
             raise ValueError(f"world size must be >= 1, got {size}")
+        if clock is not None and not isinstance(clock, SimClock):
+            raise TypeError(
+                f"clock must implement the SimClock protocol "
+                f"(repro.perf.clock.VirtualClock), got {type(clock).__name__}"
+            )
         self.size = size
         self.traffic = TrafficLog(timeline=timeline)
         self.failure_plan = failure_plan
@@ -625,18 +667,14 @@ class Communicator:
             # Schedule capture: record the issue at this rank's program
             # position (before any clock state moves) so a replay can
             # re-drive the very same arrival/complete protocol.
-            if getattr(clock, "capturing", False):
+            if clock.capturing:
                 clock.capture_collective(
                     self.rank, op, self.phase, payload_bytes, group.ranks
                 )
-            # The arrival bid feeds the group-wide start maximum.  Issue-
-            # queue clocks distinguish it from the rank's compute clock
-            # (channel-free time for eager dispatch; blocking ops drain the
-            # queue first); legacy duck clocks fall back to `now`.
-            if hasattr(clock, "collective_arrival"):
-                bid = clock.collective_arrival(self.rank, op, self.phase)
-            else:
-                bid = clock.now(self.rank)
+            # The arrival bid feeds the group-wide start maximum.  It is
+            # not the rank's compute clock: an eager dispatch bids its
+            # channel-free time, a blocking op drains the queue first.
+            bid = clock.collective_arrival(self.rank, op, self.phase)
             vstart = clock.now(self.rank)
         else:
             bid = vstart = -1.0
@@ -775,13 +813,10 @@ class Communicator:
                 value = slot.values[me]
                 slot.values[me] = None
         if clock is not None and finish >= 0.0:
-            if hasattr(clock, "collective_complete"):
-                clock.collective_complete(
-                    self.rank, op, self.phase, vstart, start, finish,
-                    payload_bytes=group_payload, ranks=group.ranks,
-                )
-            else:
-                clock.sync(self.rank, finish)
+            clock.collective_complete(
+                self.rank, op, self.phase, vstart, start, finish,
+                payload_bytes=group_payload, ranks=group.ranks,
+            )
         if error is not None:
             raise SpmdError(f"collective failed: {error}") from error
         return value, vstart, finish
@@ -854,11 +889,9 @@ class Communicator:
         clock = self.world.clock
         if clock is None:
             return -1.0
-        if getattr(clock, "capturing", False):
+        if clock.capturing:
             clock.capture_drain(self.rank)
-        if hasattr(clock, "drain"):
-            return clock.drain(self.rank)
-        return clock.now(self.rank)
+        return clock.drain(self.rank)
 
     @contextlib.contextmanager
     def phase_scope(self, phase: str) -> Iterator[None]:
@@ -1292,7 +1325,7 @@ class Communicator:
         clock = self.world.clock
         vstart = vend = -1.0
         if clock is not None:
-            if getattr(clock, "capturing", False):
+            if clock.capturing:
                 clock.capture_send(self.rank, arr.nbytes, dst, int(tag))
             vstart = clock.now(self.rank)
             vend = vstart + clock.p2p_seconds(arr.nbytes, self.rank, dst)
@@ -1308,7 +1341,7 @@ class Communicator:
         if not 0 <= src < self.size:
             raise SpmdError(f"recv src {src} out of range for world of size {self.size}")
         clock = self.world.clock
-        if clock is not None and getattr(clock, "capturing", False):
+        if clock is not None and clock.capturing:
             clock.capture_recv(self.rank, src, int(tag))
         key = (src, self.rank, int(tag))
         with self.world._mail_cond:
@@ -1339,7 +1372,7 @@ def run_spmd_world(
     timeout: float | None = None,
     timeline: bool = False,
     failure_plan: Any | None = None,
-    clock: Any | None = None,
+    clock: SimClock | None = None,
 ) -> tuple[list, World]:
     """Run ``fn(comm, *args)`` on every rank of a fresh world.
 
@@ -1362,7 +1395,7 @@ def run_spmd_world(
         comm = Communicator(world, rank)
         try:
             results[rank] = fn(comm, *args)
-            if clock is not None and hasattr(clock, "finalize_rank"):
+            if clock is not None:
                 # Settle any in-flight eager collectives so the clock's
                 # times() report the true per-rank makespan.
                 clock.finalize_rank(rank)
@@ -1427,7 +1460,7 @@ def run_spmd(
     timeout: float | None = None,
     timeline: bool = False,
     failure_plan: Any | None = None,
-    clock: Any | None = None,
+    clock: SimClock | None = None,
 ) -> list:
     """Like :func:`run_spmd_world` but returns only the per-rank results."""
     results, _ = run_spmd_world(

@@ -300,19 +300,18 @@ def best_configuration(
     return results[0]
 
 
-# -- fleet-scale vectorized replay sweep -----------------------------------
+# -- fleet-scale batched replay sweep --------------------------------------
 
 
 @dataclass(frozen=True)
 class ReplaySweep:
-    """A multi-budget search priced entirely by vectorized replay.
+    """A multi-budget search priced entirely by batched replay.
 
     ``rankings`` pairs each ``(total_gpus, global_batch)`` budget with its
     ranked candidate list — element-wise **equal** (same plans, same float
     scores, same :class:`~repro.perf.overlap.DerivedOverlaps`) to what
-    ``search_configurations(..., replay=True)`` returns for that budget,
-    because the vectorized kernel's timelines are bitwise identical to the
-    scalar interpreter's.  ``captured_worlds`` counts the threaded stand-in
+    ``search_configurations(..., replay=True)`` returns for that budget
+    (both price through the same replay kernel).  ``captured_worlds`` counts the threaded stand-in
     worlds actually spun up (one per schedule shape) and ``lanes`` the
     distinct ``(shape, placement, scale)`` variants priced through them —
     the sweep's whole point is ``candidates >> lanes >= captured_worlds``.
@@ -348,8 +347,8 @@ def sweep_replay(
     """Rank every candidate of every budget from a handful of captured worlds.
 
     The per-candidate oracle of ``search_configurations(..., replay=True)``
-    interleaves capture and pricing: each cache miss walks the scalar
-    interpreter over the captured schedule.  A fleet sweep (many GPU
+    interleaves capture and pricing: each cache miss lowers the captured
+    schedule again and prices one variant.  A fleet sweep (many GPU
     budgets x batch sizes) hits hundreds of such misses, all replays of the
     same few schedules under different node placements and compute scales —
     exactly the shape :func:`repro.perf.schedule.replay_many` batches.  So
@@ -359,7 +358,7 @@ def sweep_replay(
        replay variant key (stand-in shape, node placement, bucket count,
        quantized compute scale — the same keying the oracle caches under);
     2. capture ONE threaded stand-in world per schedule shape, lower it
-       once, and price all of that shape's variants in a single vectorized
+       once, and price all of that shape's variants in a single
        :meth:`~repro.perf.schedule.ReplayProgram.run` call;
     3. score and rank each budget's candidates from the priced overlaps.
 
@@ -405,7 +404,7 @@ def sweep_replay(
             rows.append((plan, micro, key))
         per_budget.append(((total_gpus, global_batch), rows))
 
-    # Phase 2: one threaded capture per schedule shape, then one vectorized
+    # Phase 2: one threaded capture per schedule shape, then one
     # replay_many call pricing every variant of that shape.
     workspace: dict = {}
     overlaps_by_key: dict[tuple, "DerivedOverlaps"] = {}

@@ -55,12 +55,12 @@ orders the reads after every write.
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from dataclasses import dataclass
-from typing import Collection, Sequence
+from typing import Callable, Collection, Sequence
 
 from .cost import CostModel
-from .machine import MachineSpec, frontier
+from .machine import MachineSpec
 
 __all__ = ["ComputeInterval", "CommInterval", "VirtualClock"]
 
@@ -148,11 +148,7 @@ class VirtualClock:
         eager_phases: Collection[str] | None = None,
         capture: bool = False,
     ) -> None:
-        if cost is None:
-            cost = CostModel(machine if machine is not None else frontier())
-        elif machine is not None and cost.machine is not machine:
-            raise ValueError("pass either machine or cost, not conflicting both")
-        self.cost = cost
+        self.cost = cost = CostModel.resolve(machine, cost)
         self.machine = cost.machine
         self.eager_phases = frozenset(eager_phases) if eager_phases else frozenset()
         # Schedule capture: when on, every clock-visible event (compute
@@ -166,15 +162,12 @@ class VirtualClock:
         self._times: list[float] = []
         self._compute: list[list[ComputeInterval]] = []
         # Issue-queue state: per-rank serial-channel free time, the in-flight
-        # (pending) collectives as a completion-ordered event heap, and the
-        # archive of drained/blocking ones.  The heap keeps drains O(log n)
-        # per event and stays correct if a future channel model (multiple
-        # NCCL-style channels, p2p sharing) makes completions non-monotone
-        # in issue order; ``_pseq`` breaks ties deterministically.
+        # (pending) collectives, and the archive of drained/blocking ones.
+        # Pending is a FIFO because issue order IS completion order on the
+        # one serial channel: bid >= chan_free >= every previous end.
         self._chan_free: list[float] = []
-        # (end, seq, op, phase, issue, start, payload, wire, intra, group)
-        self._pending: list[list[tuple]] = []
-        self._pseq: list[int] = []
+        # (op, phase, issue, start, end, payload, wire, intra, group)
+        self._pending: list[deque[tuple]] = []
         self._comm: list[list[CommInterval]] = []
         # Running per-(rank, phase) totals so overlap derivation reads
         # aggregates in O(1) instead of rescanning interval lists.
@@ -196,6 +189,9 @@ class VirtualClock:
         # threads may race a fill; dict item writes are GIL-atomic and the
         # value is deterministic, so a lost race only recomputes.
         self._price_memo: dict[tuple[str, int, tuple], tuple[int, bool, float]] = {}
+        # Span source of a loaded timeline not yet folded into the archives
+        # (see :meth:`load_timeline`); ``None`` on every live clock.
+        self._unfolded: Callable[[], Sequence[tuple]] | None = None
 
     # -- world plumbing (called by repro.dist.runtime) ---------------------
     def bind(self, world_size: int) -> None:
@@ -205,14 +201,14 @@ class VirtualClock:
         self._times = [0.0] * n
         self._compute = [[] for _ in range(n)]
         self._chan_free = [0.0] * n
-        self._pending = [[] for _ in range(n)]
-        self._pseq = [0] * n
+        self._pending = [deque() for _ in range(n)]
         self._comm = [[] for _ in range(n)]
         self._compute_tot = [{} for _ in range(n)]
         self._busy_tot = [{} for _ in range(n)]
         self._exposed_tot = [{} for _ in range(n)]
         self._count_tot = [{} for _ in range(n)]
         self._vol_tot = [{} for _ in range(n)]
+        self._unfolded = None
 
     @property
     def world_size(self) -> int:
@@ -283,8 +279,7 @@ class VirtualClock:
     # -- schedule capture (hooks called by repro.dist.runtime) -------------
     @property
     def capturing(self) -> bool:
-        """Whether the runtime should feed ``capture_*`` hooks (duck-typed:
-        the runtime checks ``getattr(clock, "capturing", False)``)."""
+        """Whether the runtime should feed the ``capture_*`` hooks."""
         return self.capture
 
     def capture_collective(
@@ -362,21 +357,14 @@ class VirtualClock:
 
         ``payload_bytes`` (the group max bid) and ``ranks`` (the group's
         world ranks) stamp the archived interval with its wire volume and
-        link class — callers that omit them (legacy duck-typed paths) get
-        zero-byte intervals; virtual times are unaffected either way.
+        link class; virtual times do not depend on them.
         """
         grp = ranks if isinstance(ranks, tuple) else tuple(ranks)
         wire, intra, _ = self._price(op, payload_bytes, grp)
         self._chan_free[rank] = max(self._chan_free[rank], end)
         if self.is_eager(op, phase):
-            # Heap-ordered channel event: settled at the next drain point in
-            # completion order, O(log n) per dispatch.
-            seq = self._pseq[rank]
-            self._pseq[rank] = seq + 1
-            heapq.heappush(
-                self._pending[rank],
-                (end, seq, op, phase, issue, start, int(payload_bytes), wire,
-                 intra, grp),
+            self._pending[rank].append(
+                (op, phase, issue, start, end, int(payload_bytes), wire, intra, grp)
             )
             return
         self._archive(
@@ -412,17 +400,15 @@ class VirtualClock:
     def drain(self, rank: int) -> float:
         """Settle *rank*'s pending queue; returns the post-drain clock.
 
-        Pending events pop off the completion-ordered heap — equivalent to
-        issue order for today's single serial channel, and still correct
-        for channel models whose completions interleave — each charged
-        ``max(0, end − running clock)`` exposed seconds.
+        Pending collectives settle in issue (= completion) order, each
+        charged ``max(0, end − running clock)`` exposed seconds.
         """
-        heap = self._pending[rank]
-        if heap:
+        queue = self._pending[rank]
+        if queue:
             w = self._times[rank]
-            while heap:
-                end, _seq, op, phase, issue, start, payload, wire, intra, grp = (
-                    heapq.heappop(heap)
+            while queue:
+                op, phase, issue, start, end, payload, wire, intra, grp = (
+                    queue.popleft()
                 )
                 exposed = max(0.0, end - w)
                 w = max(w, end)
@@ -437,6 +423,47 @@ class VirtualClock:
         """Rank exit hook: drain so ``times()`` is the true makespan."""
         self.drain(rank)
 
+    # -- loaded timelines (filled by repro.perf.schedule.ReplayProgram) ----
+    def load_timeline(
+        self, times: Sequence[float], spans: Callable[[], Sequence[tuple]]
+    ) -> None:
+        """Adopt a finished timeline that was computed outside this clock.
+
+        The lowered replay executor advances plain float arrays instead of
+        calling :meth:`charge` / :meth:`collective_complete` per event;
+        loading its output here means every read-out below keeps exactly
+        one implementation.  *times* are the final per-rank clocks (their
+        count is the world size).  *spans* is called once, on the first
+        read-out other than ``now``/``times``/``elapsed``, and returns per
+        rank a ``(charges, collectives)`` pair of rows in that rank's
+        program order: ``(phase, label, start, seconds)`` and ``(op, phase,
+        issue, start, end, exposed, payload_bytes, group)``.  They are
+        folded through the same archive step the live methods use, so the
+        per-phase totals sum in the live order (bitwise equal).  A loaded
+        clock is a finished timeline: read it, or :meth:`bind` it afresh.
+        """
+        self.bind(len(times))
+        self._times = list(times)
+        self._unfolded = spans
+
+    def _fold_loaded(self) -> None:
+        if self._unfolded is None:
+            return
+        spans, self._unfolded = self._unfolded, None
+        for rank, (charges, collectives) in enumerate(spans()):
+            intervals, tot = self._compute[rank], self._compute_tot[rank]
+            for phase, label, start, seconds in charges:
+                intervals.append(
+                    ComputeInterval(rank, phase, label, start, start + seconds)
+                )
+                tot[phase] = tot.get(phase, 0.0) + seconds
+            for op, phase, issue, start, end, exposed, payload, grp in collectives:
+                wire, intra, _ = self._price(op, payload, grp)
+                self._archive(
+                    rank, op, phase, issue, start, end, exposed, payload, wire,
+                    intra, grp,
+                )
+
     # -- read-out ----------------------------------------------------------
     def times(self) -> list[float]:
         """Per-rank virtual completion times (a copy)."""
@@ -449,6 +476,7 @@ class VirtualClock:
     def compute_intervals(
         self, rank: int | None = None, phase: str | None = None
     ) -> list[ComputeInterval]:
+        self._fold_loaded()
         ranks = range(len(self._compute)) if rank is None else (rank,)
         out: list[ComputeInterval] = []
         for r in ranks:
@@ -466,6 +494,7 @@ class VirtualClock:
     def _total(
         self, tables: list[dict[str, float]], rank: int | None, phase: str | None
     ) -> float:
+        self._fold_loaded()
         ranks = range(len(tables)) if rank is None else (rank,)
         if phase is None:
             return sum(sum(tables[r].values()) for r in ranks)
@@ -475,6 +504,7 @@ class VirtualClock:
         self, rank: int | None = None, phase: str | None = None
     ) -> list[CommInterval]:
         """Settled collectives in issue order (pendings only after drain)."""
+        self._fold_loaded()
         ranks = range(len(self._comm)) if rank is None else (rank,)
         out: list[CommInterval] = []
         for r in ranks:
@@ -497,6 +527,7 @@ class VirtualClock:
 
     def comm_count(self, rank: int, phase: str | None = None) -> int:
         """Number of settled collectives on *rank*'s timeline (O(1))."""
+        self._fold_loaded()
         if phase is None:
             return sum(self._count_tot[rank].values())
         return self._count_tot[rank].get(phase, 0)
@@ -511,6 +542,7 @@ class VirtualClock:
         collectives still in the pending queue are not included; drain (or
         let :func:`repro.dist.run_spmd` finalize the rank) first.
         """
+        self._fold_loaded()
         merged: list[ComputeInterval | CommInterval] = [
             *self._compute[rank], *self._comm[rank]
         ]
@@ -529,6 +561,7 @@ class VirtualClock:
         interval lists — the comm-volume report's *simulated* column
         (:func:`repro.obs.commvol.comm_volume_report`) reads this.
         """
+        self._fold_loaded()
         ranks = range(len(self._vol_tot)) if rank is None else (rank,)
         out: dict[tuple[str, str, bool], tuple[int, int, float]] = {}
         for r in ranks:

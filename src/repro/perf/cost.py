@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..dist.stats import ring_wire_bytes
-from .machine import MachineSpec
+from .machine import MachineSpec, frontier
 
 __all__ = ["CostModel"]
 
@@ -57,6 +57,19 @@ class CostModel:
     """Prices collectives (seconds + wire bytes) on one :class:`MachineSpec`."""
 
     machine: MachineSpec
+
+    @classmethod
+    def resolve(
+        cls, machine: MachineSpec | None, cost: "CostModel | None"
+    ) -> "CostModel":
+        """The one reading of a ``(machine, cost)`` argument pair: *cost* if
+        given (a *machine* beside it must be the one it prices), else a
+        model of *machine*, else of :func:`~repro.perf.machine.frontier`."""
+        if cost is None:
+            return cls(machine if machine is not None else frontier())
+        if machine is not None and cost.machine is not machine:
+            raise ValueError("pass either machine or cost, not conflicting both")
+        return cost
 
     # -- the shared step-count table --------------------------------------
     def latency_steps(self, op: str, group_size: int) -> int:

@@ -160,10 +160,6 @@ def _require_clock(world: Any):
     return clock
 
 
-def _eager_phase(clock: Any, phase: str) -> bool:
-    return phase in getattr(clock, "eager_phases", ())
-
-
 def derive_bucket_exposures(world: Any, phase: str) -> list[BucketExposure]:
     """Per-bucket exposure of one eagerly-simulated phase.
 
@@ -173,7 +169,7 @@ def derive_bucket_exposures(world: Any, phase: str) -> list[BucketExposure]:
     it.  Empty for phases the clock did not simulate eagerly.
     """
     clock = _require_clock(world)
-    if not _eager_phase(clock, phase) or not hasattr(clock, "comm_intervals"):
+    if phase not in clock.eager_phases:
         return []
     per_rank = [
         clock.comm_intervals(rank=r, phase=phase)
@@ -210,22 +206,13 @@ def derive_overlap(world: Any, comm_phase: str, compute_phase: str) -> OverlapRe
     every rank does).
     """
     clock = _require_clock(world)
-    if _eager_phase(clock, comm_phase) and hasattr(clock, "comm_intervals"):
+    if comm_phase in clock.eager_phases:
         busy: dict[int, float] = {}
         exposed: dict[int, float] = {}
-        fast = hasattr(clock, "comm_count") and hasattr(clock, "comm_busy_seconds")
         for r in range(clock.world_size):
-            # Running totals when the clock maintains them (O(1) per rank);
-            # interval rescan only for duck-typed stand-ins.
-            if fast:
-                if clock.comm_count(r, comm_phase):
-                    busy[r] = clock.comm_busy_seconds(rank=r, phase=comm_phase)
-                    exposed[r] = clock.exposed_seconds(rank=r, phase=comm_phase)
-                continue
-            ivs = clock.comm_intervals(rank=r, phase=comm_phase)
-            if ivs:
-                busy[r] = sum(iv.seconds for iv in ivs)
-                exposed[r] = sum(iv.exposed for iv in ivs)
+            if clock.comm_count(r, comm_phase):
+                busy[r] = clock.comm_busy_seconds(rank=r, phase=comm_phase)
+                exposed[r] = clock.exposed_seconds(rank=r, phase=comm_phase)
         if busy:
             comm = sum(busy.values()) / len(busy)
             exp = sum(exposed.values()) / len(exposed)

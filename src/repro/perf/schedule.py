@@ -1,16 +1,31 @@
 """Captured-schedule replay: record one instrumented step, replay N cheaply.
 
 A steady-state training step repeats an identical schedule of compute
-charges and collectives, yet every simulated step today re-runs Python
-autograd, numpy payloads and thread rendezvous.  This module lowers one
-live :func:`repro.dist.run_spmd` step into a flat, serializable event list
-(the same shape as tinygrad's ``LazyOp`` → ``ScheduleItem`` lowering) and
-re-executes it as **pure event arithmetic**: no threads, no numpy, no
-rendezvous — just the :class:`~repro.perf.clock.VirtualClock` methods the
-live runtime would have called, in the same per-rank program order.  That
-makes the replayed timeline *bitwise identical* to the live threaded run
-(virtual times are pure functions of program order; see the determinism
-note in :mod:`repro.perf.clock`).
+charges and collectives, yet a live simulated step re-runs Python autograd,
+numpy payloads and thread rendezvous.  This module records one live
+:func:`repro.dist.run_spmd` step as a flat, serializable event list and
+re-executes it as **pure event arithmetic**, in one pipeline:
+
+``CapturedSchedule`` → :class:`ReplayProgram` → float kernel → ``VirtualClock``
+
+* **Lower once.**  Which rank issues what, in which order, depends only on
+  the schedule — never on the machine, the cost model or the compute scale.
+  :class:`ReplayProgram` walks the per-rank cursors through a rendezvous
+  table and a p2p mailbox exactly once and emits a linear program of
+  arithmetic ops with every dependency (collective joins, send→recv edges,
+  drain order) already resolved.
+* **Run one kernel.**  The program is executed as straight-line python-float
+  arithmetic, once per :class:`ReplayVariant` (a machine or cost model and a
+  compute scale).  It performs the float operations the live
+  :class:`~repro.perf.clock.VirtualClock` performs under the threaded
+  runtime, in the same per-rank order, so the replayed timeline of step *k*
+  is **bitwise identical** to a live threaded run of *k* steps (virtual
+  times are pure functions of program order; see the determinism note in
+  :mod:`repro.perf.clock`).
+* **Read out through the clock.**  The kernel's output is loaded into a real
+  ``VirtualClock`` (:meth:`~repro.perf.clock.VirtualClock.load_timeline`),
+  so ``ReplayResult.clock`` answers every query a live clock answers —
+  totals, archived intervals, ``timeline()`` for the trace exporter.
 
 Record → serialize → replay::
 
@@ -20,6 +35,10 @@ Record → serialize → replay::
     sched.save("step.json")                          # optional round-trip
     result = replay(sched, machine, n_steps=1000)    # pure arithmetic
     result.clock.times()                             # == live 1000-step run
+
+:func:`replay` prices one variant, :func:`replay_many` amortizes one
+lowering over many (``repro.perf.autotune.sweep_replay`` prices
+thousand-candidate autotuner sweeps this way).
 
 Phase conventions (mirrors :mod:`repro.perf.overlap`):
 
@@ -35,25 +54,15 @@ Phase conventions (mirrors :mod:`repro.perf.overlap`):
     =============  =======================  =================================
 
 Event kinds: ``compute`` (charge seconds onto the rank timeline), ``coll``
-(join a group collective — the replay rendezvous recomputes ``start =
-max(bids)`` and ``end = start + cost`` exactly like the live slot),
+(join a group collective: ``start = max(bids)``, ``end = start + cost``),
 ``drain`` (settle the rank's eager issue queue), ``send``/``recv``
 (store-and-forward p2p through a virtual mailbox).  Dependencies are
 implicit in the per-rank program order plus the cross-rank joins (``coll``
 groups and ``send``→``recv`` edges), so the flat list *is* the dependency
 graph.
 
-For fleet-scale sweeps, :class:`ReplayProgram` lowers a schedule ONCE into
-a linear arithmetic program (rendezvous and mailbox dependencies resolved
-at lowering time) and :func:`replay_many` prices it for many
-``(machine, compute_scale)`` variants at once — numpy lane-vectors when
-there are enough lanes, a python-float pass otherwise — each lane bitwise
-equal to :func:`replay` (``repro.perf.autotune.sweep_replay`` prices
-thousand-candidate autotuner sweeps this way).
-
 Run ``python -m repro.perf.schedule [--smoke]`` for a self-contained
-bitwise parity check (used by the ``perf-smoke`` CI job), covering both
-the scalar interpreter and the vectorized kernel.
+bitwise live-vs-replay parity check (used by the ``perf-smoke`` CI job).
 """
 
 from __future__ import annotations
@@ -61,6 +70,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Collection, Sequence
 
 from .clock import VirtualClock
@@ -220,11 +230,13 @@ class CapturedSchedule:
                     f"event rank {ev.rank} out of range for world of size "
                     f"{self.world_size}"
                 )
+            if ev.seconds < 0.0:
+                raise ValueError(f"compute seconds must be >= 0, got {ev.seconds}")
 
     @classmethod
     def from_clock(cls, clock: VirtualClock) -> "CapturedSchedule":
         """Lower a capture-enabled clock's recorded events."""
-        if not getattr(clock, "capture", False):
+        if not clock.capture:
             raise ValueError("clock was not created with capture=True")
         events: list[ScheduleEvent] = []
         n = clock.world_size
@@ -288,12 +300,12 @@ class CapturedSchedule:
 
 @dataclass(frozen=True)
 class ReplayResult:
-    """The outcome of :func:`replay`: the advanced clock plus metadata.
+    """The outcome of a replay: the loaded clock plus metadata.
 
     Quacks enough like a :class:`~repro.dist.World` (it has ``.clock``)
-    that :func:`repro.perf.overlap.derive_overlaps` accepts it directly —
-    the bound path falls back to clock aggregates since a replay carries
-    no traffic log.
+    that :func:`repro.perf.overlap.derive_overlaps` and the trace exporter
+    accept it directly — the bound path falls back to clock aggregates
+    since a replay carries no traffic log.
     """
 
     schedule: CapturedSchedule
@@ -321,226 +333,57 @@ class ReplayResult:
         return derive_overlaps(self)
 
 
-_UNSET = object()
-
-
-def replay(
-    schedule: CapturedSchedule,
-    machine: MachineSpec | None = None,
-    n_steps: int = 1,
-    eager_phases: Collection[str] | None | object = _UNSET,
-    cost: CostModel | None = None,
-    compute_scale: float = 1.0,
-) -> ReplayResult:
-    """Advance a fresh :class:`VirtualClock` through *n_steps* of *schedule*.
-
-    Pure event arithmetic: each rank's captured program is walked by a
-    cursor; collectives wait in a rendezvous table until every group
-    member's cursor reaches them (``start = max(bids)``, ``end = start +
-    cost`` — the identical protocol the threaded runtime runs under its
-    slot lock), and p2p events flow through a virtual mailbox carrying
-    delivery times.  With the same ``machine``/``cost``/``eager_phases``
-    the replayed timeline of step *k* is bitwise equal to a live threaded
-    run of *k* steps, because both drive the very same clock methods in
-    the same per-rank program order.
-
-    ``eager_phases`` defaults to the set the schedule was captured under;
-    pass an explicit value (or ``None`` for fully blocking) to re-simulate
-    the same step under different issue-queue semantics.  ``compute_scale``
-    multiplies every captured compute charge — the knob the autotuner's
-    replay oracle turns to re-price a schedule for a different model size
-    without re-capturing (``1.0`` leaves charges bitwise untouched).
-
-    Raises :class:`ScheduleReplayError` if the schedule deadlocks (a recv
-    with no matching send, or a collective some member never joins) or if
-    members disagree on the op of a group's next collective.
-    """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    eph = schedule.eager_phases if eager_phases is _UNSET else eager_phases
-    clock = VirtualClock(machine=machine, cost=cost, eager_phases=eph)
-    clock.bind(schedule.world_size)
-    scale = float(compute_scale)
-    if scale < 0.0:
-        raise ValueError(f"compute_scale must be >= 0, got {compute_scale}")
-    programs = [schedule.events_for(r) for r in range(schedule.world_size)]
-    # The p2p mailbox persists across steps (a recv may legitimately match
-    # a send from an earlier replayed step, mirroring the live World mail).
-    mail: dict[tuple[int, int, int], deque] = {}
-    for _ in range(n_steps):
-        _replay_step(clock, programs, scale, mail)
-    for rank in range(schedule.world_size):
-        clock.finalize_rank(rank)  # rank-exit drain, like run_spmd
-    return ReplayResult(schedule=schedule, clock=clock, n_steps=n_steps)
-
-
-def _replay_step(
-    clock: VirtualClock,
-    programs: Sequence[Sequence[ScheduleEvent]],
-    scale: float,
-    mail: dict[tuple[int, int, int], deque],
-) -> None:
-    n = len(programs)
-    pos = [0] * n
-    lengths = [len(p) for p in programs]
-    # Rendezvous table: group ranks -> (op, {rank: (bid, issue, payload, phase)}).
-    # One in-flight slot per group suffices: a rank blocks on its group's
-    # collective, so no group can have two open generations at once.
-    slots: dict[tuple[int, ...], tuple[str, dict[int, tuple[float, float, int, str]]]] = {}
-
-    def advance(rank: int) -> bool:
-        """Walk one rank's cursor until it blocks; True if it moved."""
-        evs = programs[rank]
-        moved = False
-        while pos[rank] < lengths[rank]:
-            ev = evs[pos[rank]]
-            kind = ev.kind
-            if kind == "compute":
-                seconds = ev.seconds if scale == 1.0 else ev.seconds * scale
-                clock.charge(rank, seconds, phase=ev.phase, label=ev.label)
-            elif kind == "drain":
-                clock.drain(rank)
-            elif kind == "send":
-                vstart = clock.now(rank)
-                vend = vstart + clock.p2p_seconds(ev.payload_bytes, rank, ev.peer)
-                clock.sync(rank, vend)
-                mail.setdefault((rank, ev.peer, ev.tag), deque()).append(vend)
-            elif kind == "recv":
-                queue = mail.get((ev.peer, rank, ev.tag))
-                if not queue:
-                    return moved  # blocked: matching send not replayed yet
-                sent_vend = queue.popleft()
-                clock.sync(rank, max(clock.now(rank), sent_vend))
-            elif kind == "coll":
-                key = ev.group
-                if rank not in key:
-                    raise ScheduleReplayError(
-                        f"rank {rank} event {pos[rank]} ({ev.op!r}): issued a "
-                        f"collective on group {key} it is not a member of",
-                        rank=rank, index=pos[rank], op=ev.op,
-                    )
-                op, arrivals = slots.setdefault(key, (ev.op, {}))
-                if op != ev.op:
-                    raise ScheduleReplayError(
-                        f"rank {rank} event {pos[rank]} ({ev.op!r}): group "
-                        f"{key} rendezvous mismatch — peers opened the slot "
-                        f"with {op!r}",
-                        rank=rank, index=pos[rank], op=ev.op,
-                    )
-                bid = clock.collective_arrival(rank, ev.op, ev.phase)
-                issue = clock.now(rank)
-                arrivals[rank] = (bid, issue, ev.payload_bytes, ev.phase)
-                if len(arrivals) < len(key):
-                    return True  # blocked awaiting the rest of the group
-                # Last arriver: price once, complete for every member, and
-                # push every member's cursor past its coll event.
-                del slots[key]
-                start = max(a[0] for a in arrivals.values())
-                payload = max(a[2] for a in arrivals.values())
-                end = start + clock.collective_seconds(ev.op, payload, key)
-                for member in key:
-                    _bid, m_issue, _payload, m_phase = arrivals[member]
-                    clock.collective_complete(
-                        member, ev.op, m_phase, m_issue, start, end,
-                        payload_bytes=payload, ranks=key,
-                    )
-                    pos[member] += 1
-                moved = True
-                continue
-            else:  # pragma: no cover - from_json rejects unknown kinds
-                raise ScheduleReplayError(f"unknown event kind {kind!r}")
-            pos[rank] += 1
-            moved = True
-        return moved
-
-    while True:
-        progressed = False
-        for rank in range(n):
-            if pos[rank] < lengths[rank]:
-                progressed = advance(rank) or progressed
-        if all(pos[r] >= lengths[r] for r in range(n)):
-            return
-        if not progressed:
-            stuck = [
-                (r, pos[r], programs[r][pos[r]])
-                for r in range(n)
-                if pos[r] < lengths[r]
-            ]
-            detail = "; ".join(
-                f"rank {r} event {i}: {ev.kind}"
-                + (f" {ev.op!r}" if ev.op else "")
-                + (f" peer={ev.peer} tag={ev.tag}" if ev.kind in ("send", "recv") else "")
-                + (f" group={ev.group}" if ev.kind == "coll" else "")
-                for r, i, ev in stuck
-            )
-            first_rank, first_index, first_ev = stuck[0]
-            raise ScheduleReplayError(
-                f"schedule deadlocked; blocked cursors: {detail}",
-                rank=first_rank, index=first_index, op=first_ev.op,
-            )
-
-
-# -- vectorized replay kernel ----------------------------------------------
-#
-# The scalar interpreter above re-walks the cursor/rendezvous control flow
-# on every step of every replay.  But that control flow is *structural*: it
-# depends only on the schedule (which rank issues what, in which order),
-# never on the machine, the cost model or the compute scale.  So a schedule
-# can be lowered ONCE into a linear program of arithmetic ops over a small
-# slot arena — every data dependency (collective joins, send→recv edges,
-# drain order) resolved at lowering time — and then *executed* for any
-# number of (machine, compute_scale) variants as straight-line float math:
-# one python-float pass per lane when pricing a few, or numpy lane-vectors
-# (each op updating a [lanes]-wide array) when pricing hundreds at once.
-# Both executors reproduce the scalar interpreter's float operations in the
-# identical order, so the resulting timelines are bitwise equal to
-# :func:`replay` — pinned by ``--smoke`` and ``tests/test_schedule_replay``.
-
-_C_CHARGE, _C_BID_BLOCK, _C_BID_EAGER, _C_COLL, _C_DRAIN, _C_SEND, _C_RECV = (
-    range(7)
-)
-
-#: Below this many lanes a per-lane python-float pass beats numpy's per-op
-#: dispatch overhead; at or above it the lane-vector executor wins.
-_VECTOR_MIN_LANES = 8
-
-
 @dataclass(frozen=True)
 class ReplayVariant:
-    """One lane of a vectorized replay: the same two pricing knobs
-    :func:`replay` exposes — a machine (or an explicit cost model) and a
-    compute scale."""
+    """One pricing of a lowered program: a machine (or an explicit cost
+    model) and a compute scale that multiplies every captured compute
+    charge (``1.0`` leaves charges bitwise untouched)."""
 
     machine: MachineSpec | None = None
     cost: CostModel | None = None
     compute_scale: float = 1.0
 
-    def resolve_cost(self) -> CostModel:
-        if self.cost is None:
-            from .machine import frontier
+    def __post_init__(self) -> None:
+        if float(self.compute_scale) < 0.0:
+            raise ValueError(
+                f"compute_scale must be >= 0, got {self.compute_scale}"
+            )
+        self.resolve_cost()  # a conflicting machine/cost pair fails here
 
-            return CostModel(self.machine if self.machine is not None else frontier())
-        if self.machine is not None and self.cost.machine is not self.machine:
-            raise ValueError("pass either machine or cost, not conflicting both")
-        return self.cost
+    def resolve_cost(self) -> CostModel:
+        return CostModel.resolve(self.machine, self.cost)
+
+
+_UNSET = object()
+_C_CHARGE, _C_BID_BLOCK, _C_BID_EAGER, _C_COLL, _C_DRAIN, _C_SEND, _C_RECV = (
+    range(7)
+)
 
 
 class ReplayProgram:
     """A :class:`CapturedSchedule` lowered to a linear op program.
 
-    Lowering replicates :func:`_replay_step`'s cursor walk for ``n_steps``
-    (plus the rank-exit drains) and emits one arithmetic op per clock
-    effect: compute charges, arrival bids, collective completions (a
-    segment max over the group's bid slots), drain settlements and p2p
-    mailbox hops.  Slot arenas (bids / pending / mail) are free-listed, so
-    their size is the schedule's peak concurrency, not its length; the
-    archived-interval arrays are the only per-event state kept.
+    Lowering walks each rank's captured program with a cursor for
+    ``n_steps`` (plus the rank-exit drains): collectives wait in a
+    rendezvous table until every group member's cursor reaches them, p2p
+    events flow through a mailbox that persists across steps — the protocol
+    the threaded runtime runs under its slot lock — and every clock effect
+    becomes one arithmetic op: compute charges, arrival bids, collective
+    completions (a max over the group's bid slots), drain settlements and
+    p2p hops.  Slot arenas (bids / pending / mail) are free-listed, so
+    their size is the schedule's peak concurrency, not its length; one
+    recorded span per charge and per settled collective is the only
+    per-event state kept.
 
-    :meth:`run` then prices the program for any list of
-    :class:`ReplayVariant` lanes, returning one :class:`ReplayResult` per
-    lane whose timeline is bitwise equal to ``replay(schedule, ...)`` with
-    the same machine/cost/scale.  Raises :class:`ScheduleReplayError` at
-    construction for the same malformed schedules the interpreter rejects.
+    ``eager_phases`` defaults to the set the schedule was captured under;
+    pass an explicit value (or ``None`` for fully blocking) to re-simulate
+    the same step under different issue-queue semantics.
+
+    :meth:`run` prices the program for any list of :class:`ReplayVariant`.
+    Raises :class:`ScheduleReplayError` at construction if the schedule
+    deadlocks (a recv with no matching send, a collective some member never
+    joins), names a group the issuing rank is not in, or its members
+    disagree on the op of a group's next collective.
     """
 
     def __init__(
@@ -554,14 +397,14 @@ class ReplayProgram:
         eph = schedule.eager_phases if eager_phases is _UNSET else eager_phases
         self.schedule = schedule
         self.n_steps = int(n_steps)
-        self.eager_phases = frozenset(eph) if eph else frozenset()
+        self.eager_phases = eager_set = frozenset(eph) if eph else frozenset()
         n = schedule.world_size
+        programs = [schedule.events_for(r) for r in range(n)]
+        lengths = [len(p) for p in programs]
 
         ops: list[tuple] = []
-        cost_keys: list[tuple[str, int, tuple[int, ...]]] = []
-        cost_ids: dict[tuple, int] = {}
-        p2p_keys: list[tuple[int, int, int]] = []
-        p2p_ids: dict[tuple, int] = {}
+        cost_keys: dict[tuple[str, int, tuple[int, ...]], int] = {}
+        p2p_keys: dict[tuple[int, int, int], int] = {}
         free_bid: list[int] = []
         free_pend: list[int] = []
         free_mail: list[int] = []
@@ -574,146 +417,137 @@ class ReplayProgram:
             hwm[which] = s + 1
             return s
 
-        ctot_idx: dict[tuple[int, str], int] = {}  # (rank, phase) → compute slot
-        mtot_idx: dict[tuple[int, str], int] = {}  # (rank, phase) → busy/exposed slot
-        counts: dict[tuple[int, str], int] = {}
-
-        def tot(table: dict, rank: int, phase: str) -> int:
-            key = (rank, phase)
-            idx = table.get(key)
-            if idx is None:
-                idx = table[key] = len(table)
-            return idx
-
-        arch_meta: list[tuple[int, str, str, int]] = []  # (rank, op, phase, kid)
-        arch_by_rank: list[list[int]] = [[] for _ in range(n)]
+        # Recorded spans, per rank in program order — the rows the kernel's
+        # output is zipped with for the clock's read-outs.
+        charges: list[list[tuple]] = [[] for _ in range(n)]   # (cid, phase, label, seconds)
+        archives: list[list[tuple]] = [[] for _ in range(n)]  # (aid, op, phase, kid)
+        n_spans = [0, 0]  # charge / archive ids handed out
 
         def archive(rank: int, op_name: str, phase: str, kid: int) -> int:
-            aid = len(arch_meta)
-            arch_meta.append((rank, op_name, phase, kid))
-            arch_by_rank[rank].append(aid)
-            counts[(rank, phase)] = counts.get((rank, phase), 0) + 1
+            aid = n_spans[1]
+            n_spans[1] = aid + 1
+            archives[rank].append((aid, op_name, phase, kid))
             return aid
 
-        # Structural FIFO stand-ins for the interpreter's runtime state: the
-        # per-rank pending queue (heap order == issue order for the serial
-        # channel — every new end is >= the rank's channel-free time, so
-        # completions are monotone and the seq tiebreak preserves issue
-        # order) and the cross-step p2p mailbox.
+        # Structural stand-ins for the clock's runtime state: the per-rank
+        # pending FIFO (issue order is completion order on the one serial
+        # channel, see VirtualClock) and the cross-step p2p mailbox (a recv
+        # may match a send from an earlier step, like the live World mail).
         pending: list[deque] = [deque() for _ in range(n)]
         mail: dict[tuple[int, int, int], deque] = {}
-        programs = [schedule.events_for(r) for r in range(n)]
 
         def emit_drain(rank: int) -> None:
             q = pending[rank]
             while q:
                 pslot, op_name, phase, kid = q.popleft()
-                aid = archive(rank, op_name, phase, kid)
-                ops.append((_C_DRAIN, rank, pslot, aid, tot(mtot_idx, rank, phase)))
+                ops.append((_C_DRAIN, rank, pslot, archive(rank, op_name, phase, kid)))
                 free_pend.append(pslot)
 
-        eager_set = self.eager_phases
+        pos = [0] * n  # per-rank cursors, rewound at each step
+        # Rendezvous table: group ranks -> (op, {rank: (bid slot, pend
+        # slot, payload bid, phase)}).  One open slot per group
+        # suffices: a rank blocks on its group's collective, so no
+        # group can have two generations in flight at once.
+        slots: dict[tuple[int, ...], tuple[str, dict[int, tuple]]] = {}
 
-        def lower_step() -> None:
-            pos = [0] * n
-            lengths = [len(p) for p in programs]
-            slots: dict[tuple[int, ...], tuple[str, dict[int, tuple]]] = {}
-
-            def advance(rank: int) -> bool:
-                evs = programs[rank]
-                moved = False
-                while pos[rank] < lengths[rank]:
-                    ev = evs[pos[rank]]
-                    kind = ev.kind
-                    if kind == "compute":
-                        ops.append(
-                            (_C_CHARGE, rank, float(ev.seconds),
-                             tot(ctot_idx, rank, ev.phase))
+        def advance(rank: int) -> bool:
+            """Walk one rank's cursor until it blocks; True if it moved."""
+            evs = programs[rank]
+            moved = False
+            while pos[rank] < lengths[rank]:
+                ev = evs[pos[rank]]
+                kind = ev.kind
+                if kind == "compute":
+                    cid = n_spans[0]
+                    n_spans[0] = cid + 1
+                    seconds = float(ev.seconds)
+                    charges[rank].append((cid, ev.phase, ev.label, seconds))
+                    ops.append((_C_CHARGE, rank, seconds, cid))
+                elif kind == "drain":
+                    emit_drain(rank)
+                elif kind == "send":
+                    mslot = alloc(free_mail, 2)
+                    pid = p2p_keys.setdefault(
+                        (ev.payload_bytes, rank, ev.peer), len(p2p_keys)
+                    )
+                    ops.append((_C_SEND, rank, mslot, pid))
+                    mail.setdefault((rank, ev.peer, ev.tag), deque()).append(mslot)
+                elif kind == "recv":
+                    queue = mail.get((ev.peer, rank, ev.tag))
+                    if not queue:
+                        return moved  # blocked: matching send not lowered yet
+                    mslot = queue.popleft()
+                    ops.append((_C_RECV, rank, mslot))
+                    free_mail.append(mslot)
+                elif kind == "coll":
+                    key = ev.group
+                    if rank not in key:
+                        raise ScheduleReplayError(
+                            f"rank {rank} event {pos[rank]} ({ev.op!r}): issued a "
+                            f"collective on group {key} it is not a member of",
+                            rank=rank, index=pos[rank], op=ev.op,
                         )
-                    elif kind == "drain":
+                    op_name, arrivals = slots.setdefault(key, (ev.op, {}))
+                    if op_name != ev.op:
+                        raise ScheduleReplayError(
+                            f"rank {rank} event {pos[rank]} ({ev.op!r}): group "
+                            f"{key} rendezvous mismatch — peers opened the slot "
+                            f"with {op_name!r}",
+                            rank=rank, index=pos[rank], op=ev.op,
+                        )
+                    if ev.op != "barrier" and ev.phase in eager_set:
+                        bslot = alloc(free_bid, 0)
+                        pslot = alloc(free_pend, 1)
+                        ops.append((_C_BID_EAGER, rank, bslot, pslot))
+                    else:
+                        # A blocking arrival drains first: the serial
+                        # channel could not start it earlier anyway.
                         emit_drain(rank)
-                    elif kind == "send":
-                        mslot = alloc(free_mail, 2)
-                        pkey = (ev.payload_bytes, rank, ev.peer)
-                        pid = p2p_ids.get(pkey)
-                        if pid is None:
-                            pid = p2p_ids[pkey] = len(p2p_keys)
-                            p2p_keys.append(pkey)
-                        ops.append((_C_SEND, rank, mslot, pid))
-                        mail.setdefault((rank, ev.peer, ev.tag), deque()).append(mslot)
-                    elif kind == "recv":
-                        queue = mail.get((ev.peer, rank, ev.tag))
-                        if not queue:
-                            return moved  # blocked: matching send not lowered yet
-                        mslot = queue.popleft()
-                        ops.append((_C_RECV, rank, mslot))
-                        free_mail.append(mslot)
-                    elif kind == "coll":
-                        key = ev.group
-                        if rank not in key:
-                            raise ScheduleReplayError(
-                                f"rank {rank} event {pos[rank]} ({ev.op!r}): issued a "
-                                f"collective on group {key} it is not a member of",
-                                rank=rank, index=pos[rank], op=ev.op,
-                            )
-                        op_name, arrivals = slots.setdefault(key, (ev.op, {}))
-                        if op_name != ev.op:
-                            raise ScheduleReplayError(
-                                f"rank {rank} event {pos[rank]} ({ev.op!r}): group "
-                                f"{key} rendezvous mismatch — peers opened the slot "
-                                f"with {op_name!r}",
-                                rank=rank, index=pos[rank], op=ev.op,
-                            )
-                        if ev.op != "barrier" and ev.phase in eager_set:
-                            bslot = alloc(free_bid, 0)
-                            pslot = alloc(free_pend, 1)
-                            ops.append((_C_BID_EAGER, rank, bslot, pslot))
+                        bslot = alloc(free_bid, 0)
+                        ops.append((_C_BID_BLOCK, rank, bslot))
+                        pslot = -1
+                    arrivals[rank] = (bslot, pslot, ev.payload_bytes, ev.phase)
+                    if len(arrivals) < len(key):
+                        return True  # blocked awaiting the rest of the group
+                    # Last arriver: price once (the group payload is the
+                    # max bid), complete for every member, and push every
+                    # member's cursor past its coll event.
+                    del slots[key]
+                    payload = max(a[2] for a in arrivals.values())
+                    kid = cost_keys.setdefault(
+                        (ev.op, payload, key), len(cost_keys)
+                    )
+                    members = []
+                    for member in key:
+                        m_b, m_p, _m_payload, m_phase = arrivals[member]
+                        if m_p >= 0:
+                            pending[member].append((m_p, ev.op, m_phase, kid))
+                            members.append((member, m_b, m_p, -1))
                         else:
-                            emit_drain(rank)
-                            bslot = alloc(free_bid, 0)
-                            ops.append((_C_BID_BLOCK, rank, bslot))
-                            pslot = -1
-                        arrivals[rank] = (bslot, pslot, ev.payload_bytes, ev.phase)
-                        if len(arrivals) < len(key):
-                            return True  # blocked awaiting the rest of the group
-                        del slots[key]
-                        payload = max(a[2] for a in arrivals.values())
-                        ckey = (ev.op, payload, key)
-                        kid = cost_ids.get(ckey)
-                        if kid is None:
-                            kid = cost_ids[ckey] = len(cost_keys)
-                            cost_keys.append(ckey)
-                        members = []
-                        for member in key:
-                            m_b, m_p, _m_payload, m_phase = arrivals[member]
-                            if m_p >= 0:
-                                pending[member].append((m_p, ev.op, m_phase, kid))
-                                members.append((member, m_b, m_p, -1, -1))
-                            else:
-                                aid = archive(member, ev.op, m_phase, kid)
-                                members.append(
-                                    (member, m_b, -1, aid,
-                                     tot(mtot_idx, member, m_phase))
-                                )
-                            pos[member] += 1
-                        ops.append((_C_COLL, kid, tuple(members)))
-                        for m in members:
-                            free_bid.append(m[1])
-                        moved = True
-                        continue
-                    else:  # pragma: no cover - from_json rejects unknown kinds
-                        raise ScheduleReplayError(f"unknown event kind {kind!r}")
-                    pos[rank] += 1
+                            members.append(
+                                (member, m_b, -1,
+                                 archive(member, ev.op, m_phase, kid))
+                            )
+                        pos[member] += 1
+                        free_bid.append(m_b)
+                    ops.append((_C_COLL, kid, tuple(members)))
                     moved = True
-                return moved
+                    continue
+                else:  # pragma: no cover - from_json rejects unknown kinds
+                    raise ScheduleReplayError(f"unknown event kind {kind!r}")
+                pos[rank] += 1
+                moved = True
+            return moved
 
+        for _ in range(self.n_steps):
+            pos[:] = [0] * n
             while True:
                 progressed = False
                 for rank in range(n):
                     if pos[rank] < lengths[rank]:
                         progressed = advance(rank) or progressed
                 if all(pos[r] >= lengths[r] for r in range(n)):
-                    return
+                    break
                 if not progressed:
                     stuck = [
                         (r, pos[r], programs[r][pos[r]])
@@ -732,29 +566,16 @@ class ReplayProgram:
                         f"schedule deadlocked; blocked cursors: {detail}",
                         rank=first_rank, index=first_index, op=first_ev.op,
                     )
-
-        for _ in range(self.n_steps):
-            lower_step()
         for rank in range(n):
             emit_drain(rank)  # rank-exit drain, like run_spmd
 
         self._ops = tuple(ops)
-        self._cost_keys = tuple(cost_keys)
+        self._cost_keys = tuple(cost_keys)  # dicts keep first-use order == id order
         self._p2p_keys = tuple(p2p_keys)
         self._n_bid, self._n_pend, self._n_mail = hwm
-        self._ctot_idx = ctot_idx
-        self._mtot_idx = mtot_idx
-        self._counts = counts
-        self._arch_meta = tuple(arch_meta)
-        self._arch_by_rank = tuple(tuple(a) for a in arch_by_rank)
-        # Per-rank (phase, slot) lists in first-use order: aggregate
-        # read-outs sum in the same order VirtualClock's per-rank dicts do.
-        self._ctot_by_rank: list[list[tuple[str, int]]] = [[] for _ in range(n)]
-        for (r, ph), i in ctot_idx.items():
-            self._ctot_by_rank[r].append((ph, i))
-        self._mtot_by_rank: list[list[tuple[str, int]]] = [[] for _ in range(n)]
-        for (r, ph), i in mtot_idx.items():
-            self._mtot_by_rank[r].append((ph, i))
+        self._n_charges, self._n_archives = n_spans
+        self._charges = charges
+        self._archives = archives
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -764,46 +585,34 @@ class ReplayProgram:
             f"mail={self._n_mail}))"
         )
 
-    # -- executors ---------------------------------------------------------
     def run(self, variants: Sequence[ReplayVariant]) -> list[ReplayResult]:
-        """Price the program once per lane; one ReplayResult per variant."""
-        lanes = []
+        """Price the program once per variant; one ReplayResult each."""
+        results = []
         for v in variants:
             if not isinstance(v, ReplayVariant):
                 raise TypeError(f"expected ReplayVariant, got {type(v).__name__}")
+            clock = VirtualClock(cost=v.resolve_cost(), eager_phases=self.eager_phases)
             scale = float(v.compute_scale)
-            if scale < 0.0:
-                raise ValueError(
-                    f"compute_scale must be >= 0, got {v.compute_scale}"
-                )
-            cost = v.resolve_cost()
-            cvals = [
-                cost.collective_seconds_for(op, payload, grp) if grp else 0.0
-                for op, payload, grp in self._cost_keys
-            ]
-            pvals = [
-                cost.p2p_seconds(nbytes, src, dst)
-                for nbytes, src, dst in self._p2p_keys
-            ]
-            lanes.append((cost, scale, cvals, pvals))
-        if len(lanes) >= _VECTOR_MIN_LANES:
-            states = self._run_lanes(lanes)
-        else:
-            states = [
-                self._run_single(scale, cvals, pvals)
-                for _cost, scale, cvals, pvals in lanes
-            ]
-        return [
-            ReplayResult(
-                schedule=self.schedule,
-                clock=_LaneClock(self, lanes[i][0], *states[i]),
-                n_steps=self.n_steps,
+            times, *recorded = self._execute(
+                scale,
+                [clock.collective_seconds(*key) for key in self._cost_keys],
+                [clock.p2p_seconds(*key) for key in self._p2p_keys],
             )
-            for i in range(len(lanes))
-        ]
+            clock.load_timeline(times, partial(self._spans, scale, *recorded))
+            results.append(
+                ReplayResult(schedule=self.schedule, clock=clock, n_steps=self.n_steps)
+            )
+        return results
 
-    def _run_single(self, scale: float, cvals: list, pvals: list) -> tuple:
-        """One lane as straight-line python-float arithmetic."""
+    def _execute(self, scale: float, cvals: list, pvals: list) -> tuple:
+        """The kernel: one variant as straight-line python-float arithmetic.
+
+        Each branch is the float arithmetic of the VirtualClock method it
+        names, operand for operand — that is what keeps the result bitwise
+        equal to a live run.  Returns the final per-rank times plus the
+        recorded spans: every charge's start and every settled collective's
+        issue / start / end / exposed, indexed by span id.
+        """
         n = self.schedule.world_size
         t = [0.0] * n
         chan = [0.0] * n
@@ -812,22 +621,19 @@ class ReplayProgram:
         pend_s = [0.0] * self._n_pend
         pend_e = [0.0] * self._n_pend
         mailv = [0.0] * self._n_mail
-        n_arch = len(self._arch_meta)
-        a_issue = [0.0] * n_arch
-        a_start = [0.0] * n_arch
-        a_end = [0.0] * n_arch
-        a_exp = [0.0] * n_arch
-        ctot = [0.0] * len(self._ctot_idx)
-        btot = [0.0] * len(self._mtot_idx)
-        etot = [0.0] * len(self._mtot_idx)
+        c_start = [0.0] * self._n_charges
+        a_issue = [0.0] * self._n_archives
+        a_start = [0.0] * self._n_archives
+        a_end = [0.0] * self._n_archives
+        a_exp = [0.0] * self._n_archives
         for op in self._ops:
             code = op[0]
-            if code == _C_CHARGE:
-                _, r, sec, k = op
-                s = sec * scale
-                t[r] += s
-                ctot[k] += s
-            elif code == _C_COLL:
+            if code == _C_CHARGE:  # charge
+                _, r, sec, cid = op
+                tv = t[r]
+                c_start[cid] = tv
+                t[r] = tv + sec * scale
+            elif code == _C_COLL:  # rendezvous max + collective_complete per member
                 _, kid, members = op
                 start = bids[members[0][1]]
                 for m in members[1:]:
@@ -835,48 +641,40 @@ class ReplayProgram:
                     if b > start:
                         start = b
                 end = start + cvals[kid]
-                busy = end - start
-                for r, b, p, aid, k in members:
+                for r, b, p, aid in members:
                     if chan[r] < end:
                         chan[r] = end
-                    if p >= 0:
+                    if p >= 0:  # eager: joins the pending queue
                         pend_s[p] = start
                         pend_e[p] = end
-                    else:
-                        exp = end - bids[b]
-                        if exp < 0.0:
-                            exp = 0.0
-                        a_issue[aid] = bids[b]
+                    else:  # blocking: full wait exposed, rank stalls to end
+                        issue = bids[b]
+                        exp = end - issue
+                        a_issue[aid] = issue
                         a_start[aid] = start
                         a_end[aid] = end
-                        a_exp[aid] = exp
-                        btot[k] += busy
-                        etot[k] += exp
+                        a_exp[aid] = exp if exp > 0.0 else 0.0
                         if t[r] < end:
                             t[r] = end
-            elif code == _C_BID_EAGER:
+            elif code == _C_BID_EAGER:  # collective_arrival, eager
                 _, r, b, p = op
                 tv = t[r]
                 cv = chan[r]
                 bids[b] = tv if tv >= cv else cv
                 pend_i[p] = tv
-            elif code == _C_BID_BLOCK:
+            elif code == _C_BID_BLOCK:  # collective_arrival, blocking (post-drain)
                 _, r, b = op
                 bids[b] = t[r]
-            elif code == _C_DRAIN:
-                _, r, p, aid, k = op
+            elif code == _C_DRAIN:  # one pending entry of drain
+                _, r, p, aid = op
                 e = pend_e[p]
                 d = e - t[r]
-                exp = d if d > 0.0 else 0.0
-                if d > 0.0:
-                    t[r] = e
-                s0 = pend_s[p]
                 a_issue[aid] = pend_i[p]
-                a_start[aid] = s0
+                a_start[aid] = pend_s[p]
                 a_end[aid] = e
-                a_exp[aid] = exp
-                btot[k] += e - s0
-                etot[k] += exp
+                if d > 0.0:
+                    a_exp[aid] = d
+                    t[r] = e
             elif code == _C_SEND:
                 _, r, m, pid = op
                 v = t[r] + pvals[pid]
@@ -888,256 +686,46 @@ class ReplayProgram:
                 v = mailv[m]
                 if v > t[r]:
                     t[r] = v
-        return t, ctot, btot, etot, a_issue, a_start, a_end, a_exp
+        return t, c_start, a_issue, a_start, a_end, a_exp
 
-    def _run_lanes(self, lanes: list) -> list[tuple]:
-        """All lanes at once: every op updates a [lanes]-wide numpy vector."""
-        import numpy as np
-
-        L = len(lanes)
-        scale = np.array([ln[1] for ln in lanes], dtype=np.float64)
-        n_keys = len(self._cost_keys)
-        cvals = np.zeros((n_keys, L), dtype=np.float64)
-        for i, ln in enumerate(lanes):
-            cvals[:, i] = ln[2]
-        n_p2p = len(self._p2p_keys)
-        pvals = np.zeros((n_p2p, L), dtype=np.float64)
-        for i, ln in enumerate(lanes):
-            pvals[:, i] = ln[3]
-        n = self.schedule.world_size
-        t = np.zeros((n, L))
-        chan = np.zeros((n, L))
-        bids = np.zeros((self._n_bid, L))
-        pend_i = np.zeros((self._n_pend, L))
-        pend_s = np.zeros((self._n_pend, L))
-        pend_e = np.zeros((self._n_pend, L))
-        mailv = np.zeros((self._n_mail, L))
-        n_arch = len(self._arch_meta)
-        a_issue = np.zeros((n_arch, L))
-        a_start = np.zeros((n_arch, L))
-        a_end = np.zeros((n_arch, L))
-        a_exp = np.zeros((n_arch, L))
-        ctot = np.zeros((len(self._ctot_idx), L))
-        btot = np.zeros((len(self._mtot_idx), L))
-        etot = np.zeros((len(self._mtot_idx), L))
-        maximum = np.maximum
-        for op in self._ops:
-            code = op[0]
-            if code == _C_CHARGE:
-                _, r, sec, k = op
-                s = sec * scale
-                t[r] += s
-                ctot[k] += s
-            elif code == _C_COLL:
-                _, kid, members = op
-                start = bids[members[0][1]].copy()
-                for m in members[1:]:
-                    maximum(start, bids[m[1]], out=start)
-                end = start + cvals[kid]
-                busy = end - start
-                for r, b, p, aid, k in members:
-                    maximum(chan[r], end, out=chan[r])
-                    if p >= 0:
-                        pend_s[p] = start
-                        pend_e[p] = end
-                    else:
-                        d = end - bids[b]
-                        exp = np.where(d > 0.0, d, 0.0)
-                        a_issue[aid] = bids[b]
-                        a_start[aid] = start
-                        a_end[aid] = end
-                        a_exp[aid] = exp
-                        btot[k] += busy
-                        etot[k] += exp
-                        maximum(t[r], end, out=t[r])
-            elif code == _C_BID_EAGER:
-                _, r, b, p = op
-                maximum(t[r], chan[r], out=bids[b])
-                pend_i[p] = t[r]
-            elif code == _C_BID_BLOCK:
-                _, r, b = op
-                bids[b] = t[r]
-            elif code == _C_DRAIN:
-                _, r, p, aid, k = op
-                e = pend_e[p]
-                d = e - t[r]
-                exp = np.where(d > 0.0, d, 0.0)
-                maximum(t[r], e, out=t[r])
-                a_issue[aid] = pend_i[p]
-                a_start[aid] = pend_s[p]
-                a_end[aid] = e
-                a_exp[aid] = exp
-                btot[k] += e - pend_s[p]
-                etot[k] += exp
-            elif code == _C_SEND:
-                _, r, m, pid = op
-                v = t[r] + pvals[pid]
-                maximum(t[r], v, out=t[r])
-                mailv[m] = v
-            else:  # _C_RECV
-                _, r, m = op
-                maximum(t[r], mailv[m], out=t[r])
+    def _spans(self, scale, c_start, a_issue, a_start, a_end, a_exp) -> list[tuple]:
+        """One variant's recorded spans as the per-rank ``(charges,
+        collectives)`` rows :meth:`VirtualClock.load_timeline` folds."""
+        keys = self._cost_keys
         return [
-            (t[:, i], ctot[:, i], btot[:, i], etot[:, i],
-             a_issue[:, i], a_start[:, i], a_end[:, i], a_exp[:, i])
-            for i in range(L)
+            (
+                [
+                    (phase, label, c_start[cid], seconds * scale)
+                    for cid, phase, label, seconds in self._charges[rank]
+                ],
+                [
+                    (op, phase, a_issue[aid], a_start[aid], a_end[aid],
+                     a_exp[aid], keys[kid][1], keys[kid][2])
+                    for aid, op, phase, kid in self._archives[rank]
+                ],
+            )
+            for rank in range(self.schedule.world_size)
         ]
 
 
-class _LaneClock:
-    """Read-only clock view over one lane of a :class:`ReplayProgram` run.
+def replay(
+    schedule: CapturedSchedule,
+    machine: MachineSpec | None = None,
+    n_steps: int = 1,
+    eager_phases: Collection[str] | None | object = _UNSET,
+    cost: CostModel | None = None,
+    compute_scale: float = 1.0,
+) -> ReplayResult:
+    """Replay *n_steps* of *schedule* under one pricing; see :class:`ReplayProgram`.
 
-    Duck-types the :class:`VirtualClock` read-out surface
-    :class:`ReplayResult` and :func:`repro.perf.overlap.derive_overlaps`
-    consume — times/elapsed, per-(rank, phase) aggregate totals, structural
-    comm counts, archived :class:`~repro.perf.clock.CommInterval` lists
-    (materialized lazily; wire volume and link class re-priced through the
-    lane's cost model exactly like the live clock) and ``comm_volumes``.
-    Compute intervals are not materialized: the vectorized executor tracks
-    aggregate compute per (rank, phase), not individual spans, so
-    ``timeline()``/``compute_intervals()`` are deliberately absent.
+    With the same ``machine``/``cost``/``eager_phases`` the replayed
+    timeline of step *k* is bitwise equal to a live threaded run of *k*
+    steps.  ``compute_scale`` multiplies every captured compute charge —
+    the knob the autotuner's replay oracle turns to re-price a schedule for
+    a different model size without re-capturing.
     """
-
-    capture = False
-    capturing = False
-
-    def __init__(
-        self, program: ReplayProgram, cost: CostModel, times, ctot, btot, etot,
-        a_issue, a_start, a_end, a_exp,
-    ) -> None:
-        self._program = program
-        self.cost = cost
-        self.machine = cost.machine
-        self.eager_phases = program.eager_phases
-        self._t = times
-        self._ctot = ctot
-        self._btot = btot
-        self._etot = etot
-        self._a_issue = a_issue
-        self._a_start = a_start
-        self._a_end = a_end
-        self._a_exp = a_exp
-        self._wire_memo: dict[int, tuple[int, bool]] = {}
-
-    @property
-    def world_size(self) -> int:
-        return self._program.schedule.world_size
-
-    def now(self, rank: int) -> float:
-        return float(self._t[rank])
-
-    def times(self) -> list[float]:
-        return [float(x) for x in self._t]
-
-    def elapsed(self) -> float:
-        return max(self.times(), default=0.0)
-
-    # -- aggregate totals (same summation order as VirtualClock._total) ----
-    def _total(self, values, by_rank, idx_map, rank, phase) -> float:
-        if phase is None:
-            ranks = range(self.world_size) if rank is None else (rank,)
-            return sum(
-                sum(float(values[i]) for _ph, i in by_rank[r]) for r in ranks
-            )
-        if rank is None:
-            return sum(
-                float(values[idx_map[(r, phase)]])
-                if (r, phase) in idx_map else 0.0
-                for r in range(self.world_size)
-            )
-        i = idx_map.get((rank, phase))
-        return float(values[i]) if i is not None else 0.0
-
-    def compute_seconds(self, rank: int | None = None, phase: str | None = None) -> float:
-        return self._total(
-            self._ctot, self._program._ctot_by_rank, self._program._ctot_idx,
-            rank, phase,
-        )
-
-    def comm_busy_seconds(self, rank: int | None = None, phase: str | None = None) -> float:
-        return self._total(
-            self._btot, self._program._mtot_by_rank, self._program._mtot_idx,
-            rank, phase,
-        )
-
-    def exposed_seconds(self, rank: int | None = None, phase: str | None = None) -> float:
-        return self._total(
-            self._etot, self._program._mtot_by_rank, self._program._mtot_idx,
-            rank, phase,
-        )
-
-    def comm_count(self, rank: int, phase: str | None = None) -> int:
-        counts = self._program._counts
-        if phase is None:
-            return sum(c for (r, _ph), c in counts.items() if r == rank)
-        return counts.get((rank, phase), 0)
-
-    # -- archived intervals ------------------------------------------------
-    def _wire_intra(self, kid: int) -> tuple[int, bool]:
-        hit = self._wire_memo.get(kid)
-        if hit is None:
-            op, payload, grp = self._program._cost_keys[kid]
-            if len(grp) > 1:
-                hit = (
-                    self.cost.wire_bytes(op, payload, len(grp)),
-                    self.cost.intra_node(grp),
-                )
-            else:
-                hit = (0, True)
-            self._wire_memo[kid] = hit
-        return hit
-
-    def _interval(self, aid: int):
-        from .clock import CommInterval
-
-        rank, op, phase, kid = self._program._arch_meta[aid]
-        _cop, payload, grp = self._program._cost_keys[kid]
-        wire, intra = self._wire_intra(kid)
-        return CommInterval(
-            rank=rank, op=op, phase=phase,
-            issue=float(self._a_issue[aid]), start=float(self._a_start[aid]),
-            end=float(self._a_end[aid]), exposed=float(self._a_exp[aid]),
-            payload_bytes=payload, wire_bytes=wire, intra=intra, group=grp,
-        )
-
-    def comm_intervals(self, rank: int | None = None, phase: str | None = None):
-        """Settled collectives in archive order, like the live clock's."""
-        meta = self._program._arch_meta
-        ranks = range(self.world_size) if rank is None else (rank,)
-        out = []
-        for r in ranks:
-            for aid in self._program._arch_by_rank[r]:
-                if phase is None or meta[aid][2] == phase:
-                    out.append(self._interval(aid))
-        return out
-
-    def comm_volumes(self, rank: int | None = None):
-        """Settled comm volumes by ``(op, phase, intra)``, per-rank totals
-        merged exactly like :meth:`VirtualClock.comm_volumes`."""
-        meta = self._program._arch_meta
-        ranks = range(self.world_size) if rank is None else (rank,)
-        out: dict[tuple[str, str, bool], tuple[int, int, float]] = {}
-        for r in ranks:
-            vol: dict[tuple[str, str, bool], tuple[int, int, float]] = {}
-            for aid in self._program._arch_by_rank[r]:
-                _r, op, phase, kid = meta[aid]
-                wire, intra = self._wire_intra(kid)
-                key = (op, phase, intra)
-                c, w, s = vol.get(key, (0, 0, 0.0))
-                vol[key] = (
-                    c + 1, w + wire,
-                    s + (float(self._a_end[aid]) - float(self._a_start[aid])),
-                )
-            for key, (c, w, s) in vol.items():
-                oc, ow, os_ = out.get(key, (0, 0, 0.0))
-                out[key] = (oc + c, ow + w, os_ + s)
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"_LaneClock(machine={self.machine.name!r}, "
-            f"world={self.world_size}, elapsed={self.elapsed():.3e}s)"
-        )
+    variant = ReplayVariant(machine=machine, cost=cost, compute_scale=compute_scale)
+    return ReplayProgram(schedule, n_steps, eager_phases).run([variant])[0]
 
 
 def replay_many(
@@ -1146,18 +734,13 @@ def replay_many(
     n_steps: int = 1,
     eager_phases: Collection[str] | None | object = _UNSET,
 ) -> list[ReplayResult]:
-    """Lower once, price many: the vectorized counterpart of :func:`replay`.
+    """Lower once, price many: :func:`replay` for a list of variants.
 
     ``replay_many(sched, [ReplayVariant(machine=m, compute_scale=s)])[0]``
-    is bitwise equal to ``replay(sched, m, compute_scale=s)`` — same times,
-    same aggregate totals, same archived intervals — at a fraction of the
-    interpreter's cost, and an N-variant call amortizes one lowering over
-    every lane (the autotuner's :func:`repro.perf.autotune.sweep_replay`
-    prices thousand-candidate sweeps this way).
+    equals ``replay(sched, m, compute_scale=s)``; an N-variant call
+    amortizes one lowering over every variant.
     """
-    return ReplayProgram(schedule, n_steps=n_steps, eager_phases=eager_phases).run(
-        variants
-    )
+    return ReplayProgram(schedule, n_steps, eager_phases).run(variants)
 
 
 class StepCostTable:
@@ -1243,7 +826,9 @@ class StepCostTable:
 
 
 # -- CLI parity check (wired into the perf-smoke CI job) -------------------
-def _parity_case(plan, world_size, eager, n_steps, machine):  # pragma: no cover
+def _parity_case(plan, eager, n_steps, machine):  # pragma: no cover
+    """(live clock, live overlaps, replay) for one plan: a live *n_steps*
+    world next to one captured step replayed *n_steps* times."""
     from .calibrate import measure_plan
     from .modelcfg import ModelConfig
     from .plan import Workload
@@ -1256,24 +841,13 @@ def _parity_case(plan, world_size, eager, n_steps, machine):  # pragma: no cover
         model, workload, plan, machine, eager=eager, capture=True
     )
     live = measure_plan(
-        model, workload, plan, machine, eager=eager, n_steps=n_steps
+        model, workload, plan, machine, eager=eager, n_steps=n_steps,
+        keep_world=True,
     )
-    replayed = replay(captured.schedule, machine, n_steps=n_steps)
-    return list(live.rank_times), replayed.times()
-
-
-def _capture_case(plan, world_size, eager, machine):  # pragma: no cover
-    from .calibrate import measure_plan
-    from .modelcfg import ModelConfig
-    from .plan import Workload
-
-    model = ModelConfig(
-        "replay-parity", dim=64, depth=2, heads=4, patch=4, image_hw=(16, 16)
+    return (
+        live.world.clock, live.overlaps,
+        replay(captured.schedule, machine, n_steps=n_steps),
     )
-    workload = Workload(channels=16, batch=2)
-    return measure_plan(
-        model, workload, plan, machine, eager=eager, capture=True
-    ).schedule
 
 
 def main(argv: Sequence[str] | None = None) -> int:  # pragma: no cover
@@ -1301,54 +875,26 @@ def main(argv: Sequence[str] | None = None) -> int:  # pragma: no cover
     failures = 0
     for plan, world_size in cases:
         for eager in (False, True):
-            live, replayed = _parity_case(plan, world_size, eager, n_steps, machine)
-            ok = live == replayed
-            failures += 0 if ok else 1
+            live, live_overlaps, replayed = _parity_case(plan, eager, n_steps, machine)
+            checks = {
+                "times": replayed.times() == live.times(),
+                "comm intervals": replayed.clock.comm_intervals() == live.comm_intervals(),
+                "compute intervals": (
+                    replayed.clock.compute_intervals() == live.compute_intervals()
+                ),
+                "overlaps": replayed.overlaps() == live_overlaps,
+            }
+            bad = [name for name, ok in checks.items() if not ok]
+            failures += 1 if bad else 0
             mode = "eager" if eager else "blocking"
-            status = "OK " if ok else "FAIL"
+            status = "FAIL" if bad else "OK "
             print(
                 f"[{status}] {plan.label:>24s} world={world_size} {mode:>8s} "
-                f"steps={n_steps} makespan={max(replayed):.6e}s"
+                f"steps={n_steps} makespan={replayed.elapsed:.6e}s"
             )
-            if not ok:
-                print(f"    live:   {live}\n    replay: {replayed}")
-    # Vectorized kernel gate: the lowered program (single-lane float path
-    # AND the numpy lane-vector path) must reproduce the scalar
-    # interpreter's timelines, archived intervals and derived overlaps
-    # bitwise, across compute scales.
-    scales = [1.0, 0.5, 2.0, 10.0, 1.0, 0.25, 4.0, 1.0]
-    for plan, world_size in cases:
-        for eager in (False, True):
-            sched = _capture_case(plan, world_size, eager, machine)
-            scalar = replay(sched, machine, n_steps=n_steps)
-            single = replay_many(
-                sched, [ReplayVariant(machine=machine)], n_steps=n_steps
-            )[0]
-            lanes = replay_many(
-                sched,
-                [ReplayVariant(machine=machine, compute_scale=s) for s in scales],
-                n_steps=n_steps,
-            )
-            ok = (
-                scalar.times() == single.times()
-                and scalar.clock.comm_intervals() == single.clock.comm_intervals()
-                and scalar.overlaps() == single.overlaps()
-            )
-            for s, lane in zip(scales, lanes):
-                ref = replay(sched, machine, n_steps=n_steps, compute_scale=s)
-                ok = (
-                    ok
-                    and ref.times() == lane.times()
-                    and ref.clock.comm_intervals() == lane.clock.comm_intervals()
-                    and ref.overlaps() == lane.overlaps()
-                )
-            failures += 0 if ok else 1
-            mode = "eager" if eager else "blocking"
-            status = "OK " if ok else "FAIL"
-            print(
-                f"[{status}] {plan.label:>24s} world={world_size} {mode:>8s} "
-                f"vectorized x{len(scales)} lanes + single"
-            )
+            if bad:
+                print(f"    differs from the live run in: {', '.join(bad)}")
+                print(f"    live:   {live.times()}\n    replay: {replayed.times()}")
     if failures:
         print(f"{failures} parity case(s) FAILED")
         return 1

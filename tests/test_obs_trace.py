@@ -17,7 +17,7 @@ from repro.perf import frontier
 from repro.perf.calibrate import measure_plan
 from repro.perf.modelcfg import ModelConfig
 from repro.perf.plan import ParallelPlan, Workload
-from repro.perf.schedule import replay
+from repro.perf.schedule import ReplayVariant, replay, replay_many
 
 M = frontier()
 SMALL = ModelConfig("obs-test", dim=64, depth=2, heads=4, patch=4, image_hw=(16, 16))
@@ -197,6 +197,22 @@ class TestReplayRoundTrip:
         assert trace["otherData"]["elapsed_us"] == pytest.approx(
             result.elapsed * 1e6
         )
+
+    def test_replay_many_results_export_like_replay(self):
+        """Every replay result carries a real clock, so each variant of a
+        ``replay_many`` call exports — and equals the single ``replay``."""
+        captured = _measured(eager=True, capture=True)
+        scales = (1.0, 2.0)
+        many = replay_many(
+            captured.schedule,
+            [ReplayVariant(machine=M, compute_scale=s) for s in scales],
+            n_steps=2,
+        )
+        for scale, result in zip(scales, many):
+            trace = chrome_trace(result, label="x")
+            assert validate_trace(trace) == []
+            one = replay(captured.schedule, M, n_steps=2, compute_scale=scale)
+            assert trace == chrome_trace(one, label="x")
 
     def test_rejects_clockless_source(self):
         with pytest.raises(TypeError, match="VirtualClock"):

@@ -7,6 +7,7 @@ eager/blocking clock modes, and for arbitrary hypothesis-generated SPMD
 programs (compute charges, sub-group collectives, drains, ring p2p).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -223,6 +224,13 @@ class TestSerialization:
                 world_size=2, events=(ScheduleEvent(kind="drain", rank=5),)
             )
 
+    def test_rejects_negative_compute_seconds(self):
+        with pytest.raises(ValueError, match="compute seconds"):
+            CapturedSchedule(
+                world_size=1,
+                events=(ScheduleEvent(kind="compute", rank=0, seconds=-1e-6),),
+            )
+
     def test_from_clock_requires_capture(self):
         with pytest.raises(ValueError, match="capture"):
             CapturedSchedule.from_clock(VirtualClock(MACHINE))
@@ -308,6 +316,37 @@ class TestReplaySemantics:
             3.0 * base
         )
 
+    def test_bad_pricing_arguments_fail_before_anything_is_lowered(self):
+        """A negative scale or a conflicting machine/cost pair is rejected
+        up front — even for a schedule whose lowering would itself fail."""
+        from repro.perf.cost import CostModel
+
+        deadlocked = CapturedSchedule(
+            world_size=2,
+            events=(ScheduleEvent(kind="recv", rank=0, peer=1, tag=3),),
+        )
+        with pytest.raises(ValueError, match="compute_scale"):
+            replay(deadlocked, MACHINE, compute_scale=-0.5)
+        other = dataclasses.replace(MACHINE)  # equal, but not the priced object
+        with pytest.raises(ValueError, match="conflicting"):
+            replay(deadlocked, other, cost=CostModel(MACHINE))
+        with pytest.raises(ValueError, match="conflicting"):
+            VirtualClock(other, cost=CostModel(MACHINE))
+
+    def test_replayed_clock_rebinds_to_a_live_world(self):
+        """A replay result's clock is a real VirtualClock: binding it to a
+        new world discards the loaded timeline, read or not."""
+        sched = measure_plan(
+            MODEL, WORKLOAD, ParallelPlan("tp", tp=1, fsdp=1, dp=4), MACHINE,
+            eager=True, capture=True,
+        ).schedule
+        program = [("compute", "backward", 1e-5), ("coll", "all_reduce", "dp_sync", 8)]
+        fresh = VirtualClock(MACHINE, eager_phases=sched.eager_phases)
+        reused = replay(sched, MACHINE).clock
+        for clock in (fresh, reused):
+            run_spmd_world(lambda comm: _run_program(comm, program), 2, clock=clock)
+        _assert_same_readouts(fresh, reused)
+
     def test_eager_phase_override_changes_exposure(self):
         """The same captured schedule re-simulated blocking exposes the
         full collective cost; the captured (eager) default hides some."""
@@ -333,76 +372,94 @@ class TestReplaySemantics:
         assert result.elapsed == pytest.approx(2e-4)
 
 
-#: Lane scales for the vectorized-parity checks: 8 lanes trip the numpy
-#: lane-vector executor (``_VECTOR_MIN_LANES``), with 1.0 mixed in so the
-#: untouched-charges case rides along.
-_LANE_SCALES = (1.0, 0.5, 2.0, 10.0, 1.0, 0.25, 4.0, 1.0)
-
-
-def _assert_lane_bitwise(sched, ref, lane):
-    """One vectorized lane must match the scalar interpreter bitwise."""
-    assert lane.times() == ref.times()
-    assert lane.clock.comm_intervals() == ref.clock.comm_intervals()
-    assert lane.clock.comm_volumes() == ref.clock.comm_volumes()
-    assert lane.overlaps() == ref.overlaps()
-    for r in range(sched.world_size):
+def _assert_same_readouts(want, got):
+    """Every read-out of the replayed clock *got* equals clock *want*'s,
+    bitwise: times, archived intervals, merged timelines, per-(rank, phase)
+    running totals and comm volumes."""
+    assert got.times() == want.times()
+    assert got.elapsed() == want.elapsed()
+    assert got.comm_intervals() == want.comm_intervals()
+    assert got.compute_intervals() == want.compute_intervals()
+    assert got.comm_volumes() == want.comm_volumes()
+    for r in range(want.world_size):
+        assert got.timeline(r) == want.timeline(r)
+        assert got.comm_volumes(r) == want.comm_volumes(r)
         for phase in (None, *_PHASES):
-            assert lane.clock.compute_seconds(r, phase) == ref.clock.compute_seconds(r, phase)
-            assert lane.clock.comm_busy_seconds(r, phase) == ref.clock.comm_busy_seconds(r, phase)
-            assert lane.clock.exposed_seconds(r, phase) == ref.clock.exposed_seconds(r, phase)
-            assert lane.clock.comm_count(r, phase) == ref.clock.comm_count(r, phase)
-    assert lane.clock.compute_seconds() == ref.clock.compute_seconds()
-    assert lane.clock.exposed_seconds() == ref.clock.exposed_seconds()
-    assert lane.clock.elapsed() == ref.clock.elapsed()
+            assert got.compute_seconds(r, phase) == want.compute_seconds(r, phase)
+            assert got.comm_busy_seconds(r, phase) == want.comm_busy_seconds(r, phase)
+            assert got.exposed_seconds(r, phase) == want.exposed_seconds(r, phase)
+            assert got.comm_count(r, phase) == want.comm_count(r, phase)
+    assert got.compute_seconds() == want.compute_seconds()
+    assert got.comm_busy_seconds() == want.comm_busy_seconds()
+    assert got.exposed_seconds() == want.exposed_seconds()
 
 
-class TestVectorizedParity:
-    """The lowered program (python single-lane AND numpy lane-vector
-    executors) reproduces the scalar interpreter bitwise — times, archived
-    intervals, aggregate totals and derived overlaps, across compute
-    scales."""
+class TestReadOutParity:
+    """The replayed clock answers the whole VirtualClock query API exactly
+    as the **live** clock of the same k-step run does — not just ``times()``
+    — and ``compute_scale`` is checked against an independent oracle."""
 
     @pytest.mark.parametrize("plan", PLAN_CASES)
     @pytest.mark.parametrize("eager", [False, True], ids=["blocking", "eager"])
-    def test_single_and_vector_lanes_match_scalar(self, plan, eager):
+    def test_plan_readouts_match_the_live_clock(self, plan, eager):
         sched = measure_plan(
             MODEL, WORKLOAD, plan, MACHINE, eager=eager, capture=True
         ).schedule
         for k in (1, 4):
-            scalar = replay(sched, MACHINE, n_steps=k)
-            single = replay_many(
-                sched, [ReplayVariant(machine=MACHINE)], n_steps=k
-            )[0]
-            _assert_lane_bitwise(sched, scalar, single)
-            lanes = replay_many(
-                sched,
-                [ReplayVariant(machine=MACHINE, compute_scale=s) for s in _LANE_SCALES],
-                n_steps=k,
+            live = measure_plan(
+                MODEL, WORKLOAD, plan, MACHINE, eager=eager, n_steps=k,
+                keep_world=True,
             )
-            for s, lane in zip(_LANE_SCALES, lanes):
-                _assert_lane_bitwise(
-                    sched, replay(sched, MACHINE, n_steps=k, compute_scale=s), lane
-                )
+            replayed = replay(sched, MACHINE, n_steps=k)
+            _assert_same_readouts(live.world.clock, replayed.clock)
+            assert replayed.overlaps() == live.overlaps
 
     @settings(max_examples=15, deadline=None)
     @given(_PROGRAM, st.sampled_from([2, 4]), _EAGER, st.sampled_from([1, 3]))
-    def test_arbitrary_programs_vectorize_bitwise(self, program, world_size, eager, k):
+    def test_arbitrary_program_readouts_match_the_live_clock(
+        self, program, world_size, eager, k
+    ):
         cap_clock = VirtualClock(MACHINE, eager_phases=eager, capture=True)
         run_spmd_world(lambda comm: _run_program(comm, program), world_size,
                        clock=cap_clock)
-        sched = cap_clock.schedule()
-        refs = [replay(sched, MACHINE, n_steps=k, compute_scale=s)
-                for s in _LANE_SCALES]
+        live_clock = VirtualClock(MACHINE, eager_phases=eager)
+
+        def live_fn(comm):
+            for _ in range(k):
+                _run_program(comm, program)
+
+        _, world = run_spmd_world(live_fn, world_size, clock=live_clock)
+        replayed = replay(cap_clock.schedule(), MACHINE, n_steps=k)
+        _assert_same_readouts(live_clock, replayed.clock)
+        assert replayed.overlaps() == derive_overlaps(world)
+
+    @pytest.mark.parametrize("eager", [False, True], ids=["blocking", "eager"])
+    def test_compute_scale_equals_replaying_prescaled_charges(self, eager):
+        """Oracle for ``compute_scale``: scaling at replay time equals
+        replaying a schedule whose compute events were multiplied up front
+        (powers of two, so the products are exact)."""
+        plan = ParallelPlan("dchag", tp=2, fsdp=2, dp=2, dchag_kind="linear")
+        sched = measure_plan(
+            MODEL, WORKLOAD, plan, MACHINE, eager=eager, capture=True
+        ).schedule
+        scales = (1.0, 0.25, 2.0, 16.0)
         lanes = replay_many(
             sched,
-            [ReplayVariant(machine=MACHINE, compute_scale=s) for s in _LANE_SCALES],
-            n_steps=k,
+            [ReplayVariant(machine=MACHINE, compute_scale=s) for s in scales],
+            n_steps=3,
         )
-        for ref, lane in zip(refs, lanes):
-            assert lane.times() == ref.times()
-            assert lane.clock.comm_intervals() == ref.clock.comm_intervals()
-        single = replay_many(sched, [ReplayVariant(machine=MACHINE)], n_steps=k)[0]
-        assert single.times() == refs[0].times()
+        for scale, lane in zip(scales, lanes):
+            prescaled = dataclasses.replace(
+                sched,
+                events=tuple(
+                    dataclasses.replace(ev, seconds=ev.seconds * scale)
+                    if ev.kind == "compute" else ev
+                    for ev in sched.events
+                ),
+            )
+            want = replay(prescaled, MACHINE, n_steps=3)
+            _assert_same_readouts(want.clock, lane.clock)
+            assert lane.overlaps() == want.overlaps()
 
     def test_program_reuse_across_runs(self):
         """One lowering, many run() calls: results stay bitwise stable."""
@@ -413,10 +470,14 @@ class TestVectorizedParity:
         prog = ReplayProgram(sched, n_steps=2)
         first = prog.run([ReplayVariant(machine=MACHINE)])[0]
         second = prog.run([ReplayVariant(machine=MACHINE)])[0]
-        assert first.times() == second.times()
-        assert first.times() == replay(sched, MACHINE, n_steps=2).times()
+        _assert_same_readouts(first.clock, second.clock)
+        assert first.clock is not second.clock
+        # Reading one result out must not disturb a later run of the program.
+        third = prog.run([ReplayVariant(machine=MACHINE, compute_scale=2.0)])[0]
+        assert third.elapsed > first.elapsed
+        _assert_same_readouts(first.clock, prog.run([ReplayVariant(machine=MACHINE)])[0].clock)
 
-    def test_lowering_raises_the_interpreter_errors(self):
+    def test_lowering_raises_at_construction(self):
         events = (
             ScheduleEvent(kind="coll", rank=0, op="all_reduce", phase="tp",
                           payload_bytes=64, group=(0, 1)),
@@ -447,17 +508,23 @@ class TestVectorizedParity:
         with pytest.raises(TypeError, match="ReplayVariant"):
             replay_many(sched, [MACHINE])
 
-    def test_eager_phase_override_threads_through(self):
+    def test_eager_phase_override_equals_a_live_blocking_run(self):
+        """An eager capture re-simulated with ``eager_phases=None`` is the
+        live blocking run of the same plan, through every entry point."""
         plan = ParallelPlan("tp", tp=1, fsdp=1, dp=4)
         sched = measure_plan(
             MODEL, WORKLOAD, plan, MACHINE, eager=True, capture=True
         ).schedule
-        ref = replay(sched, MACHINE, eager_phases=None)
-        lane = replay_many(
-            sched, [ReplayVariant(machine=MACHINE)], eager_phases=None
-        )[0]
-        assert lane.times() == ref.times()
-        assert lane.clock.exposed_seconds(phase="dp_sync") == ref.clock.exposed_seconds(phase="dp_sync")
+        live = measure_plan(MODEL, WORKLOAD, plan, MACHINE, eager=False, keep_world=True)
+        for result in (
+            replay(sched, MACHINE, eager_phases=None),
+            replay_many(sched, [ReplayVariant(machine=MACHINE)], eager_phases=None)[0],
+            ReplayProgram(sched, eager_phases=None).run(
+                [ReplayVariant(cost=live.world.clock.cost)]
+            )[0],
+        ):
+            assert result.clock.eager_phases == frozenset()
+            _assert_same_readouts(live.world.clock, result.clock)
 
 
 class TestSweepReplay:

@@ -188,6 +188,17 @@ class TestVirtualClockSemantics:
         expected = 3e-3 + cost  # slowest arrival (rank 3) + collective cost
         assert times == [expected] * 4
 
+    def test_world_rejects_an_object_that_is_not_a_clock(self):
+        """The runtime checks the clock protocol once, at World
+        construction, instead of probing for methods at every call site."""
+        from repro.dist import World
+
+        with pytest.raises(TypeError, match="SimClock"):
+            World(2, clock=object())
+        with pytest.raises(TypeError, match="SimClock"):
+            run_spmd(lambda comm: comm.barrier(), 2, clock=object())
+        assert World(2, clock=VirtualClock(MACHINE)).clock.world_size == 2
+
     def test_barrier_costs_latency_only(self):
         clock = VirtualClock(MACHINE)
         run_spmd(lambda comm: comm.barrier(), 4, clock=clock)
