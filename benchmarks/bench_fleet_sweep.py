@@ -1,4 +1,4 @@
-"""Fleet-scale autotuner sweep priced entirely by vectorized replay.
+"""Fleet-scale autotuner sweep priced entirely by captured-schedule replay.
 
 Ranks every feasible configuration of a 7B-class model across a whole
 fleet of GPU budgets — ``len(FLEET_BUDGETS)`` (total_gpus, global_batch)
@@ -7,11 +7,11 @@ points, >= 1000 candidate plans in total — through
 stand-in worlds are ever spun up (one per schedule shape; the run asserts
 ``captured_worlds <= 4``), each captured schedule is lowered once by
 :class:`repro.perf.schedule.ReplayProgram`, and every distinct
-(placement, compute-scale) variant is priced as one lane of a vectorized
-replay.  The scalar yardstick — per-budget
-``search_configurations(..., replay=True)`` calls, which re-capture and
-re-interpret per call — is timed once and recorded as
-``speedup_vs_scalar``; both paths produce identical rankings (pinned in
+(placement, compute-scale) variant is priced by one ``replay_many`` call
+per shape.  The per-budget yardstick — one
+``search_configurations(..., replay=True)`` call per budget, each capturing
+its own stand-in worlds — is timed once and recorded as
+``speedup_vs_per_budget``; both paths produce identical rankings (pinned in
 ``tests/test_schedule_replay.py``).
 
 The grid keeps the channel count odd on purpose: D-CHAG requires
@@ -19,9 +19,10 @@ The grid keeps the channel count odd on purpose: D-CHAG requires
 shrunk stand-in shapes stay within the <= 4 captured-world budget while the
 (fsdp, dp) factorizations still fan out to 1000+ candidates.
 
-Standalone runs merge a ``fleet_sweep`` entry into ``BENCH_runtime.json``
-(and optionally a sweep store); ``bench_runtime_speed.py`` also times this
-benchmark as part of the tracked suite.
+The result row is printed as JSON; ``--out PATH`` also writes it to a file
+and ``--store PATH`` persists the rankings and timings to a sweep store.
+The repo's tracked timings live in ``benchmarks/e2e`` (workload
+``fleet_sweep``).
 """
 
 from __future__ import annotations
@@ -73,9 +74,10 @@ def fleet_sweep_once() -> "object":
     return sweep
 
 
-def scalar_baseline_seconds() -> float:
-    """Today's path, timed once: one ``search_configurations(replay=True)``
-    call per budget, each re-capturing its own stand-in worlds."""
+def per_budget_seconds() -> float:
+    """The per-budget path, timed once: one
+    ``search_configurations(replay=True)`` call per budget, each capturing
+    its own stand-in worlds."""
     model = named_model(FLEET_MODEL_NAME)
     t0 = time.perf_counter()
     for total_gpus, global_batch in FLEET_BUDGETS:
@@ -87,7 +89,7 @@ def scalar_baseline_seconds() -> float:
 
 
 def run_benchmark(smoke: bool) -> dict:
-    """Timed sweep + one scalar yardstick; the ``fleet_sweep`` result row."""
+    """Timed sweep + one per-budget yardstick; the ``fleet_sweep`` result row."""
     repeats = 3 if smoke else 7
     sweep = fleet_sweep_once()  # warmup (and contract check)
     samples = []
@@ -102,16 +104,16 @@ def run_benchmark(smoke: bool) -> dict:
         "budgets": len(FLEET_BUDGETS),
         "candidates": sweep.candidates,
         "captured_worlds": sweep.captured_worlds,
-        "replay_lanes": sweep.lanes,
+        "replay_variants": sweep.lanes,
     }
-    scalar = scalar_baseline_seconds()
-    result["scalar_seconds"] = scalar
-    result["speedup_vs_scalar"] = round(scalar / result["seconds"], 2)
+    per_budget = per_budget_seconds()
+    result["per_budget_seconds"] = per_budget
+    result["speedup_vs_per_budget"] = round(per_budget / result["seconds"], 2)
     print(
         f"fleet_sweep        {result['seconds'] * 1e3:9.2f} ms  "
         f"({sweep.candidates} candidates, {sweep.captured_worlds} worlds, "
-        f"{sweep.lanes} lanes; scalar path {scalar * 1e3:.2f} ms -> "
-        f"{result['speedup_vs_scalar']:.2f}x)"
+        f"{sweep.lanes} replay variants; per-budget path {per_budget * 1e3:.2f} ms "
+        f"-> {result['speedup_vs_per_budget']:.2f}x)"
     )
     print_winners(sweep)
     return result
@@ -133,40 +135,20 @@ def print_winners(sweep, every: int = 32) -> None:
               f"{p.dp:>5}  {top.total_tflops:>9.1f}  {p.label}")
 
 
-def merge_into_trajectory(out: Path, result: dict, baseline: bool) -> None:
-    """Merge this run's ``fleet_sweep`` row into the tracked JSON snapshot
-    without touching the other benchmarks' numbers."""
-    doc = json.loads(out.read_text()) if out.exists() else {
-        "suite": "bench_runtime_speed", "baseline": {}, "current": {}, "speedup": {},
-    }
-    doc.setdefault("current", {})["fleet_sweep"] = result
-    base = doc.setdefault("baseline", {})
-    if baseline or "fleet_sweep" not in base:
-        base["fleet_sweep"] = result
-    if base["fleet_sweep"].get("seconds", 0) > 0 and result["seconds"] > 0:
-        doc.setdefault("speedup", {})["fleet_sweep"] = round(
-            base["fleet_sweep"]["seconds"] / result["seconds"], 2
-        )
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"merged fleet_sweep into {out}")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true", help="fewer repeats (CI)")
-    parser.add_argument(
-        "--out",
-        default=str(Path(__file__).resolve().parent.parent / "BENCH_runtime.json"),
-        help="tracked trajectory JSON to merge the fleet_sweep entry into",
-    )
-    parser.add_argument("--baseline", action="store_true",
-                        help="record this run as the fleet_sweep baseline too")
+    parser.add_argument("--out", metavar="PATH", default=None,
+                        help="also write the result row as JSON to PATH")
     parser.add_argument("--store", metavar="PATH", default=None,
                         help="also persist the sweep rankings into a repro.obs sweep store")
     args = parser.parse_args(argv)
 
     result = run_benchmark(args.smoke)
-    merge_into_trajectory(Path(args.out), result, args.baseline)
+    text = json.dumps({"fleet_sweep": result}, indent=2)
+    print(text)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
 
     if args.store:
         from repro.obs.store import SweepStore
@@ -183,11 +165,11 @@ def main(argv=None) -> int:
                 "bench", "fleet_sweep", machine=MACHINE.name,
                 host=platform.platform(), params={"smoke": args.smoke},
             )
-            for key in ("seconds", "min_seconds", "scalar_seconds"):
+            for key in ("seconds", "min_seconds", "per_budget_seconds"):
                 store.record_metric(run_id, f"fleet_sweep/{key}", result[key],
                                     unit="s", source="bench")
-            for key in ("candidates", "captured_worlds", "replay_lanes",
-                        "speedup_vs_scalar"):
+            for key in ("candidates", "captured_worlds", "replay_variants",
+                        "speedup_vs_per_budget"):
                 store.record_metric(run_id, f"fleet_sweep/{key}", result[key],
                                     source="bench")
         print(f"stored fleet sweep rankings and timings in {args.store}")

@@ -290,7 +290,8 @@ def broadcast_parameters(
     group = _resolve(comm, group)
     root = group.ranks[0] if root is None else root
     for p in params:
-        # out= writes the payload straight into the live parameter buffer
-        # (the root's broadcast is snapshotted before delivery, so aliasing
-        # the contribution is safe).
+        # out= writes the payload straight into the live parameter buffer.
+        # On the root, out aliases its own contribution: its consume is a
+        # self-copy that rewrites the same bytes, so the peers copying from
+        # that buffer during distribution still read the root's values.
         comm.broadcast(p.data, root=root, group=group, out=p.data)

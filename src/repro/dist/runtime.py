@@ -30,11 +30,28 @@ stamps, and ranks can charge compute intervals with
 :mod:`repro.perf.overlap` derives communication/compute overlap fractions
 instead of assuming them.  Timelines depend only on program order (never on
 thread scheduling), so repeated runs are bitwise identical.
+
+Reliance on the GIL: shared state is guarded by locks except for these
+accesses, which are lock-free because the GIL makes one read or write of a
+list cell, attribute or dict item atomic:
+
+* ``_Slot.done`` — the last arriver sets it before opening any gate, and
+  waiters read it in the poll-timeout path of the wait loop;
+* ``_Slot.values[me]`` / ``_Slot.value_errors[me]`` — each waiter picks up
+  (and clears) its own cell after the wake;
+* :class:`~repro.dist.stats.TrafficLog` aggregate queries read a copy of the
+  bucket table, and ``records_by_rank`` walks the append-only record list by
+  index, without taking the write lock;
+* :class:`repro.perf.clock.VirtualClock` fills its price memo dict from every
+  member rank without a lock (a lost race recomputes the same value).
+
+:class:`World` therefore refuses to start on a free-threaded interpreter.
 """
 
 from __future__ import annotations
 
 import contextlib
+import sys
 import threading
 import time
 from collections import deque
@@ -130,12 +147,8 @@ class _Slot:
     number currently occupying the slot).  Completion is a **batched
     wake**: the last arriver runs the reduction, distributes every
     member's private return value into ``values`` while all peers are
-    still blocked, then publishes by releasing each waiter's pre-locked
-    **gate** — one plain C-level mutex handoff per waiter, with none of
-    ``Event``/``Condition``'s per-wait waiter-lock allocation and list
-    bookkeeping.  Waiters pick their value up lock-free (one GIL-atomic
-    list read) — no consumed-count bookkeeping, no second
-    synchronization point on the way out.
+    still blocked, then releases each waiter's pre-locked **gate**.
+    Waiters pick their value up lock-free (see the module docstring).
     """
 
     __slots__ = (
@@ -148,12 +161,7 @@ class _Slot:
         "gates",
         "values",
         "value_errors",
-        "result",
-        "self_consume",
-        "picked",
         "error",
-        "out_count",
-        "scratch",
         "arrivals",
         "payload_max",
         "start",
@@ -163,7 +171,7 @@ class _Slot:
     def __init__(self, size: int) -> None:
         self.gen = -1
         # One pre-locked gate per member.  Waiters block on their own
-        # gate's timed acquire; the publisher releases each peer's gate
+        # gate's timed acquire; the last arriver releases each peer's gate
         # after ``done`` is set.  A raw lock handoff is the cheapest wake
         # CPython offers — no per-wait waiter-lock allocation, no
         # Condition list bookkeeping — and the rendezvous-bound collective
@@ -179,17 +187,7 @@ class _Slot:
         self.signature: tuple = ()
         self.arrived = 0
         self.done = False
-        self.result: Any = None
-        self.self_consume = False
-        self.picked: list[None] = []
         self.error: BaseException | None = None
-        self.out_count = 0
-        # Reusable reduction buffers keyed by (shape, dtype); kept across
-        # recycles so steady-state schedules reduce into warm, preallocated
-        # memory instead of faulting a fresh buffer per collective.  Only
-        # used when every member passed ``out=`` (the result then never
-        # escapes the slot).
-        self.scratch: dict[tuple, np.ndarray] = {}
         self.payload_max = 0
         self.start = -1.0
         self.finish = -1.0
@@ -210,11 +208,7 @@ class _Slot:
         self.value_errors = [None] * size
         self.arrived = 0
         self.done = False
-        self.result = None
-        self.self_consume = False
-        self.picked = []
         self.error = None
-        self.out_count = 0
         self.payload_max = 0
         self.start = -1.0
         self.finish = -1.0
@@ -297,6 +291,12 @@ class World:
         failure_plan: Any | None = None,
         clock: SimClock | None = None,
     ) -> None:
+        if not getattr(sys, "_is_gil_enabled", lambda: True)():
+            raise RuntimeError(
+                "repro.dist relies on the GIL for its lock-free reads (listed in "
+                "the repro.dist.runtime docstring); run it on a GIL-enabled "
+                "interpreter"
+            )
         if size < 1:
             raise ValueError(f"world size must be >= 1, got {size}")
         if clock is not None and not isinstance(clock, SimClock):
@@ -367,7 +367,7 @@ class World:
                         try:
                             gate.release()
                         except RuntimeError:
-                            pass  # lost the race with the publisher (or a second abort)
+                            pass  # lost the race with the last arriver (or a second abort)
 
     def _check_abort(self) -> None:
         if self._abort_event.is_set():
@@ -393,17 +393,6 @@ def _copy_in(value) -> np.ndarray:
     return np.array(value, copy=True)
 
 
-#: Collectives whose group-max payload reaches this size switch from
-#: last-arriver distribution (one thread runs every member's consume — the
-#: lowest-latency wake, but serial memcpy) to publish mode: the result is
-#: detached from the live contributions once, then every member copies its
-#: own value out in parallel after the wake (numpy copies drop the GIL, so
-#: the per-collective memcpy floor scales down with the member count).  The
-#: choice is made by the last arriver alone — one protocol per slot, never
-#: a split vote.
-_PUBLISH_MIN = 1 << 16
-
-
 def _check_out(out: np.ndarray, shape: tuple, dtype, what: str) -> None:
     """``out=`` buffers must match exactly: silent broadcasting or casting
     would corrupt results that NCCL would have rejected."""
@@ -425,17 +414,13 @@ def _check_mean_dtype(op: str, arr: np.ndarray) -> None:
         )
 
 
-def _reduce(
-    arrays: list[np.ndarray], op: str, scratch: dict | None = None
-) -> np.ndarray:
+def _reduce(arrays: list[np.ndarray], op: str) -> np.ndarray:
     """Reduce in list order — fixed group-rank order, hence deterministic.
 
-    Zero-copy convention: contributions are **not** snapshotted (every
-    contributing rank is still blocked inside the rendezvous while this
-    runs), so the reduction must never mutate its inputs.  The first
-    pairwise op writes the output buffer — a warm preallocated one from
-    *scratch* when every rank passed ``out=``, a fresh allocation
-    otherwise — and every later op accumulates in place: the same
+    Contributions are not snapshotted, because every contributing rank is
+    still blocked inside the rendezvous while this runs; the reduction must
+    therefore never mutate its inputs.  The first pairwise op allocates the
+    output and every later op accumulates into it in place: the same
     left-to-right pairwise sequence as reducing into a copy, hence bitwise
     identical.
     """
@@ -449,54 +434,24 @@ def _reduce(
         raise SpmdError(f"mismatched dtypes in reduction: {sorted(map(str, dtypes))}")
     if len(arrays) == 1:  # defensive: size-1 groups return before reducing
         return arrays[0].copy()
-    out = None
-    if scratch is not None:
-        key = (arrays[0].shape, arrays[0].dtype.str)
-        out = scratch.get(key)
-        if out is None:
-            out = scratch[key] = np.empty_like(arrays[0])
+    out = np.empty_like(arrays[0])  # an array even for 0-d contributions
     if op in ("sum", "mean"):
-        out = np.add(arrays[0], arrays[1], out=out)
+        np.add(arrays[0], arrays[1], out=out)
         for a in arrays[2:]:
             out += a
         if op == "mean":
             out /= len(arrays)  # float-only; int mean is rejected at the call site
     elif op == "max":
-        out = np.maximum(arrays[0], arrays[1], out=out)
+        np.maximum(arrays[0], arrays[1], out=out)
         for a in arrays[2:]:
             np.maximum(out, a, out=out)
     elif op == "min":
-        out = np.minimum(arrays[0], arrays[1], out=out)
+        np.minimum(arrays[0], arrays[1], out=out)
         for a in arrays[2:]:
             np.minimum(out, a, out=out)
     else:  # validated at the call site; defensive here
         raise SpmdError(f"unknown reduce op {op!r}")
     return out
-
-
-def _consume_reduce_private(result: np.ndarray, take_ref: bool) -> np.ndarray:
-    """Reduction consume without ``out=``: the one ``take_ref`` rank keeps
-    the fresh compute output by reference, everyone else copies a private
-    result (the reduction never aliases a contribution)."""
-    return result if take_ref else result.copy()
-
-
-#: Hot-path interning.  Small collectives are rendezvous-bound: with many
-#: ranks sharing one GIL, per-call allocations (signature tuples, compute
-#: closures) are a measurable slice of the per-collective floor, so the
-#: callables that never vary per call are built exactly once.
-_REDUCE_SIGS = {op: ("all_reduce", op) for op in _REDUCE_OPS}
-_REDUCE_COMPUTES: dict[str, Callable] = {
-    op: (lambda o: lambda data, scratch: _reduce(data, o, scratch))(op)
-    for op in _REDUCE_OPS
-}
-
-#: Memoized per-(op, payload, group) wire bytes for traffic logging — pure
-#: arithmetic, but steady-state steps reissue identical collectives, so the
-#: hot path pays one dict probe instead.  GIL-atomic dict ops make lock-free
-#: sharing safe (a racy miss just recomputes the same value).
-_WIRE_CACHE: dict[tuple[str, int, int], int] = {}
-_WIRE_CACHE_MAX = 4096
 
 
 class Communicator:
@@ -512,12 +467,6 @@ class Communicator:
         self.rank = rank
         self.size = world.size
         self.phase = ""
-        # Per-rank traffic buffer: records append under an uncontended
-        # per-rank lock and merge into the world log in batches (and at
-        # rank exit).  Aggregate queries on TrafficLog read the pending
-        # buffers too, so counts are exact whenever the world quiesces;
-        # mid-run polling may transiently miss a batch in flight.
-        self._traffic = world.traffic.writer()
         self._pool = None
 
     @property
@@ -568,19 +517,13 @@ class Communicator:
         vend: float = -1.0,
     ) -> None:
         payload = int(payload_bytes)
-        key = (op, payload, group_size)
-        wire = _WIRE_CACHE.get(key)
-        if wire is None:
-            if len(_WIRE_CACHE) >= _WIRE_CACHE_MAX:
-                _WIRE_CACHE.clear()
-            wire = _WIRE_CACHE[key] = ring_wire_bytes(op, payload, group_size)
-        self._traffic.add(
+        self.world.traffic.add(
             TrafficRecord(
                 rank=self.rank,
                 op=op,
                 phase=self.phase,
                 payload_bytes=payload,
-                wire_bytes=wire,
+                wire_bytes=ring_wire_bytes(op, payload, group_size),
                 group_size=group_size,
                 vstart=vstart,
                 vend=vend,
@@ -597,55 +540,28 @@ class Communicator:
         group: ProcessGroup,
         signature: tuple,
         contribution,
-        compute: Callable[[list, dict | None], Any],
+        compute: Callable[[list], Any],
         payload_bytes: int = 0,
-        consume: Callable[[Any, bool], Any] | None = None,
-        out_provided: bool = False,
-        snapshot: Callable[[Any], Any] | None = None,
+        consume: Callable[[Any], Any] | None = None,
     ) -> tuple[Any, float, float]:
         """Join the group's next collective slot; return this rank's value.
 
-        Batched-wake protocol: the last arriver runs *compute* over the
-        group-rank-ordered contribution list — with **no lock held**, so a
-        large reduction never serializes unrelated rendezvous — then
-        releases the whole group by opening each waiter's pre-locked gate
-        (a raw C-level mutex handoff per member).  Below
-        ``_PUBLISH_MIN`` it **distributes** first: it runs each rank's
-        *consume* closure itself, while all peers are still blocked inside
-        the rendezvous, and waiters pick their value up with one GIL-atomic
-        list read — no lock re-acquisition, no consumed-count bookkeeping,
-        no second synchronization point, and no snapshot of anything.  At or
-        above it (bandwidth-bound payloads, where one thread running every
-        member's memcpy serially is the floor) it **publishes** instead:
-        the result is detached from the live contributions once (via
-        *snapshot*, for ops whose compute output references them) and every
-        member runs its own consume in parallel after the wake.  Both modes
-        produce bitwise-identical values; the choice is the last arriver's
-        alone, so the group can never split across protocols.
+        Batched-wake protocol: the last arriver runs ``compute(data)`` over
+        the group-rank-ordered contribution list with **no lock held**, so
+        a large reduction never serializes unrelated groups.  It then runs
+        every member's ``consume(result)`` itself, while all peers are still
+        blocked inside the rendezvous, and finally opens each waiter's
+        pre-locked gate; waiters pick their value up without a lock.
 
-        Zero-copy contract: contributions are *not* snapshotted in
-        distribution mode — every contributing rank stays blocked until
-        distribution finished, so *compute* and the *consume* closures see
-        stable inputs and may copy straight out of peers' live buffers.
-        Neither may mutate a contribution.  In publish mode consume runs
-        *after* the wake, so it may only read the (detached) result it is
-        handed — which is also why no value handed back may ever alias a
-        contribution.  *compute* is called as ``compute(data, scratch)``:
-        *scratch* is the slot's reusable (shape, dtype)-keyed buffer map
-        when **every** member passed a preallocated ``out=`` (the result
-        then never escapes the slot and reductions may write warm scratch
-        memory), ``None`` otherwise.  *consume* turns the shared compute
-        result into one rank's private value; it is called as
-        ``consume(result, take_ref)`` once per member, where ``take_ref``
-        is True for at most one call — made only in distribution mode when
-        *result* is a fresh private buffer (no scratch in play) — whose
-        consume may then return shared compute output by reference instead
-        of copying.  A consume that raises fails only its own rank (the
-        error is re-raised there verbatim); peers complete normally.
-        ``consume=None`` hands every rank the compute result itself
-        (barrier: ``None``).  *snapshot* detaches a live-referencing
-        compute result for publish mode; ops whose results are already
-        private (reductions) pass ``None``.
+        Contributions are *not* snapshotted: every contributing rank stays
+        blocked until distribution finished, so *compute* and the *consume*
+        closures see stable inputs and may copy straight out of peers' live
+        buffers.  Neither may mutate a contribution, and no value handed
+        back may alias one.  *consume* turns the shared compute result into
+        one rank's private value; one that raises fails only its own rank
+        (the error is re-raised there verbatim) while peers complete
+        normally.  ``consume=None`` hands every rank the compute result
+        itself (barrier: ``None``).
 
         Returns ``(value, vstart, vend)``: this rank's virtual issue time
         and the group-wide virtual completion (slowest arrival bid +
@@ -695,8 +611,6 @@ class Communicator:
                 )
             slot.data[me] = contribution
             slot.consumers[me] = consume
-            if out_provided:
-                slot.out_count += 1
             if payload_bytes > slot.payload_max:
                 slot.payload_max = int(payload_bytes)
             if clock is not None:
@@ -708,47 +622,20 @@ class Communicator:
             # blocked in this rendezvous, so slot.data (and every buffer it
             # references, including peers' out= targets captured by their
             # consume closures) is stable until the wake below.
-            use_scratch = slot.out_count == size
-            result: Any = None
             error: BaseException | None = None
             try:
-                result = compute(slot.data, slot.scratch if use_scratch else None)
+                result = compute(slot.data)
             except BaseException as exc:  # surfaces on every member rank
                 error = exc
-            publish = (
-                error is None
-                and consume is not None
-                and snapshot is None
-                and slot.payload_max >= _PUBLISH_MIN
-            )
-            if publish:
-                # Publish mode (bandwidth-bound reductions): the result is
-                # already detached from the live contributions, so every
-                # member can run its own consume after the wake — the copy
-                # out of the shared reduce buffer overlaps with whatever
-                # the distributor (and faster peers) do next, instead of
-                # serializing on the distributor's thread.  Ops whose
-                # compute output references live contributions (*snapshot*
-                # is set) always distribute: one thread copying from a
-                # cache-warm source beats a GIL-arbitrated copy storm.
-                slot.result = result
-                slot.self_consume = True
-            if error is None and not publish:
-                consumers = slot.consumers
+            else:
                 values = slot.values
                 value_errors = slot.value_errors
-                for i in range(size):
-                    fn = consumers[i]
+                for i, fn in enumerate(slot.consumers):
                     if fn is None:
                         values[i] = result
                         continue
                     try:
-                        # At most one member takes shared compute output by
-                        # reference, and only when it is a fresh private
-                        # buffer (never the slot's warm scratch).  Which
-                        # member is arrival-timing dependent; values are
-                        # bitwise identical either way.
-                        values[i] = fn(result, i == me and not use_scratch)
+                        values[i] = fn(result)
                     except BaseException as exc:  # fails rank i only
                         value_errors[i] = exc
             start = finish = -1.0
@@ -757,9 +644,9 @@ class Communicator:
                 finish = start + clock.collective_seconds(
                     op, slot.payload_max, group.ranks
                 )
-            # The published result (if any) is detached: drop contribution
-            # and closure references before the wake so the slot never pins
-            # live buffers (or callers' out= targets) while the group idles.
+            # Drop contribution and closure references before the wake so
+            # the slot never pins live buffers (or callers' out= targets)
+            # while the group idles.
             slot.data = []
             slot.consumers = []
             slot.error = error
@@ -775,7 +662,7 @@ class Communicator:
         else:
             gate = slot.gates[me]
             while not slot.done:
-                # A successful acquire means the publisher opened our gate
+                # A successful acquire means the last arriver opened our gate
                 # (``done`` is already visible) or a world abort did; a
                 # timeout is just the abort-flag poll backstop.
                 if gate.acquire(True, _POLL_S) and slot.done:
@@ -789,29 +676,14 @@ class Communicator:
         group_payload = slot.payload_max
         value = None
         if error is None:
-            if slot.self_consume:
-                # Publish mode: copy my value out of the detached result in
-                # parallel with every peer (large numpy copies release the
-                # GIL).  ``picked`` is release bookkeeping only — list
-                # appends are GIL-atomic, and whichever rank observes the
-                # full count drops the slot's result reference (clearing
-                # twice is idempotent, so a racy double-observation is
-                # harmless).
-                value = consume(slot.result, False)
-                slot.picked.append(None)
-                if len(slot.picked) == size:
-                    slot.result = None
-            else:
-                # Distribution mode: lock-free pickup — list reads/writes
-                # are GIL-atomic and each rank touches only its own index.
-                # Clearing the cell releases this rank's value reference
-                # without waiting for the ring slot's generation to come
-                # around again.
-                verr = slot.value_errors[me]
-                if verr is not None:
-                    raise verr
-                value = slot.values[me]
-                slot.values[me] = None
+            # Lock-free pickup: each rank touches only its own cell.
+            # Clearing it releases this rank's value reference without
+            # waiting for the ring slot's generation to come around again.
+            verr = slot.value_errors[me]
+            if verr is not None:
+                raise verr
+            value = slot.values[me]
+            slot.values[me] = None
         if clock is not None and finish >= 0.0:
             clock.collective_complete(
                 self.rank, op, self.phase, vstart, start, finish,
@@ -826,11 +698,9 @@ class Communicator:
         group: ProcessGroup,
         signature: tuple,
         contribution,
-        compute: Callable[[list, dict | None], Any],
+        compute: Callable[[list], Any],
         payload_bytes: int,
-        consume: Callable[[Any, bool], Any] | None = None,
-        out_provided: bool = False,
-        snapshot: Callable[[Any], Any] | None = None,
+        consume: Callable[[Any], Any] | None = None,
     ):
         """Rendezvous + traffic accounting for one logged collective.
 
@@ -843,8 +713,7 @@ class Communicator:
         op = signature[0]
         try:
             result, vs, ve = self._rendezvous(
-                group, signature, contribution, compute, payload_bytes,
-                consume=consume, out_provided=out_provided, snapshot=snapshot,
+                group, signature, contribution, compute, payload_bytes, consume
             )
         except BaseException:
             self._log(op, payload_bytes, group.size, self._vnow(), -1.0)
@@ -914,7 +783,7 @@ class Communicator:
         group = self._resolve(group)
         if group.size == 1:
             return
-        self._rendezvous(group, ("barrier",), None, lambda data, scratch: None)
+        self._rendezvous(group, ("barrier",), None, lambda data: None)
 
     def all_reduce(
         self,
@@ -927,18 +796,15 @@ class Communicator:
 
         ``out`` receives the result in place (shape and dtype must match
         exactly) and is returned — steady-state callers that reduce into
-        preallocated buffers (gradient accumulators, replay scratch) skip
-        one full-size allocation per collective, and when **every** rank
-        passes ``out=`` the reduction itself reuses warm per-slot scratch.
-        ``out`` may alias *array*: the reduction never writes contributions.
+        preallocated buffers (gradient accumulators, replay scratch) keep
+        their result in that buffer across steps.  ``out`` may alias
+        *array*: the reduction never writes contributions.
         """
         group = self._resolve(group)
-        compute = _REDUCE_COMPUTES.get(op)
-        if compute is None:
+        if op not in _REDUCE_OPS:
             raise SpmdError(f"unknown reduce op {op!r} (expected one of {_REDUCE_OPS})")
         arr = np.asarray(array)  # no snapshot: peers stay blocked while we reduce
-        if op == "mean":
-            _check_mean_dtype(op, arr)
+        _check_mean_dtype(op, arr)
         if out is not None:
             _check_out(out, arr.shape, arr.dtype, "all_reduce")
         if group.size == 1:
@@ -950,24 +816,20 @@ class Communicator:
             return out
 
         if out is None:
-            # The reduction output never aliases a contribution; the one
-            # take_ref rank (distributor, fresh buffer only) keeps it,
-            # everyone else copies out a private result.
-            consume = _consume_reduce_private
+            consume = np.ndarray.copy  # every rank gets a private copy
         else:
 
-            def consume(result: np.ndarray, take_ref: bool) -> np.ndarray:
+            def consume(result: np.ndarray) -> np.ndarray:
                 np.copyto(out, result)
                 return out
 
         return self._run_collective(
             group,
-            _REDUCE_SIGS[op],
+            ("all_reduce", op),
             arr,
-            compute,
+            lambda data: _reduce(data, op),
             payload_bytes=arr.nbytes,
             consume=consume,
-            out_provided=out is not None,
         )
 
     def all_gather(
@@ -1023,7 +885,7 @@ class Communicator:
             np.copyto(out[0], arr)
             return list(out)
 
-        def consume(parts: list, take_ref: bool) -> list[np.ndarray]:
+        def consume(parts: list) -> list[np.ndarray]:
             if out is None:
                 # Parts are peers' live buffers: always copy (a reference
                 # would be mutable by its contributor after the wake).
@@ -1040,13 +902,9 @@ class Communicator:
             group,
             ("all_gather",),
             arr,
-            # Distribution copies straight from the live contributions;
-            # publish mode detaches them via the snapshot below first.
-            lambda data, scratch: data,
+            lambda data: data,  # distribution copies from the live contributions
             payload_bytes=arr.nbytes,
             consume=consume,
-            out_provided=out is not None,
-            snapshot=lambda parts: [np.array(p, copy=True) for p in parts],
         )
 
     def all_gather_concat(
@@ -1074,8 +932,7 @@ class Communicator:
         the padded volume (which is what the traffic log charges), and the
         pad is stripped before the result is returned.  ``out`` receives
         this rank's slice in place (exact shape/dtype match) and is
-        returned; when every rank passes ``out=`` the reduction reuses warm
-        per-slot scratch instead of allocating.
+        returned.
         """
         group = self._resolve(group)
         if op not in _REDUCE_OPS:
@@ -1119,24 +976,21 @@ class Communicator:
             np.copyto(out, arr)
             return out
 
-        def consume(full: np.ndarray, last: bool) -> np.ndarray:
+        def consume(full: np.ndarray) -> np.ndarray:
             if out is not None:
                 np.copyto(out, full[idx])
                 return out
-            # Every rank copies its slice: a view handoff would let one
-            # (scheduling-chosen) rank pin the n-times-larger reduce buffer
-            # and receive a non-contiguous array where peers get compact
-            # copies.
+            # Every rank copies its slice: a view would pin the n-times-larger
+            # reduce buffer and could be non-contiguous.
             return full[idx].copy()
 
         return self._run_collective(
             group,
             ("reduce_scatter", op, axis, chunk_sizes),
             arr,
-            lambda data, scratch: _reduce(data, op, scratch),
+            lambda data: _reduce(data, op),
             payload_bytes=payload,
             consume=consume,
-            out_provided=out is not None,
         )
 
     def broadcast(
@@ -1165,7 +1019,7 @@ class Communicator:
             np.copyto(out, payload)
             return out
 
-        def compute(data: list, scratch) -> np.ndarray:
+        def compute(data: list) -> np.ndarray:
             contributed = data[root_index]
             if contributed is None:
                 raise SpmdError(f"broadcast root rank {root} supplied no payload")
@@ -1173,7 +1027,7 @@ class Communicator:
             # while the root is still blocked — no shared snapshot.
             return contributed
 
-        def consume(r: np.ndarray, take_ref: bool) -> np.ndarray:
+        def consume(r: np.ndarray) -> np.ndarray:
             if out is not None:
                 _check_out(out, r.shape, r.dtype, "broadcast")
                 np.copyto(out, r)
@@ -1184,9 +1038,7 @@ class Communicator:
         bid = payload.nbytes if payload is not None else 0
         try:
             result, vs, ve = self._rendezvous(
-                group, ("broadcast", root), payload, compute, payload_bytes=bid,
-                consume=consume, out_provided=out is not None,
-                snapshot=lambda r: np.array(r, copy=True),
+                group, ("broadcast", root), payload, compute, bid, consume
             )
         except BaseException:
             # Failed/aborted broadcasts still log (vend=-1), like every
@@ -1215,7 +1067,7 @@ class Communicator:
             self._log("scatter", payload, 1, t, t)
             return contribution[0].copy()
 
-        def compute(data: list, scratch) -> list[np.ndarray]:
+        def compute(data: list) -> list[np.ndarray]:
             sent = data[root_index]
             if sent is None:
                 raise SpmdError(f"scatter root rank {root} supplied no chunks")
@@ -1226,8 +1078,7 @@ class Communicator:
         me = group.rank_index(self.rank)
         return self._run_collective(
             group, ("scatter", root), contribution, compute, payload_bytes=payload,
-            consume=lambda parts, take_ref: np.array(parts[me], copy=True),
-            snapshot=lambda parts: [np.array(c, copy=True) for c in parts],
+            consume=lambda parts: np.array(parts[me], copy=True),
         )
 
     def gather(self, array, root: int, group: ProcessGroup | None = None) -> list[np.ndarray] | None:
@@ -1247,12 +1098,11 @@ class Communicator:
             arr,
             # Live contributions: only the root's distribution copy reads
             # them, so non-root ranks cost nothing.
-            lambda data, scratch: data,
+            lambda data: data,
             payload_bytes=arr.nbytes,
-            consume=lambda parts, take_ref: (
+            consume=lambda parts: (
                 [np.array(p, copy=True) for p in parts] if is_root else None
             ),
-            snapshot=lambda parts: [np.array(p, copy=True) for p in parts],
         )
         return parts if is_root else None
 
@@ -1286,7 +1136,7 @@ class Communicator:
             return list(out)
         me = group.rank_index(self.rank)
 
-        def consume(matrix: list, take_ref: bool) -> list[np.ndarray]:
+        def consume(matrix: list) -> list[np.ndarray]:
             if out is None:
                 # Cells are peers' live send buffers: copy this rank's
                 # column out during distribution.
@@ -1305,10 +1155,9 @@ class Communicator:
             contribution,
             # Live send matrix: cell (i, j) is copied out only by group-rank
             # j's distribution step — exactly the n² cells that are needed.
-            lambda data, scratch: data,
+            lambda data: data,
             payload_bytes=payload,
             consume=consume,
-            snapshot=lambda m: [[np.array(a, copy=True) for a in row] for row in m],
         )
 
     # -- point-to-point ----------------------------------------------------
@@ -1405,10 +1254,6 @@ def run_spmd_world(
         except BaseException as exc:
             world.rank_status[rank] = "failed"
             world.abort(rank, exc)
-        finally:
-            # Merge this rank's buffered traffic into the world log so
-            # post-mortem accounting never depends on the buffers.
-            comm._traffic.flush()
 
     threads = [
         threading.Thread(target=runner, args=(r,), name=f"spmd-rank-{r}", daemon=True)

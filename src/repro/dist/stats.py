@@ -37,7 +37,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 
-__all__ = ["ring_wire_bytes", "TrafficRecord", "TrafficTotals", "TrafficLog", "TrafficWriter"]
+__all__ = ["ring_wire_bytes", "TrafficRecord", "TrafficTotals", "TrafficLog"]
 
 _COLLECTIVE_OPS = frozenset(
     {"all_reduce", "all_gather", "reduce_scatter", "broadcast", "all_to_all", "scatter", "gather"}
@@ -112,68 +112,6 @@ class TrafficTotals:
     vseconds: float = 0.0
 
 
-class TrafficWriter:
-    """One rank's contention-free traffic buffer (:meth:`TrafficLog.writer`).
-
-    :meth:`add` appends to a per-rank list under a **per-writer** lock —
-    uncontended on the hot path, since only the owning rank writes and the
-    lock is shared with nothing but the rare explicit :meth:`flush` from
-    the driver side — and merges into the owning log in batches (every
-    ``_FLUSH_EVERY`` records, and at rank exit).  The per-writer lock is
-    what makes concurrent flushes (owner auto-flush vs a driver-side
-    ``TrafficLog.flush``) safe: the batch swap and merge are atomic, so a
-    record can neither be merged twice nor lost to a torn swap.  Aggregate
-    queries on the log read pending buffers directly, so buffered records
-    are never invisible; flushing only moves them into the shared record
-    list.  In timeline mode every record needs a global arrival sequence
-    number, so the writer degrades to the locked direct path.
-    """
-
-    _FLUSH_EVERY = 256
-
-    __slots__ = ("_log", "_lock", "pending")
-
-    def __init__(self, log: "TrafficLog") -> None:
-        self._log = log
-        self._lock = threading.Lock()
-        self.pending: list[TrafficRecord] = []
-
-    def add(self, record: TrafficRecord) -> None:
-        if self._log.timeline:
-            self._log.add(record)
-            return
-        with self._lock:
-            self.pending.append(record)
-            if len(self.pending) < self._FLUSH_EVERY:
-                return
-            batch = self.pending
-            self.pending = []
-            # Merge while still holding the writer lock (lock order is
-            # always writer → log, so this cannot deadlock): concurrent
-            # flushers then can neither double-merge a batch nor land an
-            # older batch after a newer one, preserving per-rank record
-            # order in the shared list.
-            self._log._merge(batch)
-
-    def flush(self) -> None:
-        """Merge buffered records into the shared log.
-
-        Safe from any thread: swap **and** merge happen under the writer
-        lock, so a concurrent owner-side auto-flush and a driver-side
-        flush serialize — no batch merges twice and per-rank issue order
-        survives in the shared record list.  A concurrent aggregate reader
-        either sees a record in the buffer here or (after the merge) in
-        the global buckets — transiently missing is possible,
-        double-counting is not.
-        """
-        with self._lock:
-            batch = self.pending
-            if not batch:
-                return
-            self.pending = []
-            self._log._merge(batch)
-
-
 class TrafficLog:
     """Thread-safe log of every collective a world's ranks issue.
 
@@ -189,14 +127,7 @@ class TrafficLog:
     read a GIL-atomic snapshot of the bucket table **without taking the
     lock** — a monitoring thread polling :meth:`totals` never blocks the
     rank threads, and every bucket it sees is internally consistent.
-
-    Hot-path writes go through per-rank :class:`TrafficWriter` buffers
-    (:meth:`writer`): ranks append under an uncontended per-rank lock and
-    merge in batches, instead of contending on one global lock per
-    collective per rank.  Aggregate
-    queries include the writers' pending records, so results are exact once
-    the world quiesces (rank exit flushes) and at worst transiently missing
-    in-flight records while it runs.
+    Writes take the lock once per record.
     """
 
     def __init__(self, timeline: bool = False) -> None:
@@ -205,67 +136,32 @@ class TrafficLog:
         # (op, phase, rank) -> (count, payload_bytes, wire_bytes, vseconds),
         # tuples replaced atomically so readers need no lock.
         self._buckets: dict[tuple[str, str, int], tuple[int, int, int, float]] = {}
-        self._writers: list[TrafficWriter] = []
         self.timeline = bool(timeline)
 
-    def writer(self) -> TrafficWriter:
-        """Register and return a buffered per-rank writer."""
-        w = TrafficWriter(self)
-        with self._lock:
-            self._writers.append(w)
-        return w
-
-    def _add_locked(self, record: TrafficRecord) -> None:
-        if self.timeline:
-            record = replace(
-                record, seq=len(self._records), timestamp=time.monotonic()
-            )
-        self._records.append(record)
-        key = (record.op, record.phase, record.rank)
-        c, p, w, v = self._buckets.get(key, (0, 0, 0, 0.0))
-        vs = (record.vend - record.vstart) if record.vstart >= 0.0 else 0.0
-        self._buckets[key] = (
-            c + 1, p + record.payload_bytes, w + record.wire_bytes, v + vs
-        )
-
     def add(self, record: TrafficRecord) -> None:
+        key = (record.op, record.phase, record.rank)
+        vs = (record.vend - record.vstart) if record.vstart >= 0.0 else 0.0
         with self._lock:
-            self._add_locked(record)
-
-    def _merge(self, records: list[TrafficRecord]) -> None:
-        with self._lock:
-            for record in records:
-                self._add_locked(record)
-
-    def flush(self) -> None:
-        """Merge every registered writer's pending records (driver-side)."""
-        for w in tuple(self._writers):
-            w.flush()
+            if self.timeline:
+                record = replace(
+                    record, seq=len(self._records), timestamp=time.monotonic()
+                )
+            self._records.append(record)
+            c, p, w, v = self._buckets.get(key, (0, 0, 0, 0.0))
+            self._buckets[key] = (
+                c + 1, p + record.payload_bytes, w + record.wire_bytes, v + vs
+            )
 
     def reset(self) -> None:
         with self._lock:
             self._records.clear()
             self._buckets.clear()
-            writers = list(self._writers)
-        # Writer locks are taken only after the log lock is released: the
-        # add/flush path acquires them in the opposite order (writer first,
-        # log second via _merge), so nesting would invert and deadlock.
-        for w in writers:
-            with w._lock:
-                w.pending = []
-
-    def _pending_records(self) -> list[TrafficRecord]:
-        """Snapshot of every writer's unflushed records (no lock)."""
-        out: list[TrafficRecord] = []
-        for w in tuple(self._writers):
-            out.extend(tuple(w.pending))
-        return out
 
     # -- filtered views ---------------------------------------------------
     def records(
         self, op: str | None = None, phase: str | None = None, rank: int | None = None
     ) -> list[TrafficRecord]:
-        """Matching records, flushed first then per-writer pending ones.
+        """Matching records.
 
         Each rank's own records appear in issue order; the cross-rank
         interleaving is unspecified unless the log runs in timeline mode
@@ -275,7 +171,6 @@ class TrafficLog:
         """
         with self._lock:
             records = list(self._records)
-        records.extend(self._pending_records())
         if op is None and phase is None and rank is None:
             return records
         return [
@@ -291,13 +186,9 @@ class TrafficLog:
     ) -> TrafficTotals:
         """Aggregate over every bucket matching the given filters.
 
-        Lock-free: reads a GIL-atomic snapshot of the bucket table plus the
-        writers' pending buffers, so a polling reader never blocks the rank
-        threads mid-collective.  Because the bucket snapshot is taken
-        before the pending buffers are walked, a batch being merged at
-        that instant can be transiently missing (never double-counted):
-        counts are exact once writers flush (rank exit), but a live poller
-        may briefly observe up to one flush batch fewer per rank.
+        Lock-free: reads a GIL-atomic snapshot of the bucket table, so a
+        polling reader never blocks the rank threads mid-collective, and
+        every record added before the call is counted.
         """
         count = payload = wire = 0
         vseconds = 0.0
@@ -311,17 +202,6 @@ class TrafficLog:
                 payload += p
                 wire += w
                 vseconds += v
-        for r in self._pending_records():
-            if (
-                (op is None or r.op == op)
-                and (phase is None or r.phase == phase)
-                and (rank is None or r.rank == rank)
-            ):
-                count += 1
-                payload += r.payload_bytes
-                wire += r.wire_bytes
-                if r.vstart >= 0.0:
-                    vseconds += r.vend - r.vstart
         return TrafficTotals(
             count=count, payload_bytes=payload, wire_bytes=wire, vseconds=vseconds
         )
@@ -349,9 +229,6 @@ class TrafficLog:
         for (b_op, _b_phase, b_rank), (c, _p, _w, _v) in self._buckets.copy().items():
             if rank is None or b_rank == rank:
                 hist[b_op] = hist.get(b_op, 0) + c
-        for r in self._pending_records():
-            if rank is None or r.rank == rank:
-                hist[r.op] = hist.get(r.op, 0) + 1
         if top is not None and len(hist) > top:
             kept = sorted(hist.items(), key=lambda kv: (-kv[1], kv[0]))[:top]
             return dict(kept)
@@ -362,9 +239,8 @@ class TrafficLog:
     ):
         """Stream one rank's records without copying the whole log.
 
-        Yields flushed records first (this rank's in issue order), then the
-        rank's still-pending writer records.  The shared record list is
-        append-only while a world runs, so walking it by index is safe
+        Yields this rank's records in issue order.  The shared record list
+        is append-only while a world runs, so walking it by index is safe
         without snapshotting it — the O(world · records) copy
         :meth:`records` pays per call never happens here.  A concurrent
         :meth:`reset` simply ends the stream early.
@@ -380,15 +256,9 @@ class TrafficLog:
                 continue
             if (op is None or r.op == op) and (phase is None or r.phase == phase):
                 yield r
-        for w in tuple(self._writers):
-            for r in tuple(w.pending):
-                if r.rank != rank:
-                    continue
-                if (op is None or r.op == op) and (phase is None or r.phase == phase):
-                    yield r
 
     def __len__(self) -> int:
-        return len(self._records) + sum(len(w.pending) for w in tuple(self._writers))
+        return len(self._records)
 
     #: Ops rendered by ``repr`` before the histogram is elided.
     _REPR_TOP_OPS = 6

@@ -4,7 +4,7 @@ Sweep results used to live in printed tables and ad-hoc JSON; this module
 gives them a durable, queryable home — a stdlib-``sqlite3`` database the
 measurement entry points write into (``search_configurations(...,
 store=)``, ``measure_plan(..., store=)``, ``calibrate(..., store=)``, the
-``repro.obs`` CLIs, and ``benchmarks/bench_runtime_speed.py --store``) and
+``repro.obs`` CLIs, and ``benchmarks/bench_fleet_sweep.py --store``) and
 drivers query back out with :meth:`SweepStore.top_plans`,
 :meth:`SweepStore.volume_by_link` and :meth:`SweepStore.run_history`.
 

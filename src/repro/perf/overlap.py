@@ -237,12 +237,19 @@ def derive_overlap(world: Any, comm_phase: str, compute_phase: str) -> OverlapRe
     if traffic is None:
         # A replayed timeline (repro.perf.schedule.ReplayResult) carries no
         # traffic log; for a blocking phase every settled interval has
-        # ``exposed == end − issue == vend − vstart``, so the clock's
-        # exposed totals reproduce the record walk bitwise (size-1 groups
-        # never touch the clock and contribute zero either way).
+        # ``exposed == end − issue == vend − vstart``, so summing the
+        # intervals in issue order reproduces the record walk bitwise
+        # (size-1 groups never touch the clock and contribute zero either
+        # way).  Barriers are priced by the clock but never logged as
+        # traffic, so they are skipped here too.
         for rank in range(clock.world_size):
-            if clock.comm_count(rank, comm_phase):
-                per_rank[rank] = clock.exposed_seconds(rank=rank, phase=comm_phase)
+            ivs = [
+                iv.exposed
+                for iv in clock.comm_intervals(rank=rank, phase=comm_phase)
+                if iv.op != "barrier"
+            ]
+            if ivs:
+                per_rank[rank] = sum(ivs)
     else:
         for r in traffic.records():
             if r.phase == comm_phase and r.vstart >= 0.0:

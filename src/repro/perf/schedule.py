@@ -62,7 +62,8 @@ groups and ``send``→``recv`` edges), so the flat list *is* the dependency
 graph.
 
 Run ``python -m repro.perf.schedule [--smoke]`` for a self-contained
-bitwise live-vs-replay parity check (used by the ``perf-smoke`` CI job).
+bitwise live-vs-replay parity check (used by the ``cost-engine-calibration``
+CI job).
 """
 
 from __future__ import annotations
@@ -825,7 +826,7 @@ class StepCostTable:
         return len(self._schedules)
 
 
-# -- CLI parity check (wired into the perf-smoke CI job) -------------------
+# -- CLI parity check (wired into the cost-engine-calibration CI job) ------
 def _parity_case(plan, eager, n_steps, machine):  # pragma: no cover
     """(live clock, live overlaps, replay) for one plan: a live *n_steps*
     world next to one captured step replayed *n_steps* times."""

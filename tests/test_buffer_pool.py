@@ -11,9 +11,8 @@ here:
 * a converged step takes **zero** pool misses (no fresh allocations) and
   no buffer leaks across steps or sites;
 * the batched-wake rendezvous aborts cleanly under injected rank failures
-  in both distribution mode (small payloads) and publish mode (large
-  payloads) — blocked waiters surface :class:`~repro.dist.SpmdError`
-  instead of deadlocking.
+  at small and large payloads — blocked waiters surface
+  :class:`~repro.dist.SpmdError` instead of deadlocking.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dist import BufferPool, SpmdError, run_spmd, site_key
 from repro.dist.autograd import average_gradients
-from repro.dist.runtime import _PUBLISH_MIN
 from repro.nn import ViTEncoder
 from repro.parallel import FSDPModel, TPContext, TPViTEncoder
 from repro.tensor import AdamW, Tensor
@@ -216,21 +214,24 @@ class TestPooledGradSyncParity:
                 assert np.array_equal(b, c), "bucket buffer reuse leaked state"
 
 
+#: A latency-sized and a bandwidth-sized (> 64 KiB) float64 payload.
+PAYLOAD_LENGTHS = (16, 8193)
+
+
 class TestBatchedWakeFailure:
     @common
     @given(
         n=st.sampled_from((2, 4, 8)),
         fail_rank=st.integers(0, 7),
-        publish=st.booleans(),
+        length=st.sampled_from(PAYLOAD_LENGTHS),
         seed=st.integers(0, 2**31),
     )
     def test_rank_failure_aborts_instead_of_deadlocking(
-        self, n, fail_rank, publish, seed
+        self, n, fail_rank, length, seed
     ):
         """A rank dying before it joins leaves peers blocked in the batched
-        wait loop; the abort must wake them in both wake modes."""
+        wait loop; the abort must wake them at every payload size."""
         fail = fail_rank % n
-        length = _PUBLISH_MIN // 8 + 1 if publish else 16
 
         def fn(comm):
             if comm.rank == fail:
@@ -240,11 +241,11 @@ class TestBatchedWakeFailure:
         with pytest.raises(SpmdError):
             run_spmd(fn, n, timeout=60.0)
 
-    @pytest.mark.parametrize("publish", [False, True])
-    def test_failure_after_some_collectives_complete(self, publish):
+    @pytest.mark.parametrize("large", [False, True])
+    def test_failure_after_some_collectives_complete(self, large):
         """Failure mid-stream: earlier batched-wake slots completed and were
         recycled; the in-flight one must still abort every survivor."""
-        length = _PUBLISH_MIN // 8 + 1 if publish else 16
+        length = PAYLOAD_LENGTHS[large]
 
         def fn(comm):
             x = np.full(length, float(comm.rank + 1))

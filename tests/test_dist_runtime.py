@@ -214,6 +214,21 @@ class TestFailureHandling:
         with pytest.raises(SpmdError, match="rank 1 failed.*boom"):
             run_spmd(fn, 4, timeout=20)
 
+    def test_free_threaded_interpreter_is_refused(self, monkeypatch):
+        """The rendezvous reads some shared state without a lock and relies
+        on the GIL for it, so a world must not start without one."""
+        import sys
+
+        from repro.dist import World
+
+        monkeypatch.setattr(sys, "_is_gil_enabled", lambda: False, raising=False)
+        with pytest.raises(RuntimeError, match="GIL"):
+            World(2)
+        with pytest.raises(RuntimeError, match="GIL"):
+            run_spmd(lambda comm: None, 2)
+        monkeypatch.setattr(sys, "_is_gil_enabled", lambda: True, raising=False)
+        assert run_spmd(lambda comm: comm.rank, 2) == [0, 1]
+
 
 class TestTrafficLog:
     def test_counts_and_volumes(self):

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.dist import ProcessGroup, run_spmd_world
 from repro.perf import (
@@ -416,6 +416,8 @@ class TestReadOutParity:
 
     @settings(max_examples=15, deadline=None)
     @given(_PROGRAM, st.sampled_from([2, 4]), _EAGER, st.sampled_from([1, 3]))
+    # A barrier costs clock time but is never logged as traffic.
+    @example([("coll", "barrier", "dp_sync", 1)], 2, frozenset(), 1)
     def test_arbitrary_program_readouts_match_the_live_clock(
         self, program, world_size, eager, k
     ):

@@ -1,17 +1,17 @@
 """Property tests: the zero-copy collective fast paths are bitwise-faithful.
 
-PR 5 reworked the runtime's data path — contributions are no longer
-snapshotted (peers stay blocked while the reduction runs), reductions write
-``np.add(..., out=)`` into per-slot scratch, and ``out=`` parameters reuse
-preallocated result buffers.  PR 8 replaced the per-rank wake chain with
-batched-wake distribution: the last arriver copies every member's value
-straight from the live contributions and releases the group with one event
-set.  None of that may change a single bit: every collective must equal the
-reference rank-ordered computation (the same left-to-right pairwise order
-the reference copy path used), private results must stay private (mutating
-one rank's output — or its *input*, right after return — never leaks to
-another rank or a later collective), and the charged wire bytes must stay
-exactly :func:`repro.dist.ring_wire_bytes`.
+The runtime's data path does not snapshot contributions (peers stay blocked
+while the reduction runs), and ``out=`` parameters receive results in
+preallocated buffers.  Completion is a batched wake: the last arriver
+copies every member's value straight from the live contributions, then
+opens each waiter's gate.  None of that may change a single bit: every
+collective must equal the reference rank-ordered computation (the same
+left-to-right pairwise order the reference copy path used), private results
+must stay private (mutating one rank's output — or its *input*, right after
+return — never leaks to another rank or a later collective), and the
+charged wire bytes must stay exactly :func:`repro.dist.ring_wire_bytes`.
+Small payloads are drawn by hypothesis; bandwidth-sized ones (≥ 64 KiB per
+rank) are enumerated in :class:`TestLargePayloadReduceParity`.
 """
 
 from __future__ import annotations
@@ -129,6 +129,113 @@ class TestReduceParity:
         # Padded-collective accounting: the ring moves max(chunk)·n elements.
         padded = max(sizes) * n * full.itemsize
         assert _wire_ok(world, "reduce_scatter", padded, n)
+
+
+#: At least 64 KiB per rank: 8,193 float64 (65,544 B) and 16,411 float32
+#: (65,644 B) — odd lengths, so reduce_scatter splits unevenly at every size.
+LARGE_PAYLOADS = ((np.float64, 8193), (np.float32, 16411))
+
+#: Which ranks pass ``out=``: none, all, even ranks only, every rank with
+#: ``out`` aliasing its own input, or a per-rank mix of the three.
+OUT_MODES = ("none", "all", "some", "alias", "mixed")
+
+
+def _out_kind(mode: str, rank: int) -> str:
+    if mode == "mixed":
+        return ("none", "fresh", "alias")[rank % 3]
+    if mode == "some":
+        return "fresh" if rank % 2 == 0 else "none"
+    return {"none": "none", "all": "fresh", "alias": "alias"}[mode]
+
+
+class TestLargePayloadReduceParity:
+    """Bandwidth-sized reductions (≥ 64 KiB per rank) against the reference.
+
+    Every op is issued twice per world so the slot ring wraps and any buffer
+    the runtime reuses across collectives is exercised; results and inputs
+    are mutated right after each return, which must never reach a peer or a
+    later collective.
+    """
+
+    @pytest.mark.parametrize("n", WORLD_SIZES)
+    @pytest.mark.parametrize("dtype,length", LARGE_PAYLOADS)
+    @pytest.mark.parametrize("mode", OUT_MODES)
+    def test_all_reduce_bitwise(self, n, dtype, length, mode):
+        contribs = _contribs(n, length, dtype, seed=17 + n)
+        expects = {op: _reference_reduce(contribs, op) for op in REDUCE_OPS}
+
+        def fn(comm):
+            kind = _out_kind(mode, comm.rank)
+            got = []
+            for _round in range(2):
+                for op in REDUCE_OPS:
+                    mine = contribs[comm.rank].copy()
+                    out = {
+                        "none": None,
+                        "fresh": np.empty_like(mine),
+                        "alias": mine,
+                    }[kind]
+                    res = comm.all_reduce(mine, op=op, out=out)
+                    if out is not None:
+                        assert res is out
+                    if kind != "alias":  # the reduction never writes inputs
+                        assert np.array_equal(mine, contribs[comm.rank])
+                    got.append((op, res.copy()))
+                    res[...] = 0  # mutating my private result must not leak
+                    mine[...] = -1  # nor may mutating my input
+            return got
+
+        results, world = run_spmd_world(fn, n, timeout=60.0)
+        for got in results:
+            for op, value in got:
+                assert value.dtype == expects[op].dtype
+                assert np.array_equal(value, expects[op]), f"{op} diverged"
+        assert _wire_ok(
+            world, "all_reduce", contribs[0].nbytes, n, issues=2 * len(REDUCE_OPS)
+        )
+
+    @pytest.mark.parametrize("n", WORLD_SIZES)
+    @pytest.mark.parametrize("dtype,length", LARGE_PAYLOADS)
+    @pytest.mark.parametrize("mode", OUT_MODES)
+    def test_reduce_scatter_bitwise(self, n, dtype, length, mode):
+        contribs = _contribs(n, length, dtype, seed=29 + n)
+        fulls = {op: _reference_reduce(contribs, op) for op in REDUCE_OPS}
+        sizes = split_sizes(length, n)
+        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+
+        def fn(comm):
+            kind = _out_kind(mode, comm.rank)
+            lo, hi = offsets[comm.rank], offsets[comm.rank + 1]
+            got = []
+            for _round in range(2):
+                for op in REDUCE_OPS:
+                    mine = contribs[comm.rank].copy()
+                    out = {
+                        "none": None,
+                        "fresh": np.empty(hi - lo, dtype=mine.dtype),
+                        # My own slice of my own input.
+                        "alias": mine[lo:hi],
+                    }[kind]
+                    res = comm.reduce_scatter(mine, op=op, out=out)
+                    if out is not None:
+                        assert res is out
+                    if kind != "alias":
+                        assert np.array_equal(mine, contribs[comm.rank])
+                    got.append((op, res.copy()))
+                    res[...] = 0
+                    mine[...] = -1
+            return got
+
+        results, world = run_spmd_world(fn, n, timeout=60.0)
+        for rank, got in enumerate(results):
+            lo, hi = offsets[rank], offsets[rank + 1]
+            for op, shard in got:
+                assert shard.dtype == fulls[op].dtype
+                assert np.array_equal(shard, fulls[op][lo:hi]), f"{op} diverged"
+        padded = max(sizes) * n * contribs[0].itemsize
+        assert _wire_ok(
+            world, "reduce_scatter", padded, n, issues=2 * len(REDUCE_OPS)
+        )
 
 
 class TestGatherParity:
