@@ -73,7 +73,7 @@ class TestLocality:
             slow = collective_time(op, payload, 8, MACHINE, intra_node=False)
             assert slow > 3 * fast  # IF 50 GB/s vs 12.5 GB/s per GCD
 
-    def test_hybrid_prefers_intra_node_tp(self):
+    def test_hybrid_prefers_node_local_tp(self):
         """A TP16 replica (2 nodes) pays inter-node prices; TP8 stays on
         Infinity Fabric — the §6.3 placement argument."""
         from repro.perf import Workload, estimate_step_comm

@@ -9,8 +9,8 @@ stand-in worlds are ever spun up (one per schedule shape; the run asserts
 :class:`repro.perf.schedule.ReplayProgram`, and every distinct
 (placement, compute-scale) variant is priced by one ``replay_many`` call
 per shape.  The per-budget yardstick — one
-``search_configurations(..., replay=True)`` call per budget, each capturing
-its own stand-in worlds — is timed once and recorded as
+``search_configurations(..., overlaps=simulated_overlaps(...))`` call per
+budget, each capturing its own stand-in worlds — is timed once and recorded as
 ``speedup_vs_per_budget``; both paths produce identical rankings (pinned in
 ``tests/test_schedule_replay.py``).
 
@@ -34,7 +34,13 @@ import statistics
 import time
 from pathlib import Path
 
-from repro.perf import frontier, named_model, search_configurations, sweep_replay
+from repro.perf import (
+    frontier,
+    named_model,
+    search_configurations,
+    simulated_overlaps,
+    sweep_replay,
+)
 
 MACHINE = frontier()
 FLEET_MODEL_NAME = "7B"
@@ -75,21 +81,23 @@ def fleet_sweep_once() -> "object":
 
 
 def per_budget_seconds() -> float:
-    """The per-budget path, timed once: one
-    ``search_configurations(replay=True)`` call per budget, each capturing
-    its own stand-in worlds."""
+    """The per-budget path, timed once: one ``search_configurations`` call
+    per budget under a fresh simulated-overlap oracle, each capturing its
+    own stand-in worlds."""
     model = named_model(FLEET_MODEL_NAME)
     t0 = time.perf_counter()
     for total_gpus, global_batch in FLEET_BUDGETS:
         search_configurations(
             model, FLEET_CHANNELS, total_gpus, MACHINE, global_batch,
-            strategies=FLEET_STRATEGIES, replay=True,
+            strategies=FLEET_STRATEGIES,
+            overlaps=simulated_overlaps(MACHINE, model, FLEET_CHANNELS),
         )
     return time.perf_counter() - t0
 
 
-def run_benchmark(smoke: bool) -> dict:
-    """Timed sweep + one per-budget yardstick; the ``fleet_sweep`` result row."""
+def run_benchmark(smoke: bool) -> tuple[dict, "object"]:
+    """Timed sweep + one per-budget yardstick: the ``fleet_sweep`` result
+    row and the warmup sweep it describes."""
     repeats = 3 if smoke else 7
     sweep = fleet_sweep_once()  # warmup (and contract check)
     samples = []
@@ -116,7 +124,7 @@ def run_benchmark(smoke: bool) -> dict:
         f"-> {result['speedup_vs_per_budget']:.2f}x)"
     )
     print_winners(sweep)
-    return result
+    return result, sweep
 
 
 def print_winners(sweep, every: int = 32) -> None:
@@ -144,7 +152,7 @@ def main(argv=None) -> int:
                         help="also persist the sweep rankings into a repro.obs sweep store")
     args = parser.parse_args(argv)
 
-    result = run_benchmark(args.smoke)
+    result, sweep = run_benchmark(args.smoke)
     text = json.dumps({"fleet_sweep": result}, indent=2)
     print(text)
     if args.out:
@@ -155,12 +163,21 @@ def main(argv=None) -> int:
 
         # Record the rankings themselves (one search run per budget) plus
         # the benchmark timings as a bench run.
-        sweep_replay(
-            named_model(FLEET_MODEL_NAME), FLEET_CHANNELS, MACHINE, FLEET_BUDGETS,
-            strategies=FLEET_STRATEGIES, store=args.store,
-            store_name=f"fleet-{FLEET_MODEL_NAME}-ch{FLEET_CHANNELS}",
-        )
+        base = f"fleet-{FLEET_MODEL_NAME}-ch{FLEET_CHANNELS}"
         with SweepStore(args.store) as store:
+            for (gpus, batch), ranked in sweep.rankings:
+                run_id = store.record_run(
+                    "search", f"{base}-g{gpus}-b{batch}", machine=MACHINE.name,
+                    params={
+                        "channels": FLEET_CHANNELS,
+                        "total_gpus": gpus,
+                        "global_batch": batch,
+                        "strategies": list(FLEET_STRATEGIES),
+                        "candidates": len(ranked),
+                        "oracle": "sweep_replay",
+                    },
+                )
+                store.record_plans(run_id, ranked)
             run_id = store.record_run(
                 "bench", "fleet_sweep", machine=MACHINE.name,
                 host=platform.platform(), params={"smoke": args.smoke},

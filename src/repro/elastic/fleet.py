@@ -22,8 +22,9 @@ answers it in seconds, as pure event arithmetic:
 
 :func:`simulate_fleet` replays one policy against one trace and returns a
 :class:`FleetRunResult` (goodput, lost-work split, restore counts);
-:func:`compare_policies` ranks several and persists the comparison to the
-:class:`~repro.obs.store.SweepStore` (``fleet_runs`` table).
+:func:`compare_policies` ranks several; a caller persists the comparison
+with :meth:`~repro.obs.store.SweepStore.record_fleet_results`
+(``fleet_runs`` table).
 
 Fidelity notes.  The simulator mirrors the live supervisor's recovery
 mechanics — rollback to the last *durable* checkpoint, reshard priced only
@@ -453,17 +454,11 @@ def compare_policies(
     min_world_size: int = 1,
     max_world_size: int | None = None,
     async_save: bool = False,
-    store=None,
-    name: str = "fleet-compare",
 ) -> list[FleetRunResult]:
     """Rank *policies* against one trace, best goodput first.
 
     Ties break by policy name, so the ranking is fully deterministic for a
     fixed trace and cost table — the property the CI smoke gate pins.
-    With *store* (a :class:`~repro.obs.store.SweepStore`, or a path one is
-    opened from) the comparison persists as one ``fleet`` run with a
-    ``fleet_runs`` row per policy, queryable via
-    :meth:`~repro.obs.store.SweepStore.fleet_ranking`.
     """
     if not policies:
         raise ValueError("compare_policies needs at least one policy")
@@ -481,26 +476,6 @@ def compare_policies(
         for p in policies
     ]
     results.sort(key=lambda r: (-r.goodput, r.policy))
-    if store is not None:
-        from ..obs.store import open_store
-
-        handle = open_store(store)
-        run_id = handle.record_run(
-            kind="fleet",
-            name=name,
-            params={
-                "world_size": world_size,
-                "cadence": cadence,
-                "horizon_steps": trace.horizon_steps,
-                "failures": trace.n_failures,
-                "arrivals": trace.n_arrivals,
-                "async_save": async_save,
-                "policies": [p.name for p in policies],
-            },
-        )
-        handle.record_fleet_results(run_id, results)
-        if handle is not store:
-            handle.close()
     return results
 
 
@@ -622,10 +597,17 @@ def main(argv: Sequence[str] | None = None) -> int:  # pragma: no cover
     )
     from ..obs.store import SweepStore
 
-    compare_policies(
-        trace, policies, costs, opts.world, cadence=25, async_save=False,
-        store=store_path, name=f"fleet-smoke-w{opts.world}",
-    )
+    with SweepStore(store_path) as store:
+        run_id = store.record_run(
+            "fleet", f"fleet-smoke-w{opts.world}",
+            params={
+                "world_size": opts.world,
+                "cadence": 25,
+                "horizon_steps": trace.horizon_steps,
+                "policies": [p.name for p in policies],
+            },
+        )
+        store.record_fleet_results(run_id, results)
     with SweepStore(store_path) as store:
         persisted = store.fleet_ranking()
     gate(

@@ -8,9 +8,9 @@ Three pillars over the perf stack's books:
 * :mod:`repro.obs.commvol` — reconcile communication volume per
   ``op × phase × link`` across the analytic schedule, the simulated
   clock and the measured traffic log, gating exact wire-byte agreement;
-* :mod:`repro.obs.store` — a stdlib-sqlite sweep store the search,
-  measurement and benchmark entry points persist runs into, with query
-  helpers (``top_plans``, ``volume_by_link``, ``run_history``).
+* :mod:`repro.obs.store` — a stdlib-sqlite sweep store callers record
+  search, measurement and benchmark runs into, with query helpers
+  (``top_plans``, ``volume_by_link``, ``run_history``).
 
 Submodule attributes resolve lazily (PEP 562) so ``python -m
 repro.obs.trace`` runs without the package import pre-loading the very
@@ -27,7 +27,6 @@ __all__ = [
     "RunRow",
     "StoredPlan",
     "FleetRunRow",
-    "open_store",
     "chrome_trace",
     "export_trace",
     "validate_trace",
@@ -41,7 +40,6 @@ _EXPORTS = {
     "RunRow": "store",
     "StoredPlan": "store",
     "FleetRunRow": "store",
-    "open_store": "store",
     "chrome_trace": "trace",
     "export_trace": "trace",
     "validate_trace": "trace",

@@ -1,16 +1,17 @@
 """Queryable sweep store: every benchmark and calibration run as an artifact.
 
 Sweep results used to live in printed tables and ad-hoc JSON; this module
-gives them a durable, queryable home — a stdlib-``sqlite3`` database the
-measurement entry points write into (``search_configurations(...,
-store=)``, ``measure_plan(..., store=)``, ``calibrate(..., store=)``, the
-``repro.obs`` CLIs, and ``benchmarks/bench_fleet_sweep.py --store``) and
-drivers query back out with :meth:`SweepStore.top_plans`,
+gives them a durable, queryable home — a stdlib-``sqlite3`` database.  The
+compute entry points (``search_configurations``, ``sweep_replay``,
+``measure_plan``, ``calibrate``, ``compare_policies``) only return results;
+a caller that persists opens a :class:`SweepStore` and records them with
+its writers (``record_run`` then ``record_plans`` / ``record_metric`` /
+``record_fleet_results`` / ``record_trace``), as the ``repro.obs`` CLIs,
+the fleet smoke gate and ``benchmarks/bench_fleet_sweep.py --store`` do.
+Drivers query back out with :meth:`SweepStore.top_plans`,
 :meth:`SweepStore.volume_by_link` and :meth:`SweepStore.run_history`.
 
-Schema (version 3, ``PRAGMA user_version``; older stores are migrated in
-place — version 1 gains the ``plans.sp`` column with a default of 1,
-version 2 gains the ``fleet_runs`` table):
+Schema (version 3, ``PRAGMA user_version``):
 
     =============  =====================================================
     table          one row per
@@ -198,19 +199,12 @@ class SweepStore:
         self._db.execute("PRAGMA journal_mode=WAL")
         self._db.execute("PRAGMA foreign_keys=ON")
         version = self._db.execute("PRAGMA user_version").fetchone()[0]
-        if version not in (0, 1, 2, SCHEMA_VERSION):
+        if version not in (0, SCHEMA_VERSION):
             raise ValueError(
                 f"sweep store {self.path} has schema version {version}; "
                 f"this build reads version {SCHEMA_VERSION}"
             )
         with self._db:
-            if version == 1:
-                # v1 -> v2: plans gained a sequence-parallel degree column.
-                self._db.execute(
-                    "ALTER TABLE plans ADD COLUMN sp INTEGER NOT NULL DEFAULT 1"
-                )
-            # v2 -> v3 adds only the fleet_runs table, which the idempotent
-            # schema script below creates.
             self._db.executescript(_SCHEMA)
             self._db.execute(f"PRAGMA user_version={SCHEMA_VERSION}")
 
@@ -544,9 +538,3 @@ class SweepStore:
         runs = self._db.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
         return f"SweepStore({self.path!r}, runs={runs})"
 
-
-def open_store(store: "SweepStore | str | Path | None") -> "SweepStore | None":
-    """Coerce a store argument: pass handles through, open paths, keep None."""
-    if store is None or isinstance(store, SweepStore):
-        return store
-    return SweepStore(store)

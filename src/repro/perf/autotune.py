@@ -21,9 +21,10 @@ fractions instead:
 * a :class:`~repro.perf.overlap.DerivedOverlaps` applies one measured pair
   to every candidate;
 * a callable ``(plan, micro_batch) -> DerivedOverlaps | None`` is consulted
-  **per candidate** — :func:`simulated_overlaps` builds one that replays a
-  scaled-down stand-in of each plan through a real issue-queue world
-  (:func:`~repro.perf.calibrate.measure_plan` with ``eager=True``) so every
+  **per candidate** — :func:`simulated_overlaps` builds one that captures a
+  scaled-down stand-in of each plan shape once on a real issue-queue world
+  (:func:`~repro.perf.calibrate.measure_plan` with ``eager=True``) and
+  replays it under each candidate's placement and compute balance, so every
   plan is ranked with fractions derived from *its own* simulated timeline.
 
 Combined with a host-calibrated machine
@@ -42,6 +43,7 @@ from .flops import TRAIN_MULT, estimate_flops
 from .machine import MachineSpec
 from .modelcfg import ModelConfig
 from .plan import ParallelPlan, Precision, Workload
+from .schedule import CapturedSchedule, ReplayVariant, replay_many
 from .throughput import (
     batch_efficiency,
     global_batch_throughput,
@@ -119,7 +121,6 @@ def _enumerate_candidates(
     global_batch: int,
     strategies: tuple[str, ...],
     precision: Precision,
-    intra_node_tp: bool,
     max_sp: int = 1,
 ) -> list[tuple[ParallelPlan, int]]:
     """Every feasible (plan, micro-batch) for the budget, unscored.
@@ -129,7 +130,7 @@ def _enumerate_candidates(
     SP degrees are pow-2 divisors of the budget that divide both the token
     count (the shards) and the head count (the Ulysses head switch).
     """
-    tp_cap = machine.gpus_per_node if intra_node_tp else total_gpus
+    tp_cap = machine.gpus_per_node
     out: list[tuple[ParallelPlan, int]] = []
     seen: set[str] = set()
     for strategy in strategies:
@@ -172,12 +173,8 @@ def search_configurations(
     global_batch: int,
     strategies: tuple[str, ...] = ("tp", "dchag"),
     precision: Precision = Precision(),
-    intra_node_tp: bool = True,
     overlaps: OverlapSource = None,
     prune_top_k: int | None = None,
-    replay: bool = False,
-    store=None,
-    store_name: str | None = None,
     max_sp: int = 1,
 ) -> list[TunedPlan]:
     """All feasible plans for the budget, best throughput first.
@@ -190,13 +187,6 @@ def search_configurations(
     tp × sp × fsdp × dp with sp up to the cap (default 1 reproduces the
     historical tp × fsdp × dp grid exactly — the §6.2 golden podium).
 
-    ``replay=True`` (with ``overlaps=None``) ranks with the captured-
-    schedule replay oracle: one threaded stand-in world is recorded per
-    schedule shape and every further candidate is priced by replaying that
-    schedule as pure event arithmetic (see :func:`simulated_overlaps`) —
-    the cheap way to run a measured-overlap sweep.  Ignored when an
-    explicit ``overlaps`` source is passed.
-
     ``prune_top_k`` (with a *callable* ``overlaps``) turns on bound-based
     pruning: candidates are visited in descending order of their analytic
     **upper bound** (throughput at full overlap), and the per-plan oracle —
@@ -208,18 +198,10 @@ def search_configurations(
     candidates rank below them by their paper-constant score with
     ``overlaps=None`` recorded.  ``None`` (default) keeps the exhaustive
     behavior, consulting the oracle for every candidate.
-
-    ``store`` (a :class:`~repro.obs.store.SweepStore` or path) persists
-    the full ranked candidate list as a ``search`` run named
-    ``store_name`` (default derived from the budget);
-    :meth:`~repro.obs.store.SweepStore.top_plans` then reproduces this
-    function's podium from the database alone.
     """
-    if replay and overlaps is None:
-        overlaps = simulated_overlaps(machine, model, channels, precision, replay=True)
     candidates = _enumerate_candidates(
         model, channels, total_gpus, machine, global_batch,
-        strategies, precision, intra_node_tp, max_sp=max_sp,
+        strategies, precision, max_sp=max_sp,
     )
 
     def score(plan: ParallelPlan, ov: "DerivedOverlaps | None") -> float:
@@ -257,27 +239,6 @@ def search_configurations(
             ov = overlaps(plan, micro) if callable(overlaps) else overlaps
             results.append(TunedPlan(plan, micro, score(plan, ov), ov))
     results.sort(key=lambda t: t.total_tflops, reverse=True)
-    if store is not None:
-        from ..obs.store import open_store  # local: obs imports perf modules
-
-        handle = open_store(store)
-        run_id = handle.record_run(
-            "search",
-            store_name
-            if store_name is not None
-            else f"{model.name}-ch{channels}-g{total_gpus}-b{global_batch}",
-            machine=machine.name,
-            params={
-                "channels": channels,
-                "total_gpus": total_gpus,
-                "global_batch": global_batch,
-                "strategies": list(strategies),
-                "candidates": len(results),
-            },
-        )
-        handle.record_plans(run_id, results)
-        if handle is not store:
-            handle.close()
     return results
 
 
@@ -310,8 +271,9 @@ class ReplaySweep:
     ``rankings`` pairs each ``(total_gpus, global_batch)`` budget with its
     ranked candidate list — element-wise **equal** (same plans, same float
     scores, same :class:`~repro.perf.overlap.DerivedOverlaps`) to what
-    ``search_configurations(..., replay=True)`` returns for that budget
-    (both price through the same replay kernel).  ``captured_worlds`` counts the threaded stand-in
+    ``search_configurations(..., overlaps=simulated_overlaps(...))`` returns
+    for that budget (both price through the same replay kernel).
+    ``captured_worlds`` counts the threaded stand-in
     worlds actually spun up (one per schedule shape) and ``lanes`` the
     distinct ``(shape, placement, scale)`` variants priced through them —
     the sweep's whole point is ``candidates >> lanes >= captured_worlds``.
@@ -338,69 +300,45 @@ def sweep_replay(
     budgets: "Sequence[tuple[int, int]]",
     strategies: tuple[str, ...] = ("tp", "dchag"),
     precision: Precision = Precision(),
-    intra_node_tp: bool = True,
-    dp_buckets: int = 4,
-    store=None,
-    store_name: str | None = None,
     max_sp: int = 1,
 ) -> ReplaySweep:
     """Rank every candidate of every budget from a handful of captured worlds.
 
-    The per-candidate oracle of ``search_configurations(..., replay=True)``
-    interleaves capture and pricing: each cache miss lowers the captured
-    schedule again and prices one variant.  A fleet sweep (many GPU
-    budgets x batch sizes) hits hundreds of such misses, all replays of the
-    same few schedules under different node placements and compute scales —
-    exactly the shape :func:`repro.perf.schedule.replay_many` batches.  So
-    this entry runs the sweep in three phases:
+    The per-candidate oracle of :func:`simulated_overlaps` interleaves
+    capture and pricing: each cache miss lowers the captured schedule again
+    and prices one variant.  A fleet sweep (many GPU budgets x batch sizes)
+    hits hundreds of such misses, all replays of the same few schedules
+    under different node placements and compute scales — exactly the shape
+    :func:`repro.perf.schedule.replay_many` batches.  So this entry runs the
+    sweep in three phases:
 
     1. enumerate every feasible candidate of every budget and map it to its
-       replay variant key (stand-in shape, node placement, bucket count,
-       quantized compute scale — the same keying the oracle caches under);
+       replay variant (the same stand-in keying the oracle caches under);
     2. capture ONE threaded stand-in world per schedule shape, lower it
        once, and price all of that shape's variants in a single
        :meth:`~repro.perf.schedule.ReplayProgram.run` call;
     3. score and rank each budget's candidates from the priced overlaps.
 
     Scores, overlaps and ranking order are equal to per-budget
-    ``search_configurations(model, channels, g, machine, b, replay=True)``
-    calls (pinned by ``tests/test_schedule_replay.py``); only the
-    orchestration differs.  ``store`` persists one ``search`` run per
-    budget, named ``{store_name or model.name-chN}-gG-bB``, so
-    :meth:`~repro.obs.store.SweepStore.top_plans` reproduces any budget's
-    podium from the database alone.
+    ``search_configurations(model, channels, g, machine, b,
+    overlaps=simulated_overlaps(machine, model, channels))`` calls (pinned
+    by ``tests/test_schedule_replay.py``); only the orchestration differs.
     """
-    from .calibrate import measure_plan  # runtime import: calibrate pulls dist
-    from .schedule import ReplayVariant, replay_many
-
     # Phase 1: enumerate, and key every candidate needing an overlap pair.
     per_budget: list[tuple[tuple[int, int], list[tuple[ParallelPlan, int, tuple | None]]]] = []
-    variant_by_key: dict[tuple, tuple] = {}  # key -> (sim_mach, scale)
-    keys_by_shape: dict[tuple, tuple[ParallelPlan, list[tuple]]] = {}  # skey -> (sim, keys)
+    keys_by_shape: dict[tuple, tuple[ParallelPlan, list[tuple]]] = {}  # shape -> (sim, keys)
     for total_gpus, global_batch in budgets:
         rows: list[tuple[ParallelPlan, int, tuple | None]] = []
         for plan, micro in _enumerate_candidates(
             model, channels, total_gpus, machine, global_batch,
-            strategies, precision, intra_node_tp, max_sp=max_sp,
+            strategies, precision, max_sp=max_sp,
         ):
-            if plan.dp <= 1 and plan.fsdp <= 1:
-                rows.append((plan, micro, None))
-                continue
-            sim = _shrink_plan(plan)
-            sim_mach = _sim_machine(plan, machine, sim)
-            scale = _compute_scale(
-                model, channels, plan, micro, machine, precision, sim, sim_mach
-            )
-            buckets = _dp_buckets_for(
-                model, channels, plan, micro, machine, precision, dp_buckets
-            )
-            if scale > 0.0:
-                scale = 10.0 ** round(math.log10(scale), 1)
-            key = (sim.label, sim_mach.gpus_per_node, buckets, scale)
-            if key not in variant_by_key:
-                skey = (sim.label, buckets)
-                variant_by_key[key] = (sim_mach, scale)
-                keys_by_shape.setdefault(skey, (sim, []))[1].append(key)
+            key = None
+            if plan.dp > 1 or plan.fsdp > 1:
+                sim, key = _standin(model, channels, plan, micro, machine, precision)
+                keys = keys_by_shape.setdefault(key[0], (sim, []))[1]
+                if key not in keys:
+                    keys.append(key)
             rows.append((plan, micro, key))
         per_budget.append(((total_gpus, global_batch), rows))
 
@@ -408,36 +346,21 @@ def sweep_replay(
     # replay_many call pricing every variant of that shape.
     workspace: dict = {}
     overlaps_by_key: dict[tuple, "DerivedOverlaps"] = {}
-    for (_sim_label, buckets), (sim_plan, keys) in keys_by_shape.items():
-        cap = measure_plan(
-            _SIM_MODEL,
-            Workload(_SIM_CHANNELS, _SIM_BATCH),
-            sim_plan,
-            machine,
-            eager=True,
-            dp_buckets=buckets,
-            compute_scale=1.0,
-            cap_dp_buckets=False,
-            workspace=workspace,
-            capture=True,
-        )
-        variants = [
-            ReplayVariant(machine=variant_by_key[k][0], compute_scale=variant_by_key[k][1])
-            for k in keys
-        ]
-        for k, res in zip(keys, replay_many(cap.schedule, variants)):
+    for (_label, buckets), (sim, keys) in keys_by_shape.items():
+        schedule = _capture_standin(sim, buckets, machine, workspace)
+        for k, res in zip(keys, replay_many(schedule, [k[1] for k in keys])):
             overlaps_by_key[k] = res.overlaps()
 
     # Phase 3: score and rank each budget from the priced pairs.
     rankings: list[tuple[tuple[int, int], tuple[TunedPlan, ...]]] = []
     n_candidates = 0
-    for (total_gpus, global_batch), rows in per_budget:
+    for budget, rows in per_budget:
         results = [
             TunedPlan(
                 plan,
                 micro,
                 global_batch_throughput(
-                    model, channels, plan, machine, global_batch, precision,
+                    model, channels, plan, machine, budget[1], precision,
                     overlaps=overlaps_by_key.get(key),
                 ),
                 overlaps_by_key.get(key),
@@ -446,34 +369,13 @@ def sweep_replay(
         ]
         results.sort(key=lambda t: t.total_tflops, reverse=True)
         n_candidates += len(results)
-        rankings.append(((total_gpus, global_batch), tuple(results)))
-        if store is not None:
-            from ..obs.store import open_store  # local: obs imports perf modules
-
-            handle = open_store(store)
-            base = store_name if store_name is not None else f"{model.name}-ch{channels}"
-            run_id = handle.record_run(
-                "search",
-                f"{base}-g{total_gpus}-b{global_batch}",
-                machine=machine.name,
-                params={
-                    "channels": channels,
-                    "total_gpus": total_gpus,
-                    "global_batch": global_batch,
-                    "strategies": list(strategies),
-                    "candidates": len(results),
-                    "oracle": "sweep_replay",
-                },
-            )
-            handle.record_plans(run_id, results)
-            if handle is not store:
-                handle.close()
+        rankings.append((budget, tuple(results)))
 
     return ReplaySweep(
         rankings=tuple(rankings),
         candidates=n_candidates,
         captured_worlds=len(keys_by_shape),
-        lanes=len(variant_by_key),
+        lanes=len(overlaps_by_key),
     )
 
 
@@ -485,6 +387,8 @@ def sweep_replay(
 _SIM_MODEL = ModelConfig("overlap-sim", dim=32, depth=2, heads=4, patch=4, image_hw=(16, 16))
 _SIM_CHANNELS = 16
 _SIM_BATCH = 2
+#: Most DP buckets a stand-in splits its gradient AllReduce into.
+_MAX_DP_BUCKETS = 4
 
 
 def _shrink_plan(plan: ParallelPlan) -> ParallelPlan:
@@ -567,7 +471,6 @@ def _dp_buckets_for(
     micro: int,
     machine: MachineSpec,
     precision: Precision,
-    max_buckets: int,
 ) -> int:
     """Bucket count the *real* plan's DP volume/latency ratio justifies.
 
@@ -585,8 +488,59 @@ def _dp_buckets_for(
     intra = axis_intra_node(plan, machine)["dp"]
     for ev in step_comm_schedule(model, Workload(channels, micro), plan, precision):
         if ev.axis == "dp" and ev.op == "all_reduce":
-            return cost.bucket_cap(ev.op, ev.payload_bytes, plan.dp, intra, max_buckets)
+            return cost.bucket_cap(ev.op, ev.payload_bytes, plan.dp, intra, _MAX_DP_BUCKETS)
     return 1
+
+
+def _standin(
+    model: ModelConfig,
+    channels: int,
+    plan: ParallelPlan,
+    micro: int,
+    machine: MachineSpec,
+    precision: Precision,
+) -> tuple[ParallelPlan, tuple]:
+    """The stand-in plan for *plan* and the replay key it is priced under.
+
+    The key is ``((sim.label, buckets), variant)``: the schedule *shape*
+    (one capture each) and the :class:`~repro.perf.schedule.ReplayVariant`
+    (node placement, compute scale) that re-prices it.  Candidates with
+    equal keys share one overlap pair.
+    """
+    sim = _shrink_plan(plan)
+    sim_mach = _sim_machine(plan, machine, sim)
+    scale = _compute_scale(model, channels, plan, micro, machine, precision, sim, sim_mach)
+    buckets = _dp_buckets_for(model, channels, plan, micro, machine, precision)
+    # Quantize the scale onto a log grid (~26% steps) and price at the
+    # quantized value: candidates with nearly the same compute/comm
+    # balance then share one key honestly — scales range over orders of
+    # magnitude, so rounding the raw value would never hit.
+    if scale > 0.0:
+        scale = 10.0 ** round(math.log10(scale), 1)
+    return sim, ((sim.label, buckets), ReplayVariant(machine=sim_mach, compute_scale=scale))
+
+
+def _capture_standin(
+    sim: ParallelPlan, buckets: int, machine: MachineSpec, workspace: dict
+) -> CapturedSchedule:
+    """Record one step of the stand-in on a threaded issue-queue world.
+
+    Node placement and compute scale change only the pricing of the event
+    structure, never the structure itself, so they are left to replay.
+    """
+    from .calibrate import measure_plan  # runtime import: calibrate pulls dist
+
+    return measure_plan(
+        _SIM_MODEL,
+        Workload(_SIM_CHANNELS, _SIM_BATCH),
+        sim,
+        machine,
+        eager=True,
+        dp_buckets=buckets,
+        cap_dp_buckets=False,
+        workspace=workspace,
+        capture=True,
+    ).schedule
 
 
 def simulated_overlaps(
@@ -594,92 +548,34 @@ def simulated_overlaps(
     model: ModelConfig,
     channels: int,
     precision: Precision = Precision(),
-    dp_buckets: int = 4,
-    replay: bool = False,
 ) -> Callable[[ParallelPlan, int], "DerivedOverlaps | None"]:
     """Build a per-plan overlap oracle for ``search_configurations``.
 
-    For each candidate the oracle replays a structure-preserving stand-in
+    For each candidate the oracle prices a structure-preserving stand-in
     (axes capped at 2, placement and compute/comm ratio matched to the real
-    plan) through a real :func:`~repro.dist.run_spmd` world on an
-    issue-queue clock, and returns the measured
-    :class:`~repro.perf.overlap.DerivedOverlaps`.  Results are cached by
-    stand-in shape, so a 1,024-GPU sweep costs a handful of ≤8-rank
-    simulations.  Plans with neither a DP nor an FSDP axis return ``None``
-    (nothing to overlap — the constants are irrelevant there anyway).
-
-    ``replay=True`` spins up **one** threaded world per stand-in *shape*
-    (schedule structure = plan shape × bucket count), capturing its event
-    schedule; every further cache miss replays that captured schedule as
-    pure event arithmetic (:func:`repro.perf.schedule.replay`) with the
-    candidate's node placement and compute scale — no extra threads, no
-    numpy payloads.  The replayed fractions can differ from the threaded
-    oracle's in the last float bits (the compute scale multiplies captured
-    charges instead of pre-scaled ones), so rankings agree at podium level,
-    not bitwise.
+    plan) and returns its :class:`~repro.perf.overlap.DerivedOverlaps`.
+    One threaded :func:`~repro.dist.run_spmd` world on an issue-queue clock
+    is captured per stand-in *shape* (plan shape × bucket count); every
+    cache miss replays that schedule as pure event arithmetic
+    (:func:`repro.perf.schedule.replay_many`) under the candidate's node
+    placement and compute scale, so a 1,024-GPU sweep costs a handful of
+    ≤8-rank captures.  Plans with neither a DP nor an FSDP axis return
+    ``None`` (nothing to overlap — the constants are irrelevant there
+    anyway).
     """
-    from .calibrate import measure_plan  # runtime import: calibrate pulls dist
-    from .schedule import replay as replay_schedule
-
     cache: dict[tuple, "DerivedOverlaps"] = {}
-    schedules: dict[tuple, object] = {}  # captured per stand-in shape
-    workspace: dict = {}  # warm replay buffers shared by every simulation
+    schedules: dict[tuple, CapturedSchedule] = {}  # per stand-in shape
+    workspace: dict = {}  # warm replay buffers shared by every capture
 
     def oracle(plan: ParallelPlan, micro: int) -> "DerivedOverlaps | None":
         if plan.dp <= 1 and plan.fsdp <= 1:
             return None
-        sim = _shrink_plan(plan)
-        sim_mach = _sim_machine(plan, machine, sim)
-        scale = _compute_scale(
-            model, channels, plan, micro, machine, precision, sim, sim_mach
-        )
-        buckets = _dp_buckets_for(
-            model, channels, plan, micro, machine, precision, dp_buckets
-        )
-        # Quantize the scale onto a log grid (~26% steps) and simulate at
-        # the quantized value: candidates with nearly the same compute/comm
-        # balance then share one cache slot honestly — scales range over
-        # orders of magnitude, so rounding the raw value would never hit.
-        if scale > 0.0:
-            scale = 10.0 ** round(math.log10(scale), 1)
-        key = (sim.label, sim_mach.gpus_per_node, buckets, scale)
+        sim, key = _standin(model, channels, plan, micro, machine, precision)
         if key not in cache:
-            if replay:
-                # Capture once per schedule shape (the node placement and
-                # the compute scale do not change the event structure, only
-                # its pricing — exactly what replay re-derives).
-                skey = (sim.label, buckets)
-                sched = schedules.get(skey)
-                if sched is None:
-                    cap = measure_plan(
-                        _SIM_MODEL,
-                        Workload(_SIM_CHANNELS, _SIM_BATCH),
-                        sim,
-                        machine,
-                        eager=True,
-                        dp_buckets=buckets,
-                        compute_scale=1.0,
-                        cap_dp_buckets=False,
-                        workspace=workspace,
-                        capture=True,
-                    )
-                    sched = schedules[skey] = cap.schedule
-                cache[key] = replay_schedule(
-                    sched, machine=sim_mach, compute_scale=scale
-                ).overlaps()
-            else:
-                m = measure_plan(
-                    _SIM_MODEL,
-                    Workload(_SIM_CHANNELS, _SIM_BATCH),
-                    sim,
-                    sim_mach,
-                    eager=True,
-                    dp_buckets=buckets,
-                    compute_scale=scale,
-                    cap_dp_buckets=False,
-                    workspace=workspace,
-                )
-                cache[key] = m.overlaps
+            shape, variant = key
+            if shape not in schedules:
+                schedules[shape] = _capture_standin(sim, shape[1], machine, workspace)
+            cache[key] = replay_many(schedules[shape], [variant])[0].overlaps()
         return cache[key]
 
     return oracle

@@ -231,15 +231,12 @@ def calibrate(
     world_sizes: tuple[int, ...] = (2, 4, 8),
     machine: MachineSpec | None = None,
     payload_bytes: int = 4096,
-    store=None,
 ) -> CalibrationReport:
     """Cross-check every ring collective at every world size, both placements.
 
     The inter-node placement reuses the same machine with
     ``gpus_per_node = world_size // 2`` so the world's default group spans
-    two simulated nodes.  ``store`` (a :class:`~repro.obs.store.SweepStore`
-    or path) persists the matrix as a ``calibrate`` run — one
-    wire-match/time-residual metric pair per (op, ranks, placement) row.
+    two simulated nodes.
     """
     machine = machine if machine is not None else frontier()
     rows: list[CalibrationRow] = []
@@ -250,26 +247,6 @@ def calibrate(
             for op in RING_OPS:
                 rows.append(_run_one(op, n, payload, spec))
     report = CalibrationReport(machine=machine, rows=rows)
-    if store is not None:
-        from ..obs.store import open_store  # local: obs imports this module
-
-        handle = open_store(store)
-        run_id = handle.record_run(
-            "calibrate", machine.name, machine=machine.name,
-            params={"world_sizes": list(world_sizes), "payload_bytes": payload_bytes},
-        )
-        for r in report.rows:
-            link = "intra" if r.intra_node else "inter"
-            handle.record_metric(
-                run_id, f"wire_match/r{r.ranks}", float(r.wire_match),
-                op=r.op, link=link, source="calibrate",
-            )
-            handle.record_metric(
-                run_id, f"time_residual/r{r.ranks}", r.time_residual,
-                op=r.op, link=link, source="calibrate",
-            )
-        if handle is not store:
-            handle.close()
     return report
 
 
@@ -636,8 +613,6 @@ def measure_plan(
     n_steps: int = 1,
     capture: bool = False,
     keep_world: bool = False,
-    store=None,
-    store_name: str | None = None,
 ) -> MeasuredComm:
     """Replay one step's collective schedule through a real SPMD world.
 
@@ -670,10 +645,11 @@ def measure_plan(
     (:class:`~repro.perf.overlap.BucketExposure`) and ``step_seconds`` is
     the overlapped makespan.  Wire accounting is identical in both modes.
 
-    ``compute_scale`` multiplies the charged forward/backward seconds — the
-    knob :func:`repro.perf.autotune.simulated_overlaps` uses to make a
-    scaled-down stand-in world reproduce the *real* plan's compute/comm
-    balance (overlap fractions depend on exactly that ratio).
+    ``compute_scale`` multiplies the charged forward/backward seconds, so a
+    scaled-down world can reproduce a larger plan's compute/comm balance
+    (overlap fractions depend on exactly that ratio).  The autotuner's
+    oracle captures at ``1.0`` and turns the same knob at replay time
+    (:class:`~repro.perf.schedule.ReplayVariant`).
 
     ``workspace`` is an optional caller-held dict that carries each rank's
     replay buffers across calls: a sweep (or a benchmark loop) that replays
@@ -693,10 +669,7 @@ def measure_plan(
     ``keep_world=True`` attaches the finished world to the result — the
     observability layer reads its clock intervals and traffic log
     (:func:`repro.obs.commvol.comm_volume_report`,
-    :func:`repro.obs.trace.chrome_trace`).  ``store`` (a
-    :class:`~repro.obs.store.SweepStore` or a path) persists the
-    measurement as a ``measure`` run named ``store_name`` (default: the
-    plan label).
+    :func:`repro.obs.trace.chrome_trace`).
     """
     from ..parallel.mesh import DeviceMesh  # runtime import: parallel pulls nn
 
@@ -834,7 +807,7 @@ def measure_plan(
     predicted = estimate_step_comm(
         model, workload, plan, machine, precision, dp_overlap=0.0, fsdp_overlap=0.0
     )
-    result = MeasuredComm(
+    return MeasuredComm(
         plan=plan,
         world_size=plan.total_gpus,
         wire=wire,
@@ -848,41 +821,6 @@ def measure_plan(
         schedule=clock.schedule() if capture else None,
         world=world if keep_world else None,
     )
-    if store is not None:
-        _store_measured(store, result, machine, store_name)
-    return result
-
-
-def _store_measured(
-    store, result: MeasuredComm, machine: MachineSpec, name: str | None
-) -> None:
-    """Persist one measurement as a ``measure`` run in a sweep store."""
-    from ..obs.store import open_store  # local: obs imports this module
-
-    handle = open_store(store)
-    run_id = handle.record_run(
-        "measure",
-        name if name is not None else result.plan.label,
-        machine=machine.name,
-        params={
-            "world_size": result.world_size,
-            "eager": result.eager,
-            "n_steps": result.n_steps,
-        },
-    )
-    handle.record_metric(run_id, "step_seconds", result.step_seconds, unit="s")
-    handle.record_metric(run_id, "dp_overlap", result.overlaps.dp_overlap)
-    handle.record_metric(run_id, "fsdp_overlap", result.overlaps.fsdp_overlap)
-    for axis, wire_bytes in result.wire.items():
-        handle.record_metric(
-            run_id, f"wire/{axis}", wire_bytes, unit="B", source="measured"
-        )
-    for axis, secs in result.seconds.items():
-        handle.record_metric(
-            run_id, f"seconds/{axis}", secs, unit="s", source="measured"
-        )
-    if handle is not store:  # we opened a path — close our handle
-        handle.close()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -258,6 +258,33 @@ class TestPrunedSearch:
         assert pruned[0].plan == best.plan
 
 
+class TestSec62Podium:
+    """The pruned §6.2 search under the simulated oracle, pinned to the
+    exact floats ``benchmarks/e2e`` checks (``expected.json``), plus the
+    number of oracle consultations pruning leaves."""
+
+    PODIUM = [
+        ("D-CHAG-L-Tree0x4+DP256", 79903.00400306087),
+        ("D-CHAG-L-Tree0x2+DP512", 52479.890872424614),
+        ("D-CHAG-L-Tree0x4+FSDP2+DP128", 48583.872621544935),
+    ]
+
+    def test_pruned_podium_floats_and_oracle_calls(self):
+        calls: list[str] = []
+        real = simulated_overlaps(M, named_model("7B"), 500)
+
+        def counting_oracle(plan, micro):
+            calls.append(plan.label)
+            return real(plan, micro)
+
+        results = search_configurations(
+            named_model("7B"), 500, 1024, M, 4096,
+            overlaps=counting_oracle, prune_top_k=3,
+        )
+        assert [(t.plan.label, t.total_tflops) for t in results[:3]] == self.PODIUM
+        assert len(calls) == 4
+
+
 class TestSequenceParallelAxis:
     """The sp axis: off by default (the golden podium is untouched),
     load-bearing at long sequence length (pinned with

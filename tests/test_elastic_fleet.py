@@ -211,9 +211,9 @@ class TestComparePolicies:
 
         trace, policies, costs = self._setup()
         db = tmp_path / "fleet.sqlite"
-        results = compare_policies(
-            trace, policies, costs, 4, cadence=25, store=db, name="unit-fleet"
-        )
+        results = compare_policies(trace, policies, costs, 4, cadence=25)
+        with SweepStore(db) as store:
+            store.record_fleet_results(store.record_run("fleet", "unit-fleet"), results)
         with SweepStore(db) as store:
             rows = store.fleet_ranking()
             run = store.latest_run(kind="fleet")

@@ -1,12 +1,13 @@
-"""Tests for the sqlite sweep store (``repro.obs.store``) and the ``store=``
-integration points of the search/measure/calibrate entry points."""
+"""Tests for the sqlite sweep store (``repro.obs.store``) and round trips of
+what the search/measure/calibrate entry points return, recorded by the
+caller."""
 
 import json
 import sqlite3
 
 import pytest
 
-from repro.obs.store import SCHEMA_VERSION, SweepStore, open_store
+from repro.obs.store import SCHEMA_VERSION, SweepStore
 from repro.perf import frontier, named_model, search_configurations
 from repro.perf.calibrate import calibrate, measure_plan
 from repro.perf.modelcfg import ModelConfig
@@ -40,22 +41,15 @@ class TestSchema:
         with SweepStore(path) as store:
             assert store.run_history()[0].id == run_id
 
-    def test_future_schema_version_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2, 99])
+    def test_future_schema_version_rejected(self, tmp_path, version):
         path = tmp_path / "sweep.db"
         SweepStore(path).close()
         db = sqlite3.connect(path)
-        db.execute("PRAGMA user_version=99")
+        db.execute(f"PRAGMA user_version={version}")
         db.close()
-        with pytest.raises(ValueError, match="version 99"):
+        with pytest.raises(ValueError, match=f"version {version}"):
             SweepStore(path)
-
-    def test_open_store_coerces(self, tmp_path):
-        assert open_store(None) is None
-        with SweepStore() as handle:
-            assert open_store(handle) is handle
-        opened = open_store(tmp_path / "s.db")
-        assert isinstance(opened, SweepStore)
-        opened.close()
 
 
 class TestUpserts:
@@ -111,9 +105,12 @@ class TestSearchIntegration:
     @pytest.fixture(scope="class")
     def store_and_results(self):
         store = SweepStore()
-        results = search_configurations(
-            named_model("7B"), 500, 1024, M, 4096, store=store
+        results = search_configurations(named_model("7B"), 500, 1024, M, 4096)
+        run_id = store.record_run(
+            "search", "7B-ch500-g1024-b4096", machine=M.name,
+            params={"candidates": len(results)},
         )
+        store.record_plans(run_id, results)
         yield store, results
         store.close()
 
@@ -139,9 +136,9 @@ class TestSearchIntegration:
 
     def test_store_accepts_a_path(self, tmp_path):
         path = tmp_path / "search.db"
-        results = search_configurations(
-            named_model("1.7B"), 512, 8, M, 32, store=path, store_name="tiny"
-        )
+        results = search_configurations(named_model("1.7B"), 512, 8, M, 32)
+        with SweepStore(path) as store:
+            store.record_plans(store.record_run("search", "tiny"), results)
         with SweepStore(path) as store:
             run = store.latest_run(kind="search")
             assert run.name == "tiny"
@@ -152,9 +149,13 @@ class TestMeasureAndCalibrateIntegration:
     def test_measure_plan_persists_metrics(self):
         with SweepStore() as store:
             plan = ParallelPlan("dist_tok", tp=2, fsdp=1, dp=2)
-            measured = measure_plan(
-                SMALL, Workload(16, 2), plan, M, eager=True, store=store
-            )
+            measured = measure_plan(SMALL, Workload(16, 2), plan, M, eager=True)
+            run_id = store.record_run("measure", plan.label, machine=M.name)
+            store.record_metric(run_id, "step_seconds", measured.step_seconds, unit="s")
+            store.record_metric(run_id, "dp_overlap", measured.overlaps.dp_overlap)
+            for axis, wire in measured.wire.items():
+                store.record_metric(run_id, f"wire/{axis}", wire, unit="B",
+                                    source="measured")
             run = store.latest_run(kind="measure")
             assert run.name == plan.label
             metrics = store.metrics_for(run.id)
@@ -165,7 +166,14 @@ class TestMeasureAndCalibrateIntegration:
 
     def test_calibrate_persists_rows(self):
         with SweepStore() as store:
-            report = calibrate(world_sizes=(2,), machine=M, store=store)
+            report = calibrate(world_sizes=(2,), machine=M)
+            run_id = store.record_run("calibrate", M.name, machine=M.name)
+            for r in report.rows:
+                link = "intra" if r.intra_node else "inter"
+                store.record_metric(run_id, f"wire_match/r{r.ranks}",
+                                    float(r.wire_match), op=r.op, link=link)
+                store.record_metric(run_id, f"time_residual/r{r.ranks}",
+                                    r.time_residual, op=r.op, link=link)
             run = store.latest_run(kind="calibrate")
             assert run.name == M.name
             rows = store._db.execute(

@@ -535,14 +535,16 @@ class TestSweepReplay:
 
     def test_rankings_equal_the_scalar_replay_search(self):
         """The strong contract: per budget, sweep_replay returns exactly
-        what search_configurations(..., replay=True) returns — same plans,
+        what search_configurations with the simulated oracle returns — same plans,
         same float scores, same overlap pairs."""
         budgets = [(16, 32), (32, 64)]
         sweep = sweep_replay(self.SWEEP_MODEL, 32, MACHINE, budgets)
         assert [b for b, _ in sweep.rankings] == budgets
         for (g, b), ranked in sweep.rankings:
-            ref = search_configurations(self.SWEEP_MODEL, 32, g, MACHINE, b,
-                                        replay=True)
+            ref = search_configurations(
+                self.SWEEP_MODEL, 32, g, MACHINE, b,
+                overlaps=simulated_overlaps(MACHINE, self.SWEEP_MODEL, 32),
+            )
             assert list(ranked) == ref
         assert sweep.candidates == sum(len(r) for _, r in sweep.rankings)
         assert sweep.captured_worlds <= sweep.lanes <= sweep.candidates
@@ -571,7 +573,8 @@ class TestSweepReplay:
         for g, b in bench.FLEET_BUDGETS[:: len(bench.FLEET_BUDGETS) // 4]:
             ref = search_configurations(
                 model, bench.FLEET_CHANNELS, g, MACHINE, b,
-                strategies=bench.FLEET_STRATEGIES, replay=True,
+                strategies=bench.FLEET_STRATEGIES,
+                overlaps=simulated_overlaps(MACHINE, model, bench.FLEET_CHANNELS),
             )
             assert list(ranked[(g, b)]) == ref
 
@@ -579,10 +582,11 @@ class TestSweepReplay:
         from repro.obs.store import SweepStore
 
         db = tmp_path / "sweep.db"
-        sweep = sweep_replay(
-            self.SWEEP_MODEL, 32, MACHINE, [(16, 32), (32, 32)],
-            store=db, store_name="unit",
-        )
+        sweep = sweep_replay(self.SWEEP_MODEL, 32, MACHINE, [(16, 32), (32, 32)])
+        with SweepStore(db) as store:
+            for (g, b), ranked in sweep.rankings:
+                run_id = store.record_run("search", f"unit-g{g}-b{b}")
+                store.record_plans(run_id, ranked)
         with SweepStore(db) as store:
             for (g, b), ranked in sweep.rankings:
                 run, = store.run_history(kind="search", name=f"unit-g{g}-b{b}")
@@ -591,26 +595,12 @@ class TestSweepReplay:
 
 
 class TestReplayOracle:
-    def test_search_with_replay_oracle_matches_threaded_podium(self):
-        model = ModelConfig("sweep", dim=256, depth=6, heads=8, patch=4,
-                            image_hw=(32, 32))
-        threaded = search_configurations(
-            model, 32, 16, MACHINE, 32,
-            overlaps=simulated_overlaps(MACHINE, model, 32),
-        )
-        replayed = search_configurations(model, 32, 16, MACHINE, 32, replay=True)
-        assert [t.plan.label for t in threaded[:3]] == [
-            t.plan.label for t in replayed[:3]
-        ]
-        for a, b in zip(threaded[:3], replayed[:3]):
-            assert b.total_tflops == pytest.approx(a.total_tflops, rel=1e-6)
-
     def test_replay_oracle_spins_up_one_world_per_shape(self):
         """The replay oracle's whole point: repeated consultations with
         different compute scales re-use one captured schedule."""
         model = ModelConfig("sweep", dim=256, depth=6, heads=8, patch=4,
                             image_hw=(32, 32))
-        oracle = simulated_overlaps(MACHINE, model, 32, replay=True)
+        oracle = simulated_overlaps(MACHINE, model, 32)
         plan = ParallelPlan("tp", tp=1, fsdp=1, dp=8)
         first = oracle(plan, 2)
         second = oracle(plan, 2)
