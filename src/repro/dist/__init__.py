@@ -25,8 +25,6 @@ Paper section → primitive
   (bucketed AllReduce-mean) and :func:`broadcast_parameters` (replica init).
 * **§3.5 sequence parallelism** — ``Communicator.all_to_all`` switches the
   sharded axis between tokens and heads (Ulysses pattern).
-* **§3.5 pipeline parallelism** — tagged ``Communicator.send`` / ``recv``
-  move activations and gradients between stages.
 * **§4.1 α–β cost model** — :func:`repro.dist.stats.ring_wire_bytes` prices
   each collective's ring wire volume; the per-world
   :class:`~repro.dist.stats.TrafficLog` records what actually moved.

@@ -16,7 +16,7 @@ failure as :class:`SpmdError` ("rank N failed: ...").  A rank that issues a
 a mismatch error rather than timing out.
 
 Worlds are fully isolated: every :func:`run_spmd` call builds a fresh
-:class:`World` with its own groups, mailboxes and
+:class:`World` with its own groups and
 :class:`~repro.dist.stats.TrafficLog`, so concurrent worlds driven from
 different threads never interfere.
 
@@ -54,7 +54,6 @@ import contextlib
 import sys
 import threading
 import time
-from collections import deque
 from typing import Any, Callable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -244,14 +243,12 @@ class SimClock(Protocol):
 
     def bind(self, world_size: int) -> None: ...
     def now(self, rank: int) -> float: ...
-    def sync(self, rank: int, t: float) -> None: ...
     def charge(
         self, rank: int, seconds: float, phase: str = ..., label: str = ...
     ) -> tuple[float, float]: ...
     def collective_seconds(
         self, op: str, payload_bytes: int, ranks: Sequence[int]
     ) -> float: ...
-    def p2p_seconds(self, nbytes: int, src: int, dst: int) -> float: ...
     def collective_arrival(self, rank: int, op: str, phase: str) -> float: ...
     def collective_complete(
         self, rank: int, op: str, phase: str, issue: float, start: float,
@@ -264,12 +261,10 @@ class SimClock(Protocol):
         ranks: Sequence[int],
     ) -> None: ...
     def capture_drain(self, rank: int) -> None: ...
-    def capture_send(self, rank: int, nbytes: int, dst: int, tag: int) -> None: ...
-    def capture_recv(self, rank: int, src: int, tag: int) -> None: ...
 
 
 class World:
-    """Shared state of one SPMD run: groups, mailboxes, traffic, abort flag.
+    """Shared state of one SPMD run: groups, traffic, abort flag.
 
     ``failure_plan`` is any object exposing ``check(rank, step)`` (see
     :class:`repro.elastic.FailurePlan`); ranks consult it through
@@ -315,8 +310,6 @@ class World:
         self._group_states: dict[tuple[int, ...], _GroupState] = {}
         self._abort_event = threading.Event()
         self._failure: tuple[int, BaseException] | None = None
-        self._mail: dict[tuple[int, int, int], deque] = {}
-        self._mail_cond = threading.Condition()
         self.default_group = ProcessGroup(self, tuple(range(size)))
 
     # -- group bookkeeping -------------------------------------------------
@@ -354,8 +347,6 @@ class World:
             if self._failure is None:
                 self._failure = (rank, exc)
         self._abort_event.set()
-        with self._mail_cond:
-            self._mail_cond.notify_all()
         with self._lock:
             states = list(self._group_states.values())
         for state in states:
@@ -386,11 +377,6 @@ def split_sizes(total: int, parts: int) -> tuple[int, ...]:
         raise ValueError(f"total must be >= 0, got {total}")
     base, rem = divmod(total, parts)
     return tuple(base + 1 if i < rem else base for i in range(parts))
-
-
-def _copy_in(value) -> np.ndarray:
-    """Snapshot a contribution so later mutation by the sender cannot leak."""
-    return np.array(value, copy=True)
 
 
 def _check_out(out: np.ndarray, shape: tuple, dtype, what: str) -> None:
@@ -432,8 +418,8 @@ def _reduce(arrays: list[np.ndarray], op: str) -> np.ndarray:
         # The result is cast to group-rank-0's dtype; mixed inputs would be
         # silently truncated (e.g. float contributions into an int buffer).
         raise SpmdError(f"mismatched dtypes in reduction: {sorted(map(str, dtypes))}")
-    if len(arrays) == 1:  # defensive: size-1 groups return before reducing
-        return arrays[0].copy()
+    if len(arrays) == 1:  # a solo group: every consume copies the result
+        return arrays[0]
     out = np.empty_like(arrays[0])  # an array even for 0-d contributions
     if op in ("sum", "mean"):
         np.add(arrays[0], arrays[1], out=out)
@@ -573,10 +559,19 @@ class Communicator:
         :class:`repro.perf.clock.VirtualClock` ``eager_phases``) only joins
         the rank's outstanding issue queue — its exposure is settled at the
         next drain point, and the rank's compute clock keeps running.
+
+        A one-rank group returns at once, stamped ``vstart == vend == now``,
+        without a lock, a clock bid, a capture or a completion.
         """
+        size = group.size
+        if size == 1:
+            # A blocking arrival would drain the eager queue and so change
+            # timelines (and the pins that read them): leave the clock alone.
+            result = compute([contribution])
+            now = self._vnow()
+            return (result if consume is None else consume(result)), now, now
         state = group._state
         me = group.rank_index(self.rank)
-        size = group.size
         clock = self.world.clock
         op = signature[0]
         if clock is not None:
@@ -781,8 +776,6 @@ class Communicator:
         timelines to the slowest arrival.
         """
         group = self._resolve(group)
-        if group.size == 1:
-            return
         self._rendezvous(group, ("barrier",), None, lambda data: None)
 
     def all_reduce(
@@ -807,13 +800,6 @@ class Communicator:
         _check_mean_dtype(op, arr)
         if out is not None:
             _check_out(out, arr.shape, arr.dtype, "all_reduce")
-        if group.size == 1:
-            t = self._vnow()
-            self._log("all_reduce", arr.nbytes, 1, t, t)
-            if out is None:
-                return arr.copy()
-            np.copyto(out, arr)
-            return out
 
         if out is None:
             consume = np.ndarray.copy  # every rank gets a private copy
@@ -876,14 +862,6 @@ class Communicator:
                         "input (peers copy it live during distribution); "
                         "only out[me] exactly aliasing the input is allowed"
                     )
-        if group.size == 1:
-            t = self._vnow()
-            self._log("all_gather", arr.nbytes, 1, t, t)
-            if out is None:
-                return [arr.copy()]
-            _check_out(out[0], arr.shape, arr.dtype, "all_gather")
-            np.copyto(out[0], arr)
-            return list(out)
 
         def consume(parts: list) -> list[np.ndarray]:
             if out is None:
@@ -968,13 +946,6 @@ class Communicator:
             shape = list(arr.shape)
             shape[axis] = chunk_sizes[me]
             _check_out(out, tuple(shape), arr.dtype, "reduce_scatter")
-        if n == 1:
-            t = self._vnow()
-            self._log("reduce_scatter", payload, 1, t, t)
-            if out is None:
-                return arr.copy()
-            np.copyto(out, arr)
-            return out
 
         def consume(full: np.ndarray) -> np.ndarray:
             if out is not None:
@@ -1010,14 +981,6 @@ class Communicator:
         group = self._resolve(group)
         root_index = group.rank_index(root)
         payload = np.asarray(value) if self.rank == root else None
-        if group.size == 1:
-            t = self._vnow()
-            self._log("broadcast", payload.nbytes, 1, t, t)
-            if out is None:
-                return payload.copy()
-            _check_out(out, payload.shape, payload.dtype, "broadcast")
-            np.copyto(out, payload)
-            return out
 
         def compute(data: list) -> np.ndarray:
             contributed = data[root_index]
@@ -1048,64 +1011,6 @@ class Communicator:
         self._log("broadcast", result.nbytes, group.size, vs, ve)
         return result
 
-    def scatter(self, chunks, root: int, group: ProcessGroup | None = None) -> np.ndarray:
-        """Root supplies one chunk per group rank; each rank gets its own."""
-        group = self._resolve(group)
-        root_index = group.rank_index(root)
-        contribution = None
-        payload = 0
-        if self.rank == root:
-            if chunks is None or len(chunks) != group.size:
-                raise SpmdError(
-                    f"scatter root must supply exactly {group.size} chunks, "
-                    f"got {0 if chunks is None else len(chunks)}"
-                )
-            contribution = [np.asarray(c) for c in chunks]
-            payload = sum(c.nbytes for c in contribution)
-        if group.size == 1:
-            t = self._vnow()
-            self._log("scatter", payload, 1, t, t)
-            return contribution[0].copy()
-
-        def compute(data: list) -> list[np.ndarray]:
-            sent = data[root_index]
-            if sent is None:
-                raise SpmdError(f"scatter root rank {root} supplied no chunks")
-            # The root's live chunk list: each rank's distribution copy
-            # detaches exactly the one chunk it consumes.
-            return sent
-
-        me = group.rank_index(self.rank)
-        return self._run_collective(
-            group, ("scatter", root), contribution, compute, payload_bytes=payload,
-            consume=lambda parts: np.array(parts[me], copy=True),
-        )
-
-    def gather(self, array, root: int, group: ProcessGroup | None = None) -> list[np.ndarray] | None:
-        """Inverse of scatter: the root receives every rank's array in group
-        order; other ranks receive ``None``."""
-        group = self._resolve(group)
-        group.rank_index(root)  # validate membership
-        arr = np.asarray(array)
-        if group.size == 1:
-            t = self._vnow()
-            self._log("gather", arr.nbytes, 1, t, t)
-            return [arr.copy()]
-        is_root = self.rank == root
-        parts = self._run_collective(
-            group,
-            ("gather", root),
-            arr,
-            # Live contributions: only the root's distribution copy reads
-            # them, so non-root ranks cost nothing.
-            lambda data: data,
-            payload_bytes=arr.nbytes,
-            consume=lambda parts: (
-                [np.array(p, copy=True) for p in parts] if is_root else None
-            ),
-        )
-        return parts if is_root else None
-
     def all_to_all(
         self,
         sends,
@@ -1126,14 +1031,6 @@ class Communicator:
             raise SpmdError(f"all_to_all out must supply exactly {n} buffers, got {len(out)}")
         contribution = [np.asarray(s) for s in sends]
         payload = sum(c.nbytes for c in contribution)
-        if n == 1:
-            t = self._vnow()
-            self._log("all_to_all", payload, 1, t, t)
-            if out is None:
-                return [contribution[0].copy()]
-            _check_out(out[0], contribution[0].shape, contribution[0].dtype, "all_to_all")
-            np.copyto(out[0], contribution[0])
-            return list(out)
         me = group.rank_index(self.rank)
 
         def consume(matrix: list) -> list[np.ndarray]:
@@ -1159,56 +1056,6 @@ class Communicator:
             payload_bytes=payload,
             consume=consume,
         )
-
-    # -- point-to-point ----------------------------------------------------
-    def send(self, array, dst: int, tag: int = 0) -> None:
-        """Deposit a tagged message for *dst* (non-blocking).
-
-        With a clock the sender is charged the full transfer
-        (store-and-forward); the message carries its virtual delivery time so
-        the matching :meth:`recv` completes no earlier.
-        """
-        if not 0 <= dst < self.size:
-            raise SpmdError(f"send dst {dst} out of range for world of size {self.size}")
-        arr = _copy_in(array)
-        clock = self.world.clock
-        vstart = vend = -1.0
-        if clock is not None:
-            if clock.capturing:
-                clock.capture_send(self.rank, arr.nbytes, dst, int(tag))
-            vstart = clock.now(self.rank)
-            vend = vstart + clock.p2p_seconds(arr.nbytes, self.rank, dst)
-            clock.sync(self.rank, vend)
-        self._log("send", arr.nbytes, 2, vstart, vend)
-        key = (self.rank, dst, int(tag))
-        with self.world._mail_cond:
-            self.world._mail.setdefault(key, deque()).append((arr, vend))
-            self.world._mail_cond.notify_all()
-
-    def recv(self, src: int, tag: int = 0) -> np.ndarray:
-        """Block until a message with this (src, tag) arrives."""
-        if not 0 <= src < self.size:
-            raise SpmdError(f"recv src {src} out of range for world of size {self.size}")
-        clock = self.world.clock
-        if clock is not None and clock.capturing:
-            clock.capture_recv(self.rank, src, int(tag))
-        key = (src, self.rank, int(tag))
-        with self.world._mail_cond:
-            while True:
-                queue = self.world._mail.get(key)
-                if queue:
-                    arr, sent_vend = queue.popleft()
-                    break
-                self.world._check_abort()
-                self.world._mail_cond.wait(_POLL_S)
-        clock = self.world.clock
-        vstart = vend = -1.0
-        if clock is not None:
-            vstart = clock.now(self.rank)
-            vend = max(vstart, sent_vend)
-            clock.sync(self.rank, vend)
-        self._log("recv", arr.nbytes, 2, vstart, vend)
-        return arr
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Communicator(rank={self.rank}, size={self.size})"

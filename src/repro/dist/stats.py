@@ -40,12 +40,14 @@ from dataclasses import dataclass, replace
 __all__ = ["ring_wire_bytes", "TrafficRecord", "TrafficTotals", "TrafficLog"]
 
 _COLLECTIVE_OPS = frozenset(
-    {"all_reduce", "all_gather", "reduce_scatter", "broadcast", "all_to_all", "scatter", "gather"}
+    {"all_reduce", "all_gather", "reduce_scatter", "broadcast", "all_to_all"}
 )
 
 
 def ring_wire_bytes(op: str, payload_bytes: int, group_size: int) -> int:
     """Per-rank bytes on the wire for one ring collective (see module doc)."""
+    if op not in _COLLECTIVE_OPS:
+        raise ValueError(f"unknown collective op {op!r}")
     n = int(group_size)
     if n < 1:
         raise ValueError(f"group size must be >= 1, got {group_size}")
@@ -58,18 +60,12 @@ def ring_wire_bytes(op: str, payload_bytes: int, group_size: int) -> int:
         return (2 * (n - 1) * p) // n
     if op == "all_gather":
         return (n - 1) * p
-    if op in _COLLECTIVE_OPS:
-        return ((n - 1) * p) // n
-    if op == "send":
-        return p
-    if op == "recv":
-        return 0  # the bytes are accounted on the sender's side
-    raise ValueError(f"unknown collective op {op!r}")
+    return ((n - 1) * p) // n
 
 
 @dataclass(frozen=True)
 class TrafficRecord:
-    """One collective (or point-to-point message) issued by one rank.
+    """One collective issued by one rank.
 
     ``seq`` and ``timestamp`` are only populated when the owning
     :class:`TrafficLog` runs in timeline mode (``timeline=True``): ``seq`` is

@@ -5,7 +5,6 @@ from .dist_token import DistributedTokenizer, channel_shard
 from .dp import DataParallel, shard_batch
 from .fsdp import FlatParamShard, FSDPModel, FSDPUnit
 from .mesh import DeviceMesh
-from .pipeline import PipelineStage, split_blocks
 from .sp import (
     SPContext,
     SPSelfAttention,
@@ -44,8 +43,6 @@ __all__ = [
     "DataParallel",
     "shard_batch",
     "DeviceMesh",
-    "PipelineStage",
-    "split_blocks",
     "SPContext",
     "SPSelfAttention",
     "SPTransformerBlock",

@@ -394,7 +394,6 @@ def wallclock_fit_samples(
     payload_sweep: tuple[int, ...] = WALLCLOCK_PAYLOAD_SWEEP,
     repeats: int = 3,
     machine: MachineSpec | None = None,
-    timeout: float = 60.0,
 ) -> list[FitSample]:
     """Time every ring collective on *this host* via ``timeline=True`` runs.
 
@@ -420,7 +419,7 @@ def wallclock_fit_samples(
                     _issue(comm, op, payload, group)
                 return None
 
-            _, world = run_spmd_world(fn, world_size, timeline=True, timeout=timeout)
+            _, world = run_spmd_world(fn, world_size, timeline=True)
             recs = world.traffic.records(op=op)
             marks = [
                 max(r.timestamp for r in recs[k * world_size : (k + 1) * world_size])
@@ -604,7 +603,6 @@ def measure_plan(
     plan: ParallelPlan,
     machine: MachineSpec | None = None,
     precision: Precision = Precision(),
-    timeout: float = 90.0,
     eager: bool = False,
     dp_buckets: int = 4,
     compute_scale: float = 1.0,
@@ -792,7 +790,7 @@ def measure_plan(
             step()
         return comm.now()
 
-    _, world = run_spmd_world(fn, plan.total_gpus, clock=clock, timeout=timeout)
+    _, world = run_spmd_world(fn, plan.total_gpus, clock=clock)
     sizes = axis_group_sizes(plan)
     wire = {
         axis: world.traffic.wire_bytes(phase=phase, rank=0) // n_steps

@@ -152,7 +152,7 @@ class VirtualClock:
         self.machine = cost.machine
         self.eager_phases = frozenset(eager_phases) if eager_phases else frozenset()
         # Schedule capture: when on, every clock-visible event (compute
-        # charge, collective issue, drain, p2p) is appended to the issuing
+        # charge, collective issue, drain) is appended to the issuing
         # rank's event list as a plain tuple; the runtime feeds collectives
         # and drains through the ``capture_*`` hooks below.  Same
         # thread-safety contract as the timelines: each rank appends only to
@@ -273,9 +273,6 @@ class VirtualClock:
         grp = ranks if isinstance(ranks, tuple) else tuple(ranks)
         return self._price(op, payload_bytes, grp)[2]
 
-    def p2p_seconds(self, nbytes: int, src: int, dst: int) -> float:
-        return self.cost.p2p_seconds(nbytes, src, dst)
-
     # -- schedule capture (hooks called by repro.dist.runtime) -------------
     @property
     def capturing(self) -> bool:
@@ -301,12 +298,6 @@ class VirtualClock:
         """Record an explicit drain (``Communicator.drain_comm``).  Implicit
         drains — blocking arrivals, rank exit — are re-derived by replay."""
         self._captured[rank].append(("drain",))
-
-    def capture_send(self, rank: int, nbytes: int, dst: int, tag: int) -> None:
-        self._captured[rank].append(("send", int(nbytes), int(dst), int(tag)))
-
-    def capture_recv(self, rank: int, src: int, tag: int) -> None:
-        self._captured[rank].append(("recv", int(src), int(tag)))
 
     def captured_events(self, rank: int) -> tuple[tuple, ...]:
         """The raw captured event tuples for one rank, in program order."""

@@ -21,15 +21,11 @@ op                 steps         why
 ``all_gather``     ``n−1``       one ring pass, shards rotate n−1 hops
 ``reduce_scatter`` ``n−1``       one ring pass
 ``broadcast``      ``n−1``       pipelined ring from the root
-``scatter``        ``n−1``       root emits one chunk per peer
-``gather``         ``n−1``       inverse of scatter
 ``all_to_all``     ``1``         **not** a serialized ring: every pair exchanges
                                  directly in a single concurrent round, so only
                                  one latency is paid (the volume term carries
                                  the per-peer payloads)
 ``barrier``        ``n−1``       latency-only ring pass, zero bytes
-``send``           ``1``         one point-to-point message
-``recv``           ``0``         priced on the sender's side
 =================  ============  ==================================================
 
 Topology placement: ranks map onto nodes contiguously
@@ -73,22 +69,17 @@ class CostModel:
 
     # -- the shared step-count table --------------------------------------
     def latency_steps(self, op: str, group_size: int) -> int:
-        """Serialized latency rounds for one collective (see module table)."""
+        """Serialized latency rounds for one collective (see module table);
+        a one-rank group pays none."""
         n = int(group_size)
         if n < 1:
             raise ValueError(f"group size must be >= 1, got {group_size}")
-        if op == "send":
-            return 1
-        if op == "recv":
-            return 0
-        if n == 1:
-            return 0
         if op == "all_reduce":
             return 2 * (n - 1)
-        if op in ("all_gather", "reduce_scatter", "broadcast", "scatter", "gather", "barrier"):
+        if op in ("all_gather", "reduce_scatter", "broadcast", "barrier"):
             return n - 1
         if op == "all_to_all":
-            return 1
+            return 1 if n > 1 else 0
         raise ValueError(f"unknown collective op {op!r}")
 
     def wire_bytes(self, op: str, payload_bytes: int, group_size: int) -> int:
@@ -132,11 +123,6 @@ class CostModel:
         return self.collective_seconds(
             op, payload_bytes, len(ranks), self.intra_node(ranks)
         )
-
-    def p2p_seconds(self, nbytes: float, src: int, dst: int) -> float:
-        """One tagged point-to-point message between two world ranks."""
-        bw, lat = self.link(self.node_of(src) == self.node_of(dst))
-        return lat + int(nbytes) / bw
 
     def bucket_cap(
         self,

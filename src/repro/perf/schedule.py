@@ -11,9 +11,8 @@ re-executes it as **pure event arithmetic**, in one pipeline:
 * **Lower once.**  Which rank issues what, in which order, depends only on
   the schedule — never on the machine, the cost model or the compute scale.
   :class:`ReplayProgram` walks the per-rank cursors through a rendezvous
-  table and a p2p mailbox exactly once and emits a linear program of
-  arithmetic ops with every dependency (collective joins, send→recv edges,
-  drain order) already resolved.
+  table exactly once and emits a linear program of arithmetic ops with
+  every dependency (collective joins, drain order) already resolved.
 * **Run one kernel.**  The program is executed as straight-line python-float
   arithmetic, once per :class:`ReplayVariant` (a machine or cost model and a
   compute scale).  It performs the float operations the live
@@ -55,11 +54,9 @@ Phase conventions (mirrors :mod:`repro.perf.overlap`):
 
 Event kinds: ``compute`` (charge seconds onto the rank timeline), ``coll``
 (join a group collective: ``start = max(bids)``, ``end = start + cost``),
-``drain`` (settle the rank's eager issue queue), ``send``/``recv``
-(store-and-forward p2p through a virtual mailbox).  Dependencies are
-implicit in the per-rank program order plus the cross-rank joins (``coll``
-groups and ``send``→``recv`` edges), so the flat list *is* the dependency
-graph.
+and ``drain`` (settle the rank's eager issue queue).  Dependencies are
+implicit in the per-rank program order plus the cross-rank ``coll`` group
+joins, so the flat list *is* the dependency graph.
 
 Run ``python -m repro.perf.schedule [--smoke]`` for a self-contained
 bitwise live-vs-replay parity check (used by the ``cost-engine-calibration``
@@ -91,12 +88,13 @@ __all__ = [
 ]
 
 _SCHEMA_VERSION = 1
-_KINDS = frozenset({"compute", "coll", "drain", "send", "recv"})
+_KINDS = frozenset({"compute", "coll", "drain"})
 
 
 class ScheduleReplayError(RuntimeError):
     """A captured schedule could not be replayed (mismatched groups,
-    an op disagreement inside a group slot, or a p2p deadlock).
+    an op disagreement inside a group slot, or a collective some member
+    never joins).
 
     Carries the failure's coordinates so drivers can localize a mismatched
     capture without parsing the message: ``rank`` (the rank whose program
@@ -128,8 +126,6 @@ class ScheduleEvent:
     ``coll``:    ``op``, ``phase``, ``payload_bytes`` (this rank's bid),
                  ``group`` (world-rank tuple)
     ``drain``:   (no payload)
-    ``send``:    ``payload_bytes``, ``peer`` (dst), ``tag``
-    ``recv``:    ``peer`` (src), ``tag``
     """
 
     kind: str
@@ -140,8 +136,6 @@ class ScheduleEvent:
     seconds: float = 0.0
     payload_bytes: int = 0
     group: tuple[int, ...] = ()
-    peer: int = -1
-    tag: int = 0
 
     def to_json(self) -> dict:
         out: dict[str, Any] = {"kind": self.kind, "rank": self.rank}
@@ -157,10 +151,6 @@ class ScheduleEvent:
             out["payload_bytes"] = self.payload_bytes
         if self.group:
             out["group"] = list(self.group)
-        if self.peer >= 0:
-            out["peer"] = self.peer
-        if self.tag:
-            out["tag"] = self.tag
         return out
 
     @classmethod
@@ -177,8 +167,6 @@ class ScheduleEvent:
             seconds=float(obj.get("seconds", 0.0)),
             payload_bytes=int(obj.get("payload_bytes", 0)),
             group=tuple(int(r) for r in obj.get("group", ())),
-            peer=int(obj.get("peer", -1)),
-            tag=int(obj.get("tag", 0)),
         )
 
 
@@ -197,14 +185,6 @@ def _event_from_tuple(rank: int, raw: tuple) -> ScheduleEvent:
         )
     if kind == "drain":
         return ScheduleEvent(kind="drain", rank=rank)
-    if kind == "send":
-        _, nbytes, dst, tag = raw
-        return ScheduleEvent(
-            kind="send", rank=rank, payload_bytes=nbytes, peer=dst, tag=tag
-        )
-    if kind == "recv":
-        _, src, tag = raw
-        return ScheduleEvent(kind="recv", rank=rank, peer=src, tag=tag)
     raise ValueError(f"unknown captured event tuple {raw!r}")
 
 
@@ -356,9 +336,7 @@ class ReplayVariant:
 
 
 _UNSET = object()
-_C_CHARGE, _C_BID_BLOCK, _C_BID_EAGER, _C_COLL, _C_DRAIN, _C_SEND, _C_RECV = (
-    range(7)
-)
+_C_CHARGE, _C_BID_BLOCK, _C_BID_EAGER, _C_COLL, _C_DRAIN = range(5)
 
 
 class ReplayProgram:
@@ -366,15 +344,14 @@ class ReplayProgram:
 
     Lowering walks each rank's captured program with a cursor for
     ``n_steps`` (plus the rank-exit drains): collectives wait in a
-    rendezvous table until every group member's cursor reaches them, p2p
-    events flow through a mailbox that persists across steps — the protocol
-    the threaded runtime runs under its slot lock — and every clock effect
-    becomes one arithmetic op: compute charges, arrival bids, collective
-    completions (a max over the group's bid slots), drain settlements and
-    p2p hops.  Slot arenas (bids / pending / mail) are free-listed, so
-    their size is the schedule's peak concurrency, not its length; one
-    recorded span per charge and per settled collective is the only
-    per-event state kept.
+    rendezvous table until every group member's cursor reaches them — the
+    protocol the threaded runtime runs under its slot lock — and every
+    clock effect becomes one arithmetic op: compute charges, arrival bids,
+    collective completions (a max over the group's bid slots) and drain
+    settlements.  Slot arenas (bids / pending) are free-listed, so their
+    size is the schedule's peak concurrency, not its length; one recorded
+    span per charge and per settled collective is the only per-event state
+    kept.
 
     ``eager_phases`` defaults to the set the schedule was captured under;
     pass an explicit value (or ``None`` for fully blocking) to re-simulate
@@ -382,9 +359,9 @@ class ReplayProgram:
 
     :meth:`run` prices the program for any list of :class:`ReplayVariant`.
     Raises :class:`ScheduleReplayError` at construction if the schedule
-    deadlocks (a recv with no matching send, a collective some member never
-    joins), names a group the issuing rank is not in, or its members
-    disagree on the op of a group's next collective.
+    deadlocks (a collective some member never joins), names a group the
+    issuing rank is not in, or its members disagree on the op of a group's
+    next collective.
     """
 
     def __init__(
@@ -405,11 +382,9 @@ class ReplayProgram:
 
         ops: list[tuple] = []
         cost_keys: dict[tuple[str, int, tuple[int, ...]], int] = {}
-        p2p_keys: dict[tuple[int, int, int], int] = {}
         free_bid: list[int] = []
         free_pend: list[int] = []
-        free_mail: list[int] = []
-        hwm = [0, 0, 0]  # arena high-water marks: bid / pend / mail
+        hwm = [0, 0]  # arena high-water marks: bid / pend
 
         def alloc(free: list[int], which: int) -> int:
             if free:
@@ -430,12 +405,10 @@ class ReplayProgram:
             archives[rank].append((aid, op_name, phase, kid))
             return aid
 
-        # Structural stand-ins for the clock's runtime state: the per-rank
-        # pending FIFO (issue order is completion order on the one serial
-        # channel, see VirtualClock) and the cross-step p2p mailbox (a recv
-        # may match a send from an earlier step, like the live World mail).
+        # Structural stand-in for the clock's per-rank pending FIFO (issue
+        # order is completion order on the one serial channel, see
+        # VirtualClock).
         pending: list[deque] = [deque() for _ in range(n)]
-        mail: dict[tuple[int, int, int], deque] = {}
 
         def emit_drain(rank: int) -> None:
             q = pending[rank]
@@ -466,20 +439,6 @@ class ReplayProgram:
                     ops.append((_C_CHARGE, rank, seconds, cid))
                 elif kind == "drain":
                     emit_drain(rank)
-                elif kind == "send":
-                    mslot = alloc(free_mail, 2)
-                    pid = p2p_keys.setdefault(
-                        (ev.payload_bytes, rank, ev.peer), len(p2p_keys)
-                    )
-                    ops.append((_C_SEND, rank, mslot, pid))
-                    mail.setdefault((rank, ev.peer, ev.tag), deque()).append(mslot)
-                elif kind == "recv":
-                    queue = mail.get((ev.peer, rank, ev.tag))
-                    if not queue:
-                        return moved  # blocked: matching send not lowered yet
-                    mslot = queue.popleft()
-                    ops.append((_C_RECV, rank, mslot))
-                    free_mail.append(mslot)
                 elif kind == "coll":
                     key = ev.group
                     if rank not in key:
@@ -489,6 +448,8 @@ class ReplayProgram:
                             rank=rank, index=pos[rank], op=ev.op,
                         )
                     op_name, arrivals = slots.setdefault(key, (ev.op, {}))
+                    if rank in arrivals:
+                        return moved  # still blocked awaiting the rest of the group
                     if op_name != ev.op:
                         raise ScheduleReplayError(
                             f"rank {rank} event {pos[rank]} ({ev.op!r}): group "
@@ -558,7 +519,6 @@ class ReplayProgram:
                     detail = "; ".join(
                         f"rank {r} event {i}: {ev.kind}"
                         + (f" {ev.op!r}" if ev.op else "")
-                        + (f" peer={ev.peer} tag={ev.tag}" if ev.kind in ("send", "recv") else "")
                         + (f" group={ev.group}" if ev.kind == "coll" else "")
                         for r, i, ev in stuck
                     )
@@ -572,8 +532,7 @@ class ReplayProgram:
 
         self._ops = tuple(ops)
         self._cost_keys = tuple(cost_keys)  # dicts keep first-use order == id order
-        self._p2p_keys = tuple(p2p_keys)
-        self._n_bid, self._n_pend, self._n_mail = hwm
+        self._n_bid, self._n_pend = hwm
         self._n_charges, self._n_archives = n_spans
         self._charges = charges
         self._archives = archives
@@ -582,8 +541,7 @@ class ReplayProgram:
         return (
             f"ReplayProgram(world={self.schedule.world_size}, "
             f"steps={self.n_steps}, ops={len(self._ops)}, "
-            f"arenas=(bid={self._n_bid}, pend={self._n_pend}, "
-            f"mail={self._n_mail}))"
+            f"arenas=(bid={self._n_bid}, pend={self._n_pend}))"
         )
 
     def run(self, variants: Sequence[ReplayVariant]) -> list[ReplayResult]:
@@ -595,9 +553,7 @@ class ReplayProgram:
             clock = VirtualClock(cost=v.resolve_cost(), eager_phases=self.eager_phases)
             scale = float(v.compute_scale)
             times, *recorded = self._execute(
-                scale,
-                [clock.collective_seconds(*key) for key in self._cost_keys],
-                [clock.p2p_seconds(*key) for key in self._p2p_keys],
+                scale, [clock.collective_seconds(*key) for key in self._cost_keys]
             )
             clock.load_timeline(times, partial(self._spans, scale, *recorded))
             results.append(
@@ -605,7 +561,7 @@ class ReplayProgram:
             )
         return results
 
-    def _execute(self, scale: float, cvals: list, pvals: list) -> tuple:
+    def _execute(self, scale: float, cvals: list) -> tuple:
         """The kernel: one variant as straight-line python-float arithmetic.
 
         Each branch is the float arithmetic of the VirtualClock method it
@@ -621,7 +577,6 @@ class ReplayProgram:
         pend_i = [0.0] * self._n_pend
         pend_s = [0.0] * self._n_pend
         pend_e = [0.0] * self._n_pend
-        mailv = [0.0] * self._n_mail
         c_start = [0.0] * self._n_charges
         a_issue = [0.0] * self._n_archives
         a_start = [0.0] * self._n_archives
@@ -666,7 +621,7 @@ class ReplayProgram:
             elif code == _C_BID_BLOCK:  # collective_arrival, blocking (post-drain)
                 _, r, b = op
                 bids[b] = t[r]
-            elif code == _C_DRAIN:  # one pending entry of drain
+            else:  # _C_DRAIN: one pending entry of drain
                 _, r, p, aid = op
                 e = pend_e[p]
                 d = e - t[r]
@@ -676,17 +631,6 @@ class ReplayProgram:
                 if d > 0.0:
                     a_exp[aid] = d
                     t[r] = e
-            elif code == _C_SEND:
-                _, r, m, pid = op
-                v = t[r] + pvals[pid]
-                if v > t[r]:
-                    t[r] = v
-                mailv[m] = v
-            else:  # _C_RECV
-                _, r, m = op
-                v = mailv[m]
-                if v > t[r]:
-                    t[r] = v
         return t, c_start, a_issue, a_start, a_end, a_exp
 
     def _spans(self, scale, c_start, a_issue, a_start, a_end, a_exp) -> list[tuple]:

@@ -110,7 +110,7 @@ class TestRunningAggregation:
         st.lists(
             st.tuples(
                 st.integers(0, 3),                      # rank
-                st.sampled_from(["all_reduce", "all_gather", "send"]),
+                st.sampled_from(["all_reduce", "all_gather", "broadcast"]),
                 st.sampled_from(["", "forward", "backward"]),
                 st.integers(0, 1 << 20),                # payload
             ),
@@ -127,7 +127,7 @@ class TestRunningAggregation:
                 )
             )
         for op, phase, rank in [(None, None, None), ("all_reduce", None, None),
-                                (None, "backward", 2), ("send", "", 0)]:
+                                (None, "backward", 2), ("broadcast", "", 0)]:
             naive = [
                 r for r in log.records()
                 if (op is None or r.op == op)

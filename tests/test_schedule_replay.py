@@ -4,7 +4,8 @@ The tentpole contract: a schedule captured from ONE instrumented step and
 replayed for k steps produces per-rank virtual timelines **bitwise equal**
 to a live threaded run of k steps — across plans, world sizes and
 eager/blocking clock modes, and for arbitrary hypothesis-generated SPMD
-programs (compute charges, sub-group collectives, drains, ring p2p).
+programs (compute charges, world / half / single-rank group collectives,
+drains).
 """
 
 import dataclasses
@@ -128,8 +129,11 @@ _ITEM = st.one_of(
         st.just("coll_half"), st.sampled_from(_OPS), st.sampled_from(_PHASES),
         st.integers(1, 64),
     ),
+    st.tuples(
+        st.just("coll_solo"), st.sampled_from(_OPS), st.sampled_from(_PHASES),
+        st.integers(1, 64),
+    ),
     st.tuples(st.just("drain")),
-    st.tuples(st.just("ring"), st.integers(1, 64)),
 )
 _PROGRAM = st.lists(_ITEM, min_size=1, max_size=10)
 _EAGER = st.sampled_from([frozenset(), frozenset({"dp_sync"}), OVERLAP_PHASES])
@@ -139,15 +143,19 @@ def _run_program(comm, program):
     """Execute one SPMD-consistent program item list on this rank."""
     n = comm.size
     half_ranks = tuple(range(n // 2)) if comm.rank < n // 2 else tuple(range(n // 2, n))
-    half = ProcessGroup(comm.world, half_ranks)
+    groups = {
+        "coll": None,
+        "coll_half": ProcessGroup(comm.world, half_ranks),
+        "coll_solo": comm.group([comm.rank]),
+    }
     for item in program:
         kind = item[0]
         if kind == "compute":
             _, phase, seconds = item
             comm.charge_compute(seconds, phase=phase)
-        elif kind in ("coll", "coll_half"):
+        elif kind in groups:
             _, op, phase, units = item
-            group = half if kind == "coll_half" else None
+            group = groups[kind]
             g = group.size if group is not None else n
             with comm.phase_scope(phase):
                 if op == "barrier":
@@ -165,12 +173,8 @@ def _run_program(comm, program):
                 else:
                     root = group.ranks[0] if group is not None else 0
                     comm.broadcast(np.ones(units * g, np.float32), root, group=group)
-        elif kind == "drain":
+        else:
             comm.drain_comm()
-        else:  # ring p2p: send to the next rank, receive from the previous
-            _, units = item
-            comm.send(np.ones(units, np.float32), (comm.rank + 1) % n, tag=7)
-            comm.recv((comm.rank - 1) % n, tag=7)
 
 
 class TestProgramParity:
@@ -236,6 +240,11 @@ class TestSerialization:
             CapturedSchedule.from_clock(VirtualClock(MACHINE))
 
 
+#: A collective on (0, 1) that rank 1 never issues: lowering deadlocks.
+_ONE_SIDED = ScheduleEvent(kind="coll", rank=0, op="all_reduce", phase="tp",
+                           payload_bytes=64, group=(0, 1))
+
+
 class TestReplaySemantics:
     def test_n_steps_validation(self):
         schedule = CapturedSchedule(world_size=1)
@@ -254,10 +263,12 @@ class TestReplaySemantics:
             replay(schedule, MACHINE)
 
     def test_unmatched_recv_deadlocks_with_diagnostic(self):
-        events = (ScheduleEvent(kind="recv", rank=0, peer=1, tag=3),)
-        schedule = CapturedSchedule(world_size=2, events=events)
-        with pytest.raises(ScheduleReplayError, match="deadlock"):
+        """Rank 0 waits to receive rank 1's contribution to a collective on
+        (0, 1) that rank 1 never issues."""
+        schedule = CapturedSchedule(world_size=2, events=(_ONE_SIDED,))
+        with pytest.raises(ScheduleReplayError, match="deadlock") as exc_info:
             replay(schedule, MACHINE)
+        assert "rank 0 event 0: coll 'all_reduce' group=(0, 1)" in str(exc_info.value)
 
     def test_mismatch_error_names_rank_event_and_op(self):
         """The rendered diagnostic carries enough to find the bad event:
@@ -294,17 +305,21 @@ class TestReplaySemantics:
         assert "rank 0 event 0 ('broadcast')" in str(err)
 
     def test_deadlock_error_reports_each_blocked_rank(self):
-        events = (
-            ScheduleEvent(kind="recv", rank=0, peer=1, tag=3),
-            ScheduleEvent(kind="recv", rank=1, peer=0, tag=9),
+        """A three-rank cycle: each rank waits on a pair collective whose
+        other member is blocked on a different pair."""
+        events = tuple(
+            ScheduleEvent(kind="coll", rank=rank, op="all_reduce", phase="tp",
+                          payload_bytes=64, group=group)
+            for rank, group in ((0, (0, 1)), (1, (1, 2)), (2, (0, 2)))
         )
-        schedule = CapturedSchedule(world_size=2, events=events)
+        schedule = CapturedSchedule(world_size=3, events=events)
         with pytest.raises(ScheduleReplayError, match="deadlock") as exc_info:
             replay(schedule, MACHINE)
         err = exc_info.value
         text = str(err)
-        assert "rank 0 event 0" in text and "rank 1 event 0" in text
-        assert err.rank is not None and err.index is not None
+        for rank, group in ((0, (0, 1)), (1, (1, 2)), (2, (0, 2))):
+            assert f"rank {rank} event 0: coll 'all_reduce' group={group}" in text
+        assert (err.rank, err.index, err.op) == (0, 0, "all_reduce")
 
     def test_compute_scale_scales_pure_compute_linearly(self):
         events = (
@@ -321,10 +336,7 @@ class TestReplaySemantics:
         up front — even for a schedule whose lowering would itself fail."""
         from repro.perf.cost import CostModel
 
-        deadlocked = CapturedSchedule(
-            world_size=2,
-            events=(ScheduleEvent(kind="recv", rank=0, peer=1, tag=3),),
-        )
+        deadlocked = CapturedSchedule(world_size=2, events=(_ONE_SIDED,))
         with pytest.raises(ValueError, match="compute_scale"):
             replay(deadlocked, MACHINE, compute_scale=-0.5)
         other = dataclasses.replace(MACHINE)  # equal, but not the priced object
@@ -490,10 +502,7 @@ class TestReadOutParity:
         with pytest.raises(ScheduleReplayError, match="mismatch") as exc_info:
             ReplayProgram(sched)
         assert exc_info.value.op in ("all_reduce", "all_gather")
-        deadlocked = CapturedSchedule(
-            world_size=2,
-            events=(ScheduleEvent(kind="recv", rank=0, peer=1, tag=3),),
-        )
+        deadlocked = CapturedSchedule(world_size=2, events=(_ONE_SIDED,))
         with pytest.raises(ScheduleReplayError, match="deadlock"):
             ReplayProgram(deadlocked)
 

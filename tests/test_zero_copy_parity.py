@@ -350,29 +350,87 @@ class TestGatherParity:
         assert _wire_ok(world, "broadcast", contribs[0].nbytes, n)
         assert _wire_ok(world, "all_to_all", contribs[0].nbytes, n)
 
-    @common
-    @given(
-        n=st.sampled_from(WORLD_SIZES),
-        length=st.integers(1, 40),
-        seed=st.integers(0, 2**31),
+
+#: (collective, reduce op) pairs of the solo-group fence; barrier has no out=.
+SOLO_CASES = [
+    pytest.param(
+        name, reduce_op, use_out,
+        id="-".join(filter(None, (name, reduce_op, "out" if use_out else ""))),
     )
-    def test_gather_scatter_bitwise(self, n, length, seed):
-        contribs = _contribs(n, length * n, np.float32, seed)
+    for name, reduce_op in (
+        ("all_reduce", "sum"), ("all_reduce", "mean"), ("all_gather", None),
+        ("reduce_scatter", None), ("broadcast", None), ("all_to_all", None),
+        ("barrier", None),
+    )
+    for use_out in ((False,) if name == "barrier" else (False, True))
+]
+
+
+def _issue_solo(comm, name, reduce_op, group, mine, use_out):
+    """Issue one collective on *group*; returns ``(result parts, out parts)``
+    as lists of arrays (empty for a barrier, ``out parts`` None without out=)."""
+    if name == "barrier":
+        comm.barrier(group=group)
+        return [], None
+    if name in ("all_gather", "all_to_all"):
+        out = [np.empty_like(mine)] if use_out else None
+        if name == "all_gather":
+            return list(comm.all_gather(mine, group=group, out=out)), out
+        return list(comm.all_to_all([mine], group=group, out=out)), out
+    out = np.empty_like(mine) if use_out else None
+    if name == "broadcast":
+        res = comm.broadcast(mine, comm.rank, group=group, out=out)
+    elif name == "reduce_scatter":
+        res = comm.reduce_scatter(mine, group=group, out=out)
+    else:
+        res = comm.all_reduce(mine, op=reduce_op, group=group, out=out)
+    return [res], None if out is None else [out]
+
+
+class TestSoloGroupParity:
+    """A collective on a one-rank group is a private copy of the input: one
+    zero-wire traffic record stamped at the rank's current virtual time, no
+    clock movement (an eager collective stays pending) and no captured
+    schedule event."""
+
+    @pytest.mark.parametrize("name,reduce_op,use_out", SOLO_CASES)
+    def test_solo_group_is_a_local_copy(self, name, reduce_op, use_out):
+        from repro.perf import VirtualClock, frontier
+
+        clock = VirtualClock(frontier(), eager_phases={"dp_sync"}, capture=True)
 
         def fn(comm):
-            chunks = np.split(contribs[0], n) if comm.rank == 0 else None
-            got_s = comm.scatter(chunks, root=0).copy()
-            gathered = comm.gather(contribs[comm.rank], root=0)
-            return got_s, None if gathered is None else [p.copy() for p in gathered]
+            solo = comm.group([comm.rank])
+            mine = np.arange(6, dtype=np.float64) * 1.25 + comm.rank
+            comm.charge_compute(1e-6 * (comm.rank + 1), phase="forward")
+            with comm.phase_scope("dp_sync"):
+                # In flight across the solo op: a drain would settle it.
+                comm.all_reduce(np.ones(1024, np.float32))
+                before = comm.now()
+                parts, outs = _issue_solo(comm, name, reduce_op, solo, mine, use_out)
+                after = comm.now()
+            for i, part in enumerate(parts):
+                if outs is not None:
+                    assert part is outs[i]
+                assert not np.shares_memory(part, mine)
+                assert np.array_equal(part, mine)
+            return before, after
 
-        results, _ = run_spmd_world(fn, n)
-        for rank, (got_s, gathered) in enumerate(results):
-            assert np.array_equal(got_s, np.split(contribs[0], n)[rank])
-            if rank == 0:
-                for i in range(n):
-                    assert np.array_equal(gathered[i], contribs[i])
-            else:
-                assert gathered is None
+        results, world = run_spmd_world(fn, 2, clock=clock)
+        for rank, (before, after) in enumerate(results):
+            assert after == before
+            solo_recs = [
+                r for r in world.traffic.records(rank=rank) if r.group_size == 1
+            ]
+            assert len(solo_recs) == (0 if name == "barrier" else 1)
+            for rec in solo_recs:
+                assert rec.op == name
+                assert rec.wire_bytes == 0
+                assert rec.vstart == rec.vend == before
+        sched = clock.schedule()
+        assert [(ev.rank, ev.op, ev.group) for ev in sched.events if ev.kind == "coll"] == [
+            (0, "all_reduce", (0, 1)), (1, "all_reduce", (0, 1)),
+        ]
 
 
 class TestOutBufferValidation:
