@@ -133,7 +133,7 @@ def all_gather_forward_only(
     def backward(grad: np.ndarray) -> None:
         idx = [slice(None)] * grad.ndim
         idx[axis] = slice(lo, lo + width)
-        x._accumulate(np.ascontiguousarray(grad[tuple(idx)]))
+        x._accumulate(grad[tuple(idx)])
 
     return x._make(out_data, (x,), backward, "all_gather_forward_only")
 

@@ -64,6 +64,9 @@ class FlatParamShard:
         ``phase="fsdp_gather"`` so :mod:`repro.perf.overlap` can derive how
         much of it a prefetching implementation hides under forward compute
         (the backward collectives keep the runtime's ``"backward"`` stamp).
+        Each parameter is a basic slice of the gathered unit, whose backward
+        adds into the unit's one gradient buffer in place, so unflattening
+        costs O(unit) per step whatever the parameter count.
         """
         with self.comm.phase_scope("fsdp_gather"):
             full = all_gather_autograd(

@@ -13,7 +13,11 @@ Design notes
   it over with ``_accumulate(buf, True)`` and must not touch it again; every
   other array (views of the incoming grad, pass-through grads, anything from
   outside this package) is copied on first touch.  An interior node's grad is
-  dropped as soon as its closure has run.
+  dropped as soon as its closure has run.  Because the owner is unique, a
+  basic-index ``__getitem__`` scatters straight into an existing grad
+  (``grad[idx] += g``), so carving a tensor into P slices costs one
+  parent-sized buffer, not P; array indices keep a private buffer and
+  ``np.add.at``, since adding repeats into the grad would reorder its sums.
 * Broadcasting follows NumPy semantics; backward passes un-broadcast by
   summing over the broadcast axes.
 * ``matmul`` reports FLOPs to :mod:`repro.tensor.flops` so that small real
@@ -96,7 +100,7 @@ def _as_array(value, dtype=None) -> np.ndarray:
     elif arr.dtype == np.float64 and dtype is None:
         # Default to float32, matching the training precision used on Frontier.
         arr = arr.astype(np.float32)
-    elif not np.issubdtype(arr.dtype, np.floating) and dtype is None:
+    elif arr.dtype.kind != "f" and dtype is None:
         arr = arr.astype(np.float32)
     return arr
 
@@ -122,7 +126,7 @@ class Tensor:
             data = _as_array(data, dtype)
         elif dtype is not None and data.dtype != dtype:
             data = data.astype(dtype)
-        elif not np.issubdtype(data.dtype, np.floating):
+        elif data.dtype.kind != "f":
             # Tensors are floating-point; integer inputs become float32
             # (index arrays stay plain numpy and never enter Tensors).
             data = data.astype(np.float32)
@@ -556,14 +560,16 @@ class Tensor:
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        if not axes:
-            axes = tuple(reversed(range(self.ndim)))
-        inv = np.argsort(axes)
+        out_data = self.data.transpose(*axes)  # validates the axes
+        ndim = self.ndim
+        inv = [0] * ndim
+        for i, a in enumerate(axes or reversed(range(ndim))):
+            inv[a % ndim] = i
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad.transpose(inv))
 
-        return self._make(self.data.transpose(axes), (self,), backward, "transpose")
+        return self._make(out_data, (self,), backward, "transpose")
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
@@ -575,11 +581,21 @@ class Tensor:
         out_data = self.data[idx]
 
         def backward(grad: np.ndarray) -> None:
+            if not self.requires_grad:
+                return
+            basic = _is_basic_index(idx)
+            if basic and self.grad is not None:
+                # Scatter into the owned grad in place: O(slice), not O(parent).
+                self.grad[idx] += grad.astype(self.grad.dtype, copy=False)
+                return
             full = np.zeros_like(self.data)
-            if _is_basic_index(idx):
+            if basic:
                 full[idx] = grad  # no element is selected twice
             else:
-                np.add.at(full, idx, grad)  # array indices may repeat: sum
+                # Array indices may repeat: sum them in this private buffer
+                # first, since adding repeats one by one into an existing
+                # grad would reorder its float sums.
+                np.add.at(full, idx, grad)
             self._accumulate(full, True)
 
         return self._make(out_data, (self,), backward, "getitem")

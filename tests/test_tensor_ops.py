@@ -173,6 +173,9 @@ class TestShape:
     def test_transpose_grads(self):
         check_gradients(lambda a: a.transpose(), [r(3, 4)])
         check_gradients(lambda a: a.transpose(2, 0, 1), [r(2, 3, 4)])
+        # negative axes: the inverse permutation is of the normalised axes
+        check_gradients(lambda a: a.transpose(0, -1, 1), [r(2, 3, 4)])
+        check_gradients(lambda a: a.transpose(0, -1, 1), [r(3, 3, 3)])
 
     def test_swapaxes_grads(self):
         check_gradients(lambda a: a.swapaxes(0, 2), [r(2, 3, 4)])

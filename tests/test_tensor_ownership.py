@@ -4,18 +4,21 @@ Closures inside ``repro.tensor`` hand over buffers they have just created
 (``_accumulate(buf, True)``); everything else — views of the incoming grad,
 pass-through grads, the caller's ``backward(gradient=…)`` array and every
 caller outside ``repro.tensor`` — is copied on first touch.  Interior grads
-are dropped once consumed; leaves keep theirs.
+are dropped once consumed; leaves keep theirs.  Because the owner is unique,
+a basic-index slice adds into its parent's grad in place after first touch.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.dist import copy_to_group, run_spmd
 from repro.models import build_serial_mae
-from repro.parallel import SPContext, all_to_all_tokens_to_heads, scatter_sequence
-from repro.tensor import Tensor, checkpoint
+from repro.nn import ViTEncoder
+from repro.parallel import FSDPModel, SPContext, all_to_all_tokens_to_heads, scatter_sequence
+from repro.tensor import MemoryTracker, Tensor, checkpoint, track_memory
 from repro.tensor import functional as F
 
 RNG = np.random.default_rng(99)
@@ -161,6 +164,103 @@ class TestAccumulation:
         (x * 3.0).sum().backward()
         assert x.grad is first  # accumulated in place
         np.testing.assert_array_equal(x.grad, 5 * np.ones(5))
+
+
+def _zero_assign_getitem(self, idx):
+    """The basic-index scatter before in-place accumulation: every slice's
+    backward builds a parent-sized zero buffer, assigns into it and adds
+    the whole buffer into the parent's grad."""
+
+    def backward(grad):
+        full = np.zeros_like(self.data)
+        full[idx] = grad
+        self._accumulate(full, True)
+
+    return self._make(self.data[idx], (self,), backward, "getitem")
+
+
+def _mixed_slice_grads(non_slice_first):
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.standard_normal((8, 6)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 6)).astype(np.float32), requires_grad=True)
+    c = [
+        Tensor(rng.standard_normal(s).astype(np.float32))
+        for s in ((4, 6), (6,), (4, 2), (1, 8, 2))
+    ]
+    slices = (
+        (x[1:5] * w).sum()  # overlaps the next slice on rows 3-4
+        + (x[3:7] * c[0]).tanh().sum()
+        + (x[2] * c[1]).sum()  # int index
+        + (x[::-2, ::-3] * c[2]).sum()  # negative steps
+        + (x[None, ..., 1:3] * c[3]).sum()  # None / Ellipsis
+    )
+    other = (x.exp() * 0.5).sum()  # a non-slice consumer of the same parent
+    loss = other + slices if non_slice_first else slices + other
+    loss.backward()
+    return x.grad, w.grad
+
+
+class TestSliceScatter:
+    def test_slices_share_one_parent_sized_buffer(self):
+        # FSDP's unflatten shape: P basic slices carved from one flat tensor.
+        n, p, width = 1 << 16, 8, 256
+        x = Tensor(np.ones(n, dtype=np.float32), requires_grad=True)
+        sizes = []
+
+        class Recording(MemoryTracker):
+            def allocate(self, nbytes):
+                sizes.append(nbytes)
+                super().allocate(nbytes)
+
+        with track_memory(Recording()):
+            loss = x[0:width].sum()
+            for i in range(1, p):
+                loss = loss + (x[i * (n // p) : i * (n // p) + width] * float(i + 1)).sum()
+            # The tracker sees only arrays a Tensor owns; numpy's allocation
+            # trace also sees scratch buffers a closure never registers.
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                loss.backward()
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert sizes.count(x.nbytes) == 1
+        assert peak < 1.5 * x.nbytes  # never a second parent-sized buffer
+        expect = np.zeros(n, dtype=np.float32)
+        for i in range(p):
+            expect[i * (n // p) : i * (n // p) + width] = i + 1
+        np.testing.assert_array_equal(x.grad, expect)
+
+    @pytest.mark.parametrize("non_slice_first", [True, False])
+    def test_in_place_matches_zero_assign_formula(self, non_slice_first, monkeypatch):
+        x_grad, w_grad = _mixed_slice_grads(non_slice_first)
+        monkeypatch.setattr(Tensor, "__getitem__", _zero_assign_getitem)
+        ref_x, ref_w = _mixed_slice_grads(non_slice_first)
+        assert x_grad.dtype == np.float32
+        assert np.array_equal(x_grad, ref_x)
+        assert np.array_equal(w_grad, ref_w)
+        assert_disjoint([x_grad, w_grad])
+
+    def test_fsdp_unit_of_many_params_matches_serial(self):
+        dim = 16
+        x = r(2, 5, dim)
+        serial = ViTEncoder(dim, 2, 4, np.random.default_rng(0))
+        (serial(Tensor(x)) ** 2).mean().backward()
+        serial_flat = np.concatenate([p.grad.ravel() for p in serial.parameters()])
+        assert len(list(serial.parameters())) >= 20
+
+        def fn(comm):
+            model = FSDPModel(comm, None, ViTEncoder(dim, 2, 4, np.random.default_rng(0)))
+            (model(Tensor(x)) ** 2).mean().backward()
+            (unit,) = model.units  # the whole encoder is one flat unit
+            return unit.flat.shard.grad, unit.flat.shard_size
+
+        for rank, (grad, size) in enumerate(run_spmd(fn, 2)):
+            expect = np.zeros(size, dtype=np.float32)
+            part = serial_flat[rank * size : (rank + 1) * size]
+            expect[: part.size] = part
+            np.testing.assert_array_equal(grad, expect)
 
 
 class TestInteriorGradRelease:
