@@ -39,9 +39,6 @@ list cell, attribute or dict item atomic:
   waiters read it in the poll-timeout path of the wait loop;
 * ``_Slot.values[me]`` / ``_Slot.value_errors[me]`` — each waiter picks up
   (and clears) its own cell after the wake;
-* :class:`~repro.dist.stats.TrafficLog` aggregate queries read a copy of the
-  bucket table, and ``records_by_rank`` walks the append-only record list by
-  index, without taking the write lock;
 * :class:`repro.perf.clock.VirtualClock` fills its price memo dict from every
   member rank without a lock (a lost race recomputes the same value).
 
@@ -282,7 +279,6 @@ class World:
     def __init__(
         self,
         size: int,
-        timeline: bool = False,
         failure_plan: Any | None = None,
         clock: SimClock | None = None,
     ) -> None:
@@ -300,7 +296,7 @@ class World:
                 f"(repro.perf.clock.VirtualClock), got {type(clock).__name__}"
             )
         self.size = size
-        self.traffic = TrafficLog(timeline=timeline)
+        self.traffic = TrafficLog()
         self.failure_plan = failure_plan
         self.clock = clock
         if clock is not None:
@@ -1066,7 +1062,6 @@ def run_spmd_world(
     world_size: int,
     *args,
     timeout: float | None = None,
-    timeline: bool = False,
     failure_plan: Any | None = None,
     clock: SimClock | None = None,
 ) -> tuple[list, World]:
@@ -1076,15 +1071,14 @@ def run_spmd_world(
     exposes ``traffic``, ``rank_status`` and ``default_group`` for
     post-mortem inspection.  Raises :class:`SpmdError` if any rank fails or
     the run exceeds *timeout* seconds (default 120); the error carries the
-    failed ``rank`` and the dead ``world``.  ``timeline=True`` stamps every
-    traffic record with a per-world sequence number and monotonic timestamp;
-    ``failure_plan`` installs a scripted-crash plan consulted by
-    :meth:`Communicator.tick`; ``clock`` installs a virtual clock (e.g.
-    :class:`repro.perf.clock.VirtualClock`) that prices every collective and
-    produces deterministic per-rank simulated timelines.
+    failed ``rank`` and the dead ``world``.  ``failure_plan`` installs a
+    scripted-crash plan consulted by :meth:`Communicator.tick`; ``clock``
+    installs a virtual clock (e.g. :class:`repro.perf.clock.VirtualClock`)
+    that prices every collective and produces deterministic per-rank
+    simulated timelines.
     """
     timeout = _DEFAULT_TIMEOUT_S if timeout is None else float(timeout)
-    world = World(world_size, timeline=timeline, failure_plan=failure_plan, clock=clock)
+    world = World(world_size, failure_plan=failure_plan, clock=clock)
     results: list = [None] * world_size
 
     def runner(rank: int) -> None:
@@ -1150,7 +1144,6 @@ def run_spmd(
     world_size: int,
     *args,
     timeout: float | None = None,
-    timeline: bool = False,
     failure_plan: Any | None = None,
     clock: SimClock | None = None,
 ) -> list:
@@ -1160,7 +1153,6 @@ def run_spmd(
         world_size,
         *args,
         timeout=timeout,
-        timeline=timeline,
         failure_plan=failure_plan,
         clock=clock,
     )

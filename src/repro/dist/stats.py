@@ -34,8 +34,7 @@ Per-rank ring wire volume:
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["ring_wire_bytes", "TrafficRecord", "TrafficTotals", "TrafficLog"]
 
@@ -67,18 +66,13 @@ def ring_wire_bytes(op: str, payload_bytes: int, group_size: int) -> int:
 class TrafficRecord:
     """One collective issued by one rank.
 
-    ``seq`` and ``timestamp`` are only populated when the owning
-    :class:`TrafficLog` runs in timeline mode (``timeline=True``): ``seq`` is
-    a per-world monotonically increasing arrival index and ``timestamp`` a
-    ``time.monotonic()`` stamp.  Both stay ``-1`` when the flag is off (the
-    default).
-
     ``vstart``/``vend`` are **virtual-clock** stamps, populated when the
     world runs with ``run_spmd(..., clock=VirtualClock(machine))``: ``vstart``
     is this rank's simulated time when it entered the collective and ``vend``
     the group-wide simulated completion (slowest arrival + α–β collective
     cost), so ``vend − vstart`` includes time spent waiting for stragglers.
-    Both stay ``-1.0`` without a clock.
+    Both stay ``-1.0`` without a clock; a collective that failed or was
+    unwound by a world abort keeps its ``vstart`` but logs ``vend = -1.0``.
     """
 
     rank: int
@@ -87,8 +81,6 @@ class TrafficRecord:
     payload_bytes: int
     wire_bytes: int
     group_size: int
-    seq: int = -1
-    timestamp: float = -1.0
     vstart: float = -1.0
     vend: float = -1.0
 
@@ -98,8 +90,9 @@ class TrafficTotals:
     """Single-pass aggregate of one (op, phase, rank) bucket of records.
 
     ``vseconds`` sums the virtual collective wall-time ``vend − vstart``
-    over the bucket's clock-stamped records (``vstart >= 0``); it stays 0
-    for worlds run without a virtual clock.
+    over the bucket's completed clock-stamped records (both stamps
+    ``>= 0``); it stays 0 for worlds run without a virtual clock, and an
+    aborted collective (``vend = -1``) adds to ``count`` but not to it.
     """
 
     count: int = 0
@@ -118,30 +111,22 @@ class TrafficLog:
 
     Aggregates (``count`` / ``payload_bytes`` / ``wire_bytes`` /
     ``ops_histogram`` / ``totals``) are maintained as **running per-bucket
-    totals** keyed by ``(op, phase, rank)``.  Bucket values are immutable
-    tuples replaced wholesale under the write lock, so aggregate queries
-    read a GIL-atomic snapshot of the bucket table **without taking the
-    lock** — a monitoring thread polling :meth:`totals` never blocks the
-    rank threads, and every bucket it sees is internally consistent.
-    Writes take the lock once per record.
+    totals** keyed by ``(op, phase, rank)``, so a query costs O(buckets),
+    not O(records).  Every read and write takes the one lock.
     """
 
-    def __init__(self, timeline: bool = False) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._records: list[TrafficRecord] = []
-        # (op, phase, rank) -> (count, payload_bytes, wire_bytes, vseconds),
-        # tuples replaced atomically so readers need no lock.
+        # (op, phase, rank) -> (count, payload_bytes, wire_bytes, vseconds)
         self._buckets: dict[tuple[str, str, int], tuple[int, int, int, float]] = {}
-        self.timeline = bool(timeline)
 
     def add(self, record: TrafficRecord) -> None:
         key = (record.op, record.phase, record.rank)
-        vs = (record.vend - record.vstart) if record.vstart >= 0.0 else 0.0
+        vs = 0.0
+        if record.vstart >= 0.0 and record.vend >= 0.0:
+            vs = record.vend - record.vstart
         with self._lock:
-            if self.timeline:
-                record = replace(
-                    record, seq=len(self._records), timestamp=time.monotonic()
-                )
             self._records.append(record)
             c, p, w, v = self._buckets.get(key, (0, 0, 0, 0.0))
             self._buckets[key] = (
@@ -160,10 +145,9 @@ class TrafficLog:
         """Matching records.
 
         Each rank's own records appear in issue order; the cross-rank
-        interleaving is unspecified unless the log runs in timeline mode
-        (sort by ``seq`` there).  Unlike the aggregate queries this walks
-        the full record list (O(records)); use it for per-record data —
-        timeline stamps, virtual intervals — not for counting.
+        interleaving is unspecified.  Unlike the aggregate queries this
+        walks the full record list (O(records)); use it for per-record
+        data — virtual intervals, post-mortem inspection — not for counting.
         """
         with self._lock:
             records = list(self._records)
@@ -180,15 +164,13 @@ class TrafficLog:
     def totals(
         self, op: str | None = None, phase: str | None = None, rank: int | None = None
     ) -> TrafficTotals:
-        """Aggregate over every bucket matching the given filters.
-
-        Lock-free: reads a GIL-atomic snapshot of the bucket table, so a
-        polling reader never blocks the rank threads mid-collective, and
-        every record added before the call is counted.
-        """
+        """Aggregate over every bucket matching the given filters; every
+        record added before the call is counted."""
         count = payload = wire = 0
         vseconds = 0.0
-        for (b_op, b_phase, b_rank), (c, p, w, v) in self._buckets.copy().items():
+        with self._lock:
+            buckets = list(self._buckets.items())
+        for (b_op, b_phase, b_rank), (c, p, w, v) in buckets:
             if (
                 (op is None or b_op == op)
                 and (phase is None or b_phase == phase)
@@ -222,7 +204,9 @@ class TrafficLog:
         (ties broken by op name for determinism) — the cap large-world
         drivers use so a histogram render never enumerates every op."""
         hist: dict[str, int] = {}
-        for (b_op, _b_phase, b_rank), (c, _p, _w, _v) in self._buckets.copy().items():
+        with self._lock:
+            buckets = list(self._buckets.items())
+        for (b_op, _b_phase, b_rank), (c, _p, _w, _v) in buckets:
             if rank is None or b_rank == rank:
                 hist[b_op] = hist.get(b_op, 0) + c
         if top is not None and len(hist) > top:
@@ -230,31 +214,9 @@ class TrafficLog:
             return dict(kept)
         return hist
 
-    def records_by_rank(
-        self, rank: int, op: str | None = None, phase: str | None = None
-    ):
-        """Stream one rank's records without copying the whole log.
-
-        Yields this rank's records in issue order.  The shared record list
-        is append-only while a world runs, so walking it by index is safe
-        without snapshotting it — the O(world · records) copy
-        :meth:`records` pays per call never happens here.  A concurrent
-        :meth:`reset` simply ends the stream early.
-        """
-        i = 0
-        while True:
-            try:
-                r = self._records[i]
-            except IndexError:
-                break
-            i += 1
-            if r.rank != rank:
-                continue
-            if (op is None or r.op == op) and (phase is None or r.phase == phase):
-                yield r
-
     def __len__(self) -> int:
-        return len(self._records)
+        with self._lock:
+            return len(self._records)
 
     #: Ops rendered by ``repr`` before the histogram is elided.
     _REPR_TOP_OPS = 6

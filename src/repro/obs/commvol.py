@@ -240,7 +240,7 @@ def comm_volume_report(
 
     # -- measured: the traffic log, link-classed by the plan's placement --
     measured_keys = set()
-    for r in world.traffic.records_by_rank(rank):
+    for r in world.traffic.records(rank=rank):
         axis = PHASE_AXES.get(r.phase)
         if axis is None:
             continue  # not a schedule phase (e.g. a barrier outside the step)

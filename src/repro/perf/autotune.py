@@ -27,9 +27,9 @@ fractions instead:
   replays it under each candidate's placement and compute balance, so every
   plan is ranked with fractions derived from *its own* simulated timeline.
 
-Combined with a host-calibrated machine
-(:func:`~repro.perf.calibrate.load_or_fit_machine`), the search ranks on
-measured inputs end to end instead of paper constants.
+Combined with a host-calibrated machine (``python -m
+repro.perf.calibrate --fit-host PATH``, then :meth:`MachineSpec.load`), the
+search ranks on measured inputs end to end instead of paper constants.
 """
 
 from __future__ import annotations
@@ -387,8 +387,6 @@ def sweep_replay(
 _SIM_MODEL = ModelConfig("overlap-sim", dim=32, depth=2, heads=4, patch=4, image_hw=(16, 16))
 _SIM_CHANNELS = 16
 _SIM_BATCH = 2
-#: Most DP buckets a stand-in splits its gradient AllReduce into.
-_MAX_DP_BUCKETS = 4
 
 
 def _shrink_plan(plan: ParallelPlan) -> ParallelPlan:
@@ -477,10 +475,11 @@ def _dp_buckets_for(
     The stand-in's payloads are tiny (latency-dominated), so the in-replay
     cap would always pick 1; the real gradient AllReduce is volume-dominated
     and buckets profitably.  Computed once here — via the shared
-    :meth:`CostModel.bucket_cap` rule — and passed with the cap disabled.
+    :meth:`CostModel.bucket_cap` rule — and passed to the replay as an
+    exact count.
     """
     from .comm_model import step_comm_schedule  # local: avoid import cycle noise
-    from .cost import CostModel
+    from .cost import MAX_DP_BUCKETS, CostModel
 
     if plan.dp <= 1:
         return 1
@@ -488,7 +487,7 @@ def _dp_buckets_for(
     intra = axis_intra_node(plan, machine)["dp"]
     for ev in step_comm_schedule(model, Workload(channels, micro), plan, precision):
         if ev.axis == "dp" and ev.op == "all_reduce":
-            return cost.bucket_cap(ev.op, ev.payload_bytes, plan.dp, intra, _MAX_DP_BUCKETS)
+            return cost.bucket_cap(ev.op, ev.payload_bytes, plan.dp, intra, MAX_DP_BUCKETS)
     return 1
 
 
@@ -537,7 +536,6 @@ def _capture_standin(
         machine,
         eager=True,
         dp_buckets=buckets,
-        cap_dp_buckets=False,
         workspace=workspace,
         capture=True,
     ).schedule

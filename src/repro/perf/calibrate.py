@@ -14,11 +14,12 @@ SPMD runtime driven with a :class:`VirtualClock`:
    come from two sources: **virtual** (the clock re-prices its own
    CostModel, so the fit recovers the spec to float precision — the
    two-layers-share-one-core proof) or **wall-clock**
-   (:func:`wallclock_fit_samples`, real ``timeline=True`` timestamps of the
-   threaded runtime on *this host*).  :func:`fit_machine_wallclock` turns a
-   wall-clock fit into a host-calibrated :class:`MachineSpec`, and
-   :func:`load_or_fit_machine` persists/loads it as JSON so the autotuner
-   ranks plans with measured constants instead of paper ones.
+   (:func:`wallclock_fit_samples`, ``time.perf_counter()`` stamps each rank
+   takes as its collectives return, on warm buffers, on *this host*).
+   :func:`fit_machine_wallclock` turns a wall-clock fit into a
+   host-calibrated :class:`MachineSpec`; ``--fit-host PATH`` saves it with
+   :meth:`MachineSpec.save`, and :meth:`MachineSpec.load` hands it back to
+   the autotuner in place of the paper constants.
 3. :func:`measure_plan` — replays the exact
    :func:`~repro.perf.comm_model.step_comm_schedule` of a hybrid
    (tp × sp × fsdp × dp) plan through a real :class:`~repro.parallel.DeviceMesh`
@@ -39,12 +40,12 @@ wire-parity or fit-residual violation)::
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from ..dist import run_spmd_world
+from ..dist import run_spmd, run_spmd_world
 from .clock import VirtualClock
 from .comm_model import (
     CommBreakdown,
@@ -52,7 +53,7 @@ from .comm_model import (
     estimate_step_comm,
     step_comm_schedule,
 )
-from .cost import CostModel
+from .cost import MAX_DP_BUCKETS, CostModel
 from .flops import TRAIN_MULT, estimate_flops
 from .machine import MachineSpec, frontier
 from .modelcfg import ModelConfig
@@ -71,8 +72,6 @@ __all__ = [
     "fit_machine",
     "wallclock_fit_samples",
     "fit_machine_wallclock",
-    "host_fingerprint",
-    "load_or_fit_machine",
     "MeasuredComm",
     "measure_plan",
     "main",
@@ -100,15 +99,15 @@ AXIS_PHASES = {
 BLOCKING_AXES = ("tp", "gather", "sp", "sp_gather", "sp_scatter")
 
 
-def _issue(comm, op: str, payload_bytes: int, group, scratch: dict | None = None) -> None:
+def _issue(comm, op: str, payload_bytes: int, group, scratch: dict) -> None:
     """Issue one collective with exactly *payload_bytes* of per-rank payload
     (uint8 buffers, so any integer byte count is representable).
 
-    *scratch* is an optional per-rank buffer cache: input and ``out=``
-    buffers are allocated once per (kind, size) and reused across the
-    schedule, so a replay measures the runtime's steady-state data path
-    (warm preallocated buffers, zero allocations per collective) instead of
-    the allocator.  Pass ``None`` to allocate fresh buffers per collective.
+    *scratch* is the calling rank's buffer cache: input and ``out=``
+    buffers are allocated once per (kind, size) and reused across calls,
+    so a replay or a wall-clock fit measures the runtime's steady-state
+    data path (warm buffers, zero allocations per collective) instead of
+    the allocator.
     """
     n = group.size
     if op in ("reduce_scatter", "all_to_all") and payload_bytes % n != 0:
@@ -119,8 +118,6 @@ def _issue(comm, op: str, payload_bytes: int, group, scratch: dict | None = None
         )
 
     def buffer(kind: str, nbytes: int) -> np.ndarray:
-        if scratch is None:
-            return np.zeros(nbytes, dtype=np.uint8)
         key = (kind, nbytes)
         buf = scratch.get(key)
         if buf is None:
@@ -128,31 +125,21 @@ def _issue(comm, op: str, payload_bytes: int, group, scratch: dict | None = None
         return buf
 
     buf = buffer("in", payload_bytes)
-    reuse = scratch is not None
     if op == "all_reduce":
-        comm.all_reduce(
-            buf, group=group, out=buffer("out", payload_bytes) if reuse else None
-        )
+        comm.all_reduce(buf, group=group, out=buffer("out", payload_bytes))
     elif op == "all_gather":
-        outs = (
-            [buffer(f"ag{i}", payload_bytes) for i in range(n)] if reuse else None
-        )
+        outs = [buffer(f"ag{i}", payload_bytes) for i in range(n)]
         comm.all_gather(buf, group=group, out=outs)
     elif op == "reduce_scatter":
-        comm.reduce_scatter(
-            buf, group=group,
-            out=buffer("rs", payload_bytes // n) if reuse else None,
-        )
+        comm.reduce_scatter(buf, group=group, out=buffer("rs", payload_bytes // n))
     elif op == "broadcast":
         root = group.ranks[0]
         comm.broadcast(
             buf if comm.rank == root else None, root=root, group=group,
-            out=buffer("bc", payload_bytes) if reuse else None,
+            out=buffer("bc", payload_bytes),
         )
     elif op == "all_to_all":
-        outs = (
-            [buffer(f"aa{i}", payload_bytes // n) for i in range(n)] if reuse else None
-        )
+        outs = [buffer(f"aa{i}", payload_bytes // n) for i in range(n)]
         comm.all_to_all(np.split(buf, n), group=group, out=outs)
     else:
         raise ValueError(f"unknown ring collective {op!r}")
@@ -207,7 +194,7 @@ def _run_one(
     clock = VirtualClock(machine)
 
     def fn(comm):
-        _issue(comm, op, payload_bytes, comm.world.default_group)
+        _issue(comm, op, payload_bytes, comm.world.default_group, {})
         return comm.now()
 
     _, world = run_spmd_world(fn, world_size, clock=clock, timeout=60.0)
@@ -256,7 +243,7 @@ class FitSample:
 
     ``steps`` and ``wire_bytes`` are the CostModel features; ``seconds``
     the measured duration — virtual (clock-priced) or wall-clock
-    (``timeline=True`` timestamps of the threaded runtime).
+    (:func:`wallclock_fit_samples`' rank-side completion stamps).
     """
 
     op: str
@@ -329,7 +316,7 @@ def fit_link(
     """Least-squares ``seconds = α·steps + β·wire`` over *samples*.
 
     Pure fitting — callers choose the sample source (virtual clock,
-    wall-clock timeline, or synthetic noisy data in the residual tests).
+    wall-clock stamps, or synthetic noisy data in the residual tests).
     """
     if len(samples) < 2:
         raise ValueError(f"α–β fit needs at least 2 samples, got {len(samples)}")
@@ -360,7 +347,7 @@ def fit_machine(
     the same CostModel the fit recovers the :class:`MachineSpec` constants
     to float precision — the residual is the proof the two layers share one
     pricing core.  For *host* constants use :func:`fit_machine_wallclock`,
-    which feeds real ``timeline=True`` timestamps through the same fit.
+    which feeds real wall-clock samples through the same fit.
     """
     machine = machine if machine is not None else frontier()
     spec = machine if intra_node else replace(machine, gpus_per_node=max(1, world_size // 2))
@@ -395,15 +382,14 @@ def wallclock_fit_samples(
     repeats: int = 3,
     machine: MachineSpec | None = None,
 ) -> list[FitSample]:
-    """Time every ring collective on *this host* via ``timeline=True`` runs.
+    """Time every ring collective on *this host*.
 
-    Each (op, payload) run issues one warm-up plus *repeats* collectives
-    through a real :func:`~repro.dist.run_spmd` world with the traffic
-    log's timeline mode on; a collective's wall duration is the spacing of
-    consecutive completion marks (the max ``timestamp`` over the world's
-    records for that slot — ranks log right after the rendezvous
-    completes, and slot *k*'s records all precede slot *k+1*'s).  The
-    CostModel features (steps, wire) come from *machine* (default
+    Each (op, payload) run issues one warm-up plus *repeats* collectives on
+    warm per-rank buffers through a real :func:`~repro.dist.run_spmd` world;
+    every rank stamps ``time.perf_counter()`` as each collective returns.
+    Slot *k*'s completion mark is the latest stamp over the ranks, and a
+    collective's wall duration is the mean spacing of consecutive marks.
+    The CostModel features (steps, wire) come from *machine* (default
     :func:`frontier`), which shares the step/wire table with every spec.
     """
     machine = machine if machine is not None else frontier()
@@ -414,17 +400,13 @@ def wallclock_fit_samples(
         for op in RING_OPS:
 
             def fn(comm, op=op, payload=payload):
-                group = comm.world.default_group
+                group, scratch, stamps = comm.world.default_group, {}, []
                 for _ in range(repeats + 1):  # first is the warm-up mark
-                    _issue(comm, op, payload, group)
-                return None
+                    _issue(comm, op, payload, group, scratch)
+                    stamps.append(time.perf_counter())
+                return stamps
 
-            _, world = run_spmd_world(fn, world_size, timeline=True)
-            recs = world.traffic.records(op=op)
-            marks = [
-                max(r.timestamp for r in recs[k * world_size : (k + 1) * world_size])
-                for k in range(repeats + 1)
-            ]
+            marks = [max(slot) for slot in zip(*run_spmd(fn, world_size))]
             spacings = [b - a for a, b in zip(marks, marks[1:])]
             samples.append(
                 FitSample(
@@ -449,8 +431,8 @@ def fit_machine_wallclock(
     Returns ``(spec, fit)``: the spec carries the fitted α (latency/step)
     and 1/β (bandwidth) on both links — the simulated host has one fabric —
     with every non-link field inherited from *base*.  Persist it with
-    ``spec.save(path)`` (or use :func:`load_or_fit_machine`) and hand it to
-    the autotuner in place of the paper constants.
+    ``spec.save(path)``; :meth:`MachineSpec.load` hands it back to the
+    autotuner in place of the paper constants.
     """
     base = base if base is not None else frontier()
     samples = wallclock_fit_samples(
@@ -460,93 +442,6 @@ def fit_machine_wallclock(
     bw, lat = cost.link(True)
     fit = fit_link(samples, spec_alpha=lat, spec_beta=1.0 / bw, intra_node=True)
     return fit.to_machine(base, name=name if name is not None else "host-calibrated"), fit
-
-
-def host_fingerprint() -> dict:
-    """Identity of the machine a wall-clock fit measured.
-
-    A stored spec is only as good as the host it was fitted on; these are
-    the fields whose drift invalidates it (interpreter and CPU changes move
-    the thread-rendezvous constants the fit absorbed into α/β).
-    """
-    import os
-    import platform
-
-    return {
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "cpus": os.cpu_count() or 1,
-    }
-
-
-def _meta_path(path: Path) -> Path:
-    return path.with_name(path.name + ".meta.json")
-
-
-def load_or_fit_machine(
-    path,
-    base: MachineSpec | None = None,
-    max_residual: float | None = None,
-    check_host: bool = True,
-    **fit_kwargs,
-) -> MachineSpec:
-    """Load a persisted host-calibrated spec, fitting and saving on a miss
-    — or when the stored calibration has gone **stale**.
-
-    The autotuner entry point: ``search_configurations(...,
-    machine=load_or_fit_machine("runs/machine.json"))`` ranks every plan
-    with this host's measured α/β instead of the paper constants.  Loading
-    is a bitwise field round-trip, so rankings computed from a loaded spec
-    are identical to rankings computed from the spec that was saved.
-
-    Freshness: every fit writes a ``<path>.meta.json`` sidecar carrying the
-    :func:`host_fingerprint` and the fit's relative residual.  A stored
-    spec is re-fitted (and re-saved) when ``check_host`` is on and the
-    fingerprint no longer matches this host, or when ``max_residual`` is
-    given and the **stored** residual exceeds it (the fit never explained
-    its own samples well enough to trust).  A spec with no sidecar — e.g.
-    hand-written or produced by :meth:`MachineSpec.save` directly — is
-    treated as deliberately pinned and loaded as-is.
-    """
-    import json
-
-    p = Path(path)
-    meta_p = _meta_path(p)
-    if p.exists():
-        stale = None
-        if meta_p.exists():
-            try:
-                meta = json.loads(meta_p.read_text())
-            except (OSError, ValueError):
-                meta = {}
-            if check_host and meta.get("fingerprint") != host_fingerprint():
-                stale = "host fingerprint drifted"
-            elif (
-                max_residual is not None
-                and float(meta.get("relative_residual", 0.0)) > max_residual
-            ):
-                stale = (
-                    f"stored fit residual {meta.get('relative_residual')} "
-                    f"exceeds {max_residual}"
-                )
-        if stale is None:
-            return MachineSpec.load(p)
-    spec, fit = fit_machine_wallclock(base=base, **fit_kwargs)
-    spec.save(p)
-    meta_p.write_text(
-        json.dumps(
-            {
-                "fingerprint": host_fingerprint(),
-                "relative_residual": fit.relative_residual,
-                "rms_residual": fit.rms_residual,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
-    return spec
 
 
 @dataclass(frozen=True)
@@ -604,9 +499,8 @@ def measure_plan(
     machine: MachineSpec | None = None,
     precision: Precision = Precision(),
     eager: bool = False,
-    dp_buckets: int = 4,
+    dp_buckets: int | None = None,
     compute_scale: float = 1.0,
-    cap_dp_buckets: bool = True,
     workspace: dict | None = None,
     n_steps: int = 1,
     capture: bool = False,
@@ -634,9 +528,14 @@ def measure_plan(
     * FSDP gathers are dispatched eagerly, each *before* a slice of
       forward compute (prefetch under the current unit's work);
     * the FSDP gradient ReduceScatter and the DP AllReduce — the latter
-      split into ``dp_buckets`` wire-exact buckets — are dispatched during
-      backward, each *after* the compute slice that produced its gradients
-      (bucketed-DDP scheduling).
+      split into wire-exact buckets — are dispatched during backward, each
+      *after* the compute slice that produced its gradients (bucketed-DDP
+      scheduling).  ``dp_buckets=None`` picks the bucket count with
+      :meth:`~repro.perf.cost.CostModel.bucket_cap` (at most
+      :data:`~repro.perf.cost.MAX_DP_BUCKETS`); an int splits into exactly
+      that many — what a scaled-down stand-in world passes when the real
+      plan's volume/latency ratio justifies it (see
+      :func:`~repro.perf.autotune.simulated_overlaps`).
 
     Exposure is whatever the end-of-step drain cannot hide, so
     ``overlaps`` carries **measured per-bucket** fractions
@@ -750,19 +649,15 @@ def measure_plan(
                 elif ev.axis == "dp":
                     for _ in range(ev.count):
                         if ev.op == "all_reduce":
-                            # Callers simulating a *scaled-down* stand-in world
-                            # disable the cap and pass the bucket count the
-                            # real plan's volume/latency ratio justifies (see
-                            # ``simulated_overlaps``).
                             cost, n = clock.cost, groups["dp"].size
                             k = dp_buckets
-                            if cap_dp_buckets:
+                            if k is None:
                                 k = cost.bucket_cap(
                                     ev.op,
                                     ev.payload_bytes,
                                     n,
                                     cost.intra_node(groups["dp"].ranks),
-                                    dp_buckets,
+                                    MAX_DP_BUCKETS,
                                 )
                             issues.extend(
                                 ("dp", ev.op, p)

@@ -45,7 +45,12 @@ from typing import Sequence
 from ..dist.stats import ring_wire_bytes
 from .machine import MachineSpec, frontier
 
-__all__ = ["CostModel"]
+__all__ = ["CostModel", "MAX_DP_BUCKETS"]
+
+#: Most buckets a DP gradient AllReduce is split into — the cap both the
+#: eager replay and the autotuner's stand-in oracle pass to
+#: :meth:`CostModel.bucket_cap`.
+MAX_DP_BUCKETS = 4
 
 
 @dataclass(frozen=True)

@@ -51,9 +51,9 @@ class MachineSpec:
         return replace(self, compute_efficiency=eff)
 
     # -- JSON persistence --------------------------------------------------
-    # A fitted (host-calibrated) spec is saved next to checkpoints and
-    # loaded by the autotuner in place of the paper constants
-    # (`perf/calibrate.py::load_or_fit_machine`).  Round-trips exactly:
+    # A fitted (host-calibrated) spec is saved by `python -m
+    # repro.perf.calibrate --fit-host PATH` and loaded by the autotuner in
+    # place of the paper constants.  Round-trips exactly:
     # every field is a str/int/float and json preserves them losslessly.
     def to_dict(self) -> dict:
         return asdict(self)

@@ -133,24 +133,11 @@ class DerivedOverlaps:
 def phase_comm_seconds(world: Any, phase: str, rank: int) -> float:
     """One rank's summed collective wall-time (``vend − vstart``) in *phase*.
 
-    Only virtual-clock-stamped records contribute; includes time spent
-    waiting for stragglers (that wait is real exposure too).  Reads the
-    :class:`~repro.dist.stats.TrafficLog` bucket totals (O(buckets), not
-    O(records) — 32-rank replays used to rescan the full record list per
-    rank); duck-typed traffic stand-ins without ``totals`` still take the
-    rescan path.
+    Only completed virtual-clock-stamped records contribute; includes time
+    spent waiting for stragglers (that wait is real exposure too).  Reads
+    the :class:`~repro.dist.stats.TrafficLog` bucket totals (O(buckets)).
     """
-    totals = getattr(world.traffic, "totals", None)
-    if totals is not None:
-        snap = totals(phase=phase, rank=rank)
-        vseconds = getattr(snap, "vseconds", None)
-        if vseconds is not None:
-            return vseconds
-    return sum(
-        r.vend - r.vstart
-        for r in world.traffic.records()
-        if r.rank == rank and r.phase == phase and r.vstart >= 0.0
-    )
+    return world.traffic.totals(phase=phase, rank=rank).vseconds
 
 
 def _require_clock(world: Any):
@@ -232,32 +219,22 @@ def derive_overlap(world: Any, comm_phase: str, compute_phase: str) -> OverlapRe
                 source="measured",
             )
         return OverlapReport(comm_phase, compute_phase, 0.0, 0.0, 0.0, 0.0, "measured")
+    # Blocking phase: every settled interval has ``exposed == end − issue``,
+    # the collective's wall-time including straggler wait.  Size-1 groups
+    # never touch the clock and aborted collectives never settle, so neither
+    # contributes; barriers are priced by the clock but move no data.
     per_rank: dict[int, float] = {}
-    traffic = getattr(world, "traffic", None)
-    if traffic is None:
-        # A replayed timeline (repro.perf.schedule.ReplayResult) carries no
-        # traffic log; for a blocking phase every settled interval has
-        # ``exposed == end − issue == vend − vstart``, so summing the
-        # intervals in issue order reproduces the record walk bitwise
-        # (size-1 groups never touch the clock and contribute zero either
-        # way).  Barriers are priced by the clock but never logged as
-        # traffic, so they are skipped here too.
-        for rank in range(clock.world_size):
-            ivs = [
-                iv.exposed
-                for iv in clock.comm_intervals(rank=rank, phase=comm_phase)
-                if iv.op != "barrier"
-            ]
-            if ivs:
-                per_rank[rank] = sum(ivs)
-    else:
-        for r in traffic.records():
-            if r.phase == comm_phase and r.vstart >= 0.0:
-                per_rank[r.rank] = per_rank.get(r.rank, 0.0) + (r.vend - r.vstart)
+    for rank in range(clock.world_size):
+        ivs = [
+            iv.exposed
+            for iv in clock.comm_intervals(rank=rank, phase=comm_phase)
+            if iv.op != "barrier"
+        ]
+        if ivs:
+            per_rank[rank] = sum(ivs)
     comm = sum(per_rank.values()) / len(per_rank) if per_rank else 0.0
     if comm <= 0.0:
-        # No traffic in the phase — or only zero-duration records (size-1
-        # groups log vstart == vend): nothing to hide, overlap 0.
+        # No communication in the phase: nothing to hide, overlap 0.
         return OverlapReport(comm_phase, compute_phase, 0.0, 0.0, 0.0)
     compute = sum(
         clock.compute_seconds(rank=rank, phase=compute_phase) for rank in per_rank
@@ -281,9 +258,8 @@ def derive_overlaps(world: Any) -> DerivedOverlaps:
     attach the per-bucket exposure evidence.
 
     *world* may be a live :class:`~repro.dist.World` **or** a replayed
-    timeline (:class:`~repro.perf.schedule.ReplayResult`): anything with a
-    ``.clock``; without a traffic log the bound path reads the clock's
-    exposure totals instead.
+    timeline (:class:`~repro.perf.schedule.ReplayResult`): both paths read
+    only the ``.clock``'s archived intervals and totals.
     """
     return DerivedOverlaps(
         dp=derive_overlap(world, DP_SYNC_PHASE, BACKWARD_PHASE),

@@ -147,6 +147,13 @@ class TestRunningAggregation:
         assert [r.op for r in mine] == ["all_reduce"]
         assert len(world.traffic.records()) == world.traffic.count()
 
+    def test_records_keep_each_ranks_issue_order(self):
+        """A rank's own collectives appear in issue order."""
+        _, world = run_spmd_world(_one_step, 4)
+        for rank in range(4):
+            mine = world.traffic.records(rank=rank)
+            assert [r.op for r in mine] == ["all_reduce", "all_gather"]
+
     def test_totals_update_incrementally(self):
         log = TrafficLog()
         rec = TrafficRecord(rank=0, op="all_reduce", phase="", payload_bytes=100,
@@ -176,8 +183,38 @@ class TestRunningAggregation:
             )
             assert log.totals(phase="dp_sync", rank=rank).vseconds == naive
 
+    def test_aborted_collectives_add_no_vseconds(self):
+        """A collective unwound by a world abort logs ``vend = -1``; it must
+        count toward ``count`` but never as a (negative) duration
+        (regression: rank 0's dp_sync time used to come out at -2.0 s)."""
+        from repro.dist import SpmdError
+        from repro.perf import VirtualClock, frontier
+        from repro.perf.overlap import phase_comm_seconds
+
+        def fn(comm):
+            comm.charge_compute(1.0, phase="backward")
+            with comm.phase_scope("dp_sync"):
+                comm.all_reduce(np.ones(256, dtype=np.float32))
+                if comm.rank == 1:
+                    raise RuntimeError("boom")
+                comm.all_reduce(np.ones(256, dtype=np.float32))
+
+        clock = VirtualClock(frontier())
+        try:
+            run_spmd_world(fn, 2, timeout=10, clock=clock)
+            raise AssertionError("world should have aborted")
+        except SpmdError as err:
+            world = err.world
+        first, aborted = world.traffic.records(phase="dp_sync", rank=0)
+        assert first.vend > first.vstart == 1.0
+        assert aborted.vstart >= 0.0 and aborted.vend == -1.0
+        totals = world.traffic.totals(phase="dp_sync", rank=0)
+        assert totals.count == 2
+        assert totals.vseconds == first.vend - first.vstart
+        assert phase_comm_seconds(world, "dp_sync", rank=0) == totals.vseconds
+
     def test_phase_comm_seconds_fast_path_matches_record_rescan(self):
-        """On a real clock world the O(buckets) fast path and the legacy
+        """On a real clock world the O(buckets) bucket totals and an
         O(records) rescan agree bitwise, for every rank and phase."""
         from repro.perf import VirtualClock, frontier
         from repro.perf.overlap import phase_comm_seconds
@@ -207,38 +244,12 @@ class TestRunningAggregation:
         assert world.traffic.totals(phase="tp", rank=0).vseconds > 0.0
 
 
-class TestTimeline:
-    """Optional per-collective sequence/timestamp stamps (default off) —
-    groundwork for deriving comm/compute overlap instead of assuming it."""
-
-    def test_default_records_carry_no_timeline(self):
-        _, world = run_spmd_world(_one_step, 2)
-        assert not world.traffic.timeline
-        for r in world.traffic.records():
-            assert r.seq == -1 and r.timestamp == -1.0
-
-    def test_timeline_stamps_monotonic_seq_and_time(self):
-        _, world = run_spmd_world(_one_step, 4, timeline=True)
-        records = sorted(world.traffic.records(), key=lambda r: r.seq)
-        assert [r.seq for r in records] == list(range(len(records)))
-        times = [r.timestamp for r in records]
-        assert all(t >= 0 for t in times)
-        assert all(a <= b for a, b in zip(times, times[1:]))
-
-    def test_timeline_orders_dependent_collectives(self):
-        """A rank's own collectives must appear in issue order."""
-        _, world = run_spmd_world(_one_step, 4, timeline=True)
-        mine = [r for r in world.traffic.records() if r.rank == 1]
-        by_seq = sorted(mine, key=lambda r: r.seq)
-        assert [r.op for r in by_seq] == ["all_reduce", "all_gather"]
-
-
 class TestConcurrentAggregates:
-    """Aggregate queries must not block (or corrupt under) live writers.
+    """Aggregate queries must stay consistent under live writers.
 
-    Bucket values are immutable tuples replaced atomically, so a polling
-    reader sees internally consistent snapshots without taking the write
-    lock, and a record is counted as soon as ``add`` returns.
+    Reads and writes share the log's lock, so a polling reader sees
+    internally consistent snapshots, and a record is counted as soon as
+    ``add`` returns.
     """
 
     PAYLOAD = 64
@@ -295,7 +306,7 @@ class TestConcurrentAggregates:
 
 
 class TestObservabilityAccessors:
-    """The capped repr, top-N histogram and streaming per-rank accessor the
+    """The capped repr, top-N histogram and per-rank record filter the
     observability layer (repro.obs) and large-world drivers rely on."""
 
     @staticmethod
@@ -324,21 +335,14 @@ class TestObservabilityAccessors:
         few = self._log_with_ops(2)
         assert "more ops" not in repr(few)
 
-    def test_records_by_rank_streams_filtered_records(self):
+    def test_records_filter_one_rank_by_op_and_phase(self):
         log = TrafficLog()
         for rank in (0, 1):
             for op in ("all_reduce", "all_gather"):
                 log.add(TrafficRecord(rank=rank, op=op, phase="tp",
                                       payload_bytes=8, wire_bytes=4, group_size=2))
-        mine = list(log.records_by_rank(1))
+        mine = log.records(rank=1)
         assert [r.rank for r in mine] == [1, 1]
         assert [r.op for r in mine] == ["all_reduce", "all_gather"]  # issue order
-        assert [r.op for r in log.records_by_rank(1, op="all_gather")] == ["all_gather"]
-        assert list(log.records_by_rank(0, phase="dp_sync")) == []
-
-    def test_records_by_rank_matches_records_on_live_world(self):
-        _, world = run_spmd_world(_one_step, 4)
-        for rank in range(4):
-            assert list(world.traffic.records_by_rank(rank)) == world.traffic.records(
-                rank=rank
-            )
+        assert [r.op for r in log.records(rank=1, op="all_gather")] == ["all_gather"]
+        assert log.records(rank=0, phase="dp_sync") == []

@@ -44,7 +44,6 @@ from repro.perf.calibrate import (
     fit_link,
     fit_machine,
     fit_machine_wallclock,
-    load_or_fit_machine,
     measure_plan,
     wallclock_fit_samples,
 )
@@ -804,7 +803,7 @@ class TestFitResiduals:
 
 
 class TestWallclockFit:
-    def test_samples_come_from_timeline_runs(self):
+    def test_samples_come_from_rank_side_stamps(self):
         samples = wallclock_fit_samples(world_size=2, payload_sweep=(1 << 10,), repeats=2)
         assert len(samples) == 5  # one per ring op
         for s in samples:
@@ -822,118 +821,15 @@ class TestWallclockFit:
         assert math.isclose(spec.inter_node_bw_per_gpu, spec.intra_node_bw, rel_tol=1e-12)
         assert math.isfinite(fit.rms_residual)
 
-    def test_load_or_fit_persists_once(self, tmp_path):
-        path = tmp_path / "runs" / "machine.json"
-        spec1 = load_or_fit_machine(
-            path, world_size=2, payload_sweep=(1 << 10, 1 << 12), repeats=2
-        )
-        assert path.exists()
-        spec2 = load_or_fit_machine(path)  # pure load: no re-fit
-        assert spec1 == spec2
-
-
-class TestCalibratedSpecFreshness:
-    """`load_or_fit_machine` must notice a stale stored calibration
-    (ROADMAP "calibrated-spec freshness") instead of loading it forever."""
-
-    FIT_KW = dict(world_size=2, payload_sweep=(1 << 10, 1 << 12), repeats=2)
-
-    @staticmethod
-    def _meta(path):
-        import json
-        from repro.perf.calibrate import _meta_path
-
-        return json.loads(_meta_path(path).read_text()), _meta_path(path)
-
-    def test_fit_writes_fingerprint_sidecar(self, tmp_path):
-        from repro.perf.calibrate import host_fingerprint
-
-        path = tmp_path / "machine.json"
-        load_or_fit_machine(path, **self.FIT_KW)
-        meta, meta_path = self._meta(path)
-        assert meta_path.exists()
-        assert meta["fingerprint"] == host_fingerprint()
-        assert "relative_residual" in meta
-
-    def test_matching_fingerprint_loads_without_refit(self, tmp_path, monkeypatch):
-        import repro.perf.calibrate as cal
-
-        path = tmp_path / "machine.json"
-        spec1 = load_or_fit_machine(path, **self.FIT_KW)
-
-        def boom(*a, **k):  # any re-fit is a bug here
-            raise AssertionError("re-fit triggered for a fresh spec")
-
-        monkeypatch.setattr(cal, "fit_machine_wallclock", boom)
-        assert cal.load_or_fit_machine(path) == spec1
-
-    def test_fingerprint_drift_triggers_refit(self, tmp_path, monkeypatch):
-        import json
-
-        import repro.perf.calibrate as cal
-
-        path = tmp_path / "machine.json"
-        load_or_fit_machine(path, **self.FIT_KW)
-        meta, meta_path = self._meta(path)
-        meta["fingerprint"]["python"] = "0.0.0"  # another interpreter fitted it
-        meta_path.write_text(json.dumps(meta))
-
-        calls = []
-        sentinel = replace(frontier(), name="refitted")
-
-        def fake_fit(*a, **k):
-            calls.append(1)
-            return sentinel, FittedLink(
-                intra_node=True, alpha=1e-6, beta=1e-11,
-                spec_alpha=1e-6, spec_beta=1e-11, rms_residual=0.0,
-            )
-
-        monkeypatch.setattr(cal, "fit_machine_wallclock", fake_fit)
-        spec = cal.load_or_fit_machine(path)
-        assert calls and spec.name == "refitted"
-        # the re-fit repaired the sidecar: next call loads cleanly
-        meta2, _ = self._meta(path)
-        assert meta2["fingerprint"]["python"] != "0.0.0"
-
-    def test_stored_residual_above_threshold_triggers_refit(self, tmp_path, monkeypatch):
-        import json
-
-        import repro.perf.calibrate as cal
-
-        path = tmp_path / "machine.json"
-        load_or_fit_machine(path, **self.FIT_KW)
-        meta, meta_path = self._meta(path)
-        meta["relative_residual"] = 9.5  # the stored fit never explained its samples
-        meta_path.write_text(json.dumps(meta))
-
-        calls = []
-
-        def fake_fit(*a, **k):
-            calls.append(1)
-            return frontier(), FittedLink(
-                intra_node=True, alpha=1e-6, beta=1e-11,
-                spec_alpha=1e-6, spec_beta=1e-11, rms_residual=0.0,
-            )
-
-        monkeypatch.setattr(cal, "fit_machine_wallclock", fake_fit)
-        cal.load_or_fit_machine(path, max_residual=1.0)
-        assert calls, "residual above max_residual must re-fit"
-        calls.clear()
-        cal.load_or_fit_machine(path, max_residual=1.0)  # repaired: loads now
-        assert not calls
-
-    def test_sidecarless_spec_is_pinned(self, tmp_path, monkeypatch):
-        import repro.perf.calibrate as cal
-
-        path = tmp_path / "machine.json"
-        pinned = replace(frontier(), name="hand-written")
-        pinned.save(path)  # no sidecar: deliberately pinned constants
-
-        def boom(*a, **k):
-            raise AssertionError("pinned spec must not be re-fitted")
-
-        monkeypatch.setattr(cal, "fit_machine_wallclock", boom)
-        assert cal.load_or_fit_machine(path) == pinned
+    def test_default_sweep_fits_positive_alpha_and_beta(self):
+        """On warm buffers both constants are identifiable at the default
+        sweep, so the saved spec carries measured values, not the
+        MachineSpec fallback (regression: per-collective allocation
+        drove the fitted alpha negative)."""
+        spec, fit = fit_machine_wallclock()
+        assert fit.alpha > 0.0 and fit.beta > 0.0, fit
+        assert spec.intra_latency == fit.alpha
+        assert spec.intra_node_bw == 1.0 / fit.beta
 
 
 class TestCalibrateCLI:
@@ -944,6 +840,25 @@ class TestCalibrateCLI:
         out = capsys.readouterr().out
         assert "OK:" in out
         assert "fitted intra" in out  # the fit gate runs even under --smoke
+
+    def test_fit_host_saves_a_spec_load_reads_back(self, tmp_path, monkeypatch):
+        """``--fit-host PATH`` persists exactly the fitted spec, and
+        :meth:`MachineSpec.load` reads it back field for field."""
+        import repro.perf.calibrate as cal
+
+        fitted = []
+
+        def fit_and_keep(*args, **kwargs):
+            spec, fit = fit_machine_wallclock(*args, **kwargs)
+            fitted.append(spec)
+            return spec, fit
+
+        monkeypatch.setattr(cal, "fit_machine_wallclock", fit_and_keep)
+        path = tmp_path / "runs" / "machine.json"
+        argv = ["--ranks", "2", "--smoke", "--fit-host", str(path), "--fit-tol", "2.0"]
+        assert calibrate_main(argv) == 0
+        (spec,) = fitted
+        assert MachineSpec.load(path) == spec
 
     def test_wire_divergence_exits_nonzero(self, monkeypatch, capsys):
         import repro.perf.calibrate as cal
