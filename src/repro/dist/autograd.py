@@ -63,21 +63,20 @@ def all_gather_autograd(
 
     With *pool_key* (and ``axis == 0``) the gather lands in per-part views
     of one pooled contiguous buffer, so the concatenation is free and
-    steady-state calls allocate nothing; the first call at a site runs the
-    allocating path to learn the peers' part shapes.  See
-    :mod:`repro.dist.pool` for the reuse discipline.
+    steady-state calls allocate nothing.  The parts are sized from this
+    rank's shard: FSDP's shards are equal-sized by construction, and a peer
+    whose shard differs fails the runtime's ``out=`` check with
+    :class:`SpmdError`.  See :mod:`repro.dist.pool` for which sites may be
+    pooled.
     """
     group = _resolve(comm, group)
     pooled = pool_key is not None and axis == 0
-    out_data = None
     if pooled:
-        site = comm.pool.meta(pool_key)
-        shapes = site.get("shapes") if site.get("local") == x.data.shape else None
-        if shapes is not None:
-            flat, views = comm.pool.take_views(pool_key, shapes, x.data.dtype)
-            parts = comm.all_gather(x.data, group=group, out=views)
-            out_data = flat
-    if out_data is None:
+        flat, views = comm.pool.take_views(
+            pool_key, [x.data.shape] * group.size, x.data.dtype
+        )
+        parts = comm.all_gather(x.data, group=group, out=views)
+    else:
         parts = comm.all_gather(x.data, group=group)
     other_dims = {p.shape[:axis] + p.shape[axis + 1 :] for p in parts}
     if len(other_dims) > 1:
@@ -89,11 +88,7 @@ def all_gather_autograd(
     # ReduceScatter is told the exact per-rank sizes so each rank gets back
     # the gradient of precisely its own contribution (a padded collective).
     sizes = tuple(p.shape[axis] for p in parts)
-    if out_data is None:
-        out_data = np.concatenate(parts, axis=axis)
-        if pooled:
-            site["local"] = x.data.shape
-            site["shapes"] = [p.shape for p in parts]
+    out_data = flat if pooled else np.concatenate(parts, axis=axis)
 
     def backward(grad: np.ndarray) -> None:
         out = (
@@ -142,26 +137,18 @@ def copy_to_group(
     comm: Communicator,
     x: Tensor,
     group: ProcessGroup | None = None,
-    pool_key: str | None = None,
 ) -> Tensor:
     """Megatron's ``f``: identity forward, AllReduce(sum) of grads backward.
 
     Placed at the *entry* of a tensor-parallel region: the replicated input
     feeds every rank's shard, so its gradient is the sum of all shards'
-    contributions.  With *pool_key* the backward AllReduce lands in a pooled
-    buffer (``_accumulate`` copies, so the pool is free to reuse it next
-    step).
+    contributions.
     """
     group = _resolve(comm, group)
 
     def backward(grad: np.ndarray) -> None:
-        out = (
-            comm.pool.take(pool_key, grad.shape, grad.dtype)
-            if pool_key is not None
-            else None
-        )
         with _backward_phase(comm):
-            x._accumulate(comm.all_reduce(grad, group=group, out=out))
+            x._accumulate(comm.all_reduce(grad, group=group))
 
     return x._make(x.data, (x,), backward, "copy_to_group")
 
@@ -170,22 +157,14 @@ def reduce_from_group(
     comm: Communicator,
     x: Tensor,
     group: ProcessGroup | None = None,
-    pool_key: str | None = None,
 ) -> Tensor:
     """Megatron's ``g``: AllReduce(sum) forward, identity backward.
 
     Placed at the *exit* of a tensor-parallel region to complete the partial
-    sums of a row-parallel matmul.  With *pool_key* the forward AllReduce
-    reuses a pooled result buffer, valid until this site runs again (the
-    downstream bias-add copies it into fresh activation storage).
+    sums of a row-parallel matmul.
     """
     group = _resolve(comm, group)
-    out = (
-        comm.pool.take(pool_key, x.data.shape, x.data.dtype)
-        if pool_key is not None
-        else None
-    )
-    out_data = comm.all_reduce(x.data, group=group, out=out)
+    out_data = comm.all_reduce(x.data, group=group)
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad)
@@ -198,16 +177,15 @@ def average_gradients(
     params: list[Tensor],
     group: ProcessGroup | None = None,
     bucket_bytes: int = 1 << 24,
-    pool_key: str | None = None,
 ) -> None:
     """AllReduce(mean) every parameter gradient across the group (DDP sync).
 
     Gradients are flattened into buckets of at most *bucket_bytes* so large
-    models issue a few big collectives instead of one per parameter;
-    ``None`` gradients contribute zeros (a rank that never touched a
-    parameter still participates in its reduction).  With *pool_key* the
-    flat bucket buffers are pooled per bucket index, so a steady-state sync
-    allocates nothing beyond the per-parameter grad copies.
+    models issue a few big collectives instead of one per parameter; a new
+    bucket also starts wherever the dtype changes, so every gradient is
+    averaged and stored in its own precision.  ``None`` gradients
+    contribute zeros (a rank that never touched a parameter still
+    participates in its reduction).
     """
     group = _resolve(comm, group)
     params = [p for p in params if p.requires_grad]
@@ -217,32 +195,21 @@ def average_gradients(
     buckets: list[list[Tensor]] = [[]]
     used = 0
     for p in params:
-        if buckets[-1] and used + p.nbytes > bucket_bytes:
+        if buckets[-1] and (
+            used + p.nbytes > bucket_bytes or p.data.dtype != buckets[-1][-1].data.dtype
+        ):
             buckets.append([])
             used = 0
         buckets[-1].append(p)
         used += p.nbytes
 
-    for bi, bucket in enumerate(buckets):
-        if pool_key is not None:
-            dtype = np.result_type(*(p.data.dtype for p in bucket))
-            total = sum(p.data.size for p in bucket)
-            flat = comm.pool.take(f"{pool_key}/bucket{bi}", (total,), dtype)
-            offset = 0
-            for p in bucket:
-                seg = flat[offset : offset + p.data.size]
-                if p.grad is None:
-                    seg[...] = 0
-                else:
-                    np.copyto(seg, p.grad.ravel())
-                offset += p.data.size
-        else:
-            flat = np.concatenate(
-                [
-                    (p.grad if p.grad is not None else np.zeros_like(p.data)).ravel()
-                    for p in bucket
-                ]
-            )
+    for bucket in buckets:
+        flat = np.concatenate(
+            [
+                (p.grad if p.grad is not None else np.zeros_like(p.data)).ravel()
+                for p in bucket
+            ]
+        )
         # Reduce back into the flat bucket buffer (out= may alias the
         # input): no second full-size allocation per bucket.
         avg = comm.all_reduce(flat, op="mean", group=group, out=flat)

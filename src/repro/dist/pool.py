@@ -1,31 +1,26 @@
-"""Site-keyed collective buffer pools — steady-state steps allocate nothing.
+"""Site-keyed collective buffer pools — FSDP's unit gather allocates nothing.
 
 The runtime's collectives accept ``out=`` so callers can reuse result
-buffers; :class:`BufferPool` is the piece that makes reuse systematic.  Each
-call *site* (one FSDP unit gather, one TP region AllReduce, one DDP bucket)
-owns a stable string key; the pool maps that key to one buffer and hands the
-same array back every step, reallocating only when the requested shape or
-dtype changes.  Wrappers opt in by threading ``pool_key=`` through
-:mod:`repro.dist.autograd`; the allocating path stays the default and is the
-reference the pooled path is property-tested bitwise against.
+buffers; :class:`BufferPool` makes reuse systematic.  Each call *site* owns a
+stable string key; the pool hands the same array back every time the site
+runs, reallocating only when the requested shape or dtype changes.
 
-Allocation discipline (the contract wrappers and callers rely on):
+**Which sites may be pooled.**  A pooled buffer is overwritten each time its
+site runs, so a site may be pooled only when nothing that still reads the
+old contents can see a new value.  FSDP's per-unit parameter gather
+(pooled :func:`~repro.dist.all_gather_autograd`) is the one site that meets
+the rule: its bytes depend only on the parameter shards, which do not change
+between a forward and its backward, and its ``/bwd`` ReduceScatter result is
+copied out by :meth:`repro.tensor.Tensor._accumulate`.  Every other
+collective allocates.  SP's all-to-alls, for instance, break the rule:
+attention saves its q/k/v inputs for backward, so a second forward through
+the same site would overwrite what the first backward still reads.
 
-* A pooled buffer is valid until the **same site executes again** — one
-  forward/backward later its contents are overwritten in place.  Anything
-  that must outlive the step (parameter gradients, checkpoint copies) is
-  copied out of the pool, never aliased; :meth:`repro.tensor.Tensor._accumulate`
-  already copies unowned arrays, so pooled collective results can be fed to
-  autograd directly.
-* Shape changes are tolerated per rank (a mismatch is a pool miss, not an
-  error), but an AllGather site that cached its *peers'* part shapes
-  (:meth:`BufferPool.take_views`) requires lockstep shape changes: if a peer
-  shard resizes while this rank's does not, the runtime's ``out=``
-  validation raises :class:`~repro.dist.runtime.SpmdError` loudly rather
-  than corrupting — pooled gather sites must keep static shapes per site.
-* Keys are rank-local (each rank's :class:`~repro.dist.runtime.Communicator`
-  owns its own pool); no cross-rank agreement on keys is needed, only the
-  usual SPMD lockstep on the collectives themselves.
+A gather site lays out its parts (:meth:`BufferPool.take_views`) from the
+*expected* per-rank shapes; a peer whose part differs fails the runtime's
+``out=`` validation with :class:`~repro.dist.runtime.SpmdError` rather than
+corrupting.  Keys are rank-local: each rank's
+:class:`~repro.dist.runtime.Communicator` owns its own pool.
 """
 
 from __future__ import annotations
@@ -42,9 +37,9 @@ _SITE_COUNTER = itertools.count()
 def site_key(prefix: str) -> str:
     """A process-unique pool key for one call site (``"prefix#N"``).
 
-    Wrapper constructors call this once per site (per FSDP unit, per TP
-    region) so two models over the same communicator can never share — and
-    silently clobber — each other's buffers.
+    Constructors call this once per site (per FSDP unit) so two models over
+    the same communicator can never share — and silently clobber — each
+    other's buffers.
     """
     return f"{prefix}#{next(_SITE_COUNTER)}"
 
@@ -59,7 +54,6 @@ class BufferPool:
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
         self._views: dict[str, tuple] = {}
-        self._meta: dict[str, dict] = {}
         self.hits = 0
         self.misses = 0
 
@@ -102,16 +96,3 @@ class BufferPool:
             lo += s[0]
         self._views[key] = (flat, views, shapes, dtype)
         return flat, views
-
-    def meta(self, key: str) -> dict:
-        """Mutable per-site scratch dict (e.g. cached peer part shapes)."""
-        m = self._meta.get(key)
-        if m is None:
-            m = self._meta[key] = {}
-        return m
-
-    def allocated_bytes(self) -> int:
-        """Total bytes currently held (flat view buffers counted once)."""
-        held = sum(b.nbytes for b in self._buffers.values())
-        held += sum(entry[0].nbytes for entry in self._views.values())
-        return held

@@ -455,9 +455,9 @@ class Communicator:
     def pool(self):
         """This rank's site-keyed collective buffer pool (lazily created).
 
-        Lifetime matches the world's; wrappers key into it via
+        Lifetime matches the world's; FSDP's unit gather keys into it via
         :func:`repro.dist.pool.site_key` to reuse ``out=`` buffers across
-        steps (see :mod:`repro.dist.pool` for the allocation discipline).
+        steps (see :mod:`repro.dist.pool` for which sites may be pooled).
         """
         if self._pool is None:
             from .pool import BufferPool

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dist import Communicator, ProcessGroup, average_gradients, broadcast_parameters, site_key
+from ..dist import Communicator, ProcessGroup, average_gradients, broadcast_parameters
 from ..nn import Module
 from ..tensor import Tensor
 
@@ -71,9 +71,6 @@ class DataParallel(Module):
         self.forward_seconds = float(forward_seconds)
         self.backward_seconds = float(backward_seconds)
         self.grad_buckets = int(grad_buckets)
-        # One pool site per sync bucket: flat gradient buckets reuse their
-        # buffers across steps (repro.dist.pool allocation discipline).
-        self._sync_keys = [site_key("dp.sync") for _ in range(self.grad_buckets)]
         if sync_init and group.size > 1:
             broadcast_parameters(comm, module.parameters(), root=group.ranks[0], group=group)
 
@@ -92,24 +89,19 @@ class DataParallel(Module):
                 self.comm.charge_compute(self.backward_seconds, phase="backward")
             if self.group.size > 1:
                 with self.comm.phase_scope("dp_sync"):
-                    average_gradients(
-                        self.comm, params, group=self.group,
-                        pool_key=self._sync_keys[0],
-                    )
+                    average_gradients(self.comm, params, group=self.group)
             return
         step = -(-len(params) // buckets)
         chunks = [params[lo : lo + step] for lo in range(0, len(params), step)]
         per = self.backward_seconds / len(chunks)
-        for ci, chunk in enumerate(chunks):
+        for chunk in chunks:
             # The bucket's gradients exist only after its share of backward
             # compute — charge first, then issue (eagerly, under an
             # issue-queue clock) so later slices can hide earlier buckets.
             if per:
                 self.comm.charge_compute(per, phase="backward")
             with self.comm.phase_scope("dp_sync"):
-                average_gradients(
-                    self.comm, chunk, group=self.group, pool_key=self._sync_keys[ci]
-                )
+                average_gradients(self.comm, chunk, group=self.group)
 
     def parameters(self) -> list[Tensor]:  # type: ignore[override]
         return self.module.parameters()

@@ -30,13 +30,13 @@ class FlatParamShard:
         comm: Communicator,
         group: ProcessGroup,
         named_params: list[tuple[str, Tensor]],
-        pool: bool = True,
     ) -> None:
         self.comm = comm
         self.group = group
-        # Per-unit pool site: every step's gather reuses one flat buffer
-        # (valid until the next materialize of this same unit).
-        self.pool_key = site_key("fsdp.unit") if pool else None
+        # Per-unit pool site: every gather of this unit reuses one flat
+        # buffer.  Safe because the gathered bytes depend only on the
+        # shards, which do not change between a forward and its backward.
+        self.pool_key = site_key("fsdp.unit")
         self.names = [n for n, _ in named_params]
         self.shapes = [p.data.shape for _, p in named_params]
         self.sizes = [p.data.size for _, p in named_params]
@@ -115,11 +115,10 @@ class FSDPUnit:
         comm: Communicator,
         group: ProcessGroup,
         module: Module,
-        pool: bool = True,
     ) -> None:
         self.module = module
         self.named = list(module.named_parameters())
-        self.flat = FlatParamShard(comm, group, self.named, pool=pool)
+        self.flat = FlatParamShard(comm, group, self.named)
         # Parameter slots are refilled with gathered values at materialize().
         root = module._locate_root() if hasattr(module, "_locate_root") else module
         self._slots = [self._locate(root, name) for name, _ in self.named]
@@ -168,7 +167,6 @@ class FSDPModel(Module):
         module: Module,
         units: list[Module] | None = None,
         unit_seconds: float = 0.0,
-        pool: bool = True,
     ) -> None:
         super().__init__()
         group = group if group is not None else comm.world.default_group
@@ -183,10 +181,10 @@ class FSDPModel(Module):
         for m in unit_modules:
             for _, p in m.named_parameters():
                 listed.add(id(p))
-            self.units.append(FSDPUnit(comm, group, m, pool=pool))
+            self.units.append(FSDPUnit(comm, group, m))
         residual = _ResidualUnit(module, listed)
         if residual.named:
-            self.units.append(FSDPUnit(comm, group, residual, pool=pool))
+            self.units.append(FSDPUnit(comm, group, residual))
 
     def shard_parameters(self) -> list[Tensor]:
         return [u.flat.shard for u in self.units]

@@ -19,11 +19,10 @@ all-to-alls (forward and backward), :data:`SP_GATHER_PHASE` /
 ``repro.perf.calibrate.AXIS_PHASES``, so overlap derivation and the
 comm-volume gate reconcile live SP traffic against the analytic
 :func:`~repro.perf.comm_model.step_comm_schedule` per op × phase × link.
-With ``SPContext(pool=True)`` (the default) the all-to-alls and the
-scatter's backward gather land in site-keyed :class:`~repro.dist.BufferPool`
-``out=`` buffers: steady-state steps allocate nothing, and a rank whose
-peer drifts shape raises :class:`~repro.dist.SpmdError` loudly through the
-runtime's exact ``out=`` validation instead of silently reallocating.
+Every SP collective allocates its result.  The all-to-alls may not be
+pooled (:mod:`repro.dist.pool` states the rule): attention saves the
+exchanged q/k/v for backward, so a second forward before that backward
+would overwrite them in a pooled buffer.
 
 Composition with D-CHAG: ``scatter_sequence`` the replicated output of the
 :class:`~repro.core.dchag.DCHAG` front-end, then run :class:`SPViTEncoder`
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dist import Communicator, ProcessGroup, site_key
+from ..dist import Communicator, ProcessGroup
 from ..nn import LayerNorm, Linear, MLP, Module, ModuleList
 from ..nn.attention import merge_heads, scaled_dot_product_attention, split_heads
 from ..tensor import Tensor
@@ -67,9 +66,7 @@ class SPContext:
     ``block_seconds`` charges per-block forward compute onto the virtual
     clock (half after attention, half after the MLP — SP all-to-alls sit on
     the critical path between them, matching the analytic model's overlap-0
-    treatment); ``pool=True`` gives every all-to-all site pooled ``out=``
-    buffers (``pool=False`` is the allocating reference the parity tests
-    compare against).  Unlike TP, the phases are fixed —
+    treatment).  Unlike TP, the phases are fixed —
     :data:`SP_A2A_PHASE` and friends — because the measured replay's
     ``AXIS_PHASES`` books expect exactly those names.
     """
@@ -79,19 +76,12 @@ class SPContext:
         comm: Communicator,
         group: ProcessGroup | None = None,
         block_seconds: float = 0.0,
-        pool: bool = True,
     ) -> None:
         self.comm = comm
         self.group = group if group is not None else comm.world.default_group
         self.size = self.group.size
         self.index = self.group.rank_index(comm.rank)
         self.block_seconds = float(block_seconds)
-        self.pool = bool(pool)
-        self._scatter_key = self.pool_key("sp.scatter")
-
-    def pool_key(self, prefix: str) -> str | None:
-        """A site key for one pooled collective site (or ``None``)."""
-        return site_key(prefix) if self.pool else None
 
     def charge(self, seconds: float, phase: str = "forward") -> None:
         """Charge compute onto this rank's virtual timeline."""
@@ -99,18 +89,13 @@ class SPContext:
             self.comm.charge_compute(seconds, phase=phase)
 
 
-def scatter_sequence(
-    ctx: SPContext, x: Tensor, axis: int = 1, pool_key: str | None = None
-) -> Tensor:
+def scatter_sequence(ctx: SPContext, x: Tensor, axis: int = 1) -> Tensor:
     """Take this rank's token shard of a *replicated* tensor.
 
     Forward is a local slice; backward re-assembles the full gradient with a
     forward-only gather (valid because the upstream producer is replicated,
     mirroring the D-CHAG gather argument in reverse), stamped
-    :data:`SP_SCATTER_PHASE`.  The gather lands in pooled per-part ``out=``
-    buffers keyed by *pool_key* (default: the context's own scatter site
-    when pooling is on); a peer whose gradient shape drifts away from the
-    cached site shapes raises :class:`~repro.dist.SpmdError`.
+    :data:`SP_SCATTER_PHASE`.
     """
     n = x.shape[axis]
     sp = ctx.size
@@ -121,35 +106,11 @@ def scatter_sequence(
     idx = [slice(None)] * x.ndim
     idx[axis] = slice(lo, lo + step)
     out_data = x.data[tuple(idx)].copy()
-    key = pool_key if pool_key is not None else ctx._scatter_key
 
     def backward(grad: np.ndarray) -> None:
         with ctx.comm.phase_scope(SP_SCATTER_PHASE):
-            if key is None:
-                parts = ctx.comm.all_gather(grad, group=ctx.group)
-                full = np.concatenate(parts, axis=axis)
-            else:
-                pool = ctx.comm.pool
-                site = pool.meta(key)
-                shapes = site.get("shapes") if site.get("local") == grad.shape else None
-                if shapes is None:
-                    # First visit (or a lockstep shape change): allocating
-                    # path learns the peers' part shapes for the site.
-                    parts = ctx.comm.all_gather(grad, group=ctx.group)
-                    full = np.concatenate(parts, axis=axis)
-                    site["local"] = grad.shape
-                    site["shapes"] = [p.shape for p in parts]
-                else:
-                    outs = [
-                        pool.take(f"{key}/p{i}", s, grad.dtype)
-                        for i, s in enumerate(shapes)
-                    ]
-                    parts = ctx.comm.all_gather(grad, group=ctx.group, out=outs)
-                    cat_shape = list(grad.shape)
-                    cat_shape[axis] = sum(s[axis] for s in shapes)
-                    full = pool.take(f"{key}/cat", cat_shape, grad.dtype)
-                    np.concatenate(parts, axis=axis, out=full)
-        x._accumulate(full)  # _accumulate copies unowned arrays — pool-safe
+            parts = ctx.comm.all_gather(grad, group=ctx.group)
+        x._accumulate(np.concatenate(parts, axis=axis))
 
     return x._make(out_data, (x,), backward, "scatter_sequence")
 
@@ -167,23 +128,11 @@ def gather_sequence(ctx: SPContext, x: Tensor, axis: int = 1) -> Tensor:
         return all_gather_forward_only(ctx.comm, x, ctx.group, axis=axis)
 
 
-def _a2a(
-    ctx: SPContext,
-    x: Tensor,
-    split_axis: int,
-    concat_axis: int,
-    pool_key: str | None = None,
-) -> Tensor:
+def _a2a(ctx: SPContext, x: Tensor, split_axis: int, concat_axis: int) -> Tensor:
     """Differentiable all-to-all: split *x* along ``split_axis`` into sp
     pieces (one per rank), receive sp pieces and concatenate along
     ``concat_axis``.  Backward is the mirrored all-to-all; both directions
     are stamped :data:`SP_A2A_PHASE`.
-
-    With *pool_key*, recv chunks and the concatenated result land in pooled
-    site buffers: the first visit allocates and caches the peer chunk
-    shapes, steady-state visits allocate nothing, and a peer whose chunk
-    shape drifts from the cached site shapes fails the runtime's exact
-    ``out=`` validation with :class:`~repro.dist.SpmdError`.
     """
     sp = ctx.size
     if x.shape[split_axis] % sp != 0:
@@ -191,55 +140,29 @@ def _a2a(
             f"axis {split_axis} of size {x.shape[split_axis]} not divisible by sp={sp}"
         )
 
-    def exchange(data: np.ndarray, src_axis: int, dst_axis: int, leg: str) -> np.ndarray:
+    def exchange(data: np.ndarray, src_axis: int, dst_axis: int) -> np.ndarray:
         send = np.split(data, sp, axis=src_axis)
         with ctx.comm.phase_scope(SP_A2A_PHASE):
-            if pool_key is None:
-                recv = ctx.comm.all_to_all(send, group=ctx.group)
-                return np.concatenate(recv, axis=dst_axis)
-            pool = ctx.comm.pool
-            key = f"{pool_key}.{leg}"
-            site = pool.meta(key)
-            shapes = site.get("shapes") if site.get("local") == data.shape else None
-            if shapes is None:
-                recv = ctx.comm.all_to_all(send, group=ctx.group)
-                out = np.concatenate(recv, axis=dst_axis)
-                site["local"] = data.shape
-                site["shapes"] = [r.shape for r in recv]
-                return out
-            outs = [
-                pool.take(f"{key}/r{i}", s, data.dtype) for i, s in enumerate(shapes)
-            ]
-            recv = ctx.comm.all_to_all(send, group=ctx.group, out=outs)
-            cat_shape = list(shapes[0])
-            cat_shape[dst_axis] = sum(s[dst_axis] for s in shapes)
-            cat = pool.take(f"{key}/cat", cat_shape, data.dtype)
-            np.concatenate(recv, axis=dst_axis, out=cat)
-            return cat
+            recv = ctx.comm.all_to_all(send, group=ctx.group)
+        return np.concatenate(recv, axis=dst_axis)
 
-    out_data = exchange(x.data, split_axis, concat_axis, "f")
+    out_data = exchange(x.data, split_axis, concat_axis)
 
     def backward(grad: np.ndarray) -> None:
-        # _accumulate copies unowned arrays, so the pooled cat buffer is
-        # safe to hand over and reuse next step.
-        x._accumulate(exchange(grad, concat_axis, split_axis, "b"))
+        x._accumulate(exchange(grad, concat_axis, split_axis))
 
     return x._make(out_data, (x,), backward, "all_to_all")
 
 
-def all_to_all_tokens_to_heads(
-    ctx: SPContext, x: Tensor, pool_key: str | None = None
-) -> Tensor:
+def all_to_all_tokens_to_heads(ctx: SPContext, x: Tensor) -> Tensor:
     """[B, h, N/sp, hd] (all heads, token shard) → [B, h/sp, N, hd]
     (head shard, full sequence)."""
-    return _a2a(ctx, x, split_axis=1, concat_axis=2, pool_key=pool_key)
+    return _a2a(ctx, x, split_axis=1, concat_axis=2)
 
 
-def all_to_all_heads_to_tokens(
-    ctx: SPContext, x: Tensor, pool_key: str | None = None
-) -> Tensor:
+def all_to_all_heads_to_tokens(ctx: SPContext, x: Tensor) -> Tensor:
     """[B, h/sp, N, hd] → [B, h, N/sp, hd] — the inverse switch."""
-    return _a2a(ctx, x, split_axis=2, concat_axis=1, pool_key=pool_key)
+    return _a2a(ctx, x, split_axis=2, concat_axis=1)
 
 
 class SPSelfAttention(Module):
@@ -268,20 +191,16 @@ class SPSelfAttention(Module):
         self.heads = heads
         self.qkv = Linear(dim, 3 * dim, weight=master_qkv_w, bias_value=master_qkv_b)
         self.proj = Linear(dim, dim, weight=master_proj_w, bias_value=master_proj_b)
-        self._a2a_keys = tuple(ctx.pool_key(f"sp.attn.{leg}") for leg in ("q", "k", "v", "out"))
 
     def forward(self, x: Tensor) -> Tensor:
         """[B, N/sp, D] -> [B, N/sp, D]."""
         ctx = self.ctx
-        kq, kk, kv, kout = self._a2a_keys
         qkv = self.qkv(x)
         q, k, v = qkv.split(3, axis=-1)
         q, k, v = (split_heads(t, self.heads) for t in (q, k, v))  # [B, h, N/sp, hd]
-        q = all_to_all_tokens_to_heads(ctx, q, pool_key=kq)        # [B, h/sp, N, hd]
-        k = all_to_all_tokens_to_heads(ctx, k, pool_key=kk)
-        v = all_to_all_tokens_to_heads(ctx, v, pool_key=kv)
+        q, k, v = (all_to_all_tokens_to_heads(ctx, t) for t in (q, k, v))  # [B, h/sp, N, hd]
         out = scaled_dot_product_attention(q, k, v)
-        out = all_to_all_heads_to_tokens(ctx, out, pool_key=kout)  # [B, h, N/sp, hd]
+        out = all_to_all_heads_to_tokens(ctx, out)  # [B, h, N/sp, hd]
         return self.proj(merge_heads(out))
 
 

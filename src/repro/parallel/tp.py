@@ -4,7 +4,8 @@ TP shards the *embedding* dimension: attention layers split by head, MLPs by
 column-then-row, with the conjugate communication operators
 :func:`~repro.dist.copy_to_group` (identity fwd / AllReduce bwd) and
 :func:`~repro.dist.reduce_from_group` (AllReduce fwd / identity bwd) at the
-region boundaries.
+region boundaries.  Both allocate their results: a region AllReduce is not
+a pooled site (:mod:`repro.dist.pool` states the rule).
 
 Every parallel layer is constructed from a **master** weight array and
 slices its rank shard deterministically, so a TP model on *n* ranks is
@@ -19,7 +20,7 @@ import contextlib
 
 import numpy as np
 
-from ..dist import Communicator, ProcessGroup, copy_to_group, reduce_from_group, site_key
+from ..dist import Communicator, ProcessGroup, copy_to_group, reduce_from_group
 from ..nn import LayerNorm, Linear, Module, ModuleList
 from ..nn.attention import (
     _merge_heads,
@@ -57,11 +58,8 @@ class TPContext:
     operation consumes immediately, so the region AllReduces must block
     (which is also why the overlap engine never discounts the TP axis).
 
-    ``pool=True`` (the default) gives every region boundary a pooled
-    ``out=`` buffer: each block's forward ``g`` AllReduce and backward ``f``
-    AllReduce reuse one buffer per site across steps instead of allocating
-    (see :mod:`repro.dist.pool`); ``pool=False`` is the allocating reference
-    the parity property tests compare against.
+    Every region AllReduce allocates its result; only FSDP's unit gather
+    reuses pooled buffers (see :mod:`repro.dist.pool` for the rule).
     """
 
     def __init__(
@@ -70,7 +68,6 @@ class TPContext:
         group: ProcessGroup | None = None,
         block_seconds: float = 0.0,
         phase: str | None = None,
-        pool: bool = True,
     ) -> None:
         self.comm = comm
         self.group = group if group is not None else comm.world.default_group
@@ -78,13 +75,6 @@ class TPContext:
         self.index = self.group.rank_index(comm.rank)
         self.block_seconds = float(block_seconds)
         self.phase = phase
-        self.pool = bool(pool)
-
-    def region_keys(self, prefix: str) -> tuple[str | None, str | None]:
-        """Pool keys for one ``f → … → g`` parallel region (or ``None``s)."""
-        if not self.pool:
-            return None, None
-        return site_key(f"{prefix}.f"), site_key(f"{prefix}.g")
 
     def charge(self, seconds: float, phase: str = "forward") -> None:
         """Charge compute onto this rank's virtual timeline."""
@@ -277,29 +267,19 @@ class TPTransformerBlock(Module):
             masters["mlp.fc2.weight"],
             masters["mlp.fc2.bias"],
         )
-        self._attn_keys = ctx.region_keys("tp.block.attn")
-        self._mlp_keys = ctx.region_keys("tp.block.mlp")
 
     def forward(self, x: Tensor) -> Tensor:
         ctx = self.ctx
-        attn_f, attn_g = self._attn_keys
-        mlp_f, mlp_g = self._mlp_keys
         with ctx.scope():
-            h = copy_to_group(ctx.comm, self.norm1(x), ctx.group, pool_key=attn_f)
+            h = copy_to_group(ctx.comm, self.norm1(x), ctx.group)
             attn = self.attn(h)
             ctx.charge(0.5 * ctx.block_seconds)
-            h = (
-                reduce_from_group(ctx.comm, attn, ctx.group, pool_key=attn_g)
-                + self.attn.proj_bias
-            )
+            h = reduce_from_group(ctx.comm, attn, ctx.group) + self.attn.proj_bias
             x = x + h
-            h = copy_to_group(ctx.comm, self.norm2(x), ctx.group, pool_key=mlp_f)
+            h = copy_to_group(ctx.comm, self.norm2(x), ctx.group)
             mlp = self.mlp(h)
             ctx.charge(0.5 * ctx.block_seconds)
-            h = (
-                reduce_from_group(ctx.comm, mlp, ctx.group, pool_key=mlp_g)
-                + self.mlp.fc2_bias
-            )
+            h = reduce_from_group(ctx.comm, mlp, ctx.group) + self.mlp.fc2_bias
         return x + h
 
 
@@ -387,21 +367,19 @@ class TPChannelCrossAttention(Module):
         self.kv_proj = Linear(dim, 2 * self.local_heads * hd, weight=kv_w, bias_value=kv_b)
         self.proj = RowParallelLinear(ctx, master_proj_w)
         self.proj_bias = Tensor(np.asarray(master_proj_b, dtype=np.float32), requires_grad=True)
-        self._keys = ctx.region_keys("tp.chanxattn")
 
     def forward(self, x: Tensor) -> Tensor:
         """Replicated [B, C, N, D] -> replicated [B, N, D] (Q=1)."""
         ctx = self.ctx
-        key_f, key_g = self._keys
         b, c, n, d = x.shape
         with ctx.scope():
-            x = copy_to_group(ctx.comm, x, ctx.group, pool_key=key_f)
+            x = copy_to_group(ctx.comm, x, ctx.group)
             out = channel_query_attention(
                 x, self.query_tokens, self.q_proj, self.kv_proj, self.local_heads
             )
             out = self.proj(out)
             ctx.charge(ctx.block_seconds)
-            out = reduce_from_group(ctx.comm, out, ctx.group, pool_key=key_g) + self.proj_bias
+            out = reduce_from_group(ctx.comm, out, ctx.group) + self.proj_bias
         out = out.reshape(b, n, self.num_queries, d).transpose(0, 2, 1, 3)
         if self.num_queries == 1:
             return out.squeeze(1)

@@ -159,6 +159,29 @@ class TestDataParallelHelpers:
             for g in grads:
                 np.testing.assert_allclose(g, 1.5)
 
+    def test_average_gradients_keeps_each_param_dtype(self):
+        def fn(comm):
+            def params():
+                ps = []
+                for i, dtype in enumerate((np.float32, np.float64, np.float32)):
+                    p = Tensor(np.zeros(7, dtype=dtype), requires_grad=True)
+                    rng = np.random.default_rng(31 * i + comm.rank)
+                    p.grad = rng.standard_normal(7).astype(dtype)
+                    ps.append(p)
+                return ps
+
+            mixed = params()
+            average_gradients(comm, mixed)
+            alone = params()
+            for p in alone:
+                average_gradients(comm, [p])
+            return [p.grad for p in mixed], [p.grad for p in alone]
+
+        for mixed, alone in run_spmd(fn, 4):
+            for a, b in zip(mixed, alone):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+
     def test_broadcast_parameters(self):
         def fn(comm):
             p = Tensor(np.full(4, float(comm.rank), dtype=np.float32), requires_grad=True)

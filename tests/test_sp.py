@@ -247,67 +247,39 @@ class TestRoundTrips:
             np.testing.assert_allclose(back, ref, rtol=1e-6)
 
 
-class TestBufferPooling:
-    @staticmethod
-    def _train_step(ctx, enc, x):
-        xi = Tensor(x, requires_grad=True)
-        out = gather_sequence(ctx, enc(scatter_sequence(ctx, xi)))
-        (out ** 2).mean().backward()
-        return out.data.copy(), xi.grad.copy()
-
-    def test_pooled_matches_unpooled_bitwise(self):
-        serial = ViTEncoder(D, DEPTH, HEADS, np.random.default_rng(42))
-        state = serial.state_dict()
-        x = RNG.standard_normal((B, N, D)).astype(np.float32)
-
-        def fn_with(pool):
-            def fn(comm):
-                ctx = SPContext(comm, pool=pool)
-                enc = SPViTEncoder(ctx, D, DEPTH, HEADS, state)
-                # Two steps so the pooled path covers both the allocating
-                # first visit and the steady-state out= reuse.
-                self._train_step(ctx, enc, x)
-                return self._train_step(ctx, enc, x)
-            return fn
-
-        pooled = run_spmd(fn_with(True), 2)
-        plain = run_spmd(fn_with(False), 2)
-        for (po, pg), (uo, ug) in zip(pooled, plain):
-            np.testing.assert_array_equal(po, uo)
-            np.testing.assert_array_equal(pg, ug)
-
-    def test_steady_state_takes_zero_pool_misses(self):
-        serial = ViTEncoder(D, DEPTH, HEADS, np.random.default_rng(42))
-        state = serial.state_dict()
-        x = RNG.standard_normal((B, N, D)).astype(np.float32)
+class TestGradientAccumulation:
+    def test_joint_backward_matches_separate_backwards(self):
+        """Two forwards then one backward give the same gradients as two
+        forward/backward pairs: a second forward must not overwrite what the
+        first forward saved for backward (the all-to-alls allocate)."""
+        d, depth, heads = 16, 2, 4
+        state = ViTEncoder(d, depth, heads, np.random.default_rng(42)).state_dict()
+        x0, x1, x2 = (RNG.standard_normal((B, N, d)).astype(np.float32) for _ in range(3))
 
         def fn(comm):
             ctx = SPContext(comm)
-            enc = SPViTEncoder(ctx, D, DEPTH, HEADS, state)
-            # Step 1 learns every site's peer shapes (allocating path, no
-            # takes); step 2 is the first pooled pass and fills the pool.
-            self._train_step(ctx, enc, x)
-            self._train_step(ctx, enc, x)
-            before = comm.pool.misses
-            self._train_step(ctx, enc, x)
-            return comm.pool.misses - before, comm.pool.hits
+            enc = SPViTEncoder(ctx, d, depth, heads, state)
 
-        for fresh_misses, hits in run_spmd(fn, 2):
-            assert fresh_misses == 0
-            assert hits > 0
+            def loss(x):
+                return (gather_sequence(ctx, enc(scatter_sequence(ctx, Tensor(x)))) ** 2).mean()
 
-    def test_single_peer_shape_drift_raises_loudly(self):
-        def fn(comm):
-            ctx = SPContext(comm)
-            shapes = [(B, 2, 4, 4), (B, 2, 8, 4)]
-            first = Tensor(np.zeros(shapes[0], np.float32))
-            all_to_all_tokens_to_heads(ctx, first, pool_key="sp-drift-test")
-            # Rank 0 replays the cached site; rank 1 drifts to a new shape.
-            drifted = Tensor(np.zeros(shapes[comm.rank], np.float32))
-            all_to_all_tokens_to_heads(ctx, drifted, pool_key="sp-drift-test")
+            def grads():
+                out = [p.grad.copy() for p in enc.parameters()]
+                enc.zero_grad()
+                return out
 
-        with pytest.raises(SpmdError):
-            run_spmd(fn, 2)
+            loss(x0).backward()  # warm-up step
+            enc.zero_grad()
+            (loss(x1) + loss(x2)).backward()
+            joint = grads()
+            loss(x1).backward()
+            loss(x2).backward()
+            return joint, grads()
+
+        for joint, separate in run_spmd(fn, 2):
+            assert len(joint) == 26
+            differ = [i for i, (a, b) in enumerate(zip(joint, separate)) if not np.array_equal(a, b)]
+            assert not differ, f"{len(differ)} of {len(joint)} gradients differ"
 
 
 class TestPhaseTagging:

@@ -14,10 +14,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.dist import copy_to_group, run_spmd
+from repro.dist import run_spmd
 from repro.models import build_serial_mae
 from repro.nn import ViTEncoder
-from repro.parallel import FSDPModel, SPContext, all_to_all_tokens_to_heads, scatter_sequence
+from repro.parallel import FSDPModel
 from repro.tensor import MemoryTracker, Tensor, checkpoint, track_memory
 from repro.tensor import functional as F
 
@@ -96,34 +96,33 @@ class TestUnownedArraysAreCopied:
         np.testing.assert_array_equal(x.grad, 2 * kept)
 
     def test_pooled_collective_buffers_are_not_adopted(self):
-        # "_accumulate copies unowned arrays — pool-safe" (parallel/sp.py):
-        # the same pooled site runs three times; no leaf may end up holding
-        # the pool's buffer, and earlier grads must survive later visits.
-        xs = [r(2, 8, 4) for _ in range(3)]
-        hs = [r(2, 4, 4, 3) for _ in range(3)]
+        # FSDP's unit gather is the one pooled site: its /bwd ReduceScatter
+        # lands in a pool buffer that _accumulate must copy.  Three steps
+        # through the same sites; no shard may end up holding a pool buffer,
+        # and earlier grads must survive later visits.
+        xs = [r(2, 5, 16) for _ in range(3)]
 
         def fn(comm):
-            ctx = SPContext(comm)
-            key = ctx.pool_key("ownership.a2a")
-            leaves = []
-            for x, h in zip(xs, hs):
-                a, b, c = (Tensor(v, requires_grad=True) for v in (x, h, x))
-                scatter_sequence(ctx, a).sum().backward()
-                all_to_all_tokens_to_heads(ctx, b, pool_key=key).sum().backward()
-                (copy_to_group(comm, c, pool_key="ownership.f") * 2.0).sum().backward()
-                leaves += [a, b, c]
-            assert comm.pool.hits > 0
-            pooled = list(comm.pool._buffers.values())
-            for t in leaves:
-                assert not any(np.shares_memory(t.grad, p) for p in pooled)
-            return [t.grad for t in leaves]
+            enc = ViTEncoder(16, 2, 4, np.random.default_rng(0))
+            model = FSDPModel(comm, None, enc, units=list(enc.blocks))
+            grads, kept = [], []
+            for x in xs:
+                (model(Tensor(x)) ** 2).mean().backward()
+                for s in model.shard_parameters():
+                    grads.append(s.grad)
+                    kept.append(s.grad.copy())
+                    s.zero_grad()
+            pool = comm.pool
+            assert pool.hits > 0
+            pooled = list(pool._buffers.values()) + [v[0] for v in pool._views.values()]
+            for g in grads:
+                assert not any(np.shares_memory(g, p) for p in pooled)
+            return grads, kept
 
-        for grads in run_spmd(fn, 2):
+        for grads, kept in run_spmd(fn, 2):
             assert_disjoint(grads)
-            for a, b, c in zip(grads[0::3], grads[1::3], grads[2::3]):
-                np.testing.assert_array_equal(a, np.ones((2, 8, 4)))
-                np.testing.assert_array_equal(b, np.ones((2, 4, 4, 3)))
-                np.testing.assert_array_equal(c, 4 * np.ones((2, 8, 4)))
+            for g, k in zip(grads, kept):
+                np.testing.assert_array_equal(g, k)
 
     def test_checkpoint_inner_grads_are_copied_out(self):
         x, w = leaf(3, 4), leaf(4, 4)
