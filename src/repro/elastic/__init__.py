@@ -12,11 +12,11 @@ Five pieces:
   ``shard_*.npz`` per FSDP rank plus a ``manifest.json`` recording the flat
   parameter layout.  A checkpoint saved at world size N reshards to any M as
   pure data movement (bitwise), with AdamW moments carried along; DP
-  replicas are deduplicated at save time.  Saves can be **async**
-  (double-buffered background writes via :class:`AsyncCheckpointWriter`)
-  and **delta** (only units whose bytes changed since a base), with the
-  manifest-last torn-save invariant preserved for both, directory-entry
-  fsyncs for durability, and :func:`prune_checkpoints` for retention.
+  replicas are deduplicated at save time.  Every save is a full save and
+  can be **async** (double-buffered background writes via
+  :class:`AsyncCheckpointWriter`), with the manifest-last torn-save
+  invariant preserved, directory-entry fsyncs for durability, and
+  :func:`prune_checkpoints` for retention.
 * :mod:`~repro.elastic.failure` — deterministic churn injection:
   :class:`FailurePlan` scripts "kill rank r at step s" *and* "k ranks
   return at step s" (:class:`RankArrival` → :class:`RankReturn`), plugging

@@ -1,4 +1,4 @@
-"""Distributed sharded checkpoints: resharding, async saves, delta chains.
+"""Distributed sharded checkpoints: resharding and async saves.
 
 Layout: one checkpoint is a directory ``step_{S:08d}/`` under a checkpoint
 root, holding one ``shard_{i:04d}.npz`` per FSDP group rank plus a
@@ -12,8 +12,9 @@ root, holding one ``shard_{i:04d}.npz`` per FSDP group rank plus a
         shard_0000.npz         # unit{k}.param / unit{k}.m / unit{k}.v
         shard_0001.npz
       step_00000004.w3/        # the same step resharded to world size 3
-      step_00000008/           # a *delta*: only units whose bytes changed
-        manifest.json          #   since its base (manifest["delta"])
+
+Every save is a full save: each step directory holds every unit, so a
+reader opens ``step_dir / shard_{r}.npz`` and nothing else.
 
 Each shard file stores, per FSDP unit, this rank's slice of the padded flat
 parameter and (optionally) the matching AdamW moment slices — the optimizer
@@ -27,33 +28,28 @@ shards, strip N's pad, re-pad for M, re-split.  No arithmetic touches the
 values, so reshard → consolidate is bitwise-identical to the original
 consolidated state at any M.
 
-Three durability/throughput layers on top of the base format:
+Two durability/throughput layers on top of the base format:
 
 * **Torn-save detection.**  Shard files are written atomically
   (write → flush → fsync → rename → fsync the directory entry) and the
   manifest strictly last, so ``manifest.json`` existing implies every named
-  shard is durable; :func:`latest_checkpoint` skips anything else.  A delta
-  checkpoint is complete only if its whole base chain is.
+  shard is durable; :func:`latest_checkpoint` skips anything else.  A
+  damaged shard is caught by ``np.load`` itself: the zip container carries
+  a CRC-32 per member, so flipped or truncated bytes raise on read.
 * **Async (double-buffered) saves.**  :class:`AsyncCheckpointWriter` lets
   :func:`save_sharded` return after an in-memory shard snapshot taken at
   the group barrier; a background thread writes the files (manifest still
   last) overlapped with subsequent training steps.  ``max_pending`` bounds
   the snapshots in flight — the classic double buffer at the default of 1.
-* **Delta checkpoints.**  ``save_sharded(..., delta_base=prev)`` writes
-  only the units whose master bytes changed since *prev* (agreed
-  collectively via per-unit digests, so every rank writes the same unit
-  set); readers resolve the base chain transparently.  Deltas cut the
-  steady-state cadence cost whenever part of the model is frozen.
 
 DP replicas hold identical shards by construction, so only one replica
 (``write=True``, conventionally ``mesh.coords.dp == 0``) writes files; the
 other replicas still join the group barrier so the save is collective.
 
-``python -m repro.elastic.checkpoint --smoke`` runs the async/delta parity
-gate the ``elastic-smoke`` CI job enforces: async saves bitwise-equal to
-blocking saves, torn saves (full *and* delta) invisible to
-:func:`latest_checkpoint`, delta chains resolving exactly, retention
-pruning keeping every live base.
+``python -m repro.elastic.checkpoint --smoke`` runs the async parity gate
+the ``elastic-smoke`` CI job enforces: async saves bitwise-equal to
+blocking saves, torn saves invisible to :func:`latest_checkpoint`, and
+retention pruning keeping the newest complete saves.
 """
 
 from __future__ import annotations
@@ -63,7 +59,6 @@ import os
 import queue
 import shutil
 import threading
-import zlib
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -89,7 +84,7 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.json"
-_VERSION = 2  # version 1 manifests (no digests/delta) still load
+_VERSION = 2
 
 
 def checkpoint_dir(root: str | Path, step: int) -> Path:
@@ -141,14 +136,6 @@ def _atomic_write_json(path: Path, obj: dict) -> None:
     _fsync_dir(path.parent)
 
 
-# -- digests (the collective agreement behind delta saves) ------------------
-def _digest_arrays(arrays: dict[str, np.ndarray], unit: int, keys: Sequence[str]) -> int:
-    crc = 0
-    for k in keys:
-        crc = zlib.crc32(arrays[f"unit{unit}.{k}"].tobytes(), crc)
-    return int(crc)
-
-
 class AsyncCheckpointWriter:
     """Background writer overlapping checkpoint I/O with training compute.
 
@@ -178,7 +165,6 @@ class AsyncCheckpointWriter:
         self._slots = threading.Semaphore(max_pending)
         self._lock = threading.Lock()
         self._staged: dict[Path, dict[str, dict[str, np.ndarray]]] = {}
-        self._manifests: dict[Path, dict] = {}
         self._queue: queue.Queue = queue.Queue()
         self._errors: list[BaseException] = []
         self._thread: threading.Thread | None = None
@@ -192,13 +178,6 @@ class AsyncCheckpointWriter:
         with self._lock:
             self._staged.setdefault(Path(step_dir), {})[shard_name] = snap
 
-    def pending_manifest(self, step_dir: Path) -> dict | None:
-        """The manifest of a committed-but-possibly-unwritten save, so a
-        delta save can chain to an in-flight base without touching disk."""
-        with self._lock:
-            m = self._manifests.get(Path(step_dir))
-        return m
-
     # -- committing (lead rank, post-barrier) ------------------------------
     def commit(self, step_dir: Path, manifest: dict, keep_last: int | None = None) -> None:
         """Enqueue the write of *step_dir*: staged shards, manifest last.
@@ -210,7 +189,6 @@ class AsyncCheckpointWriter:
         step_dir = Path(step_dir)
         with self._lock:
             shards = self._staged.pop(step_dir, {})
-            self._manifests[step_dir] = manifest
         self._slots.acquire()
         self._ensure_thread()
         self._queue.put((step_dir, shards, manifest, keep_last))
@@ -311,7 +289,6 @@ def save_sharded(
     extra: dict | None = None,
     write: bool = True,
     writer: AsyncCheckpointWriter | None = None,
-    delta_base: str | Path | None = None,
     keep_last: int | None = None,
 ) -> Path:
     """Collectively write a sharded checkpoint of *model* at *step*.
@@ -329,17 +306,9 @@ def save_sharded(
     background, overlapped with subsequent steps.  Call ``writer.wait()``
     before relying on the save being durable.
 
-    ``delta_base`` writes a **delta**: only units whose bytes (params and
-    moments) changed since the base checkpoint are stored; the manifest
-    records the base by name and readers resolve the chain transparently.
-    The changed set is agreed collectively (per-unit digests AllGathered
-    over the group), so every rank writes the same units; the base must
-    live under the same *root*, match this group's world size, and carry
-    digests (any version-2 save does).
-
     ``keep_last`` prunes the root down to the newest *keep_last* complete
-    checkpoints (plus any base a kept delta chains to) once the manifest is
-    durable — the retention knob long runs need.
+    checkpoints once the manifest is durable — the retention knob long runs
+    need.
 
     *extra* (JSON-serializable) is carried in the manifest; elastic trainers
     stash their loss history there so resumed runs report full trajectories.
@@ -350,55 +319,18 @@ def save_sharded(
     step_dir = checkpoint_dir(root, step)
     opt_state = optimizer.state_dict() if optimizer is not None else None
     adam_step = 0 if opt_state is None else int(opt_state["step"])
-    keys = ["param"] + (["m", "v"] if opt_state is not None else [])
-    arrays: dict[str, np.ndarray] = {}
+    shard_arrays: dict[str, np.ndarray] = {}
     for i, unit in enumerate(model.units):
-        arrays[f"unit{i}.param"] = unit.flat.shard.data
+        shard_arrays[f"unit{i}.param"] = unit.flat.shard.data
         if opt_state is not None:
-            arrays[f"unit{i}.m"] = opt_state["m"][i]
-            arrays[f"unit{i}.v"] = opt_state["v"][i]
-    n_units = len(model.units)
+            shard_arrays[f"unit{i}.m"] = opt_state["m"][i]
+            shard_arrays[f"unit{i}.v"] = opt_state["v"][i]
 
-    # Per-unit digests: every save carries them (so it can serve as a later
-    # delta's base); a delta save compares them against the base's table.
-    mine = np.array(
-        [_digest_arrays(arrays, i, keys) for i in range(n_units)], dtype=np.uint64
-    )
-    table = [[int(d) for d in part] for part in comm.all_gather(mine, group=group)]
-
-    delta_meta: dict | None = None
-    saved_units = list(range(n_units))
-    if delta_base is not None:
-        base_dir = Path(delta_base)
-        if base_dir.parent != root:
-            raise ValueError(
-                f"delta base {base_dir} must live under the checkpoint root {root}"
-            )
-        base_manifest = None
-        if writer is not None:
-            base_manifest = writer.pending_manifest(base_dir)
-        if base_manifest is None:
-            base_manifest = load_manifest(base_dir)
-        if base_manifest["world_size"] != group.size:
-            raise ValueError(
-                f"delta base world size {base_manifest['world_size']} != "
-                f"group size {group.size}"
-            )
-        base_digests = base_manifest.get("digests")
-        if not base_digests:
-            raise ValueError(
-                f"delta base {base_dir} carries no digests; re-save it first"
-            )
-        saved_units = [
-            i
-            for i in range(n_units)
-            if any(table[r][i] != base_digests[r][i] for r in range(group.size))
-        ]
-        delta_meta = {"base": base_dir.name, "units": saved_units}
-
-    shard_arrays = {
-        f"unit{i}.{k}": arrays[f"unit{i}.{k}"] for i in saved_units for k in keys
-    }
+    # Entry barrier: no rank starts writing this step's shard until group
+    # rank 0 has finished the previous save — its manifest and its
+    # ``keep_last`` prune, which deletes any step directory without a
+    # manifest and would otherwise remove a peer's in-flight shard.
+    comm.barrier(group)
     if write:
         if writer is not None:
             writer.stage(step_dir, _shard_name(me), shard_arrays)
@@ -415,11 +347,8 @@ def save_sharded(
             "has_optimizer": optimizer is not None,
             "adam_step": adam_step,
             "shards": [_shard_name(r) for r in range(group.size)],
-            "digests": table,
             "extra": extra if extra is not None else {},
         }
-        if delta_meta is not None:
-            manifest["delta"] = delta_meta
         if writer is not None:
             writer.commit(step_dir, manifest, keep_last=keep_last)
         else:
@@ -430,89 +359,61 @@ def save_sharded(
 
 
 def load_manifest(step_dir: str | Path) -> dict:
-    """Parse a step directory's manifest."""
-    return json.loads((Path(step_dir) / MANIFEST_NAME).read_text())
+    """Parse a step directory's manifest.
 
-
-def _delta_sources(step_dir: Path, manifest: dict) -> list[Path]:
-    """Per-unit directory that physically holds the unit's shard data.
-
-    A full checkpoint sources every unit from itself; a delta walks its
-    base chain (base names resolve against the same checkpoint root) until
-    every unit is found.  Raises on cycles and broken chains.
+    Raises ``ValueError`` for a delta manifest written by older code: its
+    shards hold only some units and nothing here resolves the rest.
     """
-    n_units = len(manifest["units"])
-    sources: list[Path | None] = [None] * n_units
-    d, m = Path(step_dir), manifest
-    seen = {Path(step_dir)}
-    while True:
-        delta = m.get("delta")
-        present = set(delta["units"]) if delta else set(range(n_units))
-        for i in range(n_units):
-            if sources[i] is None and i in present:
-                sources[i] = d
-        if all(s is not None for s in sources):
-            return sources  # type: ignore[return-value]
-        if not delta:
-            missing = [i for i, s in enumerate(sources) if s is None]
-            raise ValueError(
-                f"checkpoint {step_dir} chain never provides units {missing}"
-            )
-        base = d.parent / delta["base"]
-        if base in seen:
-            raise ValueError(f"checkpoint {step_dir} has a cyclic delta chain")
-        seen.add(base)
-        d, m = base, load_manifest(base)
+    manifest = json.loads((Path(step_dir) / MANIFEST_NAME).read_text())
+    if "delta" in manifest:
+        raise ValueError(
+            f"checkpoint {step_dir} is a delta save; delta checkpoints are no "
+            f"longer readable"
+        )
+    return manifest
 
 
-def _is_complete(step_dir: Path, _seen: frozenset = frozenset()) -> bool:
-    manifest_path = step_dir / MANIFEST_NAME
-    if not manifest_path.is_file():
-        return False
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return False
-    if not all((step_dir / name).is_file() for name in manifest.get("shards", ())):
-        return False
-    delta = manifest.get("delta")
-    if delta:
-        base = step_dir.parent / delta["base"]
-        if base in _seen:
-            return False  # cyclic chain: unusable
-        return _is_complete(base, _seen | {step_dir})
-    return True
+def _step_dirs(root: Path) -> list[Path]:
+    if not root.is_dir():
+        return []
+    return [c for c in root.iterdir() if c.is_dir() and c.name.startswith("step_")]
+
+
+def _complete(step_dirs: list[Path]) -> list[tuple[int, str, Path]]:
+    """``(step, name, dir)`` of every complete checkpoint, oldest first.
+
+    Complete = a readable manifest (written last) and every shard file it
+    names on disk.
+    """
+    out = []
+    for d in step_dirs:
+        try:
+            manifest = load_manifest(d)
+        except (OSError, ValueError):  # missing, torn, or a rejected format
+            continue
+        if all((d / name).is_file() for name in manifest.get("shards", ())):
+            out.append((manifest["step"], d.name, d))
+    return sorted(out)
 
 
 def latest_checkpoint(root: str | Path) -> Path | None:
     """The newest *complete* checkpoint under *root*, or ``None``.
 
-    Completeness = manifest present (written last) and every shard file it
-    names on disk — and, for a delta, its whole base chain complete too, so
-    a durable-looking delta whose base was torn is skipped.  Ties on step
-    (an original and its reshard) break toward the lexicographically last
-    directory name — they hold identical values, so either is correct.
+    Ties on step (an original and its reshard) break toward the
+    lexicographically last directory name — they hold identical values, so
+    either is correct.
     """
-    root = Path(root)
-    if not root.is_dir():
-        return None
-    candidates: list[tuple[int, str, Path]] = []
-    for child in root.iterdir():
-        if child.is_dir() and child.name.startswith("step_") and _is_complete(child):
-            candidates.append((load_manifest(child)["step"], child.name, child))
-    if not candidates:
-        return None
-    return max(candidates)[2]
+    complete = _complete(_step_dirs(Path(root)))
+    return complete[-1][2] if complete else None
 
 
 def prune_checkpoints(root: str | Path, keep_last: int = 2) -> list[Path]:
     """Retention: delete all but the newest *keep_last* complete checkpoints.
 
     Long elastic runs accumulate one step directory per cadence fire;
-    this keeps the newest *keep_last* complete checkpoints **plus every
-    base a kept delta chains to** (a delta without its base is garbage),
-    and removes everything else — older completes and torn leftovers
-    alike.  Returns the removed directories.
+    this keeps the newest *keep_last* complete checkpoints and removes
+    everything else — older completes and torn leftovers alike.  Returns
+    the removed directories.
 
     Do not run concurrently with an in-flight async save targeting the same
     root; the :class:`AsyncCheckpointWriter` prunes *after* each manifest
@@ -521,36 +422,14 @@ def prune_checkpoints(root: str | Path, keep_last: int = 2) -> list[Path]:
     if keep_last < 1:
         raise ValueError(f"keep_last must be >= 1, got {keep_last}")
     root = Path(root)
-    if not root.is_dir():
-        return []
-    complete: list[tuple[int, str, Path]] = []
-    every: list[Path] = []
-    for child in root.iterdir():
-        if not (child.is_dir() and child.name.startswith("step_")):
-            continue
-        every.append(child)
-        if _is_complete(child):
-            complete.append((load_manifest(child)["step"], child.name, child))
-    complete.sort()
-    needed: set[Path] = set()
-    for _step, _name, path in complete[-keep_last:]:
-        # Keep every *link* of the delta chain, not just the dirs that hold
-        # unit data: resolving a delta walks each intermediate manifest.
-        d = path
-        while d not in needed:
-            needed.add(d)
-            delta = load_manifest(d).get("delta")
-            if not delta:
-                break
-            d = d.parent / delta["base"]
-    removed = []
-    for child in every:
-        if child not in needed:
-            shutil.rmtree(child, ignore_errors=True)
-            removed.append(child)
+    every = _step_dirs(root)
+    kept = {path for _step, _name, path in _complete(every)[-keep_last:]}
+    removed = sorted(d for d in every if d not in kept)
+    for d in removed:
+        shutil.rmtree(d, ignore_errors=True)
     if removed:
         _fsync_dir(root)
-    return sorted(removed)
+    return removed
 
 
 def _validate_units(manifest: dict, model: FSDPModel) -> None:
@@ -575,12 +454,11 @@ def load_sharded(
 ) -> dict:
     """Restore *model* (and optionally *optimizer*) from a sharded checkpoint.
 
-    Purely local I/O — each rank reads only its own shard file(s), so
-    restore moves zero wire bytes and is bitwise exact.  Deltas resolve
-    through their base chain (each unit read from the directory that
-    physically holds it).  The checkpoint's world size must equal the
-    model's FSDP group size; :func:`reshard` first otherwise.  Returns the
-    manifest (whose ``step`` and ``extra`` drive trainer resume).
+    Purely local I/O — each rank reads only its own shard file, so restore
+    moves zero wire bytes and is bitwise exact.  The checkpoint's world
+    size must equal the model's FSDP group size; :func:`reshard` first
+    otherwise.  Returns the manifest (whose ``step`` and ``extra`` drive
+    trainer resume).
     """
     step_dir = Path(step_dir)
     manifest = load_manifest(step_dir)
@@ -591,31 +469,19 @@ def load_sharded(
             f"{group.size}; reshard() it first"
         )
     _validate_units(manifest, model)
-    me = group.rank_index(model.comm.rank)
-    sources = _delta_sources(step_dir, manifest)
-    opened: dict[Path, np.lib.npyio.NpzFile] = {}
-    try:
-        def read(i: int, key: str) -> np.ndarray:
-            src = sources[i]
-            if src not in opened:
-                opened[src] = np.load(src / _shard_name(me))
-            return opened[src][f"unit{i}.{key}"]
-
-        shards = [read(i, "param") for i in range(len(model.units))]
-        model.load_shard_data(shards)
+    if optimizer is not None and not manifest["has_optimizer"]:
+        raise ValueError("checkpoint carries no optimizer state")
+    n_units = len(model.units)
+    with np.load(step_dir / _shard_name(group.rank_index(model.comm.rank))) as data:
+        model.load_shard_data([data[f"unit{i}.param"] for i in range(n_units)])
         if optimizer is not None:
-            if not manifest["has_optimizer"]:
-                raise ValueError("checkpoint carries no optimizer state")
             optimizer.load_state_dict(
                 {
                     "step": manifest["adam_step"],
-                    "m": [read(i, "m") for i in range(len(model.units))],
-                    "v": [read(i, "v") for i in range(len(model.units))],
+                    "m": [data[f"unit{i}.m"] for i in range(n_units)],
+                    "v": [data[f"unit{i}.v"] for i in range(n_units)],
                 }
             )
-    finally:
-        for fh in opened.values():
-            fh.close()
     return manifest
 
 
@@ -638,12 +504,10 @@ def reshard(
 
     Offline (driver-side) transformation: per unit, the N parameter shards
     are concatenated, N's pad stripped, and the flat vector re-split with
-    M's padding; optimizer moments ride along identically.  A delta source
-    is materialized through its base chain, so the output is always a
-    *full* checkpoint.  Returns the new step directory (default
-    ``<src>.w{M}`` alongside the source) and the number of bytes moved —
-    the wire cost a real cluster would pay to re-lay-out the shards, which
-    the recovery benchmark reports.
+    M's padding; optimizer moments ride along identically.  Returns the new
+    step directory (default ``<src>.w{M}`` alongside the source) and the
+    number of bytes moved — the wire cost a real cluster would pay to
+    re-lay-out the shards, which the recovery benchmark reports.
 
     Resharding never does arithmetic on values, so consolidating the result
     is bitwise-identical to consolidating the source at any M.
@@ -653,37 +517,28 @@ def reshard(
         raise ValueError(f"new world size must be >= 1, got {new_world_size}")
     manifest = load_manifest(src_dir)
     old_world = manifest["world_size"]
-    if new_world_size == old_world and "delta" not in manifest:
+    if new_world_size == old_world:
         return src_dir, 0
     if dst_dir is None:
         dst_dir = src_dir.with_name(f"{src_dir.name}.w{new_world_size}")
     dst_dir = Path(dst_dir)
     dst_dir.mkdir(parents=True, exist_ok=True)
 
-    sources = _delta_sources(src_dir, manifest)
-    per_unit: list[dict[str, list[np.ndarray]]] = []
     keys = ["param"] + (["m", "v"] if manifest["has_optimizer"] else [])
-    n_units = len(manifest["units"])
-    gathered: list[dict[str, list[np.ndarray]]] = [
-        {k: [] for k in keys} for _ in range(n_units)
-    ]
-    for r, name in enumerate(manifest["shards"]):
-        loads = {}
-        try:
-            for i in range(n_units):
-                src = sources[i]
-                if src not in loads:
-                    loads[src] = np.load(src / _shard_name(r))
-                for k in keys:
-                    gathered[i][k].append(loads[src][f"unit{i}.{k}"])
-        finally:
-            for fh in loads.values():
-                fh.close()
-    for i, unit_meta in enumerate(manifest["units"]):
-        total = unit_meta["total"]
-        per_unit.append(
-            {k: _resplit(np.concatenate(gathered[i][k]), total, new_world_size) for k in keys}
-        )
+    totals = {
+        f"unit{i}.{k}": unit_meta["total"]
+        for i, unit_meta in enumerate(manifest["units"])
+        for k in keys
+    }
+    parts: dict[str, list[np.ndarray]] = {name: [] for name in totals}
+    for shard in manifest["shards"]:
+        with np.load(src_dir / shard) as data:
+            for name, chunks in parts.items():
+                chunks.append(data[name])
+    resplit = {
+        name: _resplit(np.concatenate(parts[name]), total, new_world_size)
+        for name, total in totals.items()
+    }
 
     bytes_moved = 0
     new_units = []
@@ -699,12 +554,8 @@ def reshard(
             }
         )
     for r in range(new_world_size):
-        arrays = {}
-        for i in range(n_units):
-            for k in keys:
-                arr = per_unit[i][k][r]
-                arrays[f"unit{i}.{k}"] = arr
-                bytes_moved += arr.nbytes
+        arrays = {name: shards[r] for name, shards in resplit.items()}
+        bytes_moved += sum(arr.nbytes for arr in arrays.values())
         _atomic_savez(dst_dir / _shard_name(r), arrays)
     new_manifest = {
         **manifest,
@@ -712,11 +563,6 @@ def reshard(
         "units": new_units,
         "shards": [_shard_name(r) for r in range(new_world_size)],
     }
-    # The output is a full checkpoint at a new layout: the source's delta
-    # marker no longer applies, and per-rank digests don't survive a
-    # re-split (a resharded dir cannot serve as a delta base).
-    new_manifest.pop("delta", None)
-    new_manifest.pop("digests", None)
     _atomic_write_json(dst_dir / MANIFEST_NAME, new_manifest)
     return dst_dir, bytes_moved
 
@@ -725,24 +571,15 @@ def consolidate(step_dir: str | Path) -> dict[str, np.ndarray]:
     """Reassemble the full (unsharded) state dict from a checkpoint.
 
     Keys follow the :meth:`FSDPModel.consolidated_state_dict` convention
-    (``unit{i}.{param_name}``), so the two are directly comparable.  Deltas
-    resolve through their base chain.
+    (``unit{i}.{param_name}``), so the two are directly comparable.
     """
     step_dir = Path(step_dir)
     manifest = load_manifest(step_dir)
-    sources = _delta_sources(step_dir, manifest)
     flats: list[list[np.ndarray]] = [[] for _ in manifest["units"]]
-    for r, name in enumerate(manifest["shards"]):
-        loads = {}
-        try:
-            for i in range(len(manifest["units"])):
-                src = sources[i]
-                if src not in loads:
-                    loads[src] = np.load(src / _shard_name(r))
-                flats[i].append(loads[src][f"unit{i}.param"])
-        finally:
-            for fh in loads.values():
-                fh.close()
+    for name in manifest["shards"]:
+        with np.load(step_dir / name) as data:
+            for i, flat in enumerate(flats):
+                flat.append(data[f"unit{i}.param"])
     out: dict[str, np.ndarray] = {}
     for i, unit_meta in enumerate(manifest["units"]):
         flat = np.concatenate(flats[i])[: unit_meta["total"]]
@@ -756,11 +593,7 @@ def consolidate(step_dir: str | Path) -> dict[str, np.ndarray]:
 
 
 def checkpoint_nbytes(step_dir: str | Path) -> int:
-    """Array bytes physically held *in this directory* (params + moments).
-
-    For a delta checkpoint this is exactly the cadence cost the delta
-    saved — the bytes its base chain already holds are not re-counted.
-    """
+    """Array bytes held in a checkpoint's shard files (params + moments)."""
     step_dir = Path(step_dir)
     manifest = load_manifest(step_dir)
     total = 0
@@ -772,8 +605,8 @@ def checkpoint_nbytes(step_dir: str | Path) -> int:
 
 # -- CLI parity gate (wired into the elastic-smoke CI job) ------------------
 def main(argv: Sequence[str] | None = None) -> int:  # pragma: no cover
-    """Async/delta checkpoint parity gate: async saves bitwise-equal to
-    blocking ones, torn saves (full and delta) invisible, chains exact."""
+    """Async checkpoint parity gate: async saves bitwise-equal to blocking
+    ones, torn saves invisible, retention keeping the newest saves."""
     import argparse
     import tempfile
 
@@ -811,15 +644,11 @@ def main(argv: Sequence[str] | None = None) -> int:  # pragma: no cover
         train(2)
         save_sharded(root / "sync", model, opt, step=2)
         save_sharded(root / "async", model, opt, step=2, writer=writer)
-        save_sharded(root / "delta", model, opt, step=2)
-        train(2)
-        base = save_sharded(root / "delta", model, opt, step=4)
-        # Touch only unit 0: the delta must store that unit and skip unit 1.
-        model.units[0].flat.shard.data += 1.0
-        save_sharded(root / "delta", model, opt, step=6, delta_base=base)
-        return model.consolidated_state_dict()
+        for step in (2, 4, 6):
+            save_sharded(root / "prune", model, opt, step=step)
+            train(2)
 
-    state = run_spmd(fn, world)[0]
+    run_spmd(fn, world)
     writer.wait()
     writer.close()
 
@@ -855,44 +684,18 @@ def main(argv: Sequence[str] | None = None) -> int:  # pragma: no cover
         latest_checkpoint(root / "torn") == checkpoint_dir(root / "torn", 1),
     )
 
-    # Delta chain resolves bitwise; torn base hides the delta.
-    delta_dir = checkpoint_dir(root / "delta", 6)
-    delta_c = consolidate(delta_dir)
+    removed = prune_checkpoints(root / "prune", keep_last=2)
     gate(
-        "delta chain consolidates bitwise",
-        all(np.array_equal(state[k], delta_c[k]) for k in state),
-    )
-    gate(
-        "delta holds fewer bytes than its base",
-        checkpoint_nbytes(delta_dir)
-        < checkpoint_nbytes(checkpoint_dir(root / "delta", 4)),
-    )
-    gate(
-        "latest_checkpoint returns the delta",
-        latest_checkpoint(root / "delta") == delta_dir,
-    )
-    base_manifest = checkpoint_dir(root / "delta", 4) / MANIFEST_NAME
-    stash = base_manifest.read_bytes()
-    base_manifest.unlink()
-    gate(
-        "delta with a torn base is skipped",
-        latest_checkpoint(root / "delta") == checkpoint_dir(root / "delta", 2),
-    )
-    base_manifest.write_bytes(stash)
-
-    # Retention keeps the delta's base alive.
-    removed = prune_checkpoints(root / "delta", keep_last=1)
-    gate(
-        "prune keeps the kept delta's base",
-        checkpoint_dir(root / "delta", 4).is_dir()
-        and checkpoint_dir(root / "delta", 6).is_dir()
-        and checkpoint_dir(root / "delta", 2) in removed,
+        "prune keeps the two newest complete saves and removes the oldest",
+        removed == [checkpoint_dir(root / "prune", 2)]
+        and checkpoint_dir(root / "prune", 4).is_dir()
+        and checkpoint_dir(root / "prune", 6).is_dir(),
     )
 
     if failures:
         print(f"{failures} checkpoint gate(s) FAILED")
         return 1
-    print("all async/delta checkpoint gates passed")
+    print("all async checkpoint gates passed")
     return 0
 
 

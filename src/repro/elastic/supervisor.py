@@ -36,13 +36,12 @@ callers can see what the run survived before it gave up.
 
 The module also ships :func:`fsdp_training_segment`, the canonical segment:
 an FSDP-wrapped model driven by a :class:`~repro.train.Trainer` with
-step-indexed batches, periodic sharded saves (optionally async and/or
-delta), and failure-plan ticks.
+step-indexed batches, periodic full sharded saves (optionally async), and
+failure-plan ticks.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -69,7 +68,7 @@ from .checkpoint import (
     writer_for,
 )
 from .failure import RankReturn
-from .policy import AlwaysShrink, RecoveryPolicy, StepEconomics
+from .policy import AlwaysShrink, RecoveryPolicy
 
 __all__ = [
     "ElasticError",
@@ -364,13 +363,9 @@ def fsdp_training_segment(
     batch_fn: Callable[[int], Sequence],
     config: TrainConfig,
     ckpt_root: str | Path,
-    units: Callable[[Module], list[Module]] | None = None,
     async_save: bool = False,
-    delta_saves: bool = False,
     keep_last: int | None = None,
     shard_batch: bool = False,
-    policy: RecoveryPolicy | None = None,
-    economics: StepEconomics | None = None,
     save_stats: dict | None = None,
 ) -> Segment:
     """Build the canonical elastic segment: FSDP + Trainer + sharded saves.
@@ -384,15 +379,12 @@ def fsdp_training_segment(
     recording the *global* loss, so the trajectory stays world-size
     independent either way.
 
-    Checkpoints fire every ``config.checkpoint_every`` steps — or at the
-    interval *policy* derives from *economics* (see
-    :class:`~repro.elastic.policy.CostAwareCadence`) — and stash the loss
-    history in the manifest, so a resumed segment returns the full
+    Checkpoints fire every ``config.checkpoint_every`` steps and stash the
+    loss history in the manifest, so a resumed segment returns the full
     trajectory from step 0.  ``async_save`` routes saves through the
     process-wide :func:`~repro.elastic.checkpoint.writer_for` writer
     (double-buffered background writes; the supervisor drains them before
-    resuming); ``delta_saves`` chains each save to the segment's previous
-    one, storing only changed units; ``keep_last`` prunes old step dirs.
+    resuming); ``keep_last`` prunes old step dirs.
 
     ``save_stats`` (a plain dict, shared via the threaded runtime's memory)
     accumulates rank 0's ``save_seconds``/``saves`` from
@@ -400,31 +392,19 @@ def fsdp_training_segment(
     async-vs-blocking cadence-cost benchmark compares.
     """
     ckpt_root = Path(ckpt_root)
-    if policy is not None:
-        every = policy.checkpoint_interval(config.checkpoint_every, economics)
-        if every != config.checkpoint_every:
-            config = dataclasses.replace(config, checkpoint_every=every)
 
     def segment(comm, start_step: int, resume_dir: Path | None) -> list[float]:
-        module = module_factory()
-        model = FSDPModel(
-            comm, None, module, units=units(module) if units is not None else None
-        )
+        model = FSDPModel(comm, None, module_factory())
         writer = writer_for(ckpt_root) if async_save else None
-        # Every rank tracks the same save sequence, so a plain local is
-        # enough for delta chaining; a resumed segment starts with a full
-        # save (its world size is fresh and the old chain may be pruned).
-        last_save: dict = {"dir": None}
 
         def save_cb(step: int) -> None:
-            last_save["dir"] = save_sharded(
+            save_sharded(
                 ckpt_root,
                 model,
                 trainer.optimizer,
                 step,
                 extra={"losses": [float(v) for v in trainer.result.losses]},
                 writer=writer,
-                delta_base=last_save["dir"] if delta_saves else None,
                 keep_last=keep_last,
             )
 

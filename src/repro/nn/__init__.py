@@ -20,7 +20,6 @@ from .perceiver import PerceiverChannelFusion
 from .serialization import (
     checkpoint_equal,
     load_checkpoint,
-    read_manifest,
     resolve_checkpoint_path,
     save_checkpoint,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "checkpoint_equal",
-    "read_manifest",
     "resolve_checkpoint_path",
     "random_masking",
 ]

@@ -8,14 +8,11 @@ distributed runs against the single-GPU baseline.
 Both ends share one path convention: :func:`save_checkpoint` appends ``.npz``
 to paths that lack it (``model.ckpt`` → ``model.ckpt.npz``) and
 :func:`load_checkpoint` applies the same derivation, so the path a caller
-passed to save round-trips through load unchanged.  A checkpoint may carry a
-JSON *manifest* (step index, world geometry, anything the elastic subsystem
-needs) stored under a reserved key that never collides with parameter names.
+passed to save round-trips through load unchanged.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -25,14 +22,9 @@ from .module import Module
 __all__ = [
     "save_checkpoint",
     "load_checkpoint",
-    "read_manifest",
     "checkpoint_equal",
     "resolve_checkpoint_path",
 ]
-
-# Reserved npz entry holding the JSON manifest; parameter names are dotted
-# attribute paths, so a dunder name cannot collide.
-_MANIFEST_KEY = "__manifest__"
 
 
 def resolve_checkpoint_path(path: str | Path, for_load: bool = False) -> Path:
@@ -50,26 +42,16 @@ def resolve_checkpoint_path(path: str | Path, for_load: bool = False) -> Path:
     return path.with_suffix(path.suffix + ".npz")
 
 
-def save_checkpoint(
-    module: Module, path: str | Path, manifest: dict | None = None
-) -> Path:
+def save_checkpoint(module: Module, path: str | Path) -> Path:
     """Write ``module.state_dict()`` to *path* (``.npz``, compressed).
 
-    *manifest*, when given, must be JSON-serializable; it is embedded in the
-    archive and read back with :func:`read_manifest`.  Returns the actual
-    path written (suffix-derived), which :func:`load_checkpoint` also
-    derives — callers may round-trip either the argument or the return value.
+    Returns the actual path written (suffix-derived), which
+    :func:`load_checkpoint` also derives — callers may round-trip either
+    the argument or the return value.
     """
     path = resolve_checkpoint_path(path)
-    state = dict(module.state_dict())
-    if manifest is not None:
-        if _MANIFEST_KEY in state:
-            raise ValueError(f"state dict may not contain the reserved key {_MANIFEST_KEY!r}")
-        state[_MANIFEST_KEY] = np.frombuffer(
-            json.dumps(manifest).encode("utf-8"), dtype=np.uint8
-        )
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, **state)
+    np.savez_compressed(path, **module.state_dict())
     return path
 
 
@@ -84,7 +66,7 @@ def load_checkpoint(module: Module, path: str | Path, strict: bool = True) -> li
     """
     path = resolve_checkpoint_path(path, for_load=True)
     with np.load(path) as data:
-        state = {k: data[k] for k in data.files if k != _MANIFEST_KEY}
+        state = {k: data[k] for k in data.files}
     if strict:
         module.load_state_dict(state)
         return []
@@ -97,16 +79,6 @@ def load_checkpoint(module: Module, path: str | Path, strict: bool = True) -> li
                 raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
             p.data = arr.copy()
     return skipped
-
-
-def read_manifest(path: str | Path) -> dict | None:
-    """The manifest embedded by :func:`save_checkpoint`, or ``None``."""
-    path = resolve_checkpoint_path(path, for_load=True)
-    with np.load(path) as data:
-        if _MANIFEST_KEY not in data.files:
-            return None
-        raw = bytes(data[_MANIFEST_KEY].tobytes())
-    return json.loads(raw.decode("utf-8"))
 
 
 def checkpoint_equal(a: Module, b: Module, rtol: float = 0.0, atol: float = 0.0) -> bool:

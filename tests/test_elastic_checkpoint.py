@@ -5,6 +5,10 @@ size N consolidates — and, after resharding, loads — **bitwise identically**
 at any world size M, optimizer moments included.
 """
 
+import json
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -22,7 +26,7 @@ from repro.elastic import (
     save_sharded,
     writer_for,
 )
-from repro.nn import MLP, load_checkpoint, read_manifest, save_checkpoint
+from repro.nn import MLP, load_checkpoint, save_checkpoint
 from repro.parallel import DeviceMesh, FSDPModel
 from repro.tensor import AdamW, Tensor
 
@@ -263,15 +267,6 @@ class TestSerializationSuffix:
         for (_, pa), (_, pb) in zip(a.named_parameters(), b.named_parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
 
-    def test_embedded_manifest_roundtrips_and_stays_invisible(self, tmp_path):
-        a, b = make_module(seed=1), make_module(seed=2)
-        meta = {"step": 17, "world_size": 4, "note": "elastic"}
-        path = save_checkpoint(a, tmp_path / "with_meta.ckpt", manifest=meta)
-        assert read_manifest(tmp_path / "with_meta.ckpt") == meta
-        # The reserved key must not leak into strict state-dict loading.
-        load_checkpoint(b, path)
-        plain = save_checkpoint(a, tmp_path / "plain")
-        assert read_manifest(plain) is None
 
 class TestAsyncCheckpointWriter:
     def test_async_save_bitwise_equals_sync(self, tmp_path):
@@ -297,11 +292,6 @@ class TestAsyncCheckpointWriter:
         assert got.keys() == expect.keys()
         for k in expect:
             np.testing.assert_array_equal(got[k], expect[k])
-        # Same manifests modulo nothing: digests agree, so either can serve
-        # as the other's delta base.
-        sm = load_manifest(checkpoint_dir(sync_root, 2))
-        am = load_manifest(checkpoint_dir(async_root, 2))
-        assert sm["digests"] == am["digests"]
 
     def test_staged_snapshot_is_immune_to_later_mutation(self, tmp_path):
         """The async writer copies at the barrier: training can stomp the
@@ -351,103 +341,89 @@ class TestAsyncCheckpointWriter:
         w2.close()
 
 
-class TestDeltaCheckpoints:
-    def _train_two_units(self, comm, root):
-        module = make_module()
-        model = FSDPModel(comm, None, module, units=[module.fc1, module.fc2])
-        opt = AdamW(model.shard_parameters(), lr=1e-2)
-        x = make_batch()
-        model.zero_grad()
-        (model(Tensor(x)) ** 2).mean().backward()
-        opt.step()
-        return model, opt
+def _flip_unit0_param_byte(path):
+    """Flip the last byte of ``unit0.param``'s array data inside the zip."""
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo("unit0.param.npy")
+    raw = bytearray(path.read_bytes())
+    # Local file header: 30 fixed bytes, then the name and extra fields.
+    name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+    data_start = info.header_offset + 30 + name_len + extra_len
+    raw[data_start + info.compress_size - 1] ^= 0xFF  # stored, not deflated
+    path.write_bytes(bytes(raw))
 
-    def test_delta_stores_only_changed_units_and_consolidates(self, tmp_path):
+
+def _truncate_to_half(path):
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) // 2])
+
+
+def _load_on_rank_1(step_dir, tmp_path):
+    """A 2-rank restore in which only rank 1 reads the damaged shard;
+    re-raises that rank's own exception."""
+
+    def load(comm):
+        model = FSDPModel(comm, None, make_module(seed=99))
+        load_sharded(step_dir, model, AdamW(model.shard_parameters(), lr=1e-2))
+
+    from repro.dist import SpmdError
+
+    with pytest.raises(SpmdError) as exc:
+        run_spmd(load, 2)
+    assert exc.value.rank == 1
+    raise exc.value.__cause__
+
+
+class TestDamagedShard:
+    """``np.load`` checks the zip container's per-member CRC-32, so a damaged
+    shard raises on read instead of loading wrong bytes."""
+
+    @pytest.mark.parametrize(
+        "damage", [_flip_unit0_param_byte, _truncate_to_half], ids=["flip", "truncate"]
+    )
+    @pytest.mark.parametrize(
+        "read",
+        [
+            _load_on_rank_1,
+            lambda step_dir, tmp_path: reshard(step_dir, 3, dst_dir=tmp_path / "w3"),
+            lambda step_dir, tmp_path: consolidate(step_dir),
+        ],
+        ids=["load_sharded", "reshard", "consolidate"],
+    )
+    def test_damaged_shard_raises_zip_error(self, tmp_path, damage, read):
+        run_spmd(lambda comm: train_and_save(comm, tmp_path), 2)
+        step_dir = checkpoint_dir(tmp_path, 2)
+        damage(step_dir / "shard_0001.npz")
+        with pytest.raises(zipfile.BadZipFile):
+            read(step_dir, tmp_path)
+
+
+class TestDeltaManifestRejected:
+    def test_older_delta_manifest_is_rejected_and_skipped(self, tmp_path):
         def fn(comm):
-            model, opt = self._train_two_units(comm, tmp_path)
-            base = save_sharded(tmp_path, model, opt, step=1)
-            # Only unit 0 changes; unit 1 (and its moments) is untouched.
-            model.units[0].flat.shard.data += 1.0
-            save_sharded(tmp_path, model, opt, step=2, delta_base=base)
-            return model.consolidated_state_dict()
-
-        expect = run_spmd(fn, 2)[0]
-        delta_dir = checkpoint_dir(tmp_path, 2)
-        manifest = load_manifest(delta_dir)
-        assert manifest["delta"] == {"base": "step_00000001", "units": [0]}
-        got = consolidate(delta_dir)  # reads unit1 through the base chain
-        assert got.keys() == expect.keys()
-        for k in expect:
-            np.testing.assert_array_equal(got[k], expect[k])
-        # The delta physically stores less than its base.
-        assert checkpoint_nbytes(delta_dir) < checkpoint_nbytes(
-            checkpoint_dir(tmp_path, 1)
-        )
-
-    def test_torn_base_hides_the_delta(self, tmp_path):
-        def fn(comm):
-            model, opt = self._train_two_units(comm, tmp_path)
-            save_sharded(tmp_path, model, opt, step=1)
-            base = save_sharded(tmp_path, model, opt, step=2)
-            model.units[0].flat.shard.data += 1.0
-            save_sharded(tmp_path, model, opt, step=3, delta_base=base)
+            model = FSDPModel(comm, None, make_module())
+            for step in (1, 2):
+                save_sharded(tmp_path, model, step=step)
 
         run_spmd(fn, 2)
-        assert latest_checkpoint(tmp_path) == checkpoint_dir(tmp_path, 3)
-        # Tear the base: the delta is unreadable even though its own
-        # manifest landed, so latest falls back past *both*.
-        (checkpoint_dir(tmp_path, 2) / "manifest.json").unlink()
+        step_dir = checkpoint_dir(tmp_path, 2)
+        manifest_path = step_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["delta"] = {"base": "step_00000001", "units": [0]}
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="step_00000002"):
+            load_manifest(step_dir)
         assert latest_checkpoint(tmp_path) == checkpoint_dir(tmp_path, 1)
-
-    def test_reshard_materializes_delta_to_full(self, tmp_path):
-        def fn(comm):
-            model, opt = self._train_two_units(comm, tmp_path)
-            base = save_sharded(tmp_path, model, opt, step=1)
-            model.units[0].flat.shard.data += 1.0
-            save_sharded(tmp_path, model, opt, step=2, delta_base=base)
-            return model.consolidated_state_dict()
-
-        expect = run_spmd(fn, 2)[0]
-        # Same world size, but a delta still materializes (resume dirs must
-        # be self-contained).
-        dst, moved = reshard(checkpoint_dir(tmp_path, 2), 2, dst_dir=tmp_path / "full")
-        assert moved > 0
-        out = load_manifest(dst)
-        assert "delta" not in out
-        got = consolidate(dst)
-        for k in expect:
-            np.testing.assert_array_equal(got[k], expect[k])
-
-    def test_delta_base_must_match_world_size(self, tmp_path):
-        def save4(comm):
-            model, opt = self._train_two_units(comm, tmp_path)
-            save_sharded(tmp_path, model, opt, step=1)
-
-        run_spmd(save4, 4)
-        base = checkpoint_dir(tmp_path, 1)
-
-        def save2(comm):
-            model, opt = self._train_two_units(comm, tmp_path)
-            save_sharded(tmp_path, model, opt, step=2, delta_base=base)
-
-        from repro.dist import SpmdError
-
-        with pytest.raises(SpmdError, match="world size"):
-            run_spmd(save2, 2)
 
 
 class TestPruneCheckpoints:
-    def _save_steps(self, comm, root, steps, delta_from=None):
+    def _save_steps(self, comm, root, steps):
         module = make_module()
         model = FSDPModel(comm, None, module, units=[module.fc1, module.fc2])
         opt = AdamW(model.shard_parameters(), lr=1e-2)
-        last = None
         for step in steps:
             model.units[0].flat.shard.data += 1.0
-            last = save_sharded(
-                root, model, opt, step=step,
-                delta_base=last if delta_from and step >= delta_from else None,
-            )
+            save_sharded(root, model, opt, step=step)
 
     def test_prune_keeps_last_k_and_removes_torn(self, tmp_path):
         run_spmd(lambda comm: self._save_steps(comm, tmp_path, (1, 2, 3, 4)), 2)
@@ -459,19 +435,6 @@ class TestPruneCheckpoints:
             "step_00000002", "step_00000003",
         ]
         assert latest_checkpoint(tmp_path) == checkpoint_dir(tmp_path, 3)
-
-    def test_prune_preserves_delta_base_chains(self, tmp_path):
-        # steps 1, 2 full; 3, 4 delta-chained onto 2.
-        run_spmd(
-            lambda comm: self._save_steps(comm, tmp_path, (1, 2, 3, 4), delta_from=3),
-            2,
-        )
-        removed = prune_checkpoints(tmp_path, keep_last=1)
-        # Keeping the step-4 delta forces its whole base chain (3 -> 2) to
-        # survive; only the unrelated full step 1 is reclaimable.
-        assert removed == [checkpoint_dir(tmp_path, 1)]
-        got = consolidate(checkpoint_dir(tmp_path, 4))
-        assert got  # chain still readable end-to-end
 
     def test_save_with_keep_last_prunes_inline(self, tmp_path):
         def fn(comm):

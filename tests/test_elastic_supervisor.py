@@ -293,11 +293,11 @@ class TestElasticGrow:
         assert res.world_sizes == [4] * TOTAL
         np.testing.assert_allclose(res.losses, base.losses, rtol=1e-4, atol=1e-6)
 
-    def test_async_delta_saves_survive_recovery(self, tmp_path):
+    def test_async_saves_survive_recovery(self, tmp_path):
         root = tmp_path / "ad"
         segment = fsdp_training_segment(
             TinyRegressor, batch_fn, make_config(), root,
-            async_save=True, delta_saves=True, keep_last=3,
+            async_save=True, keep_last=3,
         )
         sup = ElasticSupervisor(segment, root, 4, timeout=60)
         res = sup.run(TOTAL, failure_plan=FailurePlan.kill(2, 7))
