@@ -16,7 +16,7 @@ import pytest
 from figutils import print_table
 from repro.dist import run_spmd_world
 from repro.nn import ViTEncoder
-from repro.parallel import SPContext, SPViTEncoder, TPContext, TPViTEncoder, scatter_sequence
+from repro.parallel import ParallelContext, scatter_sequence, sequence_parallel, tensor_parallel
 from repro.perf import (
     MachineSpec,
     ParallelPlan,
@@ -32,18 +32,15 @@ MACHINE = frontier()
 
 
 def measure_traffic(kind: str, world: int = 2):
-    serial = ViTEncoder(D, DEPTH, HEADS, np.random.default_rng(42))
-    state = serial.state_dict()
     x = np.random.default_rng(1).standard_normal((B, N, D)).astype(np.float32)
 
     def fn(comm):
+        ctx = ParallelContext(comm)
+        serial = ViTEncoder(D, DEPTH, HEADS, np.random.default_rng(42))
         if kind == "tp":
-            enc = TPViTEncoder(TPContext(comm), D, DEPTH, HEADS, state)
-            out = enc(Tensor(x))
+            out = tensor_parallel(ctx, serial)(Tensor(x))
         else:
-            ctx = SPContext(comm)
-            enc = SPViTEncoder(ctx, D, DEPTH, HEADS, state)
-            out = enc(scatter_sequence(ctx, Tensor(x)))
+            out = sequence_parallel(ctx, serial)(scatter_sequence(ctx, Tensor(x)))
         (out * out).mean().backward()
 
     _, w = run_spmd_world(fn, world)

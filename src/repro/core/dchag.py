@@ -26,8 +26,7 @@ import numpy as np
 
 from ..dist import Communicator, ProcessGroup, all_gather_forward_only
 from ..nn import ChannelCrossAttention, ChannelIDEmbedding, Module, PatchTokenizer
-from ..parallel.dist_token import channel_shard
-from ..parallel.tp import TPChannelCrossAttention, TPContext
+from ..parallel import ParallelContext, channel_shard, tensor_parallel
 from ..tensor import Tensor
 from .config import DCHAGConfig
 from .partial_agg import PartialChannelAggregator
@@ -110,23 +109,9 @@ class DCHAG(Module):
         )
 
         # Final shared cross-attention: identical init on every rank.
-        final_serial = ChannelCrossAttention(d, h, shared_rng, num_queries=1)
+        self.final = ChannelCrossAttention(d, h, shared_rng, num_queries=1)
         if config.tp_shard_final and group.size > 1:
-            ctx = TPContext(comm, group)
-            self.final = TPChannelCrossAttention(
-                ctx,
-                d,
-                h,
-                master_query_tokens=final_serial.query_tokens.data,
-                master_q_w=final_serial.q_proj.weight.data,
-                master_q_b=final_serial.q_proj.bias.data,
-                master_kv_w=final_serial.kv_proj.weight.data,
-                master_kv_b=final_serial.kv_proj.bias.data,
-                master_proj_w=final_serial.proj.weight.data,
-                master_proj_b=final_serial.proj.bias.data,
-            )
-        else:
-            self.final = final_serial
+            tensor_parallel(ParallelContext(comm, group), self.final)
 
     # ------------------------------------------------------------------
     def local_tokens(self, images: np.ndarray) -> Tensor:

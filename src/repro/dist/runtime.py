@@ -723,8 +723,7 @@ class Communicator:
         """Advance this rank's virtual clock by a compute interval.
 
         The parallel wrappers (:class:`~repro.parallel.DataParallel`,
-        :class:`~repro.parallel.FSDPModel`, :class:`~repro.parallel.TPContext`)
-        call this so rank timelines interleave compute with communication and
+        :class:`~repro.parallel.FSDPModel`) call this so rank timelines interleave compute with communication and
         :mod:`repro.perf.overlap` can derive overlap fractions.  Returns the
         ``(start, end)`` virtual interval, or ``None`` when the world has no
         clock (a no-op, so instrumented code runs unchanged without one).

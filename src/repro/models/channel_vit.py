@@ -5,7 +5,7 @@ aggregation) and the **ViT encoder** are injected, so the same model class
 runs serially, under TP, or with D-CHAG:
 
 * serial:      ``SerialChannelFrontend`` + ``ViTEncoder``
-* TP baseline: ``SerialChannelFrontend``/``TPChannelCrossAttention`` + ``TPViTEncoder``
+* TP baseline: the serial modules rewritten by ``repro.parallel.tensor_parallel``
 * D-CHAG:      ``repro.core.DCHAG`` + either encoder
 
 Any front-end is a module mapping ``[B, C, H, W] -> [B, N, D]``.

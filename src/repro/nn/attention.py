@@ -61,26 +61,16 @@ __all__ = [
 ]
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
+def split_heads(x: Tensor, heads: int) -> Tensor:
     """[B, N, D] -> [B, h, N, D/h]"""
     b, n, d = x.shape
     return x.reshape(b, n, heads, d // heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x: Tensor) -> Tensor:
+def merge_heads(x: Tensor) -> Tensor:
     """[B, h, N, D/h] -> [B, N, D]"""
     b, h, n, hd = x.shape
     return x.transpose(0, 2, 1, 3).reshape(b, n, h * hd)
-
-
-def split_heads(x: Tensor, heads: int) -> Tensor:
-    """Public alias of :func:`_split_heads` (used by the TP layers)."""
-    return _split_heads(x, heads)
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """Public alias of :func:`_merge_heads`."""
-    return _merge_heads(x)
 
 
 def scaled_dot_product_attention(
@@ -145,36 +135,35 @@ def channel_query_attention(
 class MultiHeadSelfAttention(Module):
     """Standard ViT self-attention over the token axis.
 
-    Accepts explicit qkv/proj weights so TP can shard a master init.
+    :func:`~repro.parallel.tensor_parallel` shards its linears and heads in
+    place; :func:`~repro.parallel.sequence_parallel` wraps :meth:`attend`.
     """
 
     def __init__(
         self,
         dim: int,
         heads: int,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator,
         dropout: float = 0.0,
-        qkv_weight: np.ndarray | None = None,
-        qkv_bias: np.ndarray | None = None,
-        proj_weight: np.ndarray | None = None,
-        proj_bias: np.ndarray | None = None,
     ) -> None:
         super().__init__()
         if dim % heads != 0:
             raise ValueError(f"dim {dim} not divisible by heads {heads}")
         self.dim = dim
         self.heads = heads
-        self.qkv = Linear(dim, 3 * dim, rng, weight=qkv_weight, bias_value=qkv_bias)
-        self.proj = Linear(dim, dim, rng, weight=proj_weight, bias_value=proj_bias)
+        self.qkv = Linear(dim, 3 * dim, rng)
+        self.proj = Linear(dim, dim, rng)
         self.attn_drop = Dropout(dropout, rng) if dropout > 0 else None
 
+    def attend(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+        """The attention kernel on split heads, ``[B, h, N, hd]`` each."""
+        return scaled_dot_product_attention(q, k, v, self.attn_drop)
+
     def forward(self, x: Tensor) -> Tensor:
-        b, n, d = x.shape
         qkv = self.qkv(x)  # [B, N, 3D]
         q, k, v = qkv.split(3, axis=-1)
-        q, k, v = (_split_heads(t, self.heads) for t in (q, k, v))
-        out = scaled_dot_product_attention(q, k, v, self.attn_drop)
-        return self.proj(_merge_heads(out))
+        q, k, v = (split_heads(t, self.heads) for t in (q, k, v))
+        return self.proj(merge_heads(self.attend(q, k, v)))
 
 
 class ChannelCrossAttention(Module):
@@ -189,16 +178,9 @@ class ChannelCrossAttention(Module):
         self,
         dim: int,
         heads: int,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator,
         num_queries: int = 1,
         dropout: float = 0.0,
-        query_tokens: np.ndarray | None = None,
-        q_weight: np.ndarray | None = None,
-        q_bias: np.ndarray | None = None,
-        kv_weight: np.ndarray | None = None,
-        kv_bias: np.ndarray | None = None,
-        proj_weight: np.ndarray | None = None,
-        proj_bias: np.ndarray | None = None,
     ) -> None:
         super().__init__()
         if dim % heads != 0:
@@ -206,15 +188,10 @@ class ChannelCrossAttention(Module):
         self.dim = dim
         self.heads = heads
         self.num_queries = num_queries
-        if query_tokens is not None:
-            self.query_tokens = Tensor(np.asarray(query_tokens, dtype=np.float32), requires_grad=True)
-        else:
-            if rng is None:
-                raise ValueError("ChannelCrossAttention needs rng or explicit weights")
-            self.query_tokens = init.trunc_normal((num_queries, dim), rng, std=0.02)
-        self.q_proj = Linear(dim, dim, rng, weight=q_weight, bias_value=q_bias)
-        self.kv_proj = Linear(dim, 2 * dim, rng, weight=kv_weight, bias_value=kv_bias)
-        self.proj = Linear(dim, dim, rng, weight=proj_weight, bias_value=proj_bias)
+        self.query_tokens = init.trunc_normal((num_queries, dim), rng, std=0.02)
+        self.q_proj = Linear(dim, dim, rng)
+        self.kv_proj = Linear(dim, 2 * dim, rng)
+        self.proj = Linear(dim, dim, rng)
         self.attn_drop = Dropout(dropout, rng) if dropout > 0 else None
 
     def forward(self, x: Tensor) -> Tensor:

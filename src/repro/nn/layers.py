@@ -1,9 +1,9 @@
 """Primitive layers: Linear, LayerNorm, MLP, Dropout.
 
-Every layer can be constructed either from a fresh RNG or from explicit
-weight arrays — the latter is how the tensor-parallel wrappers in
-:mod:`repro.parallel.tp` build rank shards from one master initialisation so
-that TP ≡ serial holds bitwise.
+A :class:`Linear` can be constructed either from a fresh RNG or from
+explicit weight arrays — the latter is how
+:func:`repro.parallel.tensor_parallel` builds a rank's shards from the
+serial layer's weights.
 """
 
 from __future__ import annotations
@@ -98,25 +98,6 @@ class MLP(Module):
         self.fc1 = Linear(dim, hidden_dim, rng)
         self.fc2 = Linear(hidden_dim, dim, rng)
         self.drop = Dropout(dropout, rng) if dropout > 0 else Identity()
-
-    @classmethod
-    def from_masters(
-        cls,
-        fc1_weight: np.ndarray,
-        fc1_bias: np.ndarray,
-        fc2_weight: np.ndarray,
-        fc2_bias: np.ndarray,
-    ) -> "MLP":
-        """Build directly from master arrays — the explicit-weight
-        :class:`Linear` path the parallel wrappers use, with no rng and no
-        throwaway random init."""
-        self = cls.__new__(cls)
-        Module.__init__(self)
-        dim, hidden = fc1_weight.shape
-        self.fc1 = Linear(dim, hidden, weight=fc1_weight, bias_value=fc1_bias)
-        self.fc2 = Linear(hidden, dim, weight=fc2_weight, bias_value=fc2_bias)
-        self.drop = Identity()
-        return self
 
     def forward(self, x: Tensor) -> Tensor:
         return self.drop(self.fc2(F.gelu(self.fc1(x))))

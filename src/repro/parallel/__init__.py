@@ -1,40 +1,29 @@
-"""Parallelism strategies: TP (baseline), distributed tokenization, FSDP, DP,
-and the hybrid device mesh (paper §§3.1, 3.4, 4.3)."""
+"""Parallelism strategies: TP (baseline), SP, distributed tokenization,
+FSDP, DP, and the hybrid device mesh (paper §§3.1, 3.4, 3.5, 4.3)."""
 
 from .dist_token import DistributedTokenizer, channel_shard
 from .dp import DataParallel, shard_batch
 from .fsdp import FlatParamShard, FSDPModel, FSDPUnit
-from .mesh import DeviceMesh
+from .mesh import DeviceMesh, ParallelContext
 from .sp import (
-    SPContext,
-    SPSelfAttention,
-    SPTransformerBlock,
-    SPViTEncoder,
     all_to_all_heads_to_tokens,
     all_to_all_tokens_to_heads,
     gather_sequence,
     scatter_sequence,
+    sequence_parallel,
 )
-from .tp import (
-    ColumnParallelLinear,
-    RowParallelLinear,
-    TPChannelCrossAttention,
-    TPContext,
-    TPMLP,
-    TPSelfAttention,
-    TPTransformerBlock,
-    TPViTEncoder,
-)
+from .tp import ColumnParallelLinear, RowParallelLinear, tensor_parallel
 
 __all__ = [
-    "TPContext",
+    "ParallelContext",
+    "tensor_parallel",
     "ColumnParallelLinear",
     "RowParallelLinear",
-    "TPSelfAttention",
-    "TPMLP",
-    "TPTransformerBlock",
-    "TPViTEncoder",
-    "TPChannelCrossAttention",
+    "sequence_parallel",
+    "scatter_sequence",
+    "gather_sequence",
+    "all_to_all_tokens_to_heads",
+    "all_to_all_heads_to_tokens",
     "DistributedTokenizer",
     "channel_shard",
     "FSDPModel",
@@ -43,12 +32,4 @@ __all__ = [
     "DataParallel",
     "shard_batch",
     "DeviceMesh",
-    "SPContext",
-    "SPSelfAttention",
-    "SPTransformerBlock",
-    "SPViTEncoder",
-    "scatter_sequence",
-    "gather_sequence",
-    "all_to_all_tokens_to_heads",
-    "all_to_all_heads_to_tokens",
 ]

@@ -15,7 +15,26 @@ from dataclasses import dataclass
 
 from ..dist import Communicator, ProcessGroup
 
-__all__ = ["DeviceMesh"]
+__all__ = ["DeviceMesh", "ParallelContext"]
+
+
+class ParallelContext:
+    """One rank's view of the group a model-parallel rewrite
+    (:func:`~repro.parallel.tensor_parallel`,
+    :func:`~repro.parallel.sequence_parallel`) communicates over."""
+
+    def __init__(self, comm: Communicator, group: ProcessGroup | None = None) -> None:
+        self.comm = comm
+        self.group = group if group is not None else comm.world.default_group
+        self.size = self.group.size
+        self.index = self.group.rank_index(comm.rank)
+
+    def shard(self, n: int) -> slice:
+        """This rank's contiguous slice of an axis of size *n*."""
+        if n % self.size != 0:
+            raise ValueError(f"axis size {n} not divisible by group size {self.size}")
+        step = n // self.size
+        return slice(self.index * step, (self.index + 1) * step)
 
 
 @dataclass(frozen=True)

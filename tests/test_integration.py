@@ -23,10 +23,9 @@ from repro.parallel import (
     DeviceMesh,
     DistributedTokenizer,
     FSDPModel,
-    TPChannelCrossAttention,
-    TPContext,
-    TPViTEncoder,
+    ParallelContext,
     shard_batch,
+    tensor_parallel,
 )
 from repro.tensor import AdamW, Tensor, checkpoint_sequential
 from repro.train import TrainConfig, Trainer
@@ -62,20 +61,9 @@ class TestFullTPStack:
         def fn(comm):
             rng = np.random.default_rng(5)
             tok = PatchTokenizer(C, P, D, rng)          # replicated (same seed)
-            agg_serial = ChannelCrossAttention(D, HEADS, rng)
-            enc_serial = ViTEncoder(D, DEPTH, HEADS, rng)
-            ctx = TPContext(comm)
-            agg = TPChannelCrossAttention(
-                ctx, D, HEADS,
-                master_query_tokens=agg_serial.query_tokens.data,
-                master_q_w=agg_serial.q_proj.weight.data,
-                master_q_b=agg_serial.q_proj.bias.data,
-                master_kv_w=agg_serial.kv_proj.weight.data,
-                master_kv_b=agg_serial.kv_proj.bias.data,
-                master_proj_w=agg_serial.proj.weight.data,
-                master_proj_b=agg_serial.proj.bias.data,
-            )
-            enc = TPViTEncoder(ctx, D, DEPTH, HEADS, enc_serial.state_dict())
+            ctx = ParallelContext(comm)
+            agg = tensor_parallel(ctx, ChannelCrossAttention(D, HEADS, rng))
+            enc = tensor_parallel(ctx, ViTEncoder(D, DEPTH, HEADS, rng))
             params = tok.parameters() + agg.parameters() + enc.parameters()
             opt = AdamW(params, lr=1e-3, weight_decay=0.0)
             losses = []

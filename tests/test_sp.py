@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from repro.core import DCHAG, DCHAGConfig
 from repro.dist import SpmdError, run_spmd, run_spmd_world
-from repro.nn import ViTEncoder
+from repro.nn import MultiHeadSelfAttention, ViTEncoder
 from repro.parallel import (
-    SPContext,
-    SPViTEncoder,
+    ParallelContext,
     all_to_all_heads_to_tokens,
     all_to_all_tokens_to_heads,
     gather_sequence,
     scatter_sequence,
+    sequence_parallel,
 )
 from repro.parallel.sp import SP_A2A_PHASE, SP_GATHER_PHASE, SP_SCATTER_PHASE
 from repro.tensor import Tensor
@@ -23,12 +23,19 @@ RNG = np.random.default_rng(61)
 D, DEPTH, HEADS, B, N = 32, 2, 4, 2, 8
 
 
+def _sp_encoder(ctx, dim, depth, heads, state):
+    """The serial encoder holding *state*, rewritten for SP over ctx."""
+    enc = ViTEncoder(dim, depth, heads, np.random.default_rng(0))
+    enc.load_state_dict(state)
+    return sequence_parallel(ctx, enc)
+
+
 class TestScatterGather:
     def test_scatter_takes_contiguous_shards(self):
         x = RNG.standard_normal((B, N, D)).astype(np.float32)
 
         def fn(comm):
-            ctx = SPContext(comm)
+            ctx = ParallelContext(comm)
             return scatter_sequence(ctx, Tensor(x)).data.copy()
 
         res = run_spmd(fn, 2)
@@ -39,7 +46,7 @@ class TestScatterGather:
         x = RNG.standard_normal((B, N, D)).astype(np.float32)
 
         def fn(comm):
-            ctx = SPContext(comm)
+            ctx = ParallelContext(comm)
             xi = Tensor(x, requires_grad=True)
             out = gather_sequence(ctx, scatter_sequence(ctx, xi))
             out.sum().backward()
@@ -53,7 +60,7 @@ class TestScatterGather:
         from repro.dist import SpmdError
 
         def fn(comm):
-            scatter_sequence(SPContext(comm), Tensor(np.zeros((1, 5, 4), dtype=np.float32)))
+            scatter_sequence(ParallelContext(comm), Tensor(np.zeros((1, 5, 4), dtype=np.float32)))
 
         with pytest.raises(SpmdError):
             run_spmd(fn, 2)
@@ -64,7 +71,7 @@ class TestAllToAll:
         x = RNG.standard_normal((B, HEADS, N // 2, 8)).astype(np.float32)
 
         def fn(comm):
-            ctx = SPContext(comm)
+            ctx = ParallelContext(comm)
             xi = Tensor(x, requires_grad=True)
             flipped = all_to_all_tokens_to_heads(ctx, xi)     # [B, h/sp, N, hd]
             assert flipped.shape == (B, HEADS // 2, N, 8)
@@ -86,8 +93,8 @@ class TestSPEncoder:
         expect = serial(Tensor(x)).data
 
         def fn(comm):
-            ctx = SPContext(comm)
-            enc = SPViTEncoder(ctx, D, DEPTH, HEADS, state)
+            ctx = ParallelContext(comm)
+            enc = _sp_encoder(ctx, D, DEPTH, HEADS, state)
             out = enc(scatter_sequence(ctx, Tensor(x)))
             return gather_sequence(ctx, out).data.copy()
 
@@ -103,8 +110,8 @@ class TestSPEncoder:
         expect = xt.grad.copy()
 
         def fn(comm):
-            ctx = SPContext(comm)
-            enc = SPViTEncoder(ctx, D, DEPTH, HEADS, state)
+            ctx = ParallelContext(comm)
+            enc = _sp_encoder(ctx, D, DEPTH, HEADS, state)
             xi = Tensor(x, requires_grad=True)
             out = gather_sequence(ctx, enc(scatter_sequence(ctx, xi)))
             (out ** 2).mean().backward()
@@ -119,8 +126,8 @@ class TestSPEncoder:
         x = RNG.standard_normal((B, N, D)).astype(np.float32)
 
         def fn(comm):
-            ctx = SPContext(comm)
-            enc = SPViTEncoder(ctx, D, DEPTH, HEADS, state)
+            ctx = ParallelContext(comm)
+            enc = _sp_encoder(ctx, D, DEPTH, HEADS, state)
             enc(scatter_sequence(ctx, Tensor(x)))
             return None
 
@@ -142,8 +149,8 @@ class TestDCHAGWithSP:
         def fn(comm):
             cfg = DCHAGConfig(channels=C, patch=P, dim=D, heads=HEADS, kind="linear")
             frontend = DCHAG(comm, None, cfg, rng_seed=9)
-            ctx = SPContext(comm)
-            enc = SPViTEncoder(ctx, D, DEPTH, HEADS, state)
+            ctx = ParallelContext(comm)
+            enc = _sp_encoder(ctx, D, DEPTH, HEADS, state)
             tokens = frontend(imgs)                       # replicated [B, N, D]
             shard = scatter_sequence(ctx, tokens)          # [B, N/sp, D]
             out = gather_sequence(ctx, enc(shard))
@@ -180,8 +187,8 @@ class TestSPParityHypothesis:
         expect_grad = xt.grad.copy()
 
         def fn(comm):
-            ctx = SPContext(comm)
-            enc = SPViTEncoder(ctx, dim, 1, heads, state)
+            ctx = ParallelContext(comm)
+            enc = _sp_encoder(ctx, dim, 1, heads, state)
             xi = Tensor(x, requires_grad=True)
             out = gather_sequence(ctx, enc(scatter_sequence(ctx, xi)))
             (out ** 2).mean().backward()
@@ -195,7 +202,7 @@ class TestSPParityHypothesis:
 class TestDivisibility:
     def test_a2a_indivisible_axis_raises(self):
         def fn(comm):
-            ctx = SPContext(comm)
+            ctx = ParallelContext(comm)
             # 3 heads over sp=2: the head axis cannot be split evenly.
             all_to_all_tokens_to_heads(ctx, Tensor(np.zeros((1, 3, 4, 4), np.float32)))
 
@@ -203,16 +210,9 @@ class TestDivisibility:
             run_spmd(fn, 2)
 
     def test_attention_heads_indivisible_raises(self):
-        from repro.parallel.sp import SPSelfAttention
-
         def fn(comm):
-            ctx = SPContext(comm)
-            d = 6
-            SPSelfAttention(
-                ctx, d, 3,
-                np.zeros((d, 3 * d), np.float32), np.zeros(3 * d, np.float32),
-                np.zeros((d, d), np.float32), np.zeros(d, np.float32),
-            )
+            # 3 heads over sp=2: the Ulysses head shard cannot be even.
+            sequence_parallel(ParallelContext(comm), MultiHeadSelfAttention(6, 3, np.random.default_rng(0)))
 
         with pytest.raises(SpmdError):
             run_spmd(fn, 2)
@@ -236,7 +236,7 @@ class TestRoundTrips:
         x = RNG.standard_normal((B, N, D)).astype(np.float32)
 
         def fn(comm):
-            ctx = SPContext(comm)
+            ctx = ParallelContext(comm)
             shard = scatter_sequence(ctx, Tensor(x, requires_grad=True))
             ref = shard.data.copy()
             back = scatter_sequence(ctx, gather_sequence(ctx, shard))
@@ -257,8 +257,8 @@ class TestGradientAccumulation:
         x0, x1, x2 = (RNG.standard_normal((B, N, d)).astype(np.float32) for _ in range(3))
 
         def fn(comm):
-            ctx = SPContext(comm)
-            enc = SPViTEncoder(ctx, d, depth, heads, state)
+            ctx = ParallelContext(comm)
+            enc = _sp_encoder(ctx, d, depth, heads, state)
 
             def loss(x):
                 return (gather_sequence(ctx, enc(scatter_sequence(ctx, Tensor(x)))) ** 2).mean()
@@ -289,8 +289,8 @@ class TestPhaseTagging:
         x = RNG.standard_normal((B, N, D)).astype(np.float32)
 
         def fn(comm):
-            ctx = SPContext(comm)
-            enc = SPViTEncoder(ctx, D, DEPTH, HEADS, state)
+            ctx = ParallelContext(comm)
+            enc = _sp_encoder(ctx, D, DEPTH, HEADS, state)
             xi = Tensor(x, requires_grad=True)
             out = gather_sequence(ctx, enc(scatter_sequence(ctx, xi)))
             (out ** 2).mean().backward()

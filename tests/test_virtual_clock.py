@@ -488,29 +488,6 @@ class TestParallelWrapperHooks:
         )
         assert comm_est.total >= 0.0
 
-    def test_tp_context_charges_compute(self):
-        from repro.nn import ViTEncoder
-        from repro.parallel import TPContext, TPViTEncoder
-        from repro.tensor import Tensor
-
-        clock = VirtualClock(MACHINE)
-        serial = ViTEncoder(16, 2, 4, np.random.default_rng(0))
-        state = {k: v.copy() for k, v in serial.state_dict().items()}
-        x = np.random.default_rng(3).standard_normal((1, 4, 16)).astype(np.float32)
-
-        def fn(comm):
-            ctx = TPContext(comm, block_seconds=1e-5, phase="tp")
-            enc = TPViTEncoder(ctx, 16, 2, 4, state)
-            enc(Tensor(x))
-            return None
-
-        _, world = run_spmd_world(fn, 2, clock=clock)
-        # 2 ranks × 2 blocks × 2 regions (one record per participating rank)
-        assert world.traffic.count(op="all_reduce", phase="tp") == 2 * 2 * 2
-        assert math.isclose(
-            clock.compute_seconds(rank=0, phase="forward"), 2 * 1e-5, rel_tol=1e-12
-        )
-
 
 def _ar_cost(payload: int, world: int = 4, machine: MachineSpec | None = None) -> float:
     m = machine if machine is not None else MACHINE
