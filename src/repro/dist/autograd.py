@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..tensor import Tensor
+from ..tensor.arena import arena_span, flat_offsets
 from ..tensor.optim import apply_clip_scale, grad_squared_sum
 from .runtime import Communicator, ProcessGroup, SpmdError
 
@@ -185,25 +186,36 @@ def average_gradients(
     bucket also starts wherever the dtype changes, so every gradient is
     averaged and stored in its own precision.  ``None`` gradients
     contribute zeros (a rank that never touched a parameter still
-    participates in its reduction).
+    participates in its reduction).  Over consecutive parameters of one
+    optimizer arena a bucket is a slice of its grad buffer, reduced in place.
     """
     group = _resolve(comm, group)
     params = [p for p in params if p.requires_grad]
     if not params:
         return
 
-    buckets: list[list[Tensor]] = [[]]
+    bounds = [0]  # bucket k holds params[bounds[k] : bounds[k + 1]]
     used = 0
-    for p in params:
-        if buckets[-1] and (
-            used + p.nbytes > bucket_bytes or p.data.dtype != buckets[-1][-1].data.dtype
+    for k, p in enumerate(params):
+        if k > bounds[-1] and (
+            used + p.nbytes > bucket_bytes or p.data.dtype != params[k - 1].data.dtype
         ):
-            buckets.append([])
+            bounds.append(k)
             used = 0
-        buckets[-1].append(p)
         used += p.nbytes
+    bounds.append(len(params))
 
-    for bucket in buckets:
+    span = arena_span(params)
+    if span is not None:
+        arena, lo = span
+        arena.adopt_grads(params, lo, zero_missing=True)
+        for a, b in zip(bounds, bounds[1:]):
+            flat = arena.grad[arena.offsets[lo + a] : arena.offsets[lo + b]]
+            comm.all_reduce(flat, op="mean", group=group, out=flat)
+        return
+
+    for a, b in zip(bounds, bounds[1:]):
+        bucket = params[a:b]
         flat = np.concatenate(
             [
                 (p.grad if p.grad is not None else np.zeros_like(p.data)).ravel()
@@ -213,11 +225,9 @@ def average_gradients(
         # Reduce back into the flat bucket buffer (out= may alias the
         # input): no second full-size allocation per bucket.
         avg = comm.all_reduce(flat, op="mean", group=group, out=flat)
-        offset = 0
-        for p in bucket:
-            n = p.data.size
-            p.grad = avg[offset : offset + n].reshape(p.data.shape).copy()
-            offset += n
+        offsets = flat_offsets(p.data.size for p in bucket)
+        for p, lo, hi in zip(bucket, offsets, offsets[1:]):
+            p.grad = avg[lo:hi].reshape(p.data.shape).copy()
 
 
 def clip_grad_norm_sharded(

@@ -65,6 +65,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..parallel.fsdp import FSDPModel
+from ..tensor.arena import flat_offsets
 from ..tensor.optim import AdamW
 
 __all__ = [
@@ -583,12 +584,11 @@ def consolidate(step_dir: str | Path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for i, unit_meta in enumerate(manifest["units"]):
         flat = np.concatenate(flats[i])[: unit_meta["total"]]
-        offset = 0
-        for name, shape, size in zip(
-            unit_meta["names"], unit_meta["shapes"], unit_meta["sizes"]
+        offsets = flat_offsets(unit_meta["sizes"])
+        for name, shape, lo, hi in zip(
+            unit_meta["names"], unit_meta["shapes"], offsets, offsets[1:]
         ):
-            out[f"unit{i}.{name}"] = flat[offset : offset + size].reshape(shape)
-            offset += size
+            out[f"unit{i}.{name}"] = flat[lo:hi].reshape(shape)
     return out
 
 

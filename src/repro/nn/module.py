@@ -79,7 +79,7 @@ class Module:
             arr = np.asarray(state[name], dtype=p.data.dtype)
             if arr.shape != p.data.shape:
                 raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
-            p.data = arr.copy()
+            p.data[...] = arr  # in place: an optimizer may own p.data
 
     # -- train / eval ---------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":

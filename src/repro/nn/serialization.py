@@ -71,14 +71,8 @@ def load_checkpoint(module: Module, path: str | Path, strict: bool = True) -> li
         module.load_state_dict(state)
         return []
     own = dict(module.named_parameters())
-    skipped = sorted(set(state) ^ set(own))
-    for name, p in own.items():
-        if name in state:
-            arr = np.asarray(state[name], dtype=p.data.dtype)
-            if arr.shape != p.data.shape:
-                raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
-            p.data = arr.copy()
-    return skipped
+    module.load_state_dict({name: state.get(name, p.data) for name, p in own.items()})
+    return sorted(set(state) ^ set(own))
 
 
 def checkpoint_equal(a: Module, b: Module, rtol: float = 0.0, atol: float = 0.0) -> bool:

@@ -18,6 +18,7 @@ import numpy as np
 from ..dist import Communicator, ProcessGroup, all_gather_autograd, site_key
 from ..nn import Module
 from ..tensor import Tensor
+from ..tensor.arena import flat_offsets
 
 __all__ = ["FlatParamShard", "FSDPUnit", "FSDPModel"]
 
@@ -40,15 +41,15 @@ class FlatParamShard:
         self.names = [n for n, _ in named_params]
         self.shapes = [p.data.shape for _, p in named_params]
         self.sizes = [p.data.size for _, p in named_params]
-        self.total = int(sum(self.sizes))
+        # The optimizer arena's layout: offsets[k] is parameter k's start.
+        self.offsets = flat_offsets(self.sizes)
+        self.total = self.offsets[-1]
         n = group.size
         self.padded = ((self.total + n - 1) // n) * n
         self.shard_size = self.padded // n
         flat = np.zeros(self.padded, dtype=np.float32)
-        offset = 0
-        for _, p in named_params:
-            flat[offset : offset + p.data.size] = p.data.ravel()
-            offset += p.data.size
+        for (_, p), lo, hi in zip(named_params, self.offsets, self.offsets[1:]):
+            flat[lo:hi] = p.data.ravel()
         idx = group.rank_index(comm.rank)
         self.shard = Tensor(
             flat[idx * self.shard_size : (idx + 1) * self.shard_size].copy(),
@@ -77,12 +78,10 @@ class FlatParamShard:
                 reduce_op="mean",
                 pool_key=self.pool_key,
             )
-        tensors = []
-        offset = 0
-        for shape, size in zip(self.shapes, self.sizes):
-            tensors.append(full[offset : offset + size].reshape(shape))
-            offset += size
-        return tensors
+        return [
+            full[lo:hi].reshape(shape)
+            for shape, lo, hi in zip(self.shapes, self.offsets, self.offsets[1:])
+        ]
 
     def consolidated(self) -> np.ndarray:
         """AllGather the *values* only (no autograd), unpadded flat vector."""
@@ -241,11 +240,9 @@ class FSDPModel(Module):
         """Gather full (unsharded) parameter values, keyed by unit-local names."""
         out: dict[str, np.ndarray] = {}
         for i, u in enumerate(self.units):
-            flat = u.flat.consolidated()
-            offset = 0
-            for name, shape, size in zip(u.flat.names, u.flat.shapes, u.flat.sizes):
-                out[f"unit{i}.{name}"] = flat[offset : offset + size].reshape(shape)
-                offset += size
+            flat, offsets = u.flat.consolidated(), u.flat.offsets
+            for name, shape, lo, hi in zip(u.flat.names, u.flat.shapes, offsets, offsets[1:]):
+                out[f"unit{i}.{name}"] = flat[lo:hi].reshape(shape)
         return out
 
 

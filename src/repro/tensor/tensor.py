@@ -108,7 +108,9 @@ def _as_array(value, dtype=None) -> np.ndarray:
 class Tensor:
     """An array with an optional autograd history."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "op", "__weakref__")
+    __slots__ = (
+        "data", "grad", "requires_grad", "_backward", "_parents", "op", "_arena", "__weakref__"
+    )
 
     def __init__(
         self,
@@ -136,6 +138,7 @@ class Tensor:
         self._parents = _parents if self.requires_grad or _backward is not None else ()
         self._backward = _backward
         self.op = op
+        self._arena = None  # (ParamArena, index) once an optimizer owns it
         tracker = current_tracker()
         if tracker is not None and data.base is None:
             tracker.register(data, data.nbytes)
@@ -252,10 +255,15 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
         """Add *grad* into ``self.grad``.  ``owned=True`` (callers inside
         ``repro.tensor`` only) gives away a buffer the caller has just created
-        and holds no other reference to; anything else is copied."""
+        and holds no other reference to; anything else is copied, and so is
+        every first grad of a leaf an optimizer's arena holds."""
         if not self.requires_grad:
             return
         if self.grad is None:
+            if self._arena is not None:  # copy into the persistent home
+                self.grad = self._arena[0].homes[self._arena[1]]
+                self.grad[...] = grad
+                return
             buf = np.asarray(grad, dtype=self.data.dtype)
             if not owned and (buf.base is not None or buf is grad):
                 buf = buf.copy()

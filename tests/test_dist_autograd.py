@@ -15,7 +15,7 @@ from repro.dist import (
     run_spmd,
     run_spmd_world,
 )
-from repro.tensor import Tensor
+from repro.tensor import SGD, Tensor
 
 
 class TestAllGatherForwardOnly:
@@ -125,42 +125,76 @@ class TestConjugateOperators:
             assert grad == scale_sum
 
 
+def _pack_and_arena(fn, n):
+    """Run ``fn(comm, owned)`` on plain parameters (the bucket pack path)
+    and on parameters an optimizer owns (its arena, all-reduced in place).
+    The grads, every rank's record sizes, the traffic histogram and the
+    wire bytes must agree bitwise; returns the arena run's results."""
+    runs = []
+    for owned in (False, True):
+        results, world = run_spmd_world(fn, n, owned)
+        log = world.traffic
+        sizes = [[(r.op, r.payload_bytes) for r in log.records(rank=k)] for k in range(n)]
+        runs.append((results, sizes, log.ops_histogram(), log.wire_bytes()))
+    (packed, *pack_traffic), (arena, *arena_traffic) = runs
+    assert pack_traffic == arena_traffic
+    for a, b in zip(packed, arena):
+        for ga, gb in zip(a, b):
+            assert ga.dtype == gb.dtype and np.array_equal(ga, gb)
+    return arena
+
+
+def _owned(params, owned):
+    if owned:
+        SGD(params)  # the optimizer moves its parameters into an arena
+    return params
+
+
 class TestDataParallelHelpers:
     def test_average_gradients(self):
-        def fn(comm):
-            p = Tensor(np.zeros(5, dtype=np.float32), requires_grad=True)
+        def fn(comm, owned):
+            (p,) = _owned([Tensor(np.zeros(5, dtype=np.float32), requires_grad=True)], owned)
             p.grad = np.full(5, float(comm.rank), dtype=np.float32)
             average_gradients(comm, [p])
-            return p.grad.copy()
+            return [p.grad.copy()]
 
-        for g in run_spmd(fn, 4):
+        for (g,) in _pack_and_arena(fn, 4):
             np.testing.assert_allclose(g, 1.5)
 
     def test_average_gradients_none_treated_as_zero(self):
-        def fn(comm):
-            p = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
-            if comm.rank == 0:
-                p.grad = np.full(3, 2.0, dtype=np.float32)
-            average_gradients(comm, [p])
-            return p.grad.copy()
+        def fn(comm, owned):
+            p, q = _owned(
+                [Tensor(np.zeros(3, dtype=np.float32), requires_grad=True) for _ in range(2)],
+                owned,
+            )
+            q.grad = np.full(3, 4.0, dtype=np.float32)
+            average_gradients(comm, [p, q])  # leaves q's home holding 4.0
+            p.grad = np.full(3, 2.0, dtype=np.float32) if comm.rank == 0 else None
+            q.grad = None
+            average_gradients(comm, [p, q])
+            return [p.grad.copy(), q.grad.copy()]
 
-        for g in run_spmd(fn, 2):
+        for g, h in _pack_and_arena(fn, 2):
             np.testing.assert_allclose(g, 1.0)
+            np.testing.assert_array_equal(h, 0.0)
 
     def test_average_gradients_buckets(self):
-        def fn(comm):
-            params = [Tensor(np.zeros(100, dtype=np.float32), requires_grad=True) for _ in range(5)]
+        def fn(comm, owned):
+            params = _owned(
+                [Tensor(np.zeros(100, dtype=np.float32), requires_grad=True) for _ in range(5)],
+                owned,
+            )
             for p in params:
                 p.grad = np.full(100, float(comm.rank + 1), dtype=np.float32)
             average_gradients(comm, params, bucket_bytes=256)  # force several buckets
             return [p.grad.copy() for p in params]
 
-        for grads in run_spmd(fn, 2):
+        for grads in _pack_and_arena(fn, 2):
             for g in grads:
                 np.testing.assert_allclose(g, 1.5)
 
     def test_average_gradients_keeps_each_param_dtype(self):
-        def fn(comm):
+        def fn(comm, owned):
             def params():
                 ps = []
                 for i, dtype in enumerate((np.float32, np.float64, np.float32)):
@@ -168,17 +202,17 @@ class TestDataParallelHelpers:
                     rng = np.random.default_rng(31 * i + comm.rank)
                     p.grad = rng.standard_normal(7).astype(dtype)
                     ps.append(p)
-                return ps
+                return _owned(ps, owned)
 
             mixed = params()
             average_gradients(comm, mixed)
             alone = params()
             for p in alone:
                 average_gradients(comm, [p])
-            return [p.grad for p in mixed], [p.grad for p in alone]
+            return [p.grad for p in mixed] + [p.grad for p in alone]
 
-        for mixed, alone in run_spmd(fn, 4):
-            for a, b in zip(mixed, alone):
+        for grads in _pack_and_arena(fn, 4):
+            for a, b in zip(grads[:3], grads[3:]):
                 assert a.dtype == b.dtype
                 assert np.array_equal(a, b)
 

@@ -75,8 +75,11 @@ class TestAdamW:
     def test_step_is_bitwise_the_textbook_formula(self, weight_decay, dtype):
         # The scratch-buffer step must reproduce the allocating formula bit
         # for bit (elastic N->M->N gates compare optimizer bytes exactly).
+        # (300, 250) is larger than one optimizer block.  The (5,) parameter
+        # has no gradient in the last three steps: its data and moments must
+        # stay untouched, whatever its last gradient left behind.
         rng = np.random.default_rng(3)
-        shapes = [(7, 5), (5,), (), (2, 3, 4)]
+        shapes = [(7, 5), (5,), (), (2, 3, 4), (300, 250), (3,)]
         params = [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True, dtype=dtype)
                   for s in shapes]
         opt = AdamW(params, lr=3e-3, weight_decay=weight_decay)
@@ -86,7 +89,10 @@ class TestAdamW:
         for t in range(1, 6):
             opt.lr = lr = 3e-3 / t
             bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
-            for p, rp, m, v in zip(params, ref_p, ref_m, ref_v):
+            for i, (p, rp, m, v) in enumerate(zip(params, ref_p, ref_m, ref_v)):
+                if i == 1 and t >= 3:
+                    p.grad = None
+                    continue
                 g = p.grad = np.asarray(rng.standard_normal(p.shape), dtype=dtype)
                 m *= 0.9
                 m += (1.0 - 0.9) * g
@@ -114,6 +120,35 @@ class TestAdamW:
 
 
 class TestClipGradNorm:
+    @pytest.mark.parametrize("owned", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_norm_is_bitwise_the_per_parameter_float64_sum(self, dtype, owned):
+        # Reference: each grad's float64 squares summed by numpy, then a
+        # sequential Python += in parameter order (not sum(), which
+        # compensates on newer CPython).  With *owned* an optimizer holds
+        # the parameters; (300, 250) spans more than one of its blocks and
+        # the (3,) parameter has no gradient.
+        rng = np.random.default_rng(5)
+        shapes = [(7, 5), (300, 250), (), (3,), (2, 3, 40), (1000,)]
+        params = [Tensor(np.zeros(s, dtype=dtype), requires_grad=True, dtype=dtype)
+                  for s in shapes]
+        if owned:
+            SGD(params)
+        for i, p in enumerate(params):
+            p.grad = None if i == 3 else np.asarray(rng.standard_normal(p.shape) * 3, dtype=dtype)
+        grads = [None if p.grad is None else p.grad.copy() for p in params]
+        sq = 0.0
+        for g in grads:
+            if g is not None:
+                sq += float((g.astype(np.float64) ** 2).sum())
+        want = float(np.sqrt(sq))
+        assert clip_grad_norm(params, 1.0) == want
+        for p, g in zip(params, grads):
+            if g is None:
+                assert p.grad is None
+            else:
+                assert np.array_equal(p.grad, g * (1.0 / want))
+
     def test_clips_large(self):
         x = Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
         x.grad = np.full(4, 10.0, dtype=np.float32)

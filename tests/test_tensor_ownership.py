@@ -18,7 +18,7 @@ from repro.dist import run_spmd
 from repro.models import build_serial_mae
 from repro.nn import ViTEncoder
 from repro.parallel import FSDPModel
-from repro.tensor import MemoryTracker, Tensor, checkpoint, track_memory
+from repro.tensor import SGD, MemoryTracker, Tensor, checkpoint, track_memory
 from repro.tensor import functional as F
 
 RNG = np.random.default_rng(99)
@@ -155,6 +155,26 @@ class TestAccumulation:
         z = leaf(4)
         (z * z - z).backward(np.ones(4, dtype=np.float32))
         np.testing.assert_allclose(z.grad, 2 * z.data - 1, rtol=1e-6)
+
+    def test_arena_leaf_copies_into_its_home(self):
+        # An optimizer's parameters keep one persistent grad home each: the
+        # first gradient of a step is copied in (never adopted), later ones
+        # add in place, and after zero_grad the next step overwrites it.
+        x, w = leaf(3, 4), leaf(4, 4)
+        opt = SGD([x, w])
+        arena = x._arena[0]
+        for scale in (1.0, 2.0):
+            opt.zero_grad()
+            assert x.grad is None and w.grad is None
+            (x @ w * scale).sum().backward()
+            (x * scale).sum().backward()
+            for p, k in ((x, 0), (w, 1)):
+                assert p.grad is arena.homes[k]
+        ref_x, ref_w = Tensor(x.data.copy(), requires_grad=True), Tensor(w.data, requires_grad=True)
+        (ref_x @ ref_w * 2.0).sum().backward()
+        (ref_x * 2.0).sum().backward()
+        assert np.array_equal(x.grad, ref_x.grad) and np.array_equal(w.grad, ref_w.grad)
+        assert_disjoint([x.grad, w.grad])
 
     def test_second_backward_adds_to_leaf(self):
         x = leaf(5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import EVAL_CHANNELS
-from repro.nn import Linear, Module
+from repro.nn import Linear, Module, load_checkpoint, save_checkpoint
 from repro.tensor import Tensor, functional as F
 from repro.train import (
     TrainConfig,
@@ -153,6 +153,40 @@ class TestTrainer:
         tr = Trainer(_OneArg(), TrainConfig(total_steps=2))
         tr.fit([np.zeros((2, 4), np.float32)] * 2)
         assert seen == [(2, 4), (2, 4)]
+
+    @pytest.mark.parametrize("via", ["load_state_dict", "load_checkpoint"])
+    def test_load_under_a_trainer_steps_from_the_loaded_values(self, via, tmp_path):
+        """Loading into a model whose optimizer already exists must move the
+        values the optimizer trains, not detach them from it."""
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((8, 4)).astype(np.float32)
+        y = rng.standard_normal((8, 1)).astype(np.float32)
+        loaded = {k: v + 0.5 for k, v in _Quadratic().state_dict().items()}
+        config = TrainConfig(lr=1e-2, total_steps=2, warmup_steps=0)
+
+        model = _Quadratic()
+        tr = Trainer(model, config)
+        if via == "load_state_dict":
+            model.load_state_dict(loaded)
+        else:
+            source = _Quadratic()
+            source.load_state_dict(loaded)
+            load_checkpoint(model, save_checkpoint(source, tmp_path / "m"), strict=False)
+        tr.step(x, y)
+
+        reference = _Quadratic()
+        reference.load_state_dict(loaded)
+        Trainer(reference, config).step(x, y)
+        for (name, got), want in zip(model.state_dict().items(), reference.state_dict().values()):
+            assert np.array_equal(got, want), name
+            assert not np.array_equal(got, loaded[name]), name
+
+    def test_rebinding_a_parameter_off_its_optimizer_raises(self):
+        model = _Quadratic()
+        tr = Trainer(model, TrainConfig(total_steps=2))
+        model.lin.weight.data = model.lin.weight.data.copy()
+        with pytest.raises(RuntimeError, match="rebound"):
+            tr.step(np.zeros((2, 4), np.float32), np.zeros((2, 1), np.float32))
 
     def test_grad_norms_recorded_without_clipping(self):
         """Regression: grad_clip=0 used to record norm 0.0 instead of the
