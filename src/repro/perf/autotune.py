@@ -45,7 +45,10 @@ from .modelcfg import ModelConfig
 from .plan import ParallelPlan, Precision, Workload
 from .schedule import CapturedSchedule, ReplayVariant, replay_many
 from .throughput import (
+    StepEstimate,
+    _accumulated_tflops,
     batch_efficiency,
+    estimate_step,
     global_batch_throughput,
     max_batch_per_replica,
 )
@@ -118,12 +121,15 @@ def _enumerate_candidates(
     channels: int,
     total_gpus: int,
     machine: MachineSpec,
-    global_batch: int,
     strategies: tuple[str, ...],
     precision: Precision,
     max_sp: int = 1,
 ) -> list[tuple[ParallelPlan, int]]:
-    """Every feasible (plan, micro-batch) for the budget, unscored.
+    """Every feasible (plan, micro-batch) for the GPU count, unscored.
+
+    Not filtered by any global batch: callers drop the plans whose ``dp``
+    does not divide theirs, which keeps the candidate order (and so how
+    ranking ties break) and lets a fleet sweep enumerate each count once.
 
     ``max_sp`` caps the sequence-parallel axis (default 1 — the historical
     tp × fsdp × dp grid, which keeps the §6.2 golden podium byte-stable).
@@ -144,8 +150,6 @@ def _enumerate_candidates(
                 remaining = sp_budget // sp
                 for fsdp in _divisors_pow2(remaining, remaining):
                     dp = remaining // fsdp
-                    if global_batch % dp != 0:
-                        continue
                     plan = ParallelPlan(
                         strategy,
                         tp=tp,
@@ -199,10 +203,13 @@ def search_configurations(
     ``overlaps=None`` recorded.  ``None`` (default) keeps the exhaustive
     behavior, consulting the oracle for every candidate.
     """
-    candidates = _enumerate_candidates(
-        model, channels, total_gpus, machine, global_batch,
-        strategies, precision, max_sp=max_sp,
-    )
+    candidates = [
+        (plan, micro)
+        for plan, micro in _enumerate_candidates(
+            model, channels, total_gpus, machine, strategies, precision, max_sp=max_sp,
+        )
+        if global_batch % plan.dp == 0
+    ]
 
     def score(plan: ParallelPlan, ov: "DerivedOverlaps | None") -> float:
         return global_batch_throughput(
@@ -288,7 +295,7 @@ class ReplaySweep:
     def summary(self) -> str:
         return (
             f"{self.candidates} candidates priced through "
-            f"{self.lanes} replay lanes from {self.captured_worlds} "
+            f"{self.lanes} replay variants from {self.captured_worlds} "
             f"captured world(s)"
         )
 
@@ -312,12 +319,15 @@ def sweep_replay(
     :func:`repro.perf.schedule.replay_many` batches.  So this entry runs the
     sweep in three phases:
 
-    1. enumerate every feasible candidate of every budget and map it to its
-       replay variant (the same stand-in keying the oracle caches under);
+    1. enumerate each distinct GPU count once, keep each budget's
+       candidates whose ``dp`` divides its batch, and map every distinct
+       (plan, micro-batch) to its replay variant once (the same stand-in
+       keying the oracle caches under);
     2. capture ONE threaded stand-in world per schedule shape, lower it
        once, and price all of that shape's variants in a single
        :meth:`~repro.perf.schedule.ReplayProgram.run` call;
-    3. score and rank each budget's candidates from the priced overlaps.
+    3. estimate each distinct (plan, micro-step batch) once, then score
+       and rank each budget's candidates from those estimates.
 
     Scores, overlaps and ranking order are equal to per-budget
     ``search_configurations(model, channels, g, machine, b,
@@ -327,18 +337,26 @@ def sweep_replay(
     # Phase 1: enumerate, and key every candidate needing an overlap pair.
     per_budget: list[tuple[tuple[int, int], list[tuple[ParallelPlan, int, tuple | None]]]] = []
     keys_by_shape: dict[tuple, tuple[ParallelPlan, list[tuple]]] = {}  # shape -> (sim, keys)
+    enumerated: dict[int, list[tuple[ParallelPlan, int]]] = {}  # total_gpus -> candidates
+    standin_keys: dict[tuple[ParallelPlan, int], tuple] = {}  # (plan, micro) -> key
     for total_gpus, global_batch in budgets:
+        if total_gpus not in enumerated:
+            enumerated[total_gpus] = _enumerate_candidates(
+                model, channels, total_gpus, machine, strategies, precision, max_sp=max_sp,
+            )
         rows: list[tuple[ParallelPlan, int, tuple | None]] = []
-        for plan, micro in _enumerate_candidates(
-            model, channels, total_gpus, machine, global_batch,
-            strategies, precision, max_sp=max_sp,
-        ):
+        for plan, micro in enumerated[total_gpus]:
+            if global_batch % plan.dp != 0:
+                continue
             key = None
             if plan.dp > 1 or plan.fsdp > 1:
-                sim, key = _standin(model, channels, plan, micro, machine, precision)
-                keys = keys_by_shape.setdefault(key[0], (sim, []))[1]
-                if key not in keys:
-                    keys.append(key)
+                key = standin_keys.get((plan, micro))
+                if key is None:
+                    sim, key = _standin(model, channels, plan, micro, machine, precision)
+                    standin_keys[plan, micro] = key
+                    keys = keys_by_shape.setdefault(key[0], (sim, []))[1]
+                    if key not in keys:
+                        keys.append(key)
             rows.append((plan, micro, key))
         per_budget.append(((total_gpus, global_batch), rows))
 
@@ -351,22 +369,25 @@ def sweep_replay(
         for k, res in zip(keys, replay_many(schedule, [k[1] for k in keys])):
             overlaps_by_key[k] = res.overlaps()
 
-    # Phase 3: score and rank each budget from the priced pairs.
+    # Phase 3: score and rank each budget from the priced pairs; this is
+    # global_batch_throughput with each step estimate computed once.
     rankings: list[tuple[tuple[int, int], tuple[TunedPlan, ...]]] = []
+    estimates: dict[tuple[ParallelPlan, int], StepEstimate] = {}  # (plan, step batch) -> est
     n_candidates = 0
     for budget, rows in per_budget:
-        results = [
-            TunedPlan(
-                plan,
-                micro,
-                global_batch_throughput(
-                    model, channels, plan, machine, budget[1], precision,
-                    overlaps=overlaps_by_key.get(key),
-                ),
-                overlaps_by_key.get(key),
-            )
-            for plan, micro, key in rows
-        ]
+        results = []
+        for plan, micro, key in rows:
+            per_replica = budget[1] // plan.dp
+            step_batch = min(per_replica, micro)
+            ov = overlaps_by_key.get(key)
+            # Enough of a key: the overlap key is fixed by (plan, b_max) in one sweep.
+            est = estimates.get((plan, step_batch))
+            if est is None:
+                est = estimates[plan, step_batch] = estimate_step(
+                    model, Workload(channels, step_batch), plan, machine, precision,
+                    overlaps=ov,
+                )
+            results.append(TunedPlan(plan, micro, _accumulated_tflops(est, per_replica), ov))
         results.sort(key=lambda t: t.total_tflops, reverse=True)
         n_candidates += len(results)
         rankings.append((budget, tuple(results)))

@@ -226,18 +226,24 @@ def global_batch_throughput(
     b_max = max_batch_per_replica(model, channels, plan, machine, precision)
     if b_max == 0:
         return 0.0
-    micro = min(per_replica, b_max)
-    n_micro = -(-per_replica // micro)
     est = estimate_step(
-        model, Workload(channels, micro), plan, machine, precision, overlaps=overlaps
+        model, Workload(channels, min(per_replica, b_max)), plan, machine, precision,
+        overlaps=overlaps,
     )
+    return _accumulated_tflops(est, per_replica)
+
+
+def _accumulated_tflops(est: StepEstimate, per_replica: int) -> float:
+    """Total useful TFLOP/s serving *per_replica* samples per replica in
+    micro-steps of ``est.micro_batch`` (gradient accumulation)."""
     if not est.fits:
         return 0.0
+    n_micro = -(-per_replica // est.micro_batch)
     # DP sync happens once per optimizer step; non-DP comm per micro-step.
     micro_time = (
         est.compute_seconds + est.comm.tp_time + est.comm.gather_time
         + est.comm.sp_time + est.comm.fsdp_time
     )
     step_time = n_micro * micro_time + est.comm.dp_time
-    useful = _useful_flops(model, Workload(channels, micro)) * n_micro * plan.dp
+    useful = est.useful_flops * n_micro * est.plan.dp
     return useful / step_time / 1e12

@@ -538,6 +538,20 @@ class TestReadOutParity:
             _assert_same_readouts(live.world.clock, result.clock)
 
 
+def _load_fleet_bench():
+    """``benchmarks/bench_fleet_sweep.py`` as a module (its fleet grid)."""
+    import importlib.util as _ilu
+    from pathlib import Path
+
+    spec = _ilu.spec_from_file_location(
+        "bench_fleet_sweep",
+        Path(__file__).resolve().parent.parent / "benchmarks" / "bench_fleet_sweep.py",
+    )
+    bench = _ilu.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
 class TestSweepReplay:
     SWEEP_MODEL = ModelConfig("sweep", dim=256, depth=6, heads=8, patch=4,
                               image_hw=(32, 32))
@@ -558,19 +572,69 @@ class TestSweepReplay:
         assert sweep.candidates == sum(len(r) for _, r in sweep.rankings)
         assert sweep.captured_worlds <= sweep.lanes <= sweep.candidates
 
+    def test_budgets_sharing_a_gpu_count_equal_the_scalar_search(self):
+        """Budgets that share a GPU count (and so share candidates) still
+        rank exactly as the per-budget search does.  The grid covers
+        micro-steps clipped below the largest fitting micro-batch, gradient
+        accumulation and sequence-parallel plans."""
+        clipped = accumulated = sp_plans = 0
+        for budgets, max_sp in [
+            ([(16, 16), (16, 32), (16, 48), (16, 256), (16, 4096), (32, 32), (32, 96)], 1),
+            ([(16, 32), (16, 64), (32, 32)], 2),
+        ]:
+            sweep = sweep_replay(self.SWEEP_MODEL, 32, MACHINE, budgets,
+                                 strategies=("tp", "dchag"), max_sp=max_sp)
+            assert [b for b, _ in sweep.rankings] == budgets
+            for (g, b), ranked in sweep.rankings:
+                ref = search_configurations(
+                    self.SWEEP_MODEL, 32, g, MACHINE, b, strategies=("tp", "dchag"),
+                    overlaps=simulated_overlaps(MACHINE, self.SWEEP_MODEL, 32),
+                    max_sp=max_sp,
+                )
+                assert list(ranked) == ref
+                for t in ranked:
+                    per_replica = b // t.plan.dp
+                    clipped += per_replica < t.micro_batch
+                    accumulated += per_replica > t.micro_batch
+                    sp_plans += t.plan.sp > 1
+        assert clipped and accumulated and sp_plans, (clipped, accumulated, sp_plans)
+
+    def test_sweep_prices_each_distinct_input_once(self, monkeypatch):
+        """On the fleet grid, candidates are enumerated once per GPU count,
+        stand-in keys computed once per (plan, micro-batch) and step
+        estimates once per (plan, micro-step batch)."""
+        from repro.perf import autotune
+
+        calls: dict[str, list] = {}
+
+        def count(name, key):
+            real = getattr(autotune, name)
+            calls[name] = []
+
+            def shim(*args, **kwargs):
+                calls[name].append(key(*args))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(autotune, name, shim)
+
+        count("_enumerate_candidates", lambda model, channels, gpus, *a: gpus)
+        count("_standin", lambda model, channels, plan, micro, *a: (plan, micro))
+        count("estimate_step", lambda model, workload, plan, *a: (plan, workload.batch))
+        bench = _load_fleet_bench()
+        sweep = sweep_replay(
+            named_model(bench.FLEET_MODEL_NAME), bench.FLEET_CHANNELS, MACHINE,
+            bench.FLEET_BUDGETS, strategies=bench.FLEET_STRATEGIES,
+        )
+        assert sweep.candidates == 1304
+        for name, expected in [("_enumerate_candidates", 21), ("_standin", 163),
+                               ("estimate_step", 268)]:
+            assert len(calls[name]) == len(set(calls[name])) == expected, name
+
     def test_fleet_scale_sweep_prices_1000_candidates_from_4_worlds(self):
         """The PR's fleet pin: a 1000+-candidate multi-budget sweep costs at
         most a handful of threaded worlds, and spot-checked budgets match
         the scalar search exactly."""
-        import importlib.util as _ilu
-        from pathlib import Path
-
-        spec = _ilu.spec_from_file_location(
-            "bench_fleet_sweep",
-            Path(__file__).resolve().parent.parent / "benchmarks" / "bench_fleet_sweep.py",
-        )
-        bench = _ilu.module_from_spec(spec)
-        spec.loader.exec_module(bench)
+        bench = _load_fleet_bench()
         model = named_model(bench.FLEET_MODEL_NAME)
         sweep = sweep_replay(
             model, bench.FLEET_CHANNELS, MACHINE, bench.FLEET_BUDGETS,
