@@ -268,7 +268,6 @@ def broadcast_parameters(
     root = group.ranks[0] if root is None else root
     for p in params:
         # out= writes the payload straight into the live parameter buffer.
-        # On the root, out aliases its own contribution: its consume is a
-        # self-copy that rewrites the same bytes, so the peers copying from
-        # that buffer during distribution still read the root's values.
+        # On the root, out is its own contribution, so its consume copies
+        # nothing and the peers copy the root's values from that buffer.
         comm.broadcast(p.data, root=root, group=group, out=p.data)

@@ -6,7 +6,7 @@ group: the *n*-th collective a rank issues on a group meets the *n*-th
 collective of every other member, the last arriver reduces the contributions
 **in group-rank order** (so results are bitwise identical on every rank and
 across repeated runs — the invariant D-CHAG's replicated final layer relies
-on, §3.3), and everyone leaves with a private copy.
+on, §3.3), and everyone leaves with a private result.
 
 Failure semantics: an exception on any rank aborts the whole world.  Blocked
 peers poll an abort flag while waiting, so a barrier whose partner died
@@ -356,6 +356,21 @@ class World:
                         except RuntimeError:
                             pass  # lost the race with the last arriver (or a second abort)
 
+    def _blocked(self) -> list[str]:
+        """Every rank still waiting in a collective, read from the slots."""
+        with self._lock:
+            states = list(self._group_states.items())
+        blocked = []
+        for ranks, state in states:
+            with state.lock:
+                for slot in state.ring:
+                    if slot.gen >= 0 and not slot.done:
+                        where = (f"in {slot.signature[0]} on group {list(ranks)} "
+                                 f"({slot.arrived}/{len(ranks)} arrived)")
+                        blocked += [(r, f"rank {r} {where}") for i, r in enumerate(ranks)
+                                    if state.next_seq[i] > slot.gen]
+        return [line for _, line in sorted(blocked)]
+
     def _check_abort(self) -> None:
         if self._abort_event.is_set():
             raise _Aborted()
@@ -396,16 +411,14 @@ def _check_mean_dtype(op: str, arr: np.ndarray) -> None:
         )
 
 
-def _reduce(arrays: list[np.ndarray], op: str) -> np.ndarray:
-    """Reduce in list order — fixed group-rank order, hence deterministic.
+def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether *a* and *b* are the same memory, shape and strides."""
+    return a is b or (a.shape, a.strides, a.__array_interface__["data"]) == (
+        b.shape, b.strides, b.__array_interface__["data"])
 
-    Contributions are not snapshotted, because every contributing rank is
-    still blocked inside the rendezvous while this runs; the reduction must
-    therefore never mutate its inputs.  The first pairwise op allocates the
-    output and every later op accumulates into it in place: the same
-    left-to-right pairwise sequence as reducing into a copy, hence bitwise
-    identical.
-    """
+
+def _operands(arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Reject a reduction over mismatched shapes or dtypes; return *arrays*."""
     shapes = {a.shape for a in arrays}
     if len(shapes) > 1:
         raise SpmdError(f"mismatched shapes in reduction: {sorted(shapes)}")
@@ -414,26 +427,42 @@ def _reduce(arrays: list[np.ndarray], op: str) -> np.ndarray:
         # The result is cast to group-rank-0's dtype; mixed inputs would be
         # silently truncated (e.g. float contributions into an int buffer).
         raise SpmdError(f"mismatched dtypes in reduction: {sorted(map(str, dtypes))}")
-    if len(arrays) == 1:  # a solo group: every consume copies the result
-        return arrays[0]
-    out = np.empty_like(arrays[0])  # an array even for 0-d contributions
+    return arrays
+
+
+def _reduce(arrays: list[np.ndarray], op: str, dest: np.ndarray | None = None) -> np.ndarray:
+    """Reduce in list order — fixed group-rank order, hence deterministic.
+
+    Contributions are not snapshotted, because every contributing rank is
+    still blocked inside the rendezvous while this runs; the reduction must
+    therefore never write an input it has yet to read.  The first pairwise
+    op writes *dest* (fresh when ``None``) and every later op accumulates
+    into it in place: the same left-to-right pairwise sequence as reducing
+    into a copy, hence bitwise identical.  Callers keep *dest* off
+    ``arrays[2:]``; a single array (a solo group) is copied into it.
+    """
+    if dest is None:
+        dest = np.empty_like(arrays[0])  # an array even for 0-d contributions
+    if len(arrays) == 1:
+        np.copyto(dest, arrays[0])
+        return dest
     if op in ("sum", "mean"):
-        np.add(arrays[0], arrays[1], out=out)
+        np.add(arrays[0], arrays[1], out=dest)
         for a in arrays[2:]:
-            out += a
+            dest += a
         if op == "mean":
-            out /= len(arrays)  # float-only; int mean is rejected at the call site
+            dest /= len(arrays)  # float-only; int mean is rejected at the call site
     elif op == "max":
-        np.maximum(arrays[0], arrays[1], out=out)
+        np.maximum(arrays[0], arrays[1], out=dest)
         for a in arrays[2:]:
-            np.maximum(out, a, out=out)
+            np.maximum(dest, a, out=dest)
     elif op == "min":
-        np.minimum(arrays[0], arrays[1], out=out)
+        np.minimum(arrays[0], arrays[1], out=dest)
         for a in arrays[2:]:
-            np.minimum(out, a, out=out)
+            np.minimum(dest, a, out=dest)
     else:  # validated at the call site; defensive here
         raise SpmdError(f"unknown reduce op {op!r}")
-    return out
+    return dest
 
 
 class Communicator:
@@ -537,10 +566,12 @@ class Communicator:
 
         Contributions are *not* snapshotted: every contributing rank stays
         blocked until distribution finished, so *compute* and the *consume*
-        closures see stable inputs and may copy straight out of peers' live
-        buffers.  Neither may mutate a contribution, and no value handed
-        back may alias one.  *consume* turns the shared compute result into
-        one rank's private value; one that raises fails only its own rank
+        closures see stable inputs and reduce or copy straight out of
+        peers' live buffers into each rank's destination.  A contribution is
+        written only through its own rank's ``out=`` once the fixed order
+        has read it, and no value handed back aliases another rank's.
+        *consume* turns the compute result into one rank's private value;
+        one that raises fails only its own rank
         (the error is re-raised there verbatim) while peers complete
         normally.  ``consume=None`` hands every rank the compute result
         itself (barrier: ``None``).
@@ -786,31 +817,38 @@ class Communicator:
         exactly) and is returned — steady-state callers that reduce into
         preallocated buffers (gradient accumulators, replay scratch) keep
         their result in that buffer across steps.  ``out`` may alias
-        *array*: the reduction never writes contributions.
+        *array* but no other rank's.  The last arriver reduces into its own
+        ``out`` (or keeps a fresh result) and the peers copy from there; an
+        ``out`` aliasing its input at group-rank ≥ 2, which the fixed order
+        reads after writing ``out``, gets a fresh result plus a copy.
         """
         group = self._resolve(group)
         if op not in _REDUCE_OPS:
             raise SpmdError(f"unknown reduce op {op!r} (expected one of {_REDUCE_OPS})")
         arr = np.asarray(array)  # no snapshot: peers stay blocked while we reduce
         _check_mean_dtype(op, arr)
+        dest = None
         if out is not None:
             _check_out(out, arr.shape, arr.dtype, "all_reduce")
+            if group.rank_index(self.rank) < 2 or not np.may_share_memory(out, arr):
+                dest = out
+        mine = None  # the result this rank reduced, if it arrives last
 
-        if out is None:
-            consume = np.ndarray.copy  # every rank gets a private copy
-        else:
+        def compute(data: list) -> np.ndarray:
+            nonlocal mine
+            mine = _reduce(_operands(data), op, dest)
+            return mine
 
-            def consume(result: np.ndarray) -> np.ndarray:
+        def consume(result: np.ndarray) -> np.ndarray:
+            if out is None:
+                return result if result is mine else result.copy()
+            if result is not out:
                 np.copyto(out, result)
-                return out
+            return out
 
         return self._run_collective(
-            group,
-            ("all_reduce", op),
-            arr,
-            lambda data: _reduce(data, op),
-            payload_bytes=arr.nbytes,
-            consume=consume,
+            group, ("all_reduce", op), arr, compute,
+            payload_bytes=arr.nbytes, consume=consume,
         )
 
     def all_gather(
@@ -827,10 +865,13 @@ class Communicator:
         batched-wake distribution (every member is still blocked inside the
         collective while copies run), so no intermediate snapshot is ever
         taken.  ``out`` buffers must not overlap the *array* of any other
-        rank — aliasing your own contribution is allowed.
+        rank.  ``out[me]`` may exactly alias your own contribution — the
+        in-place form of ``all_gather_into_tensor`` — and is then not
+        copied at all.
         """
         group = self._resolve(group)
         arr = np.asarray(array)
+        own = -1  # the out slot that already holds this rank's bytes
         if out is not None:
             if len(out) != group.size:
                 raise SpmdError(
@@ -842,21 +883,16 @@ class Communicator:
                 if not isinstance(o, np.ndarray) or not np.may_share_memory(o, arr):
                     continue
                 # Only the rank's own slot may alias its input, and only
-                # *exactly* (same memory, shape and strides — the copy is
-                # then a no-op): a partial overlap would mutate the live
+                # *exactly*: a partial overlap would mutate the live
                 # contribution while distribution is still copying peers'
                 # parts from it.
-                exact = o is arr or (
-                    o.shape == arr.shape
-                    and o.strides == arr.strides
-                    and o.__array_interface__["data"] == arr.__array_interface__["data"]
-                )
-                if i != me or not exact:
+                if i != me or not _same_view(o, arr):
                     raise SpmdError(
                         "all_gather out buffers must not overlap this rank's "
                         "input (peers copy it live during distribution); "
                         "only out[me] exactly aliasing the input is allowed"
                     )
+                own = i
 
         def consume(parts: list) -> list[np.ndarray]:
             if out is None:
@@ -867,8 +903,9 @@ class Communicator:
             # a mismatch never leaves the caller's buffers half-clobbered.
             for o, p in zip(out, parts):
                 _check_out(o, p.shape, p.dtype, "all_gather")
-            for o, p in zip(out, parts):
-                np.copyto(o, p)
+            for i, (o, p) in enumerate(zip(out, parts)):
+                if i != own:
+                    np.copyto(o, p)
             return list(out)
 
         return self._run_collective(
@@ -905,7 +942,11 @@ class Communicator:
         the padded volume (which is what the traffic log charges), and the
         pad is stripped before the result is returned.  ``out`` receives
         this rank's slice in place (exact shape/dtype match) and is
-        returned.
+        returned; it must not overlap another rank's *array*.  The last
+        arriver reduces each member's slice straight into that member's
+        ``out`` or a fresh slice; no full-size result is built.  An ``out``
+        overlapping this rank's input, except exactly its slice at
+        group-rank < 2, gets a fresh slice plus a copy.
         """
         group = self._resolve(group)
         if op not in _REDUCE_OPS:
@@ -937,24 +978,28 @@ class Communicator:
         idx = [slice(None)] * arr.ndim
         idx[axis] = slice(lo, lo + chunk_sizes[me])
         idx = tuple(idx)
+        dest = None
         if out is not None:
             shape = list(arr.shape)
             shape[axis] = chunk_sizes[me]
             _check_out(out, tuple(shape), arr.dtype, "reduce_scatter")
+            if not np.may_share_memory(out, arr) or (
+                me < 2 and _same_view(out, arr[idx])
+            ):
+                dest = out
 
-        def consume(full: np.ndarray) -> np.ndarray:
-            if out is not None:
-                np.copyto(out, full[idx])
-                return out
-            # Every rank copies its slice: a view would pin the n-times-larger
-            # reduce buffer and could be non-contiguous.
-            return full[idx].copy()
+        def consume(data: list) -> np.ndarray:
+            result = _reduce([a[idx] for a in data], op, dest)
+            if out is None or result is out:
+                return result
+            np.copyto(out, result)
+            return out
 
         return self._run_collective(
             group,
             ("reduce_scatter", op, axis, chunk_sizes),
             arr,
-            lambda data: _reduce(data, op),
+            _operands,  # each member's consume reduces its own slice
             payload_bytes=payload,
             consume=consume,
         )
@@ -988,7 +1033,8 @@ class Communicator:
         def consume(r: np.ndarray) -> np.ndarray:
             if out is not None:
                 _check_out(out, r.shape, r.dtype, "broadcast")
-                np.copyto(out, r)
+                if out is not r:  # the root's own contribution holds it
+                    np.copyto(out, r)
                 return out
             # r is the root's live buffer: always detach with a copy.
             return np.array(r, copy=True)
@@ -1069,8 +1115,9 @@ def run_spmd_world(
     Returns ``(results, world)`` with results in rank order; the world
     exposes ``traffic``, ``rank_status`` and ``default_group`` for
     post-mortem inspection.  Raises :class:`SpmdError` if any rank fails or
-    the run exceeds *timeout* seconds (default 120); the error carries the
-    failed ``rank`` and the dead ``world``.  ``failure_plan`` installs a
+    the run exceeds *timeout* seconds (default 120; the message then names
+    each rank still blocked in a collective, with its op, group and arrival
+    count); the error carries the failed ``rank`` and the dead ``world``.  ``failure_plan`` installs a
     scripted-crash plan consulted by :meth:`Communicator.tick`; ``clock``
     installs a virtual clock (e.g. :class:`repro.perf.clock.VirtualClock`)
     that prices every collective and produces deterministic per-rank
@@ -1118,7 +1165,10 @@ def run_spmd_world(
             t.join(1.0)
         raise
     if timed_out:
-        world.abort(-1, TimeoutError(f"SPMD world timed out after {timeout:g}s"))
+        # Name the blocked ranks before the abort unwinds them.
+        world.abort(-1, TimeoutError("; ".join([
+            f"SPMD world timed out after {timeout:g}s "
+            "(likely a deadlocked or mismatched collective)", *world._blocked()])))
         grace = 5.0
         for t in threads:
             t.join(grace)
@@ -1126,10 +1176,7 @@ def run_spmd_world(
     if failure is not None:
         rank, exc = failure
         if rank < 0:
-            err = SpmdError(
-                f"SPMD world timed out after {timeout:g}s "
-                "(likely a deadlocked or mismatched collective)"
-            )
+            err = SpmdError(str(exc))
         else:
             err = SpmdError(f"rank {rank} failed: {type(exc).__name__}: {exc}")
         err.rank = rank

@@ -128,7 +128,9 @@ def _issue(comm, op: str, payload_bytes: int, group, scratch: dict) -> None:
     if op == "all_reduce":
         comm.all_reduce(buf, group=group, out=buffer("out", payload_bytes))
     elif op == "all_gather":
-        outs = [buffer(f"ag{i}", payload_bytes) for i in range(n)]
+        # In place, as all_gather_into_tensor: this rank's slot is its input.
+        me = group.rank_index(comm.rank)
+        outs = [buf if i == me else buffer(f"ag{i}", payload_bytes) for i in range(n)]
         comm.all_gather(buf, group=group, out=outs)
     elif op == "reduce_scatter":
         comm.reduce_scatter(buf, group=group, out=buffer("rs", payload_bytes // n))

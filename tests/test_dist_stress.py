@@ -5,12 +5,14 @@ it gets adversarial coverage: collective storms, interleaved groups, large
 worlds, mid-collective failures, and concurrent independent worlds.
 """
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from repro.dist import SpmdError, run_spmd, run_spmd_world
+from repro.dist.runtime import split_sizes
 
 
 class TestCollectiveStorm:
@@ -74,6 +76,65 @@ class TestCollectiveStorm:
         assert all(abs(r - res[0]) < 1e-3 for r in res[1:5])
         assert all(abs(r - res[31]) < 1e-3 for r in res[5:31])
         assert res[0] - res[31] == 5 * 32.0
+
+    def test_sixteen_rank_storm_with_aliased_outs(self):
+        """16 ranks alternate between a 2-rank group ({2k, 2k+1}) and a
+        strided 4-rank group ({k, k+4, k+8, k+12}), issuing bandwidth-sized
+        (64 KiB) all_reduce / reduce_scatter with every op and no out, a
+        fresh out or an out aliasing the input (its own slice for
+        reduce_scatter), rotating per rank and round.  Every result is
+        checked bitwise against the group-rank-ordered reference."""
+        n, length = 16, 8193  # odd: uneven reduce_scatter splits
+        rounds = [
+            (op, name, size)
+            for op in ("sum", "mean", "max", "min")
+            for name in ("all_reduce", "reduce_scatter")
+            for size in (2, 4)
+        ]
+        contribs = np.random.default_rng(11).standard_normal((len(rounds), n, length))
+
+        def members(rank, size):
+            return [rank & ~1, rank | 1] if size == 2 else [rank % 4 + 4 * i for i in range(4)]
+
+        def my_slice(rank, name, ranks):
+            if name == "all_reduce":
+                return slice(None)
+            sizes = split_sizes(length, len(ranks))
+            lo = sum(sizes[: ranks.index(rank)])
+            return slice(lo, lo + sizes[ranks.index(rank)])
+
+        def reference(rnd, op, ranks):
+            ufunc = {"sum": np.add, "mean": np.add, "max": np.maximum, "min": np.minimum}[op]
+            acc = contribs[rnd, ranks[0]]
+            for r in ranks[1:]:
+                acc = ufunc(acc, contribs[rnd, r])
+            return acc / len(ranks) if op == "mean" else acc
+
+        def fn(comm):
+            got = []
+            for rnd, (op, name, size) in enumerate(rounds):
+                ranks = members(comm.rank, size)
+                mine = contribs[rnd, comm.rank].copy()
+                view = mine[my_slice(comm.rank, name, ranks)]
+                kind = (comm.rank + rnd) % 3
+                out = (None, np.empty_like(view), view)[kind]
+                collective = getattr(comm, name)
+                res = collective(mine, op=op, group=comm.group(ranks), out=out)
+                got.append(res.copy())
+                mine[...] = -1.0  # mutating my input after return must not leak
+            return got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force thread switches mid-distribution
+        try:
+            results = run_spmd(fn, n, timeout=90)
+        finally:
+            sys.setswitchinterval(interval)
+        for rank, got in enumerate(results):
+            for rnd, ((op, name, size), value) in enumerate(zip(rounds, got)):
+                ranks = members(rank, size)
+                want = reference(rnd, op, ranks)[my_slice(rank, name, ranks)]
+                assert np.array_equal(value, want), f"rank {rank} round {rnd}"
 
     def test_nested_group_membership(self):
         """Every rank participates in log2(n) nested halving groups."""
@@ -139,6 +200,23 @@ class TestFailureInjection:
 
         with pytest.raises(SpmdError):
             run_spmd(fn, 2, timeout=1.0)
+
+    def test_timeout_names_the_blocked_rank(self):
+        """The timeout error is read from the group slot state: it names
+        the rank still waiting, its collective, the group and how many
+        members arrived, and no rank that is not blocked."""
+
+        def fn(comm):
+            if comm.rank == 2:
+                comm.all_reduce(np.ones(1, dtype=np.float32))  # peers never join
+            return True
+
+        with pytest.raises(SpmdError) as info:
+            run_spmd(fn, 3, timeout=0.5)
+        msg = str(info.value)
+        assert info.value.rank == -1
+        assert "rank 2 in all_reduce on group [0, 1, 2] (1/3 arrived)" in msg
+        assert "rank 0" not in msg and "rank 1" not in msg
 
     def test_world_reusable_after_failure(self):
         """A failed run must not poison subsequent runs (fresh worlds)."""

@@ -1,20 +1,30 @@
 """Property tests: the zero-copy collective fast paths are bitwise-faithful.
 
 The runtime's data path does not snapshot contributions (peers stay blocked
-while the reduction runs), and ``out=`` parameters receive results in
-preallocated buffers.  Completion is a batched wake: the last arriver
-copies every member's value straight from the live contributions, then
-opens each waiter's gate.  None of that may change a single bit: every
-collective must equal the reference rank-ordered computation (the same
-left-to-right pairwise order the reference copy path used), private results
-must stay private (mutating one rank's output — or its *input*, right after
-return — never leaks to another rank or a later collective), and the
-charged wire bytes must stay exactly :func:`repro.dist.ring_wire_bytes`.
-Small payloads are drawn by hypothesis; bandwidth-sized ones (≥ 64 KiB per
-rank) are enumerated in :class:`TestLargePayloadReduceParity`.
+while the reduction runs), and results are written straight into the
+buffers that keep them.  Completion is a batched wake: the last arriver
+reduces an ``all_reduce`` into its own ``out`` (the peers copy from there),
+reduces each member's ``reduce_scatter`` slice from the live contributions
+straight into that member's ``out`` (no full-size result), skips the copy
+for an ``all_gather`` or ``broadcast`` slot that already holds the rank's
+own bytes, then opens each waiter's gate.  None of that may change a single
+bit: every collective must equal the reference rank-ordered computation
+(the same left-to-right pairwise order), an ``out`` that aliases an input
+the fixed order still has to read must fall back to a fresh result
+(:class:`TestArrivalOrder` forces that case), private results must stay
+private (mutating one rank's output — or its *input*, right after return —
+never leaks to another rank or a later collective), no collective may
+allocate a full-size temporary behind an ``out=`` (:class:`TestNoTemporary`),
+and the charged wire bytes must stay exactly
+:func:`repro.dist.ring_wire_bytes`.  Small payloads are drawn by hypothesis;
+bandwidth-sized ones (≥ 64 KiB per rank) are enumerated in
+:class:`TestLargePayloadReduceParity`.
 """
 
 from __future__ import annotations
+
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -463,3 +473,111 @@ class TestOutBufferValidation:
         results, _ = run_spmd_world(fn, 2)
         for got in results:
             assert np.array_equal(got, np.full(16, 3.0))
+
+
+class TestArrivalOrder:
+    """Group-rank n−1 arrives last, ~50 ms after its peers, with ``out``
+    aliasing its own input (for ``reduce_scatter``, its own slice).  The
+    last arriver reduces into its own ``out``, but the fixed order reads
+    its input only at step n−1, after the first op has written ``out``: it
+    must fall back to a fresh result plus a copy.  Peers mix no ``out``, a
+    fresh one and an aliased one."""
+
+    @pytest.mark.parametrize("n", (3, 4, 8))
+    @pytest.mark.parametrize("collective", ("all_reduce", "reduce_scatter"))
+    def test_last_arriver_aliasing_its_input(self, n, collective):
+        length = 4099  # odd: reduce_scatter splits unevenly
+        contribs = _contribs(n, length, np.float64, seed=71 + n)
+        expects = {op: _reference_reduce(contribs, op) for op in REDUCE_OPS}
+        sizes = split_sizes(length, n)
+        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+
+        def fn(comm):
+            last = comm.rank == n - 1
+            kind = "alias" if last else _out_kind("mixed", comm.rank)
+            lo, hi = offsets[comm.rank], offsets[comm.rank + 1]
+            got = []
+            for op in REDUCE_OPS:
+                mine = contribs[comm.rank].copy()
+                if collective == "all_reduce":
+                    fresh, alias = np.empty_like(mine), mine
+                else:
+                    fresh, alias = np.empty(hi - lo, mine.dtype), mine[lo:hi]
+                out = {"none": None, "fresh": fresh, "alias": alias}[kind]
+                if last:
+                    time.sleep(0.05)  # every peer is already blocked
+                if collective == "all_reduce":
+                    res = comm.all_reduce(mine, op=op, out=out)
+                else:
+                    res = comm.reduce_scatter(mine, op=op, out=out)
+                if out is not None:
+                    assert res is out
+                got.append((op, res.copy()))
+            return got
+
+        results, world = run_spmd_world(fn, n, timeout=60.0)
+        for rank, got in enumerate(results):
+            lo, hi = offsets[rank], offsets[rank + 1]
+            for op, value in got:
+                want = expects[op] if collective == "all_reduce" else expects[op][lo:hi]
+                assert np.array_equal(value, want), f"rank {rank} {op} diverged"
+
+
+class TestNoTemporary:
+    """Behind ``out=``, a reduction or gather allocates no full-size
+    temporary: the traced peak rises by well under one payload."""
+
+    NBYTES = 4 << 20
+
+    def _peak_rise(self, fn, n=2):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            results, world = run_spmd_world(fn, n, timeout=60.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - base, results, world
+
+    @pytest.mark.parametrize("collective", ("all_reduce", "reduce_scatter"))
+    def test_reduction_into_out(self, collective):
+        n = 2
+        contribs = _contribs(n, self.NBYTES // 8, np.float64, seed=5)
+        expect = _reference_reduce(contribs, "sum")
+        size = expect.size if collective == "all_reduce" else expect.size // n
+        outs = [np.empty(size) for _ in range(n)]
+
+        def fn(comm):
+            if collective == "all_reduce":
+                return comm.all_reduce(contribs[comm.rank], out=outs[comm.rank])
+            return comm.reduce_scatter(contribs[comm.rank], out=outs[comm.rank])
+
+        rise, results, world = self._peak_rise(fn, n)
+        assert rise < self.NBYTES // 2, f"{collective} allocated {rise} B"
+        for rank, res in enumerate(results):
+            assert res is outs[rank]
+            lo = 0 if collective == "all_reduce" else rank * size
+            assert np.array_equal(res, expect[lo : lo + size])
+        payload = contribs[0].nbytes
+        assert _wire_ok(world, collective, payload, n)
+
+    def test_all_gather_own_slot_is_the_input(self):
+        n = 2
+        contribs = _contribs(n, self.NBYTES // 8, np.float64, seed=6)
+        orig = [c.copy() for c in contribs]
+        outs = [[c if i == r else np.empty_like(c) for i, c in enumerate(contribs)]
+                for r in range(n)]
+
+        def fn(comm):
+            parts = comm.all_gather(contribs[comm.rank], out=outs[comm.rank])
+            assert parts[comm.rank] is contribs[comm.rank]
+            return parts
+
+        rise, results, world = self._peak_rise(fn, n)
+        assert rise < self.NBYTES // 2, f"all_gather allocated {rise} B"
+        for parts in results:
+            for i in range(n):
+                assert np.array_equal(parts[i], orig[i])
+        for c, o in zip(contribs, orig):
+            assert np.array_equal(c, o), "the input bytes changed"
+        assert _wire_ok(world, "all_gather", orig[0].nbytes, n)
