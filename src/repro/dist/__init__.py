@@ -1,8 +1,9 @@
 """``repro.dist`` — the simulated multi-rank runtime (RCCL/MPI substitute).
 
-One Python thread per rank, deterministic in-process collectives, and a
-traffic log in place of real wire counters.  Every communication pattern the
-paper builds on maps onto one primitive here:
+One Python thread per rank (taking turns on a per-world run token),
+deterministic in-process collectives, and a traffic log in place of real
+wire counters.  Every communication pattern the paper builds on maps onto
+one primitive here:
 
 Paper section → primitive
 -------------------------

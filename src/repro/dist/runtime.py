@@ -31,16 +31,30 @@ stamps, and ranks can charge compute intervals with
 instead of assuming them.  Timelines depend only on program order (never on
 thread scheduling), so repeated runs are bitwise identical.
 
-Reliance on the GIL: shared state is guarded by locks except for these
+Run token: each :class:`World` has one lock that a rank thread holds
+whenever it runs rank code.  It gives the token up while it waits in a
+collective, while it reduces and copies as the last arriver, and when it
+exits, and takes it back (polling the abort flag) before it returns to rank
+code.  Python and numpy from different ranks never interleave, so threads
+stop trading the GIL on every numpy call, while a large copy (which releases
+the GIL) still overlaps another rank's compute.  Reductions keep their fixed
+group-rank order, so results do not depend on which rank runs first.  Rank
+code may block only in collectives: waiting on a peer any other way keeps
+the token and deadlocks.
+
+Reliance on the GIL: shared state is guarded by locks or by the run token
+(rank code and clock updates run under it, except in a rank unwinding from
+an abort) except for these
 accesses, which are lock-free because the GIL makes one read or write of a
-list cell, attribute or dict item atomic:
+list cell or attribute atomic:
 
 * ``_Slot.done`` — the last arriver sets it before opening any gate, and
-  waiters read it in the poll-timeout path of the wait loop;
-* ``_Slot.values[me]`` / ``_Slot.value_errors[me]`` — each waiter picks up
-  (and clears) its own cell after the wake;
-* :class:`repro.perf.clock.VirtualClock` fills its price memo dict from every
-  member rank without a lock (a lost race recomputes the same value).
+  waiters read it in the poll-timeout path of the wait loop, neither under
+  the token;
+* ``_Slot.values[me]`` / ``_Slot.value_errors[me]`` — written by the last
+  arriver off the token; each waiter picks up (and clears) its own cell;
+* ``World._holder`` — written only by the token's holder, read by ranks
+  checking whether they hold it and by the timeout message.
 
 :class:`World` therefore refuses to start on a free-threaded interpreter.
 """
@@ -306,6 +320,8 @@ class World:
         self._group_states: dict[tuple[int, ...], _GroupState] = {}
         self._abort_event = threading.Event()
         self._failure: tuple[int, BaseException] | None = None
+        self._token = threading.Lock()  # the run token (module docstring)
+        self._holder = -1  # the rank holding it, -1 for none
         self.default_group = ProcessGroup(self, tuple(range(size)))
 
     # -- group bookkeeping -------------------------------------------------
@@ -357,10 +373,12 @@ class World:
                             pass  # lost the race with the last arriver (or a second abort)
 
     def _blocked(self) -> list[str]:
-        """Every rank still waiting in a collective, read from the slots."""
+        """Every rank still waiting in a collective, read from the slots,
+        and the rank holding the run token."""
         with self._lock:
             states = list(self._group_states.items())
-        blocked = []
+        holder = self._holder
+        blocked = [(holder, f"rank {holder} holds the run token")] if holder >= 0 else []
         for ranks, state in states:
             with state.lock:
                 for slot in state.ring:
@@ -374,6 +392,27 @@ class World:
     def _check_abort(self) -> None:
         if self._abort_event.is_set():
             raise _Aborted()
+
+    def _take_turn(self, rank: int) -> None:
+        """Block until *rank* holds the run token, polling the abort flag.
+
+        After an abort the rank still takes a free token and runs on to its
+        next collective, as it would without the token; it unwinds here only
+        while a peer (asleep, or past a driver timeout) keeps the token.
+        """
+        token = self._token
+        while not token.acquire(True, _POLL_S):
+            if self._abort_event.is_set():
+                if not token.acquire(False):
+                    raise _Aborted()
+                break
+        self._holder = rank
+
+    def _end_turn(self, rank: int) -> None:
+        """Hand the run token on; a no-op unless *rank* holds it."""
+        if self._holder == rank:
+            self._holder = -1
+            self._token.release()
 
 
 def split_sizes(total: int, parts: int) -> tuple[int, ...]:
@@ -558,11 +597,12 @@ class Communicator:
         """Join the group's next collective slot; return this rank's value.
 
         Batched-wake protocol: the last arriver runs ``compute(data)`` over
-        the group-rank-ordered contribution list with **no lock held**, so
-        a large reduction never serializes unrelated groups.  It then runs
-        every member's ``consume(result)`` itself, while all peers are still
-        blocked inside the rendezvous, and finally opens each waiter's
-        pre-locked gate; waiters pick their value up without a lock.
+        the group-rank-ordered contribution list with **no lock held**, nor
+        the run token, so a large reduction never serializes unrelated
+        groups or ranks.  It then runs every member's ``consume(result)``
+        itself, while all peers are still blocked inside the rendezvous, and
+        finally opens each waiter's pre-locked gate; waiters pick their
+        value up without a lock, once they hold the token again.
 
         Contributions are *not* snapshotted: every contributing rank stays
         blocked until distribution finished, so *compute* and the *consume*
@@ -639,6 +679,12 @@ class Communicator:
                 slot.arrivals[me] = bid
             slot.arrived += 1
             last = slot.arrived == size
+        start = finish = -1.0
+        if last and clock is not None:
+            start = max(slot.arrivals)
+            finish = start + clock.collective_seconds(op, slot.payload_max, group.ranks)
+        world = self.world
+        world._end_turn(self.rank)  # peers run while this rank waits or copies
         if last:
             # Compute + distribution run with no lock held: every member is
             # blocked in this rendezvous, so slot.data (and every buffer it
@@ -660,12 +706,6 @@ class Communicator:
                         values[i] = fn(result)
                     except BaseException as exc:  # fails rank i only
                         value_errors[i] = exc
-            start = finish = -1.0
-            if clock is not None:
-                start = max(slot.arrivals)
-                finish = start + clock.collective_seconds(
-                    op, slot.payload_max, group.ranks
-                )
             # Drop contribution and closure references before the wake so
             # the slot never pins live buffers (or callers' out= targets)
             # while the group idles.
@@ -689,7 +729,8 @@ class Communicator:
                 # timeout is just the abort-flag poll backstop.
                 if gate.acquire(True, _POLL_S) and slot.done:
                     break
-                self.world._check_abort()
+                world._check_abort()
+        world._take_turn(self.rank)
         error = slot.error
         start, finish = slot.start, slot.finish
         # Group-wide priced payload (max bid), read under the same
@@ -1062,7 +1103,8 @@ class Communicator:
         to this rank (their ``sends[my_group_index]``).
 
         ``out`` — one preallocated buffer per group rank, exact shape and
-        dtype match — receives the incoming chunks in place.
+        dtype match — receives the incoming chunks in place.  ``out[me]``
+        may exactly alias ``sends[me]``, and is then not copied at all.
         """
         group = self._resolve(group)
         n = group.size
@@ -1084,7 +1126,8 @@ class Communicator:
                 cell = matrix[i][me]
                 _check_out(out[i], cell.shape, cell.dtype, "all_to_all")
             for i in range(n):
-                np.copyto(out[i], matrix[i][me])
+                if i != me or not _same_view(out[i], matrix[i][me]):
+                    np.copyto(out[i], matrix[i][me])
             return list(out)
 
         return self._run_collective(
@@ -1117,7 +1160,8 @@ def run_spmd_world(
     post-mortem inspection.  Raises :class:`SpmdError` if any rank fails or
     the run exceeds *timeout* seconds (default 120; the message then names
     each rank still blocked in a collective, with its op, group and arrival
-    count); the error carries the failed ``rank`` and the dead ``world``.  ``failure_plan`` installs a
+    count, and the rank holding the run token); the error carries the failed
+    ``rank`` and the dead ``world``.  ``failure_plan`` installs a
     scripted-crash plan consulted by :meth:`Communicator.tick`; ``clock``
     installs a virtual clock (e.g. :class:`repro.perf.clock.VirtualClock`)
     that prices every collective and produces deterministic per-rank
@@ -1130,6 +1174,7 @@ def run_spmd_world(
     def runner(rank: int) -> None:
         comm = Communicator(world, rank)
         try:
+            world._take_turn(rank)
             results[rank] = fn(comm, *args)
             if clock is not None:
                 # Settle any in-flight eager collectives so the clock's
@@ -1141,6 +1186,8 @@ def run_spmd_world(
         except BaseException as exc:
             world.rank_status[rank] = "failed"
             world.abort(rank, exc)
+        finally:
+            world._end_turn(rank)
 
     threads = [
         threading.Thread(target=runner, args=(r,), name=f"spmd-rank-{r}", daemon=True)

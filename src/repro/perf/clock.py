@@ -185,9 +185,9 @@ class VirtualClock:
         # of times per step, and every *member* prices wire volume at
         # completion — memoized per clock (the cost model and its MachineSpec
         # are fixed for the clock's lifetime; spec tweaks go through
-        # dataclasses.replace and build a fresh clock).  Concurrent rank
-        # threads may race a fill; dict item writes are GIL-atomic and the
-        # value is deterministic, so a lost race only recomputes.
+        # dataclasses.replace and build a fresh clock).  Rank threads price
+        # under their world's run token (repro.dist.runtime); a fill that
+        # still raced, from a rank unwinding an abort, only recomputes.
         self._price_memo: dict[tuple[str, int, tuple], tuple[int, bool, float]] = {}
         # Span source of a loaded timeline not yet folded into the archives
         # (see :meth:`load_timeline`); ``None`` on every live clock.

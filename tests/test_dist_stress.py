@@ -7,6 +7,7 @@ worlds, mid-collective failures, and concurrent independent worlds.
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -231,6 +232,106 @@ class TestFailureInjection:
             return comm.all_reduce(np.ones(1, dtype=np.float32))[0]
 
         assert run_spmd(good, 2) == [2.0, 2.0]
+
+
+class TestRunToken:
+    """One rank runs rank code at a time: the world's run token."""
+
+    def test_rank_sections_never_overlap(self):
+        """A tp2 × dp2 world under a 10 µs switch interval: every rank stamps
+        when it enters and leaves the numpy work between its collectives
+        (matmuls and ufuncs that release the GIL), and no two ranks'
+        sections overlap."""
+
+        def fn(comm):
+            tp = comm.group([comm.rank & ~1, comm.rank | 1])
+            dp = comm.group([comm.rank % 2, comm.rank % 2 + 2])
+            a = np.random.default_rng(comm.rank).standard_normal((128, 128))
+            spans = []
+            for _ in range(20):
+                for group in (tp, dp):
+                    start = time.perf_counter()
+                    for _ in range(6):
+                        a = np.tanh(a @ a.T / 128.0)
+                    spans.append((start, time.perf_counter()))
+                    a = comm.all_reduce(a, group=group) / 2.0
+            return spans
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # invite a thread switch inside every section
+        try:
+            results = run_spmd(fn, 4, timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        spans = sorted((s, e, rank) for rank, own in enumerate(results) for s, e in own)
+        for (_, end, rank), (start, _, nxt) in zip(spans, spans[1:]):
+            assert end <= start, f"rank {rank} and rank {nxt} ran rank code at once"
+
+    def test_failure_while_peers_wait_for_the_token(self):
+        """The first rank to run raises while its peers wait for the token:
+        no peer runs rank code before the raise, the world unwinds at once
+        with that rank named, and the token is left free."""
+        entered, raised = [], []
+
+        def fn(comm):
+            entered.append((comm.rank, time.monotonic()))
+            if len(entered) == 1:
+                time.sleep(0.2)  # every peer is queued on the token meanwhile
+                raised.append(time.monotonic())
+                raise RuntimeError(f"fault on rank {comm.rank}")
+            comm.barrier()
+            return True
+
+        began = time.monotonic()
+        with pytest.raises(SpmdError) as info:
+            run_spmd(fn, 4, timeout=20)
+        assert time.monotonic() - began < 2.0
+        culprit = entered[0][0]
+        assert all(at >= raised[0] for _, at in entered[1:]), "a peer ran before the raise"
+        err = info.value
+        assert err.rank == culprit and f"rank {culprit} failed" in str(err)
+        world = err.world
+        assert world.rank_status == ["failed" if r == culprit else "aborted" for r in range(4)]
+        assert not world._token.locked() and world._holder == -1
+
+    def test_aborted_rank_exits_without_the_token(self, monkeypatch):
+        """Ranks unwound by an abort — from a collective wait or from the
+        token queue — hold no token, so they release none on exit: freeing
+        a token they lack would raise in the rank thread or hand a peer's
+        turn away."""
+        escaped = []
+        monkeypatch.setattr(threading, "excepthook", lambda args: escaped.append(args.exc_value))
+
+        def fn(comm):
+            comm.barrier()
+            if comm.rank == 1:
+                raise ValueError("fault after the barrier")
+            comm.barrier()  # rank 0 and rank 2 wait here, or for the token
+            return True
+
+        with pytest.raises(SpmdError, match="fault after the barrier") as info:
+            run_spmd(fn, 3, timeout=20)
+        world = info.value.world
+        assert world.rank_status == ["aborted", "failed", "aborted"]
+        assert not world._token.locked() and world._holder == -1
+        assert escaped == []
+
+    def test_timeout_names_the_token_holder(self):
+        """A rank that keeps the token past the driver timeout (here asleep)
+        is named in the timeout error; its queued peer unwinds."""
+        entered = []
+
+        def fn(comm):
+            entered.append(comm.rank)
+            if len(entered) == 1:
+                time.sleep(1.0)
+            return True
+
+        with pytest.raises(SpmdError) as info:
+            run_spmd(fn, 2, timeout=0.3)
+        assert info.value.rank == -1
+        assert f"rank {entered[0]} holds the run token" in str(info.value)
+        assert info.value.world.rank_status[1 - entered[0]] == "aborted"
 
 
 class TestConcurrentWorlds:

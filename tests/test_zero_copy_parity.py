@@ -6,12 +6,13 @@ buffers that keep them.  Completion is a batched wake: the last arriver
 reduces an ``all_reduce`` into its own ``out`` (the peers copy from there),
 reduces each member's ``reduce_scatter`` slice from the live contributions
 straight into that member's ``out`` (no full-size result), skips the copy
-for an ``all_gather`` or ``broadcast`` slot that already holds the rank's
-own bytes, then opens each waiter's gate.  None of that may change a single
-bit: every collective must equal the reference rank-ordered computation
-(the same left-to-right pairwise order), an ``out`` that aliases an input
-the fixed order still has to read must fall back to a fresh result
-(:class:`TestArrivalOrder` forces that case), private results must stay
+for an ``all_gather``, ``broadcast`` or ``all_to_all`` slot that already
+holds the rank's own bytes, then opens each waiter's gate.  None of that
+may change a single bit: every collective must equal the reference
+rank-ordered computation (the same left-to-right pairwise order), an
+``out`` that aliases an input the fixed order still has to read must fall
+back to a fresh result (:class:`TestArrivalOrder` forces that case and
+checks which rank reduced), private results must stay
 private (mutating one rank's output — or its *input*, right after return —
 never leaks to another rank or a later collective), no collective may
 allocate a full-size temporary behind an ``out=`` (:class:`TestNoTemporary`),
@@ -23,14 +24,14 @@ bandwidth-sized ones (≥ 64 KiB per rank) are enumerated in
 
 from __future__ import annotations
 
-import time
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dist import ring_wire_bytes, run_spmd_world
+from repro.dist import ring_wire_bytes, run_spmd_world, runtime
 from repro.dist.runtime import split_sizes
 
 WORLD_SIZES = (2, 4, 8)
@@ -360,6 +361,31 @@ class TestGatherParity:
         assert _wire_ok(world, "broadcast", contribs[0].nbytes, n)
         assert _wire_ok(world, "all_to_all", contribs[0].nbytes, n)
 
+    @pytest.mark.parametrize("n", WORLD_SIZES)
+    def test_all_to_all_own_chunk_is_the_send(self, n):
+        """An ``out[me]`` exactly aliasing ``sends[me]`` already holds the
+        rank's own chunk and is not copied into: it is read-only here, so a
+        copy would fail the rank.  Every chunk still equals the reference."""
+        contribs = _contribs(n, 7 * n, np.float64, seed=29 + n)
+        orig = [c.copy() for c in contribs]
+
+        def fn(comm):
+            me = comm.rank
+            sends = np.split(contribs[me], n)
+            sends[me].flags.writeable = False
+            outs = [s if i == me else np.empty_like(s) for i, s in enumerate(sends)]
+            got = comm.all_to_all(sends, out=outs)
+            assert got[me] is sends[me]
+            return [g.copy() for g in got]
+
+        results, world = run_spmd_world(fn, n)
+        for rank, got in enumerate(results):
+            for i in range(n):
+                assert np.array_equal(got[i], np.split(orig[i], n)[rank])
+        for c, o in zip(contribs, orig):
+            assert np.array_equal(c, o), "the send bytes changed"
+        assert _wire_ok(world, "all_to_all", orig[0].nbytes, n)
+
 
 #: (collective, reduce op) pairs of the solo-group fence; barrier has no out=.
 SOLO_CASES = [
@@ -476,51 +502,69 @@ class TestOutBufferValidation:
 
 
 class TestArrivalOrder:
-    """Group-rank n−1 arrives last, ~50 ms after its peers, with ``out``
-    aliasing its own input (for ``reduce_scatter``, its own slice).  The
-    last arriver reduces into its own ``out``, but the fixed order reads
-    its input only at step n−1, after the first op has written ``out``: it
-    must fall back to a fresh result plus a copy.  Peers mix no ``out``, a
-    fresh one and an aliased one."""
+    """Group-rank n−1 arrives last with ``out`` aliasing its own input (for
+    ``reduce_scatter``, its own slice).  The last arriver reduces into its
+    own ``out``, but the fixed order reads its input only at step n−1,
+    after the first op has written ``out``: it must fall back to a fresh
+    result plus a copy.  Peers mix no ``out``, a fresh one and an aliased
+    one.
+
+    Ranks of a fresh world first take the run token in thread start order,
+    so rank n−1 is the last to arrive at the world's first collective: each
+    op gets its own world, and every case checks that rank n−1's thread ran
+    the reduction, so the fallback cannot silently go unexercised.  (A
+    sleep cannot order arrivals: a sleeping rank keeps the token.)"""
 
     @pytest.mark.parametrize("n", (3, 4, 8))
     @pytest.mark.parametrize("collective", ("all_reduce", "reduce_scatter"))
-    def test_last_arriver_aliasing_its_input(self, n, collective):
+    def test_last_arriver_aliasing_its_input(self, n, collective, monkeypatch):
         length = 4099  # odd: reduce_scatter splits unevenly
         contribs = _contribs(n, length, np.float64, seed=71 + n)
         expects = {op: _reference_reduce(contribs, op) for op in REDUCE_OPS}
         sizes = split_sizes(length, n)
         offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+        reducers = []  # the thread of every _reduce call
+        real_reduce = runtime._reduce
 
-        def fn(comm):
+        def spy(*args, **kwargs):
+            reducers.append(threading.current_thread().name)
+            return real_reduce(*args, **kwargs)
+
+        monkeypatch.setattr(runtime, "_reduce", spy)
+
+        def fn(comm, op):
             last = comm.rank == n - 1
             kind = "alias" if last else _out_kind("mixed", comm.rank)
             lo, hi = offsets[comm.rank], offsets[comm.rank + 1]
-            got = []
-            for op in REDUCE_OPS:
-                mine = contribs[comm.rank].copy()
-                if collective == "all_reduce":
-                    fresh, alias = np.empty_like(mine), mine
-                else:
-                    fresh, alias = np.empty(hi - lo, mine.dtype), mine[lo:hi]
-                out = {"none": None, "fresh": fresh, "alias": alias}[kind]
-                if last:
-                    time.sleep(0.05)  # every peer is already blocked
-                if collective == "all_reduce":
-                    res = comm.all_reduce(mine, op=op, out=out)
-                else:
-                    res = comm.reduce_scatter(mine, op=op, out=out)
-                if out is not None:
-                    assert res is out
-                got.append((op, res.copy()))
-            return got
+            mine = contribs[comm.rank].copy()
+            if collective == "all_reduce":
+                fresh, alias = np.empty_like(mine), mine
+            else:
+                fresh, alias = np.empty(hi - lo, mine.dtype), mine[lo:hi]
+            out = {"none": None, "fresh": fresh, "alias": alias}[kind]
+            if collective == "all_reduce":
+                res = comm.all_reduce(mine, op=op, out=out)
+            else:
+                res = comm.reduce_scatter(mine, op=op, out=out)
+            if out is not None:
+                assert res is out
+            return res.copy()
 
-        results, world = run_spmd_world(fn, n, timeout=60.0)
-        for rank, got in enumerate(results):
-            lo, hi = offsets[rank], offsets[rank + 1]
-            for op, value in got:
-                want = expects[op] if collective == "all_reduce" else expects[op][lo:hi]
-                assert np.array_equal(value, want), f"rank {rank} {op} diverged"
+        for op in REDUCE_OPS:
+            # A loaded host can let a thread start out of order: take a fresh
+            # world until rank n−1 arrived last, checking every result.
+            for _ in range(3):
+                reducers.clear()
+                results, _ = run_spmd_world(fn, n, op, timeout=60.0)
+                for rank, value in enumerate(results):
+                    lo, hi = offsets[rank], offsets[rank + 1]
+                    want = expects[op] if collective == "all_reduce" else expects[op][lo:hi]
+                    assert np.array_equal(value, want), f"rank {rank} {op} diverged"
+                if set(reducers) == {f"spmd-rank-{n - 1}"}:
+                    break
+            else:
+                pytest.fail(f"{op}: reduced on {sorted(set(reducers))} in three "
+                            "worlds, never on the aliasing last arriver")
 
 
 class TestNoTemporary:
