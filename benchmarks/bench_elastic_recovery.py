@@ -21,14 +21,11 @@ less than an fsynced npz write, so the critical-path cadence cost drops even
 though the same bytes reach disk.  Every row re-verifies the semantic
 invariant — the recovered trajectory (blocking *and* async) matches an
 uninterrupted baseline.
-
-``--store PATH`` persists the sweep to the sqlite SweepStore
-(``kind="bench"``, ``name="elastic-recovery"``).
 """
 
 import numpy as np
 
-from figutils import print_table  # also makes src/ importable
+from figutils import print_table, standalone_main  # also makes src/ importable
 from repro.elastic import ElasticSupervisor, FailurePlan, fsdp_training_segment
 from repro.nn import MLP, Module
 from repro.tensor import Tensor
@@ -159,72 +156,26 @@ def assert_claims(rows) -> None:
     )
 
 
-def store_results(rows, store_path) -> None:
-    """Persist one sweep as a ``bench`` run, one metric row per cell."""
-    from repro.obs.store import SweepStore
-
-    with SweepStore(store_path) as store:
-        run_id = store.record_run(
-            kind="bench",
-            name="elastic-recovery",
-            params={
-                "world": WORLD, "total_steps": TOTAL,
-                "kill_rank": KILL_RANK, "kill_step": KILL_STEP,
-                "cadences": list(CADENCES),
-            },
-        )
-        for r in rows:
-            op = f"cadence={r['cadence']}"
-            store.record_metric(run_id, "steps_lost", r["steps_lost"], op=op)
-            store.record_metric(
-                run_id, "reshard_bytes", r["reshard_bytes"], unit="B", op=op
-            )
-            store.record_metric(
-                run_id, "ckpt_bytes", r["ckpt_bytes"], unit="B", op=op
-            )
-            store.record_metric(
-                run_id, "save_seconds", r["save_s_blocking"], unit="s", op=op,
-                source="blocking",
-            )
-            store.record_metric(
-                run_id, "save_seconds", r["save_s_async"], unit="s", op=op,
-                source="async",
-            )
-    print(f"persisted {len(rows)} cadences to {store_path}")
-
-
 def test_elastic_recovery_print_and_benchmark(benchmark, tmp_path):
     rows = benchmark.pedantic(collect_all, args=(tmp_path,), rounds=1, iterations=1)
     print_results(rows)
     assert_claims(rows)
 
 
-def main(argv=None) -> int:
-    # Unlike most figures this bench grows --store, so it parses its own
-    # flags instead of figutils.standalone_main's (--smoke only).
-    import argparse
+def _standalone_body():
     import tempfile
 
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="accepted for harness compatibility; runs are a single quick pass either way",
-    )
-    parser.add_argument("--store", default=None, help="persist to this sqlite store")
-    opts = parser.parse_args(argv)
     rows = collect_all(tempfile.mkdtemp(prefix="bench_elastic_"))
     print_results(rows)
-    try:
-        assert_claims(rows)
-    except AssertionError as exc:
-        print(f"FAIL: elastic recovery violated a cost or trajectory claim ({exc})")
-        return 1
-    if opts.store:
-        store_results(rows, opts.store)
-    print("OK: elastic recovery preserves the trajectory at every cadence")
-    return 0
+    assert_claims(rows)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(
+        standalone_main(
+            __doc__.splitlines()[0],
+            _standalone_body,
+            "elastic recovery preserves the trajectory at every cadence",
+            "elastic recovery violated a cost or trajectory claim",
+        )
+    )

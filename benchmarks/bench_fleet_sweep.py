@@ -19,8 +19,7 @@ The grid keeps the channel count odd on purpose: D-CHAG requires
 shrunk stand-in shapes stay within the <= 4 captured-world budget while the
 (fsdp, dp) factorizations still fan out to 1000+ candidates.
 
-The result row is printed as JSON; ``--out PATH`` also writes it to a file
-and ``--store PATH`` persists the rankings and timings to a sweep store.
+The result row is printed as JSON; ``--out PATH`` also writes it to a file.
 The repo's tracked timings live in ``benchmarks/e2e`` (workload
 ``fleet_sweep``).
 """
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import platform
 import statistics
 import time
 from pathlib import Path
@@ -95,9 +93,9 @@ def per_budget_seconds() -> float:
     return time.perf_counter() - t0
 
 
-def run_benchmark(smoke: bool) -> tuple[dict, "object"]:
+def run_benchmark(smoke: bool) -> dict:
     """Timed sweep + one per-budget yardstick: the ``fleet_sweep`` result
-    row and the warmup sweep it describes."""
+    row."""
     repeats = 3 if smoke else 7
     sweep = fleet_sweep_once()  # warmup (and contract check)
     samples = []
@@ -124,7 +122,7 @@ def run_benchmark(smoke: bool) -> tuple[dict, "object"]:
         f"-> {result['speedup_vs_per_budget']:.2f}x)"
     )
     print_winners(sweep)
-    return result, sweep
+    return result
 
 
 def print_winners(sweep, every: int = 32) -> None:
@@ -148,48 +146,13 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true", help="fewer repeats (CI)")
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="also write the result row as JSON to PATH")
-    parser.add_argument("--store", metavar="PATH", default=None,
-                        help="also persist the sweep rankings into a repro.obs sweep store")
     args = parser.parse_args(argv)
 
-    result, sweep = run_benchmark(args.smoke)
+    result = run_benchmark(args.smoke)
     text = json.dumps({"fleet_sweep": result}, indent=2)
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n")
-
-    if args.store:
-        from repro.obs.store import SweepStore
-
-        # Record the rankings themselves (one search run per budget) plus
-        # the benchmark timings as a bench run.
-        base = f"fleet-{FLEET_MODEL_NAME}-ch{FLEET_CHANNELS}"
-        with SweepStore(args.store) as store:
-            for (gpus, batch), ranked in sweep.rankings:
-                run_id = store.record_run(
-                    "search", f"{base}-g{gpus}-b{batch}", machine=MACHINE.name,
-                    params={
-                        "channels": FLEET_CHANNELS,
-                        "total_gpus": gpus,
-                        "global_batch": batch,
-                        "strategies": list(FLEET_STRATEGIES),
-                        "candidates": len(ranked),
-                        "oracle": "sweep_replay",
-                    },
-                )
-                store.record_plans(run_id, ranked)
-            run_id = store.record_run(
-                "bench", "fleet_sweep", machine=MACHINE.name,
-                host=platform.platform(), params={"smoke": args.smoke},
-            )
-            for key in ("seconds", "min_seconds", "per_budget_seconds"):
-                store.record_metric(run_id, f"fleet_sweep/{key}", result[key],
-                                    unit="s", source="bench")
-            for key in ("candidates", "captured_worlds", "replay_variants",
-                        "speedup_vs_per_budget"):
-                store.record_metric(run_id, f"fleet_sweep/{key}", result[key],
-                                    source="bench")
-        print(f"stored fleet sweep rankings and timings in {args.store}")
     return 0
 
 

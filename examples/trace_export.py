@@ -14,7 +14,6 @@ The observability walkthrough, end to end:
    cumulative exposed/wire counters.
 3. Print the per-link volume report: measured traffic per
    ``op × phase × link`` plus the exposed/hidden split the trace renders.
-4. Persist the run into a sweep store and query it back.
 
 Run:  python examples/trace_export.py [--steps 3] [--out step.trace.json]
 """
@@ -30,7 +29,7 @@ from repro.dist import average_gradients, run_spmd_world
 from repro.nn import ViTEncoder
 from repro.parallel import DeviceMesh, FSDPModel, shard_batch
 from repro.perf import OVERLAP_PHASES, CostModel, VirtualClock, frontier
-from repro.obs import SweepStore, export_trace, validate_trace
+from repro.obs import export_trace, validate_trace
 from repro.tensor import AdamW, Tensor
 
 DIM, DEPTH, HEADS, TOKENS = 16, 2, 4, 5
@@ -113,22 +112,7 @@ def main() -> None:
           f"(simulated books: {simulated_wire:,} B)")
     if measured_wire != simulated_wire:
         raise SystemExit("wire books disagree: traffic log vs clock intervals")
-
-    # -- 4. persist and query the sweep store -----------------------------
-    with SweepStore(out.with_suffix(".db")) as store:
-        run_id = store.record_run(
-            "example", "trace_export", machine=machine.name,
-            params={"steps": args.steps, "world_size": world_size},
-        )
-        store.record_trace(run_id, out.name, trace)
-        store.record_metric(run_id, "wire_bytes", measured_wire, unit="B",
-                            source="measured")
-        store.record_metric(run_id, "exposed_seconds",
-                            clock.exposed_seconds(rank=0), unit="s")
-        latest = store.latest_run(kind="example")
-        print(f"\nsweep store: {latest.summary}, "
-              f"traces {store.trace_names(run_id)}")
-    print("OK: trace valid, wire books agree, run persisted")
+    print("OK: trace valid, wire books agree")
 
 
 if __name__ == "__main__":

@@ -958,12 +958,6 @@ class Communicator:
             consume=consume,
         )
 
-    def all_gather_concat(
-        self, array, group: ProcessGroup | None = None, axis: int = 0
-    ) -> np.ndarray:
-        """AllGather then concatenate along *axis* (one logged collective)."""
-        return np.concatenate(self.all_gather(array, group=group), axis=axis)
-
     def reduce_scatter(
         self,
         array,

@@ -34,8 +34,7 @@ Five pieces:
   event history.
 * :mod:`~repro.elastic.fleet` — the capacity-planning simulator: replays
   multi-week scripted churn traces against competing policies in seconds,
-  step cost priced by captured-schedule replay, results recordable in the
-  :class:`~repro.obs.store.SweepStore`.
+  step cost priced by captured-schedule replay.
 """
 
 from .checkpoint import (

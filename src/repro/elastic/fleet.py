@@ -22,9 +22,7 @@ answers it in seconds, as pure event arithmetic:
 
 :func:`simulate_fleet` replays one policy against one trace and returns a
 :class:`FleetRunResult` (goodput, lost-work split, restore counts);
-:func:`compare_policies` ranks several; a caller persists the comparison
-with :meth:`~repro.obs.store.SweepStore.record_fleet_results`
-(``fleet_runs`` table).
+:func:`compare_policies` ranks several.
 
 Fidelity notes.  The simulator mirrors the live supervisor's recovery
 mechanics — rollback to the last *durable* checkpoint, reshard priced only
@@ -37,13 +35,12 @@ async save still in flight when a failure hits is discarded as torn
 
 ``python -m repro.elastic.fleet --smoke`` is the ``elastic-smoke`` CI gate:
 a >= 10k-step trace against three policies, finished in seconds, with a
-deterministic pinned ranking and a store round trip.
+deterministic pinned ranking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -501,9 +498,8 @@ def _anchor_table(worlds: Sequence[int], machine):  # pragma: no cover
 
 def main(argv: Sequence[str] | None = None) -> int:  # pragma: no cover
     """Fleet-simulator smoke gate: >=10k-step trace, >=3 policies, seconds of
-    wall clock, deterministic pinned ranking, store round trip."""
+    wall clock, deterministic pinned ranking."""
     import argparse
-    import tempfile
     import time
 
     from ..perf.machine import frontier
@@ -514,7 +510,6 @@ def main(argv: Sequence[str] | None = None) -> int:  # pragma: no cover
     parser.add_argument("--horizon", type=int, default=None, help="trace steps")
     parser.add_argument("--world", type=int, default=4, help="starting world size")
     parser.add_argument("--seed", type=int, default=7, help="trace seed")
-    parser.add_argument("--store", default=None, help="persist to this sqlite store")
     opts = parser.parse_args(argv)
     horizon = opts.horizon or (12_000 if opts.smoke else 100_000)
     machine = frontier()
@@ -589,33 +584,6 @@ def main(argv: Sequence[str] | None = None) -> int:  # pragma: no cover
         all(
             overlapped[p.name].goodput >= blocking[p.name].goodput
             for p in policies
-        ),
-    )
-
-    store_path = opts.store or str(
-        Path(tempfile.mkdtemp(prefix="fleet_gate_")) / "fleet.sqlite"
-    )
-    from ..obs.store import SweepStore
-
-    with SweepStore(store_path) as store:
-        run_id = store.record_run(
-            "fleet", f"fleet-smoke-w{opts.world}",
-            params={
-                "world_size": opts.world,
-                "cadence": 25,
-                "horizon_steps": trace.horizon_steps,
-                "policies": [p.name for p in policies],
-            },
-        )
-        store.record_fleet_results(run_id, results)
-    with SweepStore(store_path) as store:
-        persisted = store.fleet_ranking()
-    gate(
-        "store round trip reproduces the ranking",
-        [p.policy for p in persisted] == [r.policy for r in results]
-        and all(
-            abs(p.goodput - r.goodput) < 1e-12
-            for p, r in zip(persisted, results)
         ),
     )
 

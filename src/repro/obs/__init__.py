@@ -1,16 +1,13 @@
 """Timeline observability for the simulated runtime.
 
-Three pillars over the perf stack's books:
+Two pillars over the perf stack's books:
 
 * :mod:`repro.obs.trace` — lower virtual-clock timelines (live worlds,
   measured replays, captured-schedule replays) to Chrome Trace Event
   JSON viewable in Perfetto / ``chrome://tracing``;
 * :mod:`repro.obs.commvol` — reconcile communication volume per
   ``op × phase × link`` across the analytic schedule, the simulated
-  clock and the measured traffic log, gating exact wire-byte agreement;
-* :mod:`repro.obs.store` — a stdlib-sqlite sweep store callers record
-  search, measurement and benchmark runs into, with query helpers
-  (``top_plans``, ``volume_by_link``, ``run_history``).
+  clock and the measured traffic log, gating exact wire-byte agreement.
 
 Submodule attributes resolve lazily (PEP 562) so ``python -m
 repro.obs.trace`` runs without the package import pre-loading the very
@@ -23,10 +20,6 @@ __all__ = [
     "CommVolumeReport",
     "VolumeBucket",
     "comm_volume_report",
-    "SweepStore",
-    "RunRow",
-    "StoredPlan",
-    "FleetRunRow",
     "chrome_trace",
     "export_trace",
     "validate_trace",
@@ -36,10 +29,6 @@ _EXPORTS = {
     "CommVolumeReport": "commvol",
     "VolumeBucket": "commvol",
     "comm_volume_report": "commvol",
-    "SweepStore": "store",
-    "RunRow": "store",
-    "StoredPlan": "store",
-    "FleetRunRow": "store",
     "chrome_trace": "trace",
     "export_trace": "trace",
     "validate_trace": "trace",

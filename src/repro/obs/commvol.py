@@ -303,8 +303,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="blocking replay (default is the eager issue queue)")
     parser.add_argument("--tolerance", type=float, default=0.0,
                         help="relative wire-byte tolerance (default 0 — exact)")
-    parser.add_argument("--store", default=None, metavar="PATH",
-                        help="persist the report into this sweep store")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="also write the markdown table to PATH")
     args = parser.parse_args(argv)
@@ -324,21 +322,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.out:
         from pathlib import Path
 
-        Path(args.out).write_text(table + "\n")
-    if args.store:
-        from .store import SweepStore
-
-        with SweepStore(args.store) as store:
-            run_id = store.record_run(
-                "commvol", plan.label, machine=report.machine,
-                params={
-                    "eager": report.eager, "n_steps": report.n_steps,
-                    "world_size": report.world_size,
-                    "channels": args.channels, "batch": args.batch,
-                },
-            )
-            store.record_volume_report(run_id, report)
-            print(f"stored as run {run_id} in {args.store}")
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(table + "\n")
     if report.mismatches(args.tolerance) or not all(b.count_ok for b in report.buckets):
         print("FAIL: wire-byte books disagree", file=sys.stderr)
         return 1

@@ -336,8 +336,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="render a saved CapturedSchedule instead of a plan")
     parser.add_argument("--out", default="step.trace.json", metavar="PATH",
                         help="trace JSON output path")
-    parser.add_argument("--store", default=None, metavar="PATH",
-                        help="also persist the trace into this sweep store")
     parser.add_argument("--smoke", action="store_true",
                         help="CI smoke: default 4-rank eager step, validated")
     args = parser.parse_args(argv)
@@ -351,18 +349,6 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(trace, fh)
     n_events = len(trace["traceEvents"])
     print(f"{description}: {n_events} events -> {out}")
-    if args.store:
-        from .store import SweepStore
-
-        with SweepStore(args.store) as store:
-            run_id = store.record_run(
-                "trace",
-                description,
-                machine=trace["otherData"].get("machine", ""),
-                params={"events": n_events},
-            )
-            store.record_trace(run_id, out.name, trace)
-            print(f"stored as run {run_id} in {args.store}")
     if problems:
         for p in problems:
             print(f"INVALID: {p}", file=sys.stderr)

@@ -206,7 +206,7 @@ class TestDCHAG:
                 master_channel_ids=ids,
             )
             local = model.local_tokens(imgs)
-            return comm.all_gather_concat(local.data, axis=1)
+            return np.concatenate(comm.all_gather(local.data), axis=1)
 
         for gathered in run_spmd(fn, 4):
             np.testing.assert_allclose(gathered, expect, rtol=1e-5, atol=1e-6)

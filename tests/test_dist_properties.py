@@ -36,7 +36,7 @@ def test_reduce_scatter_then_gather_equals_allreduce(world, per, seed):
 
     def fn(comm):
         shard = comm.reduce_scatter(contribs[comm.rank])
-        return comm.all_gather_concat(shard), comm.all_reduce(contribs[comm.rank])
+        return np.concatenate(comm.all_gather(shard)), comm.all_reduce(contribs[comm.rank])
 
     for gathered, reduced in run_spmd(fn, world):
         np.testing.assert_allclose(gathered, reduced, rtol=1e-5, atol=1e-6)

@@ -37,7 +37,7 @@ class TestCollectives:
 
     def test_all_gather_order(self):
         def fn(comm):
-            return comm.all_gather_concat(np.array([comm.rank], dtype=np.float32))
+            return np.concatenate(comm.all_gather(np.array([comm.rank], dtype=np.float32)))
 
         for out in run_spmd(fn, 4):
             np.testing.assert_allclose(out, [0, 1, 2, 3])

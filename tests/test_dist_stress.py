@@ -25,7 +25,7 @@ class TestCollectiveStorm:
             for i in range(250):
                 x = np.array([float(comm.rank + i)], dtype=np.float32)
                 acc += comm.all_reduce(x)[0]
-                acc += comm.all_gather_concat(x).sum()
+                acc += np.concatenate(comm.all_gather(x)).sum()
                 acc += comm.broadcast(x if comm.rank == i % comm.size else None, root=i % comm.size)[0]
                 comm.barrier()
             return acc
@@ -64,7 +64,7 @@ class TestCollectiveStorm:
             for i in range(5):
                 x = np.full(8, float(comm.rank + i), dtype=np.float32)
                 total += comm.all_reduce(x)[0]
-                total += comm.all_gather_concat(np.ones(1, dtype=np.float32)).sum()
+                total += np.concatenate(comm.all_gather(np.ones(1, dtype=np.float32))).sum()
                 # 37 elements over 32 ranks: remainder shards exercise the
                 # padded-collective path at scale.
                 total += comm.reduce_scatter(np.ones(37, dtype=np.float32)).sum()

@@ -4,7 +4,7 @@ Locks the simulator's ledger against hand-computed scenarios (constant
 costs, one event at a time), its fidelity rules (torn in-flight async
 saves, spare swaps at zero reshard, banked arrivals are free), the
 replay-backed :class:`~repro.perf.schedule.StepCostTable` anchor logic,
-and the SweepStore round trip of a policy comparison.
+and the deterministic ranking of a policy comparison.
 """
 
 import numpy as np
@@ -205,25 +205,6 @@ class TestComparePolicies:
         goodputs = [r.goodput for r in a]
         assert goodputs == sorted(goodputs, reverse=True)
         assert {r.policy for r in a} == {p.name for p in policies}
-
-    def test_store_round_trip(self, tmp_path):
-        from repro.obs.store import SweepStore
-
-        trace, policies, costs = self._setup()
-        db = tmp_path / "fleet.sqlite"
-        results = compare_policies(trace, policies, costs, 4, cadence=25)
-        with SweepStore(db) as store:
-            store.record_fleet_results(store.record_run("fleet", "unit-fleet"), results)
-        with SweepStore(db) as store:
-            rows = store.fleet_ranking()
-            run = store.latest_run(kind="fleet")
-        assert run is not None and run.name == "unit-fleet"
-        assert [r.policy for r in rows] == [r.policy for r in results]
-        for row, res in zip(rows, results):
-            assert row.goodput == pytest.approx(res.goodput, abs=1e-12)
-            assert row.restores == res.restores
-            assert row.final_world == res.final_world
-            assert row.status == res.status
 
     def test_empty_policy_list_rejected(self):
         trace, _, costs = self._setup()

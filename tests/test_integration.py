@@ -176,7 +176,7 @@ class TestCheckpointInterchange:
             tok = DistributedTokenizer(
                 comm, None, C, P, D, master.weight.data, master.bias.data
             )
-            gathered = comm.all_gather_concat(tok.tokenizer.weight.data, axis=0)
+            gathered = np.concatenate(comm.all_gather(tok.tokenizer.weight.data), axis=0)
             return gathered
 
         for gathered in run_spmd(fn, 4):

@@ -274,16 +274,6 @@ class TestCli:
         ) == 0
         assert validate_trace(json.loads(out.read_text())) == []
 
-    def test_store_flag_persists_trace(self, tmp_path):
-        from repro.obs.store import SweepStore
-
-        out = tmp_path / "t.trace.json"
-        db = tmp_path / "t.db"
-        assert trace_main(["--smoke", "--out", str(out), "--store", str(db)]) == 0
-        with SweepStore(db) as store:
-            run = store.latest_run(kind="trace")
-            assert store.get_trace(run.id, out.name)["otherData"]["world_size"] == 4
-
     def test_export_trace_writes_file(self, tmp_path):
         measured = _measured()
         out = tmp_path / "nested" / "x.json"

@@ -651,22 +651,6 @@ class TestSweepReplay:
             )
             assert list(ranked[(g, b)]) == ref
 
-    def test_store_round_trip_reproduces_each_budget_podium(self, tmp_path):
-        from repro.obs.store import SweepStore
-
-        db = tmp_path / "sweep.db"
-        sweep = sweep_replay(self.SWEEP_MODEL, 32, MACHINE, [(16, 32), (32, 32)])
-        with SweepStore(db) as store:
-            for (g, b), ranked in sweep.rankings:
-                run_id = store.record_run("search", f"unit-g{g}-b{b}")
-                store.record_plans(run_id, ranked)
-        with SweepStore(db) as store:
-            for (g, b), ranked in sweep.rankings:
-                run, = store.run_history(kind="search", name=f"unit-g{g}-b{b}")
-                top = store.top_plans(run.id, limit=3)
-                assert [p.label for p in top] == [t.plan.label for t in ranked[:3]]
-
-
 class TestReplayOracle:
     def test_replay_oracle_spins_up_one_world_per_shape(self):
         """The replay oracle's whole point: repeated consultations with
