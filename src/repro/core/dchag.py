@@ -116,9 +116,7 @@ class DCHAG(Module):
     # ------------------------------------------------------------------
     def local_tokens(self, images: np.ndarray) -> Tensor:
         """Tokenize this rank's channel shard: ``[B, C/tp, N, D]``."""
-        local = images[:, self.shard]
-        tokens = self.tokenizer(local)
-        return self.channel_ids(tokens)
+        return self.tokenizer(images[:, self.shard], self.channel_ids)
 
     def forward(self, images: np.ndarray) -> Tensor:
         """``[B, C, H, W]`` (full, replicated) → ``[B, N, D]`` (replicated)."""

@@ -118,13 +118,19 @@ def all_gather_forward_only(
     the group (identical weights, identical math): then every rank's upstream
     gradient is identical, and this rank's slice of its own copy *is* the
     full gradient of its contribution.  This is D-CHAG's §3.3 trick.
+
+    Every rank contributes the same shape (D-CHAG's one channel per rank,
+    SP's equal token shards): the parts land straight in their views of one
+    output array along *axis*, one copy each; a peer whose shape differs
+    fails the runtime's ``out=`` check with :class:`SpmdError`.
     """
     group = _resolve(comm, group)
-    parts = comm.all_gather(x.data, group=group)
-    out_data = np.concatenate(parts, axis=axis)
-    me = group.rank_index(comm.rank)
-    lo = int(sum(p.shape[axis] for p in parts[:me]))
-    width = x.data.shape[axis]
+    shape = list(x.data.shape)
+    width = shape[axis]
+    shape[axis] *= group.size
+    out_data = np.empty(shape, dtype=x.data.dtype)
+    comm.all_gather(x.data, group=group, out=np.split(out_data, group.size, axis=axis))
+    lo = group.rank_index(comm.rank) * width
 
     def backward(grad: np.ndarray) -> None:
         idx = [slice(None)] * grad.ndim

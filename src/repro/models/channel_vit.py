@@ -58,8 +58,7 @@ class SerialChannelFrontend(Module):
             raise ValueError(f"agg must be 'cross' or 'linear', got {agg!r}")
 
     def forward(self, images: np.ndarray) -> Tensor:
-        tokens = self.channel_ids(self.tokenizer(images))
-        return self.aggregator(tokens)
+        return self.aggregator(self.tokenizer(images, self.channel_ids))
 
 
 class ChannelViT(Module):

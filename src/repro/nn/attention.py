@@ -26,10 +26,19 @@ raw channel tokens *before* the value projection (``h`` heads of width
 
 This is the explicit ``softmax(q kᵀ/√hd) v``, with ``k`` and ``v`` projected
 from every channel token, re-associated — so it is exact, dropout on the
-attention weights included (``Σ_c attn`` stays in the graph).  No
-``[B·N, C, 2D]`` K/V tensor exists; the largest intermediates are the
-``[B·N, C, h·Q]`` scores and the ``[B·N, h·Q, D]`` pooled tokens.  Forward
-matmul FLOPs of the whole layer::
+attention weights included (``Σ_c attn`` carries the dropped weights).  The
+weight side (``q``, ``W_k q``, ``b_k·q``, the ``W_v`` / ``b_v`` views) stays
+ordinary graph nodes, so tensor-parallel shards of ``q_proj`` / ``kv_proj``
+work unchanged; the token side — scores, softmax, dropout, pooling,
+``Σ_c attn · b_v`` and the value projection — is one autograd node,
+:func:`pool_channels`, with a hand-written backward.  It reads the
+``[B·N, C, D]`` tokens in place when ``x`` is the output of
+:func:`~repro.nn.patch_embed.tokenize_channels` (any other ``x`` costs one
+copy).  No ``[B·N, C, 2D]`` K/V tensor exists; the largest arrays the node
+keeps are the ``[B·N, h·Q, C]`` attention weights (and dropout mask) and the
+``[h, B·N·Q, D]`` pooled tokens, and its backward's largest temporaries are
+the two ``[B·N, C, D]`` token-gradient terms.  Forward matmul FLOPs of the
+whole layer::
 
     B·N · (2·C·D·h·Q  +  2·h·Q·C·D  +  2·Q·D²  +  2·Q·D²)  +  4·Q·D² + 2·Q·D
            scores        pooling       values     proj        q_proj, W_k q, b_k·q
@@ -46,7 +55,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import Tensor, functional as F, init
+from ..tensor import Tensor, add_flops, current_tracker, functional as F, init, is_grad_enabled
 from .layers import Dropout, Linear
 from .module import Module
 
@@ -58,6 +67,7 @@ __all__ = [
     "merge_heads",
     "scaled_dot_product_attention",
     "channel_query_attention",
+    "pool_channels",
 ]
 
 
@@ -91,7 +101,7 @@ def channel_query_attention(
     q_proj: Linear,
     kv_proj: Linear,
     heads: int,
-    dropout: Module | None = None,
+    dropout: Dropout | None = None,
 ) -> Tensor:
     """Learned-query attention over the channel axis, query absorbed into the
     key weights (module docstring): ``[B, C, N, D] -> [B*N, Q, heads*hd]``,
@@ -99,15 +109,14 @@ def channel_query_attention(
 
     ``q_proj`` (``D -> heads*hd``) and ``kv_proj`` (``D -> 2*heads*hd``, keys
     then values) may be the full layers or a tensor-parallel rank's column
-    shards with ``heads`` the local head count.
+    shards with ``heads`` the local head count.  *dropout* acts on the
+    attention weights (its ``p``, ``rng`` and ``training`` flag).
     """
-    b, c, n, d = x.shape
+    d = x.shape[-1]
     if d != q_proj.in_features:
         raise ValueError(f"expected dim {q_proj.in_features}, got {d}")
     nq = query_tokens.shape[0]
     hd = q_proj.out_features // heads
-    # Fold spatial into batch: channels become the attention sequence.
-    tokens = x.transpose(0, 2, 1, 3).reshape(b * n, c, d)         # [B*N, C, D]
 
     # Weight side, independent of the input: a handful of [D, D]-sized nodes.
     q = q_proj(query_tokens) * (1.0 / float(np.sqrt(hd)))         # [Q, h*hd]
@@ -116,20 +125,118 @@ def channel_query_attention(
     b_kv = kv_proj.bias.reshape(2, heads, 1, hd)
     w_score = (w_kv[0] @ q).transpose(1, 0, 2).reshape(d, heads * nq)  # [D, h*Q]
     b_score = (b_kv[0] @ q).reshape(heads * nq)
+    return pool_channels(x, w_score, b_score, w_kv[1], b_kv[1], nq, dropout)
 
-    scores = tokens @ w_score + b_score                           # [B*N, C, h*Q]
-    attn = F.softmax(scores.swapaxes(-1, -2), axis=-1)            # [B*N, h*Q, C]
-    if dropout is not None:
-        attn = dropout(attn)
-    pooled = attn @ tokens                                        # [B*N, h*Q, D]
 
-    def by_head(t: Tensor) -> Tensor:                             # [B*N, h*Q, k] -> [h, B*N*Q, k]
-        return t.reshape(b * n, heads, nq, -1).transpose(1, 0, 2, 3).reshape(heads, b * n * nq, -1)
+def pool_channels(
+    x: Tensor,
+    w_score: Tensor,
+    b_score: Tensor,
+    w_v: Tensor,
+    b_v: Tensor,
+    num_queries: int,
+    dropout: Dropout | None = None,
+) -> Tensor:
+    """The token side of :func:`channel_query_attention` as one autograd
+    node: ``x`` ``[B, C, N, D]``, ``w_score`` ``[D, h*Q]``, ``b_score``
+    ``[h*Q]``, ``w_v`` ``[h, D, hd]``, ``b_v`` ``[h, 1, hd]`` →
+    ``[B*N, Q, h*hd]``.
 
+    Scores, softmax over channels, dropout, pooling, ``Σ_c attn · b_v`` and
+    the value projection run as plain numpy on arrays the node keeps; the
+    backward is written by hand and runs the composite chain's numpy calls
+    in its order and layouts, so values and gradients are bitwise the
+    composite's.  The ``[B*N, C, D]`` tokens are a view of ``x`` when ``x``
+    comes from :func:`~repro.nn.patch_embed.tokenize_channels`.
+    """
+    b, c, n, d = x.shape
+    heads, hd = w_v.shape[0], w_v.shape[-1]
+    bn, nq, hq = b * n, num_queries, w_score.shape[-1]
+
+    def by_head(a: np.ndarray) -> np.ndarray:                     # [B*N, h*Q, k] -> [h, B*N*Q, k]
+        return a.reshape(bn, heads, nq, -1).transpose(1, 0, 2, 3).reshape(heads, bn * nq, -1)
+
+    def by_location(a: np.ndarray) -> np.ndarray:                 # the inverse of by_head
+        return a.reshape(heads, bn, nq, -1).transpose(1, 0, 2, 3).reshape(bn, hq, -1)
+
+    tokens = x.data.transpose(0, 2, 1, 3).reshape(bn, c, d)       # [B*N, C, D]
+    scores = (tokens.reshape(-1, d) @ w_score.data).reshape(bn, c, hq) + b_score.data
+    add_flops(2 * scores.size * d, "matmul")
+    s = scores.swapaxes(-1, -2)                                   # [B*N, h*Q, C]
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    add_flops(5 * attn.size, "softmax")
+    mask = None
+    if dropout is not None and dropout.training and dropout.p > 0.0:
+        keep = 1.0 - dropout.p
+        mask = (dropout.rng.random(attn.shape) < keep).astype(attn.dtype) / keep
+    attn_d = attn if mask is None else attn * mask
+    pooled = by_head(attn_d @ tokens)                             # [h, B*N*Q, D]
+    add_flops(2 * pooled.size * c, "matmul")
+    mass = by_head(attn_d.sum(axis=-1, keepdims=True))            # [h, B*N*Q, 1]: Σ_c attn
     # batched x batched on purpose: [B*N, h, Q, D] @ [h, D, hd] would broadcast
     # W_v and rebuild a [B*N, h, D, hd] temporary in its dW backward.
-    out = by_head(pooled) @ w_kv[1] + by_head(attn.sum(axis=-1, keepdims=True)) * b_kv[1]
-    return out.reshape(heads, b * n, nq, hd).transpose(1, 2, 0, 3).reshape(b * n, nq, heads * hd)
+    out = np.empty((bn, nq, heads, hd), dtype=np.result_type(pooled, w_v.data, mass, b_v.data))
+    out_h = out.reshape(bn * nq, heads, hd).transpose(1, 0, 2)    # [h, B*N*Q, hd] view
+    np.matmul(pooled, w_v.data, out=out_h)
+    add_flops(2 * out_h.size * d, "matmul")
+    out_h += mass * b_v.data
+    tracker = current_tracker()
+    if tracker is not None:
+        kept = [attn, pooled, mass, out]
+        if mask is not None:
+            kept += [mask, attn_d]
+        if not np.may_share_memory(tokens, x.data):
+            kept.append(tokens)
+        for a in kept:
+            tracker.register(a, a.nbytes)
+
+    attn_needs_grad = x.requires_grad or w_score.requires_grad or b_score.requires_grad
+
+    def backward(grad: np.ndarray) -> None:
+        g_out = np.ascontiguousarray(grad.reshape(bn * nq, heads, hd).transpose(1, 0, 2))
+        if b_v.requires_grad:
+            b_v._accumulate((g_out * mass).sum(axis=1, keepdims=True), True)
+        if w_v.requires_grad:
+            g_wv = np.swapaxes(pooled, -1, -2) @ g_out
+            add_flops(2 * g_wv.size * pooled.shape[-2], "matmul_bwd")
+            w_v._accumulate(g_wv, True)
+        if not attn_needs_grad:
+            return
+        g_pooled = g_out @ np.swapaxes(w_v.data, -1, -2)
+        add_flops(2 * g_pooled.size * hd, "matmul_bwd")
+        g_pooled = by_location(g_pooled)                          # [B*N, h*Q, D]
+        g_attn = g_pooled @ np.swapaxes(tokens, -1, -2)           # [B*N, h*Q, C]
+        add_flops(2 * g_attn.size * d, "matmul_bwd")
+        g_attn += by_location((g_out * b_v.data).sum(axis=2, keepdims=True))
+        if mask is not None:
+            g_attn = g_attn * mask
+        inner = (g_attn * attn).sum(axis=-1, keepdims=True)       # softmax backward
+        g_scores = np.ascontiguousarray(np.swapaxes(attn * (g_attn - inner), -1, -2))
+        if b_score.requires_grad:
+            b_score._accumulate(g_scores.sum(axis=(0, 1)), True)
+        g_flat = g_scores.reshape(-1, hq)                         # [B*N*C, h*Q]
+        if w_score.requires_grad:
+            g_ws = np.swapaxes(tokens.reshape(-1, d), -1, -2) @ g_flat
+            add_flops(2 * g_ws.size * g_flat.shape[0], "matmul_bwd")
+            w_score._accumulate(g_ws, True)
+        if x.requires_grad:
+            g_tok = (g_flat @ np.swapaxes(w_score.data, -1, -2)).reshape(bn, c, d)
+            add_flops(2 * g_tok.size * hq, "matmul_bwd")
+            g_pool_tok = np.swapaxes(attn_d, -1, -2) @ g_pooled
+            add_flops(2 * g_pool_tok.size * hq, "matmul_bwd")
+            g_tok += g_pool_tok
+            x._accumulate(g_tok.reshape(b, n, c, d).transpose(0, 2, 1, 3), True)
+
+    parents = (x, w_score, b_score, w_v, b_v)
+    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
+    return Tensor(
+        out.reshape(bn, nq, heads * hd),
+        requires_grad=requires,
+        _parents=parents if requires else (),
+        _backward=backward if requires else None,
+        op="channel_pool",
+    )
 
 
 class MultiHeadSelfAttention(Module):

@@ -84,11 +84,7 @@ class DistributedTokenizer(Module):
 
     def local_tokens(self, images: np.ndarray) -> Tensor:
         """Tokenize this rank's channel shard: [B, C/tp, N, D]."""
-        local = images[:, self.shard]
-        tokens = self.tokenizer(local)
-        if self.channel_ids is not None:
-            tokens = self.channel_ids(tokens)
-        return tokens
+        return self.tokenizer(images[:, self.shard], self.channel_ids)
 
     def forward(self, images: np.ndarray) -> Tensor:
         """[B, C, H, W] -> replicated [B, C, N, D] via autograd AllGather."""

@@ -320,8 +320,10 @@ class Tensor:
         out_data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad, self.shape))
-            other._accumulate(_unbroadcast(grad, other.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad, self.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(grad, other.shape))
 
         return self._make(out_data, (self, other), backward, "add")
 
@@ -332,8 +334,10 @@ class Tensor:
         out_data = self.data - other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad, self.shape))
-            other._accumulate(_unbroadcast(-grad, other.shape), True)
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad, self.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(-grad, other.shape), True)
 
         return self._make(out_data, (self, other), backward, "sub")
 
@@ -345,8 +349,10 @@ class Tensor:
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad * other.data, self.shape), True)
-            other._accumulate(_unbroadcast(grad * self.data, other.shape), True)
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad * other.data, self.shape), True)
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(grad * self.data, other.shape), True)
 
         return self._make(out_data, (self, other), backward, "mul")
 
@@ -357,10 +363,12 @@ class Tensor:
         out_data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad / other.data, self.shape), True)
-            other._accumulate(
-                _unbroadcast(-grad * self.data / (other.data * other.data), other.shape), True
-            )
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad / other.data, self.shape), True)
+            if other.requires_grad:
+                other._accumulate(
+                    _unbroadcast(-grad * self.data / (other.data * other.data), other.shape), True
+                )
 
         return self._make(out_data, (self, other), backward, "div")
 

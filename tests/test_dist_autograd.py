@@ -52,6 +52,26 @@ class TestAllGatherForwardOnly:
 
         assert all(s == (2, 1, 3) for s in run_spmd(fn, 2))
 
+    @pytest.mark.parametrize("tp", [2, 4])
+    def test_gathers_into_one_array_without_concatenate(self, monkeypatch, tp):
+        """Each part lands in its view of one output array: bitwise the
+        concatenate form, with no ``np.concatenate`` pass."""
+        parts = np.random.default_rng(0).standard_normal((tp, 2, 1, 3, 4)).astype(np.float32)
+        concatenate = np.concatenate
+        calls = []
+        monkeypatch.setattr(
+            np, "concatenate", lambda *a, **k: calls.append(a) or concatenate(*a, **k))
+
+        def fn(comm):
+            x = Tensor(parts[comm.rank], requires_grad=True)
+            gathered = all_gather_forward_only(comm, x, axis=1).data
+            return gathered, concatenate(comm.all_gather(x.data), axis=1)
+
+        for got, want in run_spmd(fn, tp):
+            assert got.shape == (2, tp, 3, 4) and got.flags.c_contiguous
+            assert np.array_equal(got, want)
+        assert calls == []
+
 
 class TestAllGatherAutograd:
     def test_backward_reduce_scatters(self):

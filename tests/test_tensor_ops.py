@@ -1,5 +1,7 @@
 """Gradient and semantics tests for the core autograd ops."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,32 @@ class TestArithmetic:
         y = x * x + x  # dy/dx = 2x + 1 = 7
         y.backward(np.ones(1))
         np.testing.assert_allclose(x.grad, [7.0])
+
+
+class TestConstantOperands:
+    """A binary op's backward computes no gradient for an operand that does
+    not require one (``(q @ kᵀ) * scale``, the loss mask, ``pred - target``)."""
+
+    @pytest.mark.parametrize(
+        "op", [operator.add, operator.sub, operator.mul, operator.truediv],
+        ids=["add", "sub", "mul", "div"],
+    )
+    @pytest.mark.parametrize("constant_first", [False, True])
+    def test_no_unbroadcast_towards_a_constant(self, monkeypatch, op, constant_first):
+        import repro.tensor.tensor as tensor_module
+
+        targets = []
+        unbroadcast = tensor_module._unbroadcast
+        monkeypatch.setattr(
+            tensor_module, "_unbroadcast",
+            lambda grad, shape: targets.append(shape) or unbroadcast(grad, shape),
+        )
+        x = Tensor(r(3, 4), requires_grad=True)
+        c = Tensor(np.abs(r(4)) + 1.0)
+        a, b = (c, x) if constant_first else (x, c)
+        op(a, b).sum().backward()
+        assert targets == [(3, 4)]
+        assert x.grad.shape == (3, 4) and c.grad is None
 
 
 class TestMatmul:
