@@ -7,6 +7,12 @@ Self-attention operates over the spatial token axis::
 
     [B, N, D] -> [B, N, D]
 
+as seven autograd nodes: the qkv :class:`~repro.nn.layers.Linear` (one node),
+three :func:`split_heads` views of its output (q, k, v, whose backwards fill
+one qkv grad buffer), the :func:`scaled_dot_product_attention` kernel (scores,
+scale, mask, softmax, dropout and pooling in one node with a hand-written
+backward), :func:`merge_heads` and the output projection.
+
 Channel cross-attention operates over the *channel* axis independently at
 every spatial location — the key structural point of the paper.  With input
 ``[B, C, N, D]`` the spatial axis is folded into the batch, ``Q`` learned
@@ -55,7 +61,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import Tensor, add_flops, current_tracker, functional as F, init, is_grad_enabled
+from ..tensor import Tensor, add_flops, current_tracker, init, is_grad_enabled
 from .layers import Dropout, Linear
 from .module import Module
 
@@ -71,28 +77,98 @@ __all__ = [
 ]
 
 
-def split_heads(x: Tensor, heads: int) -> Tensor:
-    """[B, N, D] -> [B, h, N, D/h]"""
-    b, n, d = x.shape
-    return x.reshape(b, n, heads, d // heads).transpose(0, 2, 1, 3)
+def split_heads(x: Tensor, heads: int, part: int = 0, parts: int = 1) -> Tensor:
+    """``[B, N, parts*D]`` -> part *part*'s heads ``[B, h, N, D/h]``, one
+    view node.  Its backward adds into ``x``'s grad in place, so the q, k
+    and v views of one qkv output share a single gradient buffer."""
+    b, n, width = x.shape
+    d = width // parts
+    lo = part * d
+
+    def backward(grad: np.ndarray) -> None:
+        x._scatter_add((Ellipsis, slice(lo, lo + d)), grad.transpose(0, 2, 1, 3).reshape(b, n, d))
+
+    view = x.data.reshape(b, n, parts, heads, d // heads)[:, :, part].transpose(0, 2, 1, 3)
+    return x._make(view, (x,), backward, "split_heads")
 
 
 def merge_heads(x: Tensor) -> Tensor:
-    """[B, h, N, D/h] -> [B, N, D]"""
+    """``[B, h, N, D/h]`` -> ``[B, N, D]``, one node."""
     b, h, n, hd = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, n, h * hd)
+
+    def backward(grad: np.ndarray) -> None:
+        x._accumulate(grad.reshape(b, n, h, hd).transpose(0, 2, 1, 3))
+
+    merged = x.data.transpose(0, 2, 1, 3).reshape(b, n, h * hd)
+    return x._make(merged, (x,), backward, "merge_heads")
 
 
 def scaled_dot_product_attention(
-    q: Tensor, k: Tensor, v: Tensor, dropout: Module | None = None
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    dropout: Dropout | None = None,
+    mask: np.ndarray | None = None,
 ) -> Tensor:
-    """softmax(q kᵀ / √d) v over the last two axes (batched)."""
-    scale = 1.0 / float(np.sqrt(q.shape[-1]))
-    scores = (q @ k.swapaxes(-1, -2)) * scale
-    attn = F.softmax(scores, axis=-1)
-    if dropout is not None:
-        attn = dropout(attn)
-    return attn @ v
+    """``softmax(q kᵀ / √hd + mask) v`` over the last two axes of batched
+    ``[..., N, hd]`` operands, one autograd node.
+
+    *mask* is an additive constant broadcast onto the scores (in their
+    dtype); *dropout* acts on the attention weights (its ``p``, ``rng`` —
+    one ``random`` draw — and ``training`` flag).  The node keeps the
+    attention weights (and the dropout mask); its hand-written backward
+    replays the composite chain's numpy calls (matmul, scale, softmax,
+    dropout, matmul), so values, gradients and FLOP books are bitwise the
+    composite's.
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    attn = qd @ np.swapaxes(kd, -1, -2)                            # scores
+    add_flops(2 * attn.size * qd.shape[-1], "matmul")
+    scale = np.asarray(1.0 / float(np.sqrt(qd.shape[-1])), dtype=attn.dtype)
+    attn *= scale
+    if mask is not None:
+        attn += mask
+    attn -= attn.max(axis=-1, keepdims=True)                      # softmax, in place
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    add_flops(5 * attn.size, "softmax")
+    drop = None
+    if dropout is not None and dropout.training and dropout.p > 0.0:
+        keep = 1.0 - dropout.p
+        drop = (dropout.rng.random(attn.shape) < keep).astype(attn.dtype) / keep
+    attn_d = attn if drop is None else attn * drop
+    out = attn_d @ vd
+    add_flops(2 * out.size * attn_d.shape[-1], "matmul")
+    tracker = current_tracker()
+    if tracker is not None:
+        for a in [attn] if drop is None else [attn, drop, attn_d]:
+            tracker.register(a, a.nbytes)
+
+    def backward(grad: np.ndarray) -> None:
+        if v.requires_grad:
+            g_v = np.swapaxes(attn_d, -1, -2) @ grad
+            add_flops(2 * g_v.size * attn_d.shape[-2], "matmul_bwd")
+            v._accumulate(g_v, True)
+        if not (q.requires_grad or k.requires_grad):
+            return
+        g = grad @ np.swapaxes(vd, -1, -2)                        # d attn_d
+        add_flops(2 * g.size * grad.shape[-1], "matmul_bwd")
+        if drop is not None:
+            g *= drop
+        inner = (g * attn).sum(axis=-1, keepdims=True)            # softmax backward
+        g -= inner
+        g *= attn
+        g *= scale
+        if q.requires_grad:
+            g_q = g @ kd
+            add_flops(2 * g_q.size * g.shape[-1], "matmul_bwd")
+            q._accumulate(g_q, True)
+        if k.requires_grad:
+            g_kt = np.swapaxes(qd, -1, -2) @ g
+            add_flops(2 * g_kt.size * qd.shape[-2], "matmul_bwd")
+            k._accumulate(np.swapaxes(g_kt, -1, -2), True)
+
+    return q._make(out, (q, k, v), backward, "attention")
 
 
 def channel_query_attention(
@@ -240,7 +316,8 @@ def pool_channels(
 
 
 class MultiHeadSelfAttention(Module):
-    """Standard ViT self-attention over the token axis.
+    """Standard ViT self-attention over the token axis: q, k and v are head
+    views of one qkv output, attended by one kernel node.
 
     :func:`~repro.parallel.tensor_parallel` shards its linears and heads in
     place; :func:`~repro.parallel.sequence_parallel` wraps :meth:`attend`.
@@ -263,13 +340,13 @@ class MultiHeadSelfAttention(Module):
         self.attn_drop = Dropout(dropout, rng) if dropout > 0 else None
 
     def attend(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-        """The attention kernel on split heads, ``[B, h, N, hd]`` each."""
+        """The attention kernel on split heads, ``[B, h, N, hd]`` each; the
+        hook sequence parallelism wraps in its all-to-alls."""
         return scaled_dot_product_attention(q, k, v, self.attn_drop)
 
     def forward(self, x: Tensor) -> Tensor:
         qkv = self.qkv(x)  # [B, N, 3D]
-        q, k, v = qkv.split(3, axis=-1)
-        q, k, v = (split_heads(t, self.heads) for t in (q, k, v))
+        q, k, v = (split_heads(qkv, self.heads, i, 3) for i in range(3))
         return self.proj(merge_heads(self.attend(q, k, v)))
 
 

@@ -17,7 +17,8 @@ __all__ = ["Linear", "LayerNorm", "MLP", "Dropout", "Identity"]
 
 
 class Linear(Module):
-    """Affine map ``y = x @ W + b`` with ``W`` of shape ``[in, out]``."""
+    """Affine map ``y = x @ W + b`` with ``W`` of shape ``[in, out]``, one
+    autograd node (:func:`~repro.tensor.functional.linear`)."""
 
     def __init__(
         self,
@@ -47,10 +48,7 @@ class Linear(Module):
                 self.bias = init.zeros((out_features,))
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.has_bias:
-            out = out + self.bias
-        return out
+        return F.linear(x, self.weight, self.bias if self.has_bias else None)
 
 
 class LayerNorm(Module):

@@ -40,9 +40,8 @@ class _LatentCrossAttend(Module):
 
     def forward(self, latents: Tensor, tokens: Tensor) -> Tensor:
         q = split_heads(self.q_proj(self.norm_q(latents)), self.heads)
-        k, v = self.kv_proj(self.norm_kv(tokens)).split(2, axis=-1)
-        k = split_heads(k, self.heads)
-        v = split_heads(v, self.heads)
+        kv = self.kv_proj(self.norm_kv(tokens))
+        k, v = (split_heads(kv, self.heads, i, 2) for i in range(2))
         out = self.out_proj(merge_heads(scaled_dot_product_attention(q, k, v)))
         return latents + out
 
@@ -61,7 +60,8 @@ class _LatentSelfAttend(Module):
 
     def forward(self, latents: Tensor) -> Tensor:
         h = self.norm1(latents)
-        q, k, v = (split_heads(t, self.heads) for t in self.qkv(h).split(3, axis=-1))
+        qkv = self.qkv(h)
+        q, k, v = (split_heads(qkv, self.heads, i, 3) for i in range(3))
         latents = latents + self.proj(merge_heads(scaled_dot_product_attention(q, k, v)))
         return latents + self.mlp(self.norm2(latents))
 

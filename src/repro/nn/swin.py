@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import Tensor, functional as F
-from .attention import merge_heads, split_heads
+from ..tensor import Tensor
+from .attention import merge_heads, scaled_dot_product_attention, split_heads
 from .layers import LayerNorm, Linear, MLP
 from .module import Module, ModuleList
 
@@ -98,16 +98,12 @@ class WindowAttention(Module):
     def forward(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         """*x*: [B·nW, T, D]; *mask*: [nW, T, T] additive, or None."""
         bn, t, d = x.shape
-        q, k, v = (split_heads(p, self.heads) for p in self.qkv(x).split(3, axis=-1))
-        scale = 1.0 / float(np.sqrt(d // self.heads))
-        scores = (q @ k.swapaxes(-1, -2)) * scale            # [B·nW, h, T, T]
-        if mask is not None:
-            nw = mask.shape[0]
-            tiles = bn // nw
-            full = np.tile(mask[None, :, None], (tiles, 1, 1, 1, 1)).reshape(bn, 1, t, t)
-            scores = scores + Tensor(full)
-        attn = F.softmax(scores, axis=-1)
-        return self.proj(merge_heads(attn @ v))
+        qkv = self.qkv(x)
+        q, k, v = (split_heads(qkv, self.heads, i, 3) for i in range(3))
+        if mask is not None:                                 # per window -> [B·nW, 1, T, T]
+            tiles = bn // mask.shape[0]
+            mask = np.tile(mask[None, :, None], (tiles, 1, 1, 1, 1)).reshape(bn, 1, t, t)
+        return self.proj(merge_heads(scaled_dot_product_attention(q, k, v, mask=mask)))
 
 
 class SwinBlock(Module):

@@ -3,12 +3,14 @@
 Parameters are flattened per *unit* (typically one transformer block), padded
 to a multiple of the group size, and each rank keeps only its ``1/n`` flat
 shard as the trainable leaf.  At forward time a unit's shard is AllGathered
-and unflattened into the module's parameter slots as *non-leaf* tensors whose
-autograd history runs back through the gather — so the backward pass
-ReduceScatters gradients onto the shards automatically, reproducing FSDP's
-``AllGather (fwd) + AllGather/ReduceScatter (bwd)`` traffic and its memory
-behaviour (full parameters only live while materialized; optimizer state is
-sharded because the optimizer runs on the flat shards).
+and unflattened into the module's parameter slots: each parameter is one
+autograd node whose data is a view of the gathered unit and whose backward
+adds its grad in place into one flat gradient of the unit
+(:func:`unflatten`), so the backward pass ReduceScatters gradients onto the
+shards automatically, reproducing FSDP's ``AllGather (fwd) +
+AllGather/ReduceScatter (bwd)`` traffic and its memory behaviour (full
+parameters only live while materialized; optimizer state is sharded because
+the optimizer runs on the flat shards).
 """
 
 from __future__ import annotations
@@ -20,7 +22,24 @@ from ..nn import Module
 from ..tensor import Tensor
 from ..tensor.arena import flat_offsets
 
-__all__ = ["FlatParamShard", "FSDPUnit", "FSDPModel"]
+__all__ = ["FlatParamShard", "FSDPUnit", "FSDPModel", "unflatten"]
+
+
+def unflatten(flat: Tensor, shapes, offsets) -> list[Tensor]:
+    """Carve *flat* into one tensor per ``shapes[k]`` at ``offsets[k]``: one
+    autograd node each, its data a view of ``flat.data``.  Each backward adds
+    the parameter's grad in place into its slice of ``flat``'s one grad
+    buffer (the basic-index scatter of ``Tensor.__getitem__``), so the
+    unit's backward starts from one flat grad whatever the parameter count,
+    as FSDP's flat parameter does."""
+
+    def param(shape, lo: int, hi: int) -> Tensor:
+        def backward(grad: np.ndarray) -> None:
+            flat._scatter_add(slice(lo, hi), grad.reshape(-1))
+
+        return flat._make(flat.data[lo:hi].reshape(shape), (flat,), backward, "unflatten")
+
+    return [param(s, lo, hi) for s, lo, hi in zip(shapes, offsets, offsets[1:])]
 
 
 class FlatParamShard:
@@ -57,7 +76,7 @@ class FlatParamShard:
         )
 
     def materialize(self) -> list[Tensor]:
-        """AllGather the flat parameter and carve out per-parameter views.
+        """AllGather the flat parameter and :func:`unflatten` it.
 
         The returned tensors carry autograd history back to ``self.shard``;
         their gradients ReduceScatter (mean, the DDP/FSDP convention) onto
@@ -65,9 +84,10 @@ class FlatParamShard:
         ``phase="fsdp_gather"`` so :mod:`repro.perf.overlap` can derive how
         much of it a prefetching implementation hides under forward compute
         (the backward collectives keep the runtime's ``"backward"`` stamp).
-        Each parameter is a basic slice of the gathered unit, whose backward
-        adds into the unit's one gradient buffer in place, so unflattening
-        costs O(unit) per step whatever the parameter count.
+        Each parameter is one node, a view of the (pooled) gathered unit;
+        its backward adds into this materialization's flat gradient in
+        place, which is never pooled (two forwards before one backward need
+        separate buffers) and is what the backward reduce-scatters.
         """
         with self.comm.phase_scope("fsdp_gather"):
             full = all_gather_autograd(
@@ -78,10 +98,7 @@ class FlatParamShard:
                 reduce_op="mean",
                 pool_key=self.pool_key,
             )
-        return [
-            full[lo:hi].reshape(shape)
-            for shape, lo, hi in zip(self.shapes, self.offsets, self.offsets[1:])
-        ]
+        return unflatten(full, self.shapes, self.offsets)
 
     def consolidated(self) -> np.ndarray:
         """AllGather the *values* only (no autograd), unpadded flat vector."""

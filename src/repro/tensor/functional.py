@@ -12,9 +12,11 @@ import numpy as np
 from scipy import special
 
 from .flops import add_flops
-from .tensor import Tensor
+from .memory import current_tracker
+from .tensor import Tensor, _unbroadcast
 
 __all__ = [
+    "linear",
     "softmax",
     "log_softmax",
     "gelu",
@@ -26,6 +28,44 @@ __all__ = [
     "weighted_mse_loss",
     "cross_entropy",
 ]
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``x @ weight + bias`` as one node: ``x`` ``[..., in]``, ``weight``
+    ``[in, out]``, ``bias`` ``[out]`` or ``None``.
+
+    One GEMM over the flattened leading axes, forward and backward, with the
+    FLOP books of :meth:`Tensor.__matmul__`; the bias is added in place, in
+    the GEMM's dtype.  Values and gradients are bitwise those of
+    ``x @ weight + bias``.
+    """
+    a, w = x.data, weight.data
+    inner = a.shape[-1]
+    a2 = a.reshape(-1, inner)
+    y = a2 @ w
+    add_flops(2 * y.size * inner, "matmul")
+    if bias is not None:
+        y += bias.data
+    tracker = current_tracker()
+    if tracker is not None:
+        tracker.register(y, y.nbytes)
+
+    def backward(grad: np.ndarray) -> None:
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_unbroadcast(grad, bias.shape))
+        # A biased grad reaches the GEMM in C order, as in ``x @ weight + bias``.
+        g = (grad if bias is None else np.ascontiguousarray(grad)).reshape(-1, grad.shape[-1])
+        if x.requires_grad:
+            ga = g @ w.T
+            add_flops(2 * ga.size * g.shape[-1], "matmul_bwd")
+            x._accumulate(ga.reshape(a.shape), True)
+        if weight.requires_grad:
+            gw = a2.T @ g
+            add_flops(2 * gw.size * a2.shape[-2], "matmul_bwd")
+            weight._accumulate(gw, True)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return x._make(y.reshape(a.shape[:-1] + w.shape[1:]), parents, backward, "linear")
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -85,15 +125,16 @@ def relu(x: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalisation over the last axis with affine parameters."""
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # sum / n, not ndarray.mean: bitwise equal (a float64 quotient of two
+    # float32 values rounds to the float32 quotient) without mean's wrapper.
+    n = x.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) / n
     centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
     x_hat = centered * inv_std
     out_data = x_hat * weight.data + bias.data
     add_flops(8 * x.size, "layer_norm")
-
-    n = x.shape[-1]
 
     def backward(grad: np.ndarray) -> None:
         if weight.requires_grad:
@@ -104,8 +145,8 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
             bias._accumulate(grad.sum(axis=axes), True)
         if x.requires_grad:
             g = grad * weight.data
-            mean_g = g.mean(axis=-1, keepdims=True)
-            mean_gx = (g * x_hat).mean(axis=-1, keepdims=True)
+            mean_g = g.sum(axis=-1, keepdims=True) / n
+            mean_gx = (g * x_hat).sum(axis=-1, keepdims=True) / n
             x._accumulate(inv_std * (g - mean_g - x_hat * mean_gx), True)
 
     requires = x.requires_grad or weight.requires_grad or bias.requires_grad

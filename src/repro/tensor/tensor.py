@@ -274,6 +274,24 @@ class Tensor:
         else:
             self.grad += grad
 
+    def _scatter_add(self, idx, grad: np.ndarray) -> None:
+        """Add *grad* into ``self.grad[idx]``: a view's backward.  A basic
+        index adds into an existing (owned) grad in place, O(slice), not
+        O(parent); a first grad is a fresh zero buffer the parent then owns.
+        Array indices may repeat, so they sum in a private buffer first:
+        adding repeats one by one into an existing grad would reorder its
+        float sums."""
+        basic = _is_basic_index(idx)
+        if basic and self.grad is not None:
+            self.grad[idx] += grad.astype(self.grad.dtype, copy=False)
+            return
+        full = np.zeros_like(self.data)
+        if basic:
+            full[idx] = grad  # no element is selected twice
+        else:
+            np.add.at(full, idx, grad)
+        self._accumulate(full, True)
+
     def backward(self, gradient: np.ndarray | None = None) -> None:
         """Run reverse-mode accumulation from this tensor."""
         if not self.requires_grad:
@@ -597,22 +615,8 @@ class Tensor:
         out_data = self.data[idx]
 
         def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            basic = _is_basic_index(idx)
-            if basic and self.grad is not None:
-                # Scatter into the owned grad in place: O(slice), not O(parent).
-                self.grad[idx] += grad.astype(self.grad.dtype, copy=False)
-                return
-            full = np.zeros_like(self.data)
-            if basic:
-                full[idx] = grad  # no element is selected twice
-            else:
-                # Array indices may repeat: sum them in this private buffer
-                # first, since adding repeats one by one into an existing
-                # grad would reorder its float sums.
-                np.add.at(full, idx, grad)
-            self._accumulate(full, True)
+            if self.requires_grad:
+                self._scatter_add(idx, grad)
 
         return self._make(out_data, (self,), backward, "getitem")
 

@@ -17,8 +17,9 @@ import pytest
 import repro.nn as nn
 import repro.tensor as tensor_pkg
 from repro.nn import Dropout, Module
-from repro.nn.attention import pool_channels
+from repro.nn.attention import merge_heads, pool_channels, scaled_dot_product_attention, split_heads
 from repro.nn.patch_embed import tokenize_channels
+from repro.parallel.fsdp import unflatten
 from repro.tensor import Tensor, check_gradients, checkpoint, functional as F
 
 RNG = np.random.default_rng(2024)
@@ -38,6 +39,13 @@ IMAGES = r(2, 3, 4, 4)  # a constant input of the tokenize case: [B, C, H, W], p
 def drop(p=0.3):
     """A fresh, identically seeded dropout for every evaluation: the same mask."""
     return Dropout(p, np.random.default_rng(5))
+
+def unflattened(a, u=Tensor(r(2, 3)), w=Tensor(r(4))):
+    """A padded flat unit carved into a [2, 3] and a [4] parameter, the
+    first used twice so its grad accumulates in its home."""
+    p, q = unflatten(a, [(2, 3), (4,)], [0, 6, 10])
+    return (p * u).sum() + (p * p).sum() + (q * w).sum()
+
 
 
 # op name -> list of (fn, inputs); fn takes one float64 Tensor per input.
@@ -88,6 +96,33 @@ GRAD_CASES = {
         lambda w, b, ids, u=Tensor(r(2, 3, 4, 5)): tokenize_channels(IMAGES, 2, w, b, ids) * u,
         [r(3, 4, 5), r(3, 5), r(3, 5)],
     )],
+    "linear": [
+        (lambda x, w, b: F.linear(x, w, b), [r(2, 3, 4), r(4, 5), r(5)]),
+        (lambda x, w: F.linear(x, w), [r(3, 4), r(4, 5)]),
+    ],
+    # [B=2, N=3, 3*D] with D=4, 2 heads: one view, and two sharing a grad
+    "split_heads": [
+        (lambda a, u=Tensor(r(2, 2, 3, 2)): split_heads(a, 2, 1, 3) * u, [r(2, 3, 12)]),
+        (
+            lambda a, u=Tensor(r(2, 2, 3, 2)), w=Tensor(r(2, 2, 3, 2)):
+            split_heads(a, 2, 0, 3) * u + split_heads(a, 2, 2, 3) * w,
+            [r(2, 3, 12)],
+        ),
+    ],
+    "merge_heads": [(lambda a, u=Tensor(r(2, 3, 4)): merge_heads(a) * u, [r(2, 2, 3, 2)])],
+    # q [B=2, h=2, N=3, hd=4] over 5 keys; plain, then masked with dropout 0.3
+    "attention": [
+        (
+            lambda q, k, v, u=Tensor(r(2, 2, 3, 4)): scaled_dot_product_attention(q, k, v) * u,
+            [r(2, 2, 3, 4), r(2, 2, 5, 4), r(2, 2, 5, 4)],
+        ),
+        (
+            lambda q, k, v, u=Tensor(r(2, 2, 3, 4)), m=r(2, 1, 3, 5):
+            scaled_dot_product_attention(q, k, v, drop(), m) * u,
+            [r(2, 2, 3, 4), r(2, 2, 5, 4), r(2, 2, 5, 4)],
+        ),
+    ],
+    "unflatten": [(unflattened, [r(12)])],
     # channel pooling: C=1 and C=3, Q=3, heads 4 (hd 2, D=8), dropout 0.3
     "channel_pool": [
         (
@@ -98,6 +133,8 @@ GRAD_CASES = {
         for c in (1, 3)
     ],
 }
+
+
 
 CASES = [(op, i) for op, cases in GRAD_CASES.items() for i in range(len(cases))]
 
@@ -184,4 +221,7 @@ def test_every_op_a_module_records_has_an_entry():
         missing = ops - GRAD_CASES.keys()
         assert not missing, f"{name} records ops without a gradient case: {sorted(missing)}"
         seen |= ops
-    assert {"tokenize", "channel_pool", "dropout", "layer_norm"} <= seen
+    assert {
+        "tokenize", "channel_pool", "dropout", "layer_norm",
+        "linear", "attention", "split_heads", "merge_heads",
+    } <= seen

@@ -75,6 +75,31 @@ class TestLayerNorm:
         base = F.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
         np.testing.assert_allclose(out.data, base.data * 2.0 + 1.0, atol=1e-5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 6), (4, 16, 128), (2, 5, 33), (7, 257)])
+    def test_bitwise_the_mean_formula(self, dtype, shape):
+        """Output and every grad bitwise equal to the same formula with
+        ``ndarray.mean`` for its four means (``layer_norm`` uses sum / n)."""
+        rng = np.random.default_rng(11)
+        x, g = (rng.standard_normal(shape).astype(dtype) * 3 + 1 for _ in range(2))
+        w, b = (rng.standard_normal(shape[-1:]).astype(dtype) for _ in range(2))
+        mu = x.mean(axis=-1, keepdims=True)
+        centered = x - mu
+        inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-5)
+        x_hat = centered * inv_std
+        gw = g * w
+        want = {
+            "out": (x_hat * w + b).astype(dtype),
+            "x": inv_std * (gw - gw.mean(axis=-1, keepdims=True)
+                            - x_hat * (gw * x_hat).mean(axis=-1, keepdims=True)),
+        }
+        xt, wt, bt = (Tensor(a, requires_grad=True, dtype=dtype) for a in (x, w, b))
+        out = F.layer_norm(xt, wt, bt)
+        out.backward(g)
+        for name, got in (("out", out.data), ("x", xt.grad)):
+            assert got.dtype == want[name].dtype
+            assert np.array_equal(got.view(np.uint8), want[name].view(np.uint8)), name
+
 
 class TestDropout:
     def test_identity_in_eval(self):
