@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = ["EndmemberLibrary", "HyperspectralConfig", "HyperspectralDataset", "pseudo_rgb"]
 
@@ -92,6 +91,8 @@ class HyperspectralDataset:
 
     def _abundances(self, rng: np.random.Generator) -> np.ndarray:
         """[K, H, W] convex abundance maps with plant-like structure."""
+        from scipy import ndimage  # imported on first use, not with repro.data
+
         cfg = self.config
         h, w = cfg.height, cfg.width
         yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)

@@ -10,7 +10,6 @@ which the property tests assert.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 __all__ = ["Grid", "regrid", "bilinear_regrid", "nearest_regrid", "conservative_regrid"]
 
@@ -47,6 +46,8 @@ def _check_field(field: np.ndarray, grid: Grid) -> np.ndarray:
 
 def bilinear_regrid(field: np.ndarray, src: Grid, dst: Grid) -> np.ndarray:
     """Bilinear interpolation with periodic longitude (the paper's choice)."""
+    from scipy.interpolate import RegularGridInterpolator  # imported on first use, not with repro.data
+
     field = _check_field(field, src)
     lead = field.shape[:-2]
     flat = field.reshape(-1, *src.shape)

@@ -114,8 +114,12 @@ def scaled_dot_product_attention(
     ``[..., N, hd]`` operands, one autograd node.
 
     *mask* is an additive constant broadcast onto the scores (in their
-    dtype); *dropout* acts on the attention weights (its ``p``, ``rng`` —
-    one ``random`` draw — and ``training`` flag).  The node keeps the
+    dtype).  A mask with as many axes as the scores ``[L, ...]`` and a
+    leading axis ``G`` dividing ``L`` is broadcast onto the scores viewed as
+    ``[L/G, G, ...]``, so it repeats every ``G`` batch rows (Swin's
+    ``[nW, 1, T, T]`` window mask over ``B·nW`` windows).  *dropout* acts
+    on the attention weights (its ``p``, ``rng`` — one ``random`` draw —
+    and ``training`` flag).  The node keeps the
     attention weights (and the dropout mask); its hand-written backward
     replays the composite chain's numpy calls (matmul, scale, softmax,
     dropout, matmul), so values, gradients and FLOP books are bitwise the
@@ -127,7 +131,8 @@ def scaled_dot_product_attention(
     scale = np.asarray(1.0 / float(np.sqrt(qd.shape[-1])), dtype=attn.dtype)
     attn *= scale
     if mask is not None:
-        attn += mask
+        grouped = attn if mask.ndim < attn.ndim else attn.reshape(-1, mask.shape[0], *attn.shape[1:])
+        grouped += mask                                            # a view: adds into attn
     attn -= attn.max(axis=-1, keepdims=True)                      # softmax, in place
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=-1, keepdims=True)

@@ -97,12 +97,10 @@ class WindowAttention(Module):
 
     def forward(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         """*x*: [B·nW, T, D]; *mask*: [nW, T, T] additive, or None."""
-        bn, t, d = x.shape
         qkv = self.qkv(x)
         q, k, v = (split_heads(qkv, self.heads, i, 3) for i in range(3))
-        if mask is not None:                                 # per window -> [B·nW, 1, T, T]
-            tiles = bn // mask.shape[0]
-            mask = np.tile(mask[None, :, None], (tiles, 1, 1, 1, 1)).reshape(bn, 1, t, t)
+        if mask is not None:                     # [nW, 1, T, T]: repeats every nW windows
+            mask = mask[:, None]
         return self.proj(merge_heads(scaled_dot_product_attention(q, k, v, mask=mask)))
 
 

@@ -9,7 +9,6 @@ plain / latitude-weighted MSE for weather forecasting).
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from .flops import add_flops
 from .memory import current_tracker
@@ -100,6 +99,10 @@ _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 # Python floats, not np.float64 scalars: under NumPy >= 2 dividing a float32
 # array by an np.float64 scalar promotes the whole closure to float64.
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+# scipy.special.erf, bound by the first exact GELU rather than at import:
+# loading scipy takes 0.4-0.7 s, and planner, replay and calibration
+# processes never run a GELU.
+_erf = None
 
 
 def gelu(x: Tensor, approximate: bool = False) -> Tensor:
@@ -109,14 +112,17 @@ def gelu(x: Tensor, approximate: bool = False) -> Tensor:
         inner = _SQRT_2_OVER_PI * (x + 0.044715 * x * x * x)
         return 0.5 * x * (1.0 + inner.tanh())
 
-    cdf = 0.5 * (1.0 + special.erf(x.data * _INV_SQRT2))
+    global _erf
+    if _erf is None:
+        from scipy.special import erf as _erf
+    cdf = 0.5 * (1.0 + _erf(x.data * _INV_SQRT2))
     out_data = x.data * cdf
 
     def backward(grad: np.ndarray) -> None:
         pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
         x._accumulate(grad * (cdf + x.data * pdf), True)
 
-    return x._make(out_data.astype(x.dtype), (x,), backward, "gelu")
+    return x._make(out_data.astype(x.dtype, copy=False), (x,), backward, "gelu")
 
 
 def relu(x: Tensor) -> Tensor:

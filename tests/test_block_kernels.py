@@ -76,12 +76,24 @@ def composite_attention(q, k, v, dropout=None, mask=None):
     return attn @ v
 
 
+def tiled_window_attention(self, x, mask=None):
+    """``WindowAttention.forward`` with the ``[nW, T, T]`` mask tiled to
+    ``[B·nW, 1, T, T]`` on every call."""
+    bn, t, _ = x.shape
+    qkv = self.qkv(x)
+    q, k, v = (swin.split_heads(qkv, self.heads, i, 3) for i in range(3))
+    if mask is not None:
+        mask = np.tile(mask[None, :, None], (bn // mask.shape[0], 1, 1, 1, 1)).reshape(bn, 1, t, t)
+    return self.proj(swin.merge_heads(swin.scaled_dot_product_attention(q, k, v, mask=mask)))
+
+
 @pytest.fixture
 def composite(monkeypatch):
     """Route every call site through the composite chains instead."""
 
     def use():
         monkeypatch.setattr(Linear, "forward", composite_linear)
+        monkeypatch.setattr(swin.WindowAttention, "forward", tiled_window_attention)
         for module in (attention, swin, perceiver):
             for name, chain in (
                 ("split_heads", composite_split_heads),
@@ -213,6 +225,17 @@ class TestAttentionKernel:
         x = rng.standard_normal((2, 16, 32)).astype(np.float32)
         got = run(block, [Tensor(x, requires_grad=True)])
         composite()
+        assert_bitwise(run(block, [Tensor(x, requires_grad=True)]), got)
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_swin_window_mask_broadcast_matches_tiled(self, monkeypatch, shift):
+        """The fused kernel alone, with the mask broadcast per window group
+        against the same kernel fed the tiled mask."""
+        rng = np.random.default_rng(4)
+        block = randomised(SwinBlock(32, 4, (4, 4), 2, shift, rng), 5)
+        x = rng.standard_normal((3, 16, 32)).astype(np.float32)
+        got = run(block, [Tensor(x, requires_grad=True)])
+        monkeypatch.setattr(swin.WindowAttention, "forward", tiled_window_attention)
         assert_bitwise(run(block, [Tensor(x, requires_grad=True)]), got)
 
     def test_perceiver_block(self, composite):
