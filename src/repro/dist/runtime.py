@@ -20,6 +20,24 @@ Worlds are fully isolated: every :func:`run_spmd` call builds a fresh
 :class:`~repro.dist.stats.TrafficLog`, so concurrent worlds driven from
 different threads never interfere.
 
+``out=`` buffers: every collective can deliver into caller-owned buffers,
+one per cell it receives, and then returns them.  Each must match its
+cell's shape and dtype exactly, and all are checked before any is written.
+Results are copied or reduced straight out of the peers' live contributions
+during distribution, so one rule, checked when a rank issues the
+collective, keeps them from corrupting what peers still read: an ``out``
+buffer may share memory with this rank's own contribution only if it is
+*exactly* (same view) the cell the rank receives from itself — an in-place
+``all_gather`` slot, ``sends[me]`` for ``all_to_all``, the root's payload
+for ``broadcast``, the input (or, for ``reduce_scatter``, its own slice)
+for a reduction.  That cell is not copied.  A copy collective
+(``all_gather``, ``all_to_all``, ``broadcast``) rejects any other overlap
+with :class:`SpmdError`; a reduction (``all_reduce``, ``reduce_scatter``)
+falls back to a fresh result plus a copy, as it does for the exact alias
+at group-rank ≥ 2, whose input the fixed order reads only after its first
+op wrote the destination.  An ``out`` must never overlap another rank's
+contribution.
+
 Virtual clock: ``run_spmd(..., clock=VirtualClock(machine))`` attaches a
 deterministic simulated clock (:class:`repro.perf.clock.VirtualClock`, held
 to the :class:`SimClock` protocol — this module never imports it).  Every
@@ -51,6 +69,8 @@ list cell or attribute atomic:
 * ``_Slot.done`` — the last arriver sets it before opening any gate, and
   waiters read it in the poll-timeout path of the wait loop, neither under
   the token;
+* ``_Slot.error`` / ``start`` / ``finish`` / ``payload_max`` — final
+  before the last arriver sets ``done``; each waiter reads them after;
 * ``_Slot.values[me]`` / ``_Slot.value_errors[me]`` — written by the last
   arriver off the token; each waiter picks up (and clears) its own cell;
 * ``World._holder`` — written only by the token's holder, read by ranks
@@ -88,7 +108,9 @@ _POLL_S = 0.05
 
 _DEFAULT_TIMEOUT_S = 120.0
 
-_REDUCE_OPS = ("sum", "mean", "max", "min")
+#: Each reduction's pairwise ufunc, applied left to right by :func:`_reduce`
+#: (a mean is a sum divided once at the end).
+_REDUCE_OPS = {"sum": np.add, "mean": np.add, "max": np.maximum, "min": np.minimum}
 
 
 class SpmdError(RuntimeError):
@@ -441,8 +463,11 @@ def _check_out(out: np.ndarray, shape: tuple, dtype, what: str) -> None:
         )
 
 
-def _check_mean_dtype(op: str, arr: np.ndarray) -> None:
-    """A mean of integer arrays would be cast back and silently truncate."""
+def _check_reduce(op: str, arr: np.ndarray) -> None:
+    """Reject an unknown op, and a mean of integers (cast back, it would
+    silently truncate)."""
+    if op not in _REDUCE_OPS:
+        raise SpmdError(f"unknown reduce op {op!r} (expected one of {tuple(_REDUCE_OPS)})")
     if op == "mean" and not np.issubdtype(arr.dtype, np.floating):
         raise SpmdError(
             f"mean reduction requires a floating-point array, got dtype {arr.dtype}; "
@@ -452,20 +477,70 @@ def _check_mean_dtype(op: str, arr: np.ndarray) -> None:
 
 def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether *a* and *b* are the same memory, shape and strides."""
-    return a is b or (a.shape, a.strides, a.__array_interface__["data"]) == (
-        b.shape, b.strides, b.__array_interface__["data"])
+    return a is b or (a.shape == b.shape and a.strides == b.strides
+                      and a.__array_interface__["data"] == b.__array_interface__["data"])
+
+
+def _overlaps(outs: Sequence, live: Sequence[np.ndarray], me: int, own: np.ndarray) -> bool:
+    """The ``out=`` overlap rule (module docstring): whether a buffer in
+    *outs* shares memory with this rank's live contribution *live* and is
+    not ``outs[me]`` being exactly *own*, the cell this rank receives from
+    itself.  Non-arrays are left to :func:`_check_out`.
+
+    Two different arrays that each own their memory share none: that case
+    is settled before ``np.may_share_memory``, which drops the GIL and so
+    invites a thread switch on every call.
+    """
+    return any(
+        isinstance(o, np.ndarray) and not (i == me and o is own)
+        and any((o is c or not (o.flags.owndata and c.flags.owndata))
+                and np.may_share_memory(o, c) for c in live)
+        and (i != me or not _same_view(o, own))
+        for i, o in enumerate(outs)
+    )
+
+
+def _check_copy_out(out: Sequence | None, n: int, live: Sequence[np.ndarray], me: int,
+                    own: np.ndarray | None, what: str) -> int:
+    """Check a copy collective's ``out=`` at issue: one buffer per cell, none
+    breaking the overlap rule.  Returns *me* when ``out[me]`` is exactly
+    *own* (it already holds the bytes, so delivery skips it), else -1.
+    A rank that contributes nothing (a broadcast peer) has no *own*."""
+    if out is None or own is None:
+        return -1
+    if len(out) != n:
+        raise SpmdError(f"{what} out must supply exactly {n} buffers, got {len(out)}")
+    if _overlaps(out, live, me, own):
+        raise SpmdError(
+            f"{what} out buffers must not overlap this rank's input (peers copy "
+            "it live during distribution), except exactly as its own cell"
+        )
+    return me if isinstance(out[me], np.ndarray) and _same_view(out[me], own) else -1
+
+
+def _reduce_dest(op: str, arr: np.ndarray, own: np.ndarray, me: int,
+                 out: np.ndarray | None, what: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """Check a reduction at issue; return ``(out, dest)``.  *out* receives
+    this rank's result (a fresh array when ``None``, the shape of *own*, its
+    operand: a slice of *arr*).  *dest* is what it reduces into if it
+    arrives last: *out*, or ``None`` (a fresh result plus a copy) when *out*
+    breaks the overlap rule.  The fixed order reads a group-rank ≥ 2 input
+    after its first op wrote the destination, so there even the exact alias
+    falls back."""
+    _check_reduce(op, arr)
+    if out is None:
+        out = np.empty_like(own)
+        return out, out
+    _check_out(out, own.shape, arr.dtype, what)
+    return out, None if _overlaps((out,), (arr,), 0 if me < 2 else -1, own) else out
 
 
 def _operands(arrays: list[np.ndarray]) -> list[np.ndarray]:
-    """Reject a reduction over mismatched shapes or dtypes; return *arrays*."""
-    shapes = {a.shape for a in arrays}
-    if len(shapes) > 1:
-        raise SpmdError(f"mismatched shapes in reduction: {sorted(shapes)}")
-    dtypes = {a.dtype for a in arrays}
-    if len(dtypes) > 1:
-        # The result is cast to group-rank-0's dtype; mixed inputs would be
-        # silently truncated (e.g. float contributions into an int buffer).
-        raise SpmdError(f"mismatched dtypes in reduction: {sorted(map(str, dtypes))}")
+    """Reject a reduction over mismatched shapes or dtypes (the result takes
+    group-rank 0's dtype, so mixed inputs would silently truncate)."""
+    kinds = {(a.shape, a.dtype) for a in arrays}
+    if len(kinds) > 1:
+        raise SpmdError(f"mismatched shapes or dtypes in reduction: {sorted(map(str, kinds))}")
     return arrays
 
 
@@ -485,23 +560,32 @@ def _reduce(arrays: list[np.ndarray], op: str, dest: np.ndarray | None = None) -
     if len(arrays) == 1:
         np.copyto(dest, arrays[0])
         return dest
-    if op in ("sum", "mean"):
-        np.add(arrays[0], arrays[1], out=dest)
-        for a in arrays[2:]:
-            dest += a
-        if op == "mean":
-            dest /= len(arrays)  # float-only; int mean is rejected at the call site
-    elif op == "max":
-        np.maximum(arrays[0], arrays[1], out=dest)
-        for a in arrays[2:]:
-            np.maximum(dest, a, out=dest)
-    elif op == "min":
-        np.minimum(arrays[0], arrays[1], out=dest)
-        for a in arrays[2:]:
-            np.minimum(dest, a, out=dest)
-    else:  # validated at the call site; defensive here
-        raise SpmdError(f"unknown reduce op {op!r}")
+    ufunc = _REDUCE_OPS[op]
+    ufunc(arrays[0], arrays[1], out=dest)
+    for a in arrays[2:]:
+        ufunc(dest, a, out=dest)
+    if op == "mean":
+        dest /= len(arrays)  # float-only: _check_reduce rejects an int mean
     return dest
+
+
+def _deliver(cells: list, out: Sequence[np.ndarray] | None, what: str,
+             skip: int = -1) -> list:
+    """Hand this rank the *cells* it receives: fresh copies, or each cell
+    copied into its ``out`` buffer.  Cells are peers' live buffers (or a
+    result shared by the group), so a reference would be mutable after the
+    wake.  Every buffer is checked before any is written, so a mismatch
+    never leaves the caller's buffers half-clobbered; ``out[skip]``, which
+    the issuing rank found to be exactly its cell, is not copied.  This runs
+    in distribution, off the run token, so it does no more than that."""
+    if out is None:
+        return [np.array(c, copy=True) for c in cells]
+    for o, c in zip(out, cells):
+        _check_out(o, c.shape, c.dtype, what)
+    for i, (o, c) in enumerate(zip(out, cells)):
+        if i != skip:
+            np.copyto(o, c)
+    return list(out)
 
 
 class Communicator:
@@ -761,17 +845,20 @@ class Communicator:
         group: ProcessGroup,
         signature: tuple,
         contribution,
-        compute: Callable[[list], Any],
         payload_bytes: int,
-        consume: Callable[[Any], Any] | None = None,
+        consume: Callable[[Any], Any],
+        compute: Callable[[list], Any] = lambda data: data,
     ):
         """Rendezvous + traffic accounting for one logged collective.
 
-        A collective that fails or is unwound by a world abort is **still
-        logged** (with ``vend=-1.0``, marking it incomplete) so post-mortem
-        traffic accounting across a failure boundary sees every op each
-        rank issued — the convention the elastic recovery-cost benchmarks
-        rely on.
+        *compute* defaults to handing every consume the live contributions
+        (the copy collectives).  This rank logs its *payload_bytes* bid, but
+        a successful broadcast logs the payload it received: only the root
+        knows it at issue.  A collective that fails or is unwound by a world
+        abort is **still logged** with its bid (``vend=-1.0``, marking it
+        incomplete) so post-mortem traffic accounting across a failure
+        boundary sees every op each rank issued — the convention the elastic
+        recovery-cost benchmarks rely on.
         """
         op = signature[0]
         try:
@@ -781,7 +868,7 @@ class Communicator:
         except BaseException:
             self._log(op, payload_bytes, group.size, self._vnow(), -1.0)
             raise
-        self._log(op, payload_bytes, group.size, vs, ve)
+        self._log(op, result.nbytes if op == "broadcast" else payload_bytes, group.size, vs, ve)
         return result
 
     # -- virtual clock -----------------------------------------------------
@@ -835,6 +922,9 @@ class Communicator:
             self.phase = prev
 
     # -- collectives -------------------------------------------------------
+    # Each takes an optional ``out=`` destination and returns it; the rules
+    # it must keep (exact shape and dtype, the overlap rule) are stated once,
+    # in the module docstring.
     def barrier(self, group: ProcessGroup | None = None) -> None:
         """Block until every group member reaches the same barrier call.
 
@@ -854,42 +944,18 @@ class Communicator:
     ) -> np.ndarray:
         """Reduce *array* over the group; every rank gets the full result.
 
-        ``out`` receives the result in place (shape and dtype must match
-        exactly) and is returned — steady-state callers that reduce into
-        preallocated buffers (gradient accumulators, replay scratch) keep
-        their result in that buffer across steps.  ``out`` may alias
-        *array* but no other rank's.  The last arriver reduces into its own
-        ``out`` (or keeps a fresh result) and the peers copy from there; an
-        ``out`` aliasing its input at group-rank ≥ 2, which the fixed order
-        reads after writing ``out``, gets a fresh result plus a copy.
+        Steady-state callers that reduce into preallocated ``out`` buffers
+        (gradient accumulators, replay scratch) keep their result in that
+        buffer across steps.  The last arriver reduces into its own ``out``
+        (a fresh one when none is given) and the peers copy from there.
         """
         group = self._resolve(group)
-        if op not in _REDUCE_OPS:
-            raise SpmdError(f"unknown reduce op {op!r} (expected one of {_REDUCE_OPS})")
         arr = np.asarray(array)  # no snapshot: peers stay blocked while we reduce
-        _check_mean_dtype(op, arr)
-        dest = None
-        if out is not None:
-            _check_out(out, arr.shape, arr.dtype, "all_reduce")
-            if group.rank_index(self.rank) < 2 or not np.may_share_memory(out, arr):
-                dest = out
-        mine = None  # the result this rank reduced, if it arrives last
-
-        def compute(data: list) -> np.ndarray:
-            nonlocal mine
-            mine = _reduce(_operands(data), op, dest)
-            return mine
-
-        def consume(result: np.ndarray) -> np.ndarray:
-            if out is None:
-                return result if result is mine else result.copy()
-            if result is not out:
-                np.copyto(out, result)
-            return out
-
+        out, dest = _reduce_dest(op, arr, arr, group.rank_index(self.rank), out, "all_reduce")
         return self._run_collective(
-            group, ("all_reduce", op), arr, compute,
-            payload_bytes=arr.nbytes, consume=consume,
+            group, ("all_reduce", op), arr, arr.nbytes,
+            lambda result: result if result is out else _deliver([result], [out], "all_reduce")[0],
+            lambda data: _reduce(_operands(data), op, dest),
         )
 
     def all_gather(
@@ -900,62 +966,18 @@ class Communicator:
     ) -> list[np.ndarray]:
         """Gather every rank's array; returns private copies in group order.
 
-        ``out`` — one preallocated buffer per group rank, exact shape and
-        dtype match — receives the parts in place (the list is returned).
-        Parts are copied straight out of the peers' live buffers during
-        batched-wake distribution (every member is still blocked inside the
-        collective while copies run), so no intermediate snapshot is ever
-        taken.  ``out`` buffers must not overlap the *array* of any other
-        rank.  ``out[me]`` may exactly alias your own contribution — the
-        in-place form of ``all_gather_into_tensor`` — and is then not
-        copied at all.
+        ``out`` holds one buffer per group rank.  Parts are copied straight
+        out of the peers' live buffers during batched-wake distribution, so
+        no intermediate snapshot is ever taken; ``out[me]`` exactly aliasing
+        *array* is the in-place form of ``all_gather_into_tensor``.
         """
         group = self._resolve(group)
         arr = np.asarray(array)
-        own = -1  # the out slot that already holds this rank's bytes
-        if out is not None:
-            if len(out) != group.size:
-                raise SpmdError(
-                    f"all_gather out must supply exactly {group.size} buffers, "
-                    f"got {len(out)}"
-                )
-            me = group.rank_index(self.rank)
-            for i, o in enumerate(out):
-                if not isinstance(o, np.ndarray) or not np.may_share_memory(o, arr):
-                    continue
-                # Only the rank's own slot may alias its input, and only
-                # *exactly*: a partial overlap would mutate the live
-                # contribution while distribution is still copying peers'
-                # parts from it.
-                if i != me or not _same_view(o, arr):
-                    raise SpmdError(
-                        "all_gather out buffers must not overlap this rank's "
-                        "input (peers copy it live during distribution); "
-                        "only out[me] exactly aliasing the input is allowed"
-                    )
-                own = i
-
-        def consume(parts: list) -> list[np.ndarray]:
-            if out is None:
-                # Parts are peers' live buffers: always copy (a reference
-                # would be mutable by its contributor after the wake).
-                return [np.array(p, copy=True) for p in parts]
-            # All-or-nothing: validate every buffer before writing any, so
-            # a mismatch never leaves the caller's buffers half-clobbered.
-            for o, p in zip(out, parts):
-                _check_out(o, p.shape, p.dtype, "all_gather")
-            for i, (o, p) in enumerate(zip(out, parts)):
-                if i != own:
-                    np.copyto(o, p)
-            return list(out)
-
+        me = group.rank_index(self.rank)
+        skip = _check_copy_out(out, group.size, (arr,), me, arr, "all_gather")
         return self._run_collective(
-            group,
-            ("all_gather",),
-            arr,
-            lambda data: data,  # distribution copies from the live contributions
-            payload_bytes=arr.nbytes,
-            consume=consume,
+            group, ("all_gather",), arr, arr.nbytes,
+            lambda data: _deliver(data, out, "all_gather", skip),
         )
 
     def reduce_scatter(
@@ -975,69 +997,35 @@ class Communicator:
         get one extra element).  Uneven splits are executed as *padded*
         collectives — every chunk is padded to the largest, the ring moves
         the padded volume (which is what the traffic log charges), and the
-        pad is stripped before the result is returned.  ``out`` receives
-        this rank's slice in place (exact shape/dtype match) and is
-        returned; it must not overlap another rank's *array*.  The last
-        arriver reduces each member's slice straight into that member's
-        ``out`` or a fresh slice; no full-size result is built.  An ``out``
-        overlapping this rank's input, except exactly its slice at
-        group-rank < 2, gets a fresh slice plus a copy.
+        pad is stripped before the result is returned.  The last arriver
+        reduces each member's slice straight into that member's ``out`` (a
+        fresh slice when none is given); no full-size result is built.
         """
         group = self._resolve(group)
-        if op not in _REDUCE_OPS:
-            raise SpmdError(f"unknown reduce op {op!r} (expected one of {_REDUCE_OPS})")
         arr = np.asarray(array)  # no snapshot: the reduction never aliases inputs
-        _check_mean_dtype(op, arr)
         n = group.size
         dim = arr.shape[axis]
-        if sizes is None:
-            chunk_sizes = split_sizes(dim, n)
-        else:
-            chunk_sizes = tuple(int(s) for s in sizes)
-            if len(chunk_sizes) != n:
-                raise SpmdError(
-                    f"reduce_scatter sizes must have one entry per group rank "
-                    f"({n}), got {len(chunk_sizes)}"
-                )
-            if any(s < 0 for s in chunk_sizes) or sum(chunk_sizes) != dim:
-                raise SpmdError(
-                    f"reduce_scatter sizes {list(chunk_sizes)} do not partition "
-                    f"axis {axis} of size {dim}"
-                )
+        chunk_sizes = split_sizes(dim, n) if sizes is None else tuple(int(s) for s in sizes)
+        if len(chunk_sizes) != n or min(chunk_sizes) < 0 or sum(chunk_sizes) != dim:
+            raise SpmdError(
+                f"reduce_scatter sizes {list(chunk_sizes)} must give each of the {n} "
+                f"group ranks a non-negative count, summing to axis {axis}'s {dim}"
+            )
         # Padded-collective accounting: with uneven chunks the ring moves
         # max(chunk) per rank per step, i.e. n·max(chunk) total elements.
-        padded_dim = max(chunk_sizes) * n if chunk_sizes else 0
-        payload = arr.nbytes if dim == 0 else (arr.nbytes // dim) * padded_dim
+        payload = arr.nbytes if dim == 0 else arr.nbytes // dim * max(chunk_sizes) * n
         me = group.rank_index(self.rank)
-        lo = int(sum(chunk_sizes[:me]))
-        idx = [slice(None)] * arr.ndim
-        idx[axis] = slice(lo, lo + chunk_sizes[me])
-        idx = tuple(idx)
-        dest = None
-        if out is not None:
-            shape = list(arr.shape)
-            shape[axis] = chunk_sizes[me]
-            _check_out(out, tuple(shape), arr.dtype, "reduce_scatter")
-            if not np.may_share_memory(out, arr) or (
-                me < 2 and _same_view(out, arr[idx])
-            ):
-                dest = out
-
-        def consume(data: list) -> np.ndarray:
-            result = _reduce([a[idx] for a in data], op, dest)
-            if out is None or result is out:
-                return result
-            np.copyto(out, result)
-            return out
-
-        return self._run_collective(
-            group,
-            ("reduce_scatter", op, axis, chunk_sizes),
-            arr,
-            _operands,  # each member's consume reduces its own slice
-            payload_bytes=payload,
-            consume=consume,
+        lo = sum(chunk_sizes[:me])
+        idx = (slice(None),) * (axis % arr.ndim) + (slice(lo, lo + chunk_sizes[me]),)
+        out, dest = _reduce_dest(op, arr, arr[idx], me, out, "reduce_scatter")
+        result = self._run_collective(
+            group, ("reduce_scatter", op, axis, chunk_sizes), arr, payload,
+            lambda data: _reduce([a[idx] for a in data], op, dest),  # this rank's slice
+            _operands,
         )
+        # The fallback copies only after the wake: until then a peer's slice
+        # may still be read from an input that out overlaps.
+        return result if result is out else _deliver([result], [out], "reduce_scatter")[0]
 
     def broadcast(
         self,
@@ -1048,44 +1036,20 @@ class Communicator:
     ) -> np.ndarray:
         """Every rank receives a copy of the *root* world-rank's payload.
 
-        ``out`` receives the payload in place (exact shape/dtype match,
-        validated against the root's payload at completion) and is
-        returned — parameter broadcasts write straight into the live
-        parameter buffers instead of allocating a copy to assign from.
+        ``out`` is validated against the root's payload at completion;
+        parameter broadcasts write straight into the live parameter buffers
+        instead of allocating a copy to assign from.
         """
         group = self._resolve(group)
         root_index = group.rank_index(root)
         payload = np.asarray(value) if self.rank == root else None
-
-        def compute(data: list) -> np.ndarray:
-            contributed = data[root_index]
-            if contributed is None:
-                raise SpmdError(f"broadcast root rank {root} supplied no payload")
-            # The root's live buffer: distribution copies from it per rank
-            # while the root is still blocked — no shared snapshot.
-            return contributed
-
-        def consume(r: np.ndarray) -> np.ndarray:
-            if out is not None:
-                _check_out(out, r.shape, r.dtype, "broadcast")
-                if out is not r:  # the root's own contribution holds it
-                    np.copyto(out, r)
-                return out
-            # r is the root's live buffer: always detach with a copy.
-            return np.array(r, copy=True)
-
-        bid = payload.nbytes if payload is not None else 0
-        try:
-            result, vs, ve = self._rendezvous(
-                group, ("broadcast", root), payload, compute, bid, consume
-            )
-        except BaseException:
-            # Failed/aborted broadcasts still log (vend=-1), like every
-            # other collective; non-root ranks only know their zero bid.
-            self._log("broadcast", bid, group.size, self._vnow(), -1.0)
-            raise
-        self._log("broadcast", result.nbytes, group.size, vs, ve)
-        return result
+        outs = None if out is None else [out]
+        skip = _check_copy_out(outs, 1, (payload,), 0, payload, "broadcast")
+        return self._run_collective(
+            group, ("broadcast", root), payload, 0 if payload is None else payload.nbytes,
+            # The root's live buffer: distribution copies from it per rank.
+            lambda data: _deliver([data[root_index]], outs, "broadcast", skip)[0],
+        )
 
     def all_to_all(
         self,
@@ -1096,43 +1060,20 @@ class Communicator:
         """Transpose: element *i* of the result is what group-rank *i* sent
         to this rank (their ``sends[my_group_index]``).
 
-        ``out`` — one preallocated buffer per group rank, exact shape and
-        dtype match — receives the incoming chunks in place.  ``out[me]``
-        may exactly alias ``sends[me]``, and is then not copied at all.
+        ``out`` holds one buffer per group rank; ``out[me]`` may exactly
+        alias ``sends[me]``.
         """
         group = self._resolve(group)
-        n = group.size
-        if len(sends) != n:
-            raise SpmdError(f"all_to_all needs exactly {n} send buffers, got {len(sends)}")
-        if out is not None and len(out) != n:
-            raise SpmdError(f"all_to_all out must supply exactly {n} buffers, got {len(out)}")
+        if len(sends) != group.size:
+            raise SpmdError(f"all_to_all needs {group.size} send buffers, got {len(sends)}")
         contribution = [np.asarray(s) for s in sends]
-        payload = sum(c.nbytes for c in contribution)
         me = group.rank_index(self.rank)
-
-        def consume(matrix: list) -> list[np.ndarray]:
-            if out is None:
-                # Cells are peers' live send buffers: copy this rank's
-                # column out during distribution.
-                return [np.array(matrix[i][me], copy=True) for i in range(n)]
-            # All-or-nothing: validate every buffer before writing any.
-            for i in range(n):
-                cell = matrix[i][me]
-                _check_out(out[i], cell.shape, cell.dtype, "all_to_all")
-            for i in range(n):
-                if i != me or not _same_view(out[i], matrix[i][me]):
-                    np.copyto(out[i], matrix[i][me])
-            return list(out)
-
+        skip = _check_copy_out(out, group.size, contribution, me, contribution[me], "all_to_all")
+        # Live send matrix: cell (i, j) is copied out only by group-rank j's
+        # distribution step — exactly the n² cells that are needed.
         return self._run_collective(
-            group,
-            ("all_to_all",),
-            contribution,
-            # Live send matrix: cell (i, j) is copied out only by group-rank
-            # j's distribution step — exactly the n² cells that are needed.
-            lambda data: data,
-            payload_bytes=payload,
-            consume=consume,
+            group, ("all_to_all",), contribution, sum(c.nbytes for c in contribution),
+            lambda data: _deliver([row[me] for row in data], out, "all_to_all", skip),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -173,6 +173,35 @@ class TestVirtualClockDeterminism:
         assert len(recs) == 1
         assert recs[0].vend == -1.0
 
+    @pytest.mark.parametrize(
+        "op", ("all_reduce", "all_gather", "reduce_scatter", "broadcast", "all_to_all")
+    )
+    def test_every_collective_logged_once_on_abort(self, op):
+        """Each logged collective, aborted in flight by a peer's raise,
+        leaves one incomplete record per issuing rank carrying the payload
+        that rank bid: 24 B, except a non-root broadcast's 0 (it learns the
+        payload only on completion)."""
+        from repro.dist import SpmdError
+
+        def fn(comm):
+            if comm.rank == 0:
+                raise RuntimeError("boom")
+            mine = np.ones(6, dtype=np.float32)
+            if op == "broadcast":
+                comm.broadcast(mine, root=1)
+            elif op == "all_to_all":
+                comm.all_to_all(np.split(mine, 3))
+            else:
+                getattr(comm, op)(mine)
+
+        with pytest.raises(SpmdError) as exc_info:
+            run_spmd(fn, 3, timeout=10, clock=VirtualClock(MACHINE))
+        traffic = exc_info.value.world.traffic
+        assert traffic.records(rank=0) == []
+        for rank, payload in ((1, 24), (2, 0 if op == "broadcast" else 24)):
+            recs = traffic.records(rank=rank)
+            assert [(r.op, r.payload_bytes, r.vend) for r in recs] == [(op, payload, -1.0)]
+
 
 class TestVirtualClockSemantics:
     def test_group_synchronizes_to_slowest_arrival(self):

@@ -500,6 +500,68 @@ class TestOutBufferValidation:
         for got in results:
             assert np.array_equal(got, np.full(16, 3.0))
 
+    def test_all_to_all_out_overlapping_a_send_rejected(self):
+        """Rank 0 receives rank 1's chunk into its own ``sends[2]``, which
+        rank 2 has still to read: it must refuse, not hand rank 2 the bytes
+        rank 1 sent."""
+        from repro.dist import SpmdError
+
+        def fn(comm):
+            buf = np.arange(12) + 100 * comm.rank
+            sends = np.split(buf, 3)
+            out = [np.empty(4, buf.dtype) for _ in range(3)]
+            if comm.rank == 0:
+                out[1] = sends[2]
+            return [o.copy() for o in comm.all_to_all(sends, out=out)]
+
+        with pytest.raises(SpmdError, match="overlap"):
+            run_spmd_world(fn, 3)
+
+    def test_broadcast_root_out_overlapping_its_payload_rejected(self):
+        """A root ``out`` that is its payload reversed would hand the peers
+        half-reversed bytes; only ``out`` exactly the payload may alias it
+        (and is then not copied)."""
+        from repro.dist import SpmdError
+
+        value = np.arange(8, dtype=np.float64)
+
+        def fn(comm, flip):
+            mine = value.copy()
+            if comm.rank != 0:
+                out = np.empty_like(mine)
+            else:
+                out = mine[::-1] if flip else mine
+            res = comm.broadcast(mine, root=0, out=out)
+            assert res is out
+            return res.copy()
+
+        with pytest.raises(SpmdError, match="overlap"):
+            run_spmd_world(fn, 3, True)
+        results, world = run_spmd_world(fn, 3, False)
+        for got in results:
+            assert np.array_equal(got, value)
+        assert _wire_ok(world, "broadcast", value.nbytes, 3)
+
+    def test_reduce_scatter_out_over_a_peer_slice_falls_back(self):
+        """Rank 0 takes its slice into the part of its input that holds
+        rank 1's operand.  The fallback's copy may land there only after
+        rank 1's slice has been reduced."""
+        n, length = 3, 12
+        contribs = _contribs(n, length, np.float64, seed=17)
+        expect = _reference_reduce(contribs, "sum")
+
+        def fn(comm):
+            mine = contribs[comm.rank].copy()
+            out = mine[4:8] if comm.rank == 0 else None
+            res = comm.reduce_scatter(mine, out=out)
+            if out is not None:
+                assert res is out
+            return res.copy()
+
+        results, _ = run_spmd_world(fn, n)
+        for rank, got in enumerate(results):
+            assert np.array_equal(got, expect[4 * rank : 4 * rank + 4]), f"rank {rank}"
+
 
 class TestArrivalOrder:
     """Group-rank n−1 arrives last with ``out`` aliasing its own input (for
@@ -568,8 +630,8 @@ class TestArrivalOrder:
 
 
 class TestNoTemporary:
-    """Behind ``out=``, a reduction or gather allocates no full-size
-    temporary: the traced peak rises by well under one payload."""
+    """Behind ``out=``, no collective allocates a full-size temporary: the
+    traced peak rises by well under one payload."""
 
     NBYTES = 4 << 20
 
@@ -625,3 +687,36 @@ class TestNoTemporary:
         for c, o in zip(contribs, orig):
             assert np.array_equal(c, o), "the input bytes changed"
         assert _wire_ok(world, "all_gather", orig[0].nbytes, n)
+
+    def test_broadcast_into_out(self):
+        n = 2
+        payload = _contribs(1, self.NBYTES // 8, np.float64, seed=7)[0]
+        outs = [np.empty_like(payload) for _ in range(n)]
+
+        def fn(comm):
+            value = payload if comm.rank == 0 else None
+            return comm.broadcast(value, root=0, out=outs[comm.rank])
+
+        rise, results, world = self._peak_rise(fn, n)
+        assert rise < self.NBYTES // 2, f"broadcast allocated {rise} B"
+        for rank, res in enumerate(results):
+            assert res is outs[rank]
+            assert np.array_equal(res, payload)
+        assert _wire_ok(world, "broadcast", payload.nbytes, n)
+
+    def test_all_to_all_into_out(self):
+        n = 2
+        contribs = _contribs(n, self.NBYTES // 8, np.float64, seed=8)
+        chunk = contribs[0].size // n
+        outs = [[np.empty(chunk) for _ in range(n)] for _ in range(n)]
+
+        def fn(comm):
+            return comm.all_to_all(np.split(contribs[comm.rank], n), out=outs[comm.rank])
+
+        rise, results, world = self._peak_rise(fn, n)
+        assert rise < self.NBYTES // 2, f"all_to_all allocated {rise} B"
+        for rank, parts in enumerate(results):
+            assert all(p is o for p, o in zip(parts, outs[rank]))
+            for i in range(n):
+                assert np.array_equal(parts[i], contribs[i][rank * chunk : (rank + 1) * chunk])
+        assert _wire_ok(world, "all_to_all", contribs[0].nbytes, n)
