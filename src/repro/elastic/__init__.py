@@ -22,19 +22,17 @@ Five pieces:
   return at step s" (:class:`RankArrival` → :class:`RankReturn`), plugging
   into ``run_spmd(..., failure_plan=...)`` via ``Communicator.tick``.
 * :mod:`~repro.elastic.policy` — pluggable :class:`RecoveryPolicy`
-  decisions: :class:`AlwaysShrink` (v1 behavior), :class:`SparePool` (hot
-  spares absorb failures at zero reshard cost), :class:`CostAwareCadence`
-  (Young/Daly checkpoint interval from α–β-priced save cost vs. failure
-  rate).
+  decisions: :class:`AlwaysShrink` (v1 behavior) and :class:`SparePool`
+  (hot spares absorb failures at zero reshard cost).
 * :mod:`~repro.elastic.supervisor` — :class:`ElasticSupervisor` catches the
   world's :class:`~repro.dist.SpmdError`, consults the policy, reshards the
   latest complete checkpoint to the next world size and relaunches; resumed
   runs follow the same loss trajectory as an uninterrupted baseline, and
   exhausted recovery raises a typed :class:`ElasticError` with the full
   event history.
-* :mod:`~repro.elastic.fleet` — the capacity-planning simulator: replays
-  multi-week scripted churn traces against competing policies in seconds,
-  step cost priced by captured-schedule replay.
+* :mod:`~repro.elastic.fleet` — :func:`simulate_fleet` replays a scripted
+  churn trace against one policy as event arithmetic, charging steps,
+  saves, restores and reshards to a goodput ledger.
 """
 
 from .checkpoint import (
@@ -53,15 +51,8 @@ from .checkpoint import (
     writer_for,
 )
 from .failure import FailurePlan, InjectedFailure, RankArrival, RankFailure, RankReturn
-from .policy import (
-    AlwaysShrink,
-    CostAwareCadence,
-    RecoveryPolicy,
-    SparePool,
-    StepEconomics,
-    save_seconds_for,
-    young_daly_interval,
-)
+from .fleet import FleetCosts, FleetEvent, FleetRunResult, FleetTrace, simulate_fleet
+from .policy import AlwaysShrink, RecoveryPolicy, SparePool
 from .supervisor import (
     ElasticError,
     ElasticResult,
@@ -69,29 +60,6 @@ from .supervisor import (
     RecoveryEvent,
     fsdp_training_segment,
 )
-
-# The fleet simulator resolves lazily (PEP 562): it pulls in the perf stack
-# (replay pricing), which the live elastic machinery never needs.
-_FLEET_EXPORTS = (
-    "FleetEvent",
-    "FleetTrace",
-    "FleetCosts",
-    "FleetRunResult",
-    "simulate_fleet",
-    "compare_policies",
-)
-
-
-def __getattr__(name: str):
-    if name in _FLEET_EXPORTS:
-        from importlib import import_module
-
-        return getattr(import_module(".fleet", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
 
 __all__ = [
     "MANIFEST_NAME",
@@ -113,12 +81,8 @@ __all__ = [
     "RankFailure",
     "RankReturn",
     "AlwaysShrink",
-    "CostAwareCadence",
     "RecoveryPolicy",
     "SparePool",
-    "StepEconomics",
-    "save_seconds_for",
-    "young_daly_interval",
     "ElasticError",
     "ElasticResult",
     "ElasticSupervisor",
@@ -129,5 +93,4 @@ __all__ = [
     "FleetCosts",
     "FleetRunResult",
     "simulate_fleet",
-    "compare_policies",
 ]

@@ -1,101 +1,32 @@
 """Pluggable recovery policies: what the fleet does when ranks come and go.
 
 The original supervisor hard-coded one answer — shrink by the dead rank,
-reshard, resume.  At fleet scale the answer is a *policy decision* with real
-cost trade-offs: a hot spare turns a failure into a same-size restart (zero
-reshard traffic, no throughput loss), and the right checkpoint cadence is
-not a constant but a function of how expensive a save is versus how often
-you expect to pay for a lost segment.
+reshard, resume.  A hot spare gives a second answer: a failure becomes a
+same-size restart (zero reshard traffic, no throughput loss), paid for by
+the spare's idle capacity.
 
-:class:`RecoveryPolicy` is the protocol both consumers share:
-
-* the live :class:`~repro.elastic.supervisor.ElasticSupervisor` consults it
-  after every world abort (threaded ranks, real checkpoints);
-* the :mod:`~repro.elastic.fleet` simulator replays *weeks* of scripted
-  churn against several policies in seconds (pure event arithmetic, step
-  cost priced by captured-schedule replay) to pick one before the real run.
+:class:`RecoveryPolicy` is the protocol both consumers share: the live
+:class:`~repro.elastic.supervisor.ElasticSupervisor` consults it after every
+world abort, and :func:`~repro.elastic.fleet.simulate_fleet` consults it at
+every scripted failure and arrival of a churn trace.
 
 Policies are **stateless**: spare-pool occupancy is passed in and returned,
-so one policy instance can be evaluated against many histories concurrently
-(the simulator does exactly that).
-
-Shipped policies:
+so one policy instance can be evaluated against many histories.
 
 * :class:`AlwaysShrink` — the v1 behavior and the default: every failure
   shrinks the world, every arrival grows it back.
 * :class:`SparePool` — hold up to *k* ranks out of the world as hot spares;
   failures consume a spare (same-size restart) before shrinking, arrivals
   refill the pool before growing.
-* :class:`CostAwareCadence` — wraps another policy and chooses the
-  checkpoint interval by the Young/Daly optimum from the α–β-priced save
-  cost and the observed failure rate, instead of a fixed cadence.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
-__all__ = [
-    "StepEconomics",
-    "young_daly_interval",
-    "save_seconds_for",
-    "RecoveryPolicy",
-    "AlwaysShrink",
-    "SparePool",
-    "CostAwareCadence",
-]
+__all__ = ["RecoveryPolicy", "AlwaysShrink", "SparePool"]
 
 
-@dataclass(frozen=True)
-class StepEconomics:
-    """The three numbers a cadence decision needs.
-
-    ``step_seconds`` comes from captured-schedule replay (or measurement),
-    ``save_seconds`` from the α–β cost model via :func:`save_seconds_for`,
-    and ``mtbf_seconds`` from the failure trace (observed or assumed mean
-    time between failures for the whole fleet).
-    """
-
-    step_seconds: float
-    save_seconds: float
-    mtbf_seconds: float
-
-    def __post_init__(self) -> None:
-        for name in ("step_seconds", "save_seconds", "mtbf_seconds"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-
-
-def young_daly_interval(economics: StepEconomics) -> int:
-    """The Young/Daly checkpoint interval, in steps.
-
-    The classic first-order optimum: checkpoint every
-    ``tau = sqrt(2 * C * MTBF)`` seconds of useful work, where *C* is the
-    save cost.  Saving more often wastes cadence overhead; less often wastes
-    recomputation after a failure.  Returned in whole steps (>= 1).
-    """
-    tau = math.sqrt(2.0 * economics.save_seconds * economics.mtbf_seconds)
-    return max(1, round(tau / economics.step_seconds))
-
-
-def save_seconds_for(machine, ckpt_bytes_per_rank: float) -> float:
-    """Price one blocking checkpoint save from the α–β machine description.
-
-    Persistent-store writes stream over a rank's share of the node-egress
-    link (the usual parallel-filesystem picture: every GPU's shard leaves
-    the node), so the cost is one inter-node latency plus bytes over the
-    per-GPU slice of node bandwidth.  *machine* is a
-    :class:`~repro.perf.cost.MachineSpec`.
-    """
-    if ckpt_bytes_per_rank < 0:
-        raise ValueError(f"ckpt_bytes_per_rank must be >= 0, got {ckpt_bytes_per_rank}")
-    bw = machine.inter_node_bw_per_node / machine.gpus_per_node
-    return machine.inter_latency + ckpt_bytes_per_rank / bw
-
-
-@runtime_checkable
 class RecoveryPolicy(Protocol):
     """The decision surface the supervisor and the fleet simulator share.
 
@@ -104,8 +35,7 @@ class RecoveryPolicy(Protocol):
     the same world size after a failure means "swap in a spare, restart at
     full strength"; the caller still restores from the latest checkpoint
     (the dead rank's optimizer shard exists nowhere else) but pays zero
-    reshard traffic.  ``checkpoint_interval`` picks the save cadence given
-    the configured default and, when available, measured step economics.
+    reshard traffic.
     """
 
     name: str
@@ -114,10 +44,6 @@ class RecoveryPolicy(Protocol):
     def on_failure(self, world_size: int, spares: int) -> tuple[int, int]: ...
 
     def on_arrival(self, world_size: int, spares: int, count: int) -> tuple[int, int]: ...
-
-    def checkpoint_interval(
-        self, default: int, economics: StepEconomics | None = None
-    ) -> int: ...
 
 
 class AlwaysShrink:
@@ -131,11 +57,6 @@ class AlwaysShrink:
 
     def on_arrival(self, world_size: int, spares: int, count: int) -> tuple[int, int]:
         return world_size + count, spares
-
-    def checkpoint_interval(
-        self, default: int, economics: StepEconomics | None = None
-    ) -> int:
-        return default
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -167,42 +88,5 @@ class SparePool:
         banked = min(count, self.capacity - spares)
         return world_size + count - banked, spares + banked
 
-    def checkpoint_interval(
-        self, default: int, economics: StepEconomics | None = None
-    ) -> int:
-        return default
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(capacity={self.capacity})"
-
-
-class CostAwareCadence:
-    """Wrap another policy, replacing its cadence with the Young/Daly optimum.
-
-    Membership decisions delegate to *inner* (default :class:`AlwaysShrink`);
-    ``checkpoint_interval`` ignores the configured default whenever step
-    economics are known and returns :func:`young_daly_interval` instead —
-    cheap saves or flaky fleets checkpoint often, expensive saves on stable
-    fleets rarely.
-    """
-
-    def __init__(self, inner: RecoveryPolicy | None = None) -> None:
-        self.inner: RecoveryPolicy = inner if inner is not None else AlwaysShrink()
-        self.name = f"cost-aware[{self.inner.name}]"
-        self.initial_spares = self.inner.initial_spares
-
-    def on_failure(self, world_size: int, spares: int) -> tuple[int, int]:
-        return self.inner.on_failure(world_size, spares)
-
-    def on_arrival(self, world_size: int, spares: int, count: int) -> tuple[int, int]:
-        return self.inner.on_arrival(world_size, spares, count)
-
-    def checkpoint_interval(
-        self, default: int, economics: StepEconomics | None = None
-    ) -> int:
-        if economics is None:
-            return default
-        return young_daly_interval(economics)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(inner={self.inner!r})"

@@ -104,13 +104,14 @@ class ElasticError(SpmdError):
 class RecoveryEvent:
     """One completed resize-reshard-resume cycle.
 
-    ``kind`` distinguishes how the world changed: ``"shrink"`` (a failure
-    evicted a rank), ``"spare"`` (a failure was absorbed by a hot spare —
-    same-size restart, zero reshard bytes), or ``"grow"`` (scripted ranks
-    returned and the world expanded).
+    ``kind`` says how the world size changed: ``"grow"`` (larger),
+    ``"shrink"`` (smaller) or ``"spare"`` (a same-size restart, zero reshard
+    bytes — a failure absorbed by a hot spare, or an arrival that was banked
+    as a spare or capped by ``max_world_size``).  ``failed_rank == -1``
+    marks an arrival, whatever its kind.
     """
 
-    failed_rank: int  # -1 for grow events (nobody failed)
+    failed_rank: int  # -1 for arrivals (nobody failed)
     failed_step: int  # -1 when the failure carried no step information
     resume_step: int  # 0 = cold restart (no checkpoint existed yet)
     steps_lost: int  # failed_step - resume_step, or -1 when unknown
@@ -226,10 +227,10 @@ class ElasticSupervisor:
                     )
                     if self.max_world_size is not None:
                         new_world = min(new_world, self.max_world_size)
-                    kind = "grow"
                 else:
                     new_world, spares = self.policy.on_failure(world_size, spares)
-                    kind = "spare" if new_world == world_size else "shrink"
+                kind = ("spare" if new_world == world_size
+                        else "grow" if new_world > world_size else "shrink")
                 if new_world < self.min_world_size:
                     raise ElasticError(
                         f"cannot shrink below min_world_size={self.min_world_size} "

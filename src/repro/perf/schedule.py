@@ -82,7 +82,6 @@ __all__ = [
     "ReplayVariant",
     "ReplayProgram",
     "ScheduleReplayError",
-    "StepCostTable",
     "replay",
     "replay_many",
 ]
@@ -686,88 +685,6 @@ def replay_many(
     amortizes one lowering over every variant.
     """
     return ReplayProgram(schedule, n_steps, eager_phases).run(variants)
-
-
-class StepCostTable:
-    """World-size-indexed step costs backed by captured-schedule replay.
-
-    The elastic fleet simulator needs "what does one training step cost at
-    world size w?" for every size the fleet passes through.  This table
-    answers from **one captured schedule per world size**: :meth:`add`
-    registers a :class:`CapturedSchedule` (from
-    ``measure_plan(..., capture=True)``), and :meth:`seconds_for` replays
-    it — memoized — to a per-step virtual cost.  No threaded world ever
-    spins up at query time, so pricing a multi-week trace is pure event
-    arithmetic.
-
-    World sizes without a capture are estimated from the nearest captured
-    size ``w`` as ``seconds(w) * w / world`` (fixed total work, ideal
-    scaling anchored at the closest real capture).  Fleets sweep many
-    sizes; capturing two or three anchors is usually enough for ranking
-    policies, and :meth:`is_exact` tells callers which answers are
-    replay-priced versus extrapolated.
-    """
-
-    def __init__(
-        self,
-        machine: MachineSpec | None = None,
-        n_steps: int = 4,
-        compute_scale: float = 1.0,
-    ) -> None:
-        if n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-        self.machine = machine
-        self.n_steps = int(n_steps)
-        self.compute_scale = float(compute_scale)
-        self._schedules: dict[int, CapturedSchedule] = {}
-        self._cache: dict[int, float] = {}
-
-    def add(self, schedule: CapturedSchedule, world_size: int | None = None) -> None:
-        """Register *schedule* as the anchor for its world size."""
-        world = int(world_size) if world_size is not None else schedule.world_size
-        if world < 1:
-            raise ValueError(f"world size must be >= 1, got {world}")
-        self._schedules[world] = schedule
-        self._cache.pop(world, None)
-
-    @property
-    def worlds(self) -> list[int]:
-        """Captured (exactly priced) world sizes, ascending."""
-        return sorted(self._schedules)
-
-    def is_exact(self, world_size: int) -> bool:
-        return int(world_size) in self._schedules
-
-    def seconds_for(self, world_size: int) -> float:
-        """Per-step seconds at *world_size* (replayed once, then cached)."""
-        world = int(world_size)
-        if world < 1:
-            raise ValueError(f"world size must be >= 1, got {world}")
-        hit = self._cache.get(world)
-        if hit is not None:
-            return hit
-        if not self._schedules:
-            raise ValueError("StepCostTable has no captured schedules")
-        if world in self._schedules:
-            result = replay(
-                self._schedules[world],
-                self.machine,
-                n_steps=self.n_steps,
-                compute_scale=self.compute_scale,
-            )
-            seconds = result.step_seconds
-        else:
-            anchor = min(
-                self._schedules, key=lambda w: (abs(w - world), w)
-            )
-            seconds = self.seconds_for(anchor) * anchor / world
-        self._cache[world] = seconds
-        return seconds
-
-    __call__ = seconds_for
-
-    def __len__(self) -> int:
-        return len(self._schedules)
 
 
 # -- CLI parity check (wired into the cost-engine-calibration CI job) ------

@@ -1,32 +1,31 @@
 """Fleet simulator: scripted churn traces priced as pure event arithmetic.
 
 Locks the simulator's ledger against hand-computed scenarios (constant
-costs, one event at a time), its fidelity rules (torn in-flight async
-saves, spare swaps at zero reshard, banked arrivals are free), the
-replay-backed :class:`~repro.perf.schedule.StepCostTable` anchor logic,
-and the deterministic ranking of a policy comparison.
+costs, one event at a time), its fidelity rules (rollback to the last
+checkpoint, spare swaps at zero reshard, banked arrivals are free), and the
+benchmark probe's exact ledger and machine prices, bitwise.
 """
 
-import numpy as np
+import dataclasses
+
 import pytest
 
 from repro.elastic import (
     AlwaysShrink,
-    CostAwareCadence,
     FleetCosts,
     FleetEvent,
     FleetTrace,
     SparePool,
-    compare_policies,
     simulate_fleet,
 )
+from repro.perf.machine import frontier
 
 STEP = 1.0  # constant per-step seconds for the hand-computed scenarios
 
 
 def flat_costs(save_io=0.0, snapshot=0.0, restore=None, reshard=0.0):
     return FleetCosts(
-        lambda world: STEP,
+        {w: STEP for w in range(1, 9)},
         save_io_seconds=save_io,
         snapshot_seconds=snapshot,
         restore_seconds=restore,
@@ -123,62 +122,6 @@ class TestSimulateFleetLedger:
         assert grown.recompute_seconds == pytest.approx(1.0)  # step 3 re-run
         assert grown.reshard_seconds == pytest.approx(2.0)
 
-    def test_max_world_size_caps_growth(self):
-        tr = FleetTrace(10, (FleetEvent(4, "arrival", count=3),))
-        r = simulate_fleet(
-            tr, AlwaysShrink(), flat_costs(), 4, cadence=3, max_world_size=5
-        )
-        assert r.final_world == 5
-
-    def test_async_save_overlaps_io(self):
-        costs = flat_costs(save_io=0.5, snapshot=0.1)
-        blocking = simulate_fleet(FleetTrace(10), AlwaysShrink(), costs, 4, cadence=3)
-        overlapped = simulate_fleet(
-            FleetTrace(10), AlwaysShrink(), costs, 4, cadence=3, async_save=True
-        )
-        # Async pays only the snapshot up front; the io happens off-path
-        # (cadence 3 > 0.5 s, so back-pressure never binds).
-        assert overlapped.save_seconds == pytest.approx(3 * 0.1)
-        assert overlapped.wall_seconds == pytest.approx(10 + 3 * 0.1)
-        assert overlapped.wall_seconds < blocking.wall_seconds
-        assert overlapped.goodput > blocking.goodput
-
-    def test_async_backpressure_stalls_when_io_exceeds_cadence(self):
-        # io = 5 s per save, one save per 2 one-second steps: the double
-        # buffer fills and later commits wait for the previous write.
-        costs = flat_costs(save_io=5.0, snapshot=0.0)
-        r = simulate_fleet(FleetTrace(9), AlwaysShrink(), costs, 4, cadence=2, async_save=True)
-        assert r.save_seconds > 0.0  # stalls were charged
-        # Still never slower than fully blocking.
-        b = simulate_fleet(FleetTrace(9), AlwaysShrink(), costs, 4, cadence=2)
-        assert r.wall_seconds <= b.wall_seconds
-
-    def test_failure_discards_in_flight_async_save(self):
-        # Save at step 3 needs 5 s of io; the failure at step 4 beats it:
-        # the write is torn, so the rollback target is step 0, not 3.
-        costs = flat_costs(save_io=5.0, snapshot=0.0)
-        tr = FleetTrace(10, (FleetEvent(4, "failure"),))
-        r = simulate_fleet(tr, AlwaysShrink(), costs, 2, cadence=3, async_save=True)
-        assert r.recompute_seconds == pytest.approx(4.0)  # steps 0-3 re-run
-
-    def test_planned_grow_drains_in_flight_async_save(self):
-        # Same in-flight save, but the interruption is a *planned* grow:
-        # the supervisor drains the writer first, so step 3 is durable and
-        # only step 3 itself is recomputed.
-        costs = flat_costs(save_io=5.0, snapshot=0.0)
-        tr = FleetTrace(10, (FleetEvent(4, "arrival"),))
-        r = simulate_fleet(tr, AlwaysShrink(), costs, 2, cadence=3, async_save=True)
-        assert r.recompute_seconds == pytest.approx(1.0)
-
-    def test_cost_aware_cadence_uses_trace_mtbf(self):
-        # step 1 s, save C = 2 s, MTBF = horizon/1 failure = 10_000 steps
-        # -> tau = sqrt(2*2*10_000) = 200 steps.
-        costs = flat_costs(save_io=2.0)
-        tr = FleetTrace(10_000, (FleetEvent(9_999, "failure"),))
-        r = simulate_fleet(tr, CostAwareCadence(), costs, 4, cadence=25)
-        assert r.cadence_steps == 200
-        assert r.saves == 10_000 // 200 - 1  # never saves at the horizon
-
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="world_size"):
             simulate_fleet(FleetTrace(5), AlwaysShrink(), flat_costs(), 0)
@@ -186,69 +129,125 @@ class TestSimulateFleetLedger:
             simulate_fleet(FleetTrace(5), AlwaysShrink(), flat_costs(), 2, cadence=0)
         with pytest.raises(ValueError, match="no step cost"):
             FleetCosts({4: 1.0}, save_io_seconds=0.0).step_seconds(3)
+        with pytest.raises(ValueError, match="model_bytes"):
+            FleetCosts.from_machine(frontier(), model_bytes=-1.0, step_cost={1: 1.0})
 
 
-class TestComparePolicies:
-    def _setup(self):
-        costs = flat_costs(save_io=0.4, snapshot=0.1, restore=0.5, reshard=3.0)
-        trace = FleetTrace.poisson(
-            20_000, mtbf_steps=1_500, return_after_steps=600, seed=11
+class TestBenchmarkProbe:
+    """Bitwise pin of the one call ``benchmarks/e2e/layers.py::fleet_probe``
+    makes (plus the same trace under ``SparePool(2)``), and of the
+    ``FleetCosts.from_machine`` prices it charges.  Floats are compared as
+    ``float.hex`` so any change to the ledger's arithmetic or its order
+    shows here before it shows as a moved benchmark metric.
+    """
+
+    PINNED = {
+        (0, "always-shrink"): {
+            "policy": "always-shrink",
+            "horizon_steps": 100000,
+            "wall_seconds": "0x1.7d25443597a75p+10",
+            "productive_seconds": "0x1.7651dddddf3b2p+10",
+            "recompute_seconds": "0x1.ab333333332adp+4",
+            "save_seconds": "0x1.2865e89225435p-1",
+            "restore_seconds": "0x1.1cc9646280281p-6",
+            "reshard_seconds": "0x1.c011d3671ac20p-8",
+            "restores": 129,
+            "saves": 3999,
+            "final_world": 3,
+            "spares_left": 0,
+            "steps_completed": 100000,
+            "status": "completed",
+        },
+        (0, "spare-pool-2"): {
+            "policy": "spare-pool-2",
+            "horizon_steps": 100000,
+            "wall_seconds": "0x1.3dd095b6dc4b9p+10",
+            "productive_seconds": "0x1.3b26eeeef159dp+10",
+            "recompute_seconds": "0x1.44cccccccccc4p+3",
+            "save_seconds": "0x1.f98d25edd0849p-2",
+            "restore_seconds": "0x1.bc98a222d5171p-8",
+            "reshard_seconds": "0x1.4d72799a1fd15p-12",
+            "restores": 68,
+            "saves": 3999,
+            "final_world": 4,
+            "spares_left": 1,
+            "steps_completed": 100000,
+            "status": "completed",
+        },
+        (1, "always-shrink"): {
+            "policy": "always-shrink",
+            "horizon_steps": 100000,
+            "wall_seconds": "0x1.71de36b4c9e32p+10",
+            "productive_seconds": "0x1.6bc6222223ec0p+10",
+            "recompute_seconds": "0x1.7caaaaaaaaa65p+4",
+            "save_seconds": "0x1.209f40a287928p-1",
+            "restore_seconds": "0x1.e603d5779639dp-7",
+            "reshard_seconds": "0x1.8bf7f06705c93p-8",
+            "restores": 114,
+            "saves": 3999,
+            "final_world": 4,
+            "spares_left": 0,
+            "steps_completed": 100000,
+            "status": "completed",
+        },
+        (1, "spare-pool-2"): {
+            "policy": "spare-pool-2",
+            "horizon_steps": 100000,
+            "wall_seconds": "0x1.3b9f422d80b58p+10",
+            "productive_seconds": "0x1.393aaaaaad26ap+10",
+            "recompute_seconds": "0x1.2266666666686p+3",
+            "save_seconds": "0x1.f6b5b2d4d4349p-2",
+            "restore_seconds": "0x1.767903211cb04p-8",
+            "reshard_seconds": "0x1.bc98a222d5172p-14",
+            "restores": 58,
+            "saves": 3999,
+            "final_world": 4,
+            "spares_left": 2,
+            "steps_completed": 100000,
+            "status": "completed",
+        },
+    }
+    COSTS = {  # world: (save_io, snapshot, restore, reshard to world + 1)
+        1: ("0x1.81e03f705857bp-12", "0x1.81e03f705857bp-14", "0x1.81e03f705857bp-12", "0x1.bc98a222d5172p-15"),
+        2: ("0x1.8a43bb40b34e8p-13", "0x1.8a43bb40b34e8p-15", "0x1.8a43bb40b34e8p-13", "0x1.bc98a222d5172p-15"),
+        3: ("0x1.0c6f7a0b5ed8dp-13", "0x1.0c6f7a0b5ed8dp-15", "0x1.0c6f7a0b5ed8dp-13", "0x1.bc98a222d5172p-15"),
+        4: ("0x1.9b0ab2e1693c1p-14", "0x1.9b0ab2e1693c1p-16", "0x1.9b0ab2e1693c1p-14", "0x1.bc98a222d5172p-15"),
+        5: ("0x1.4f8b588e368f1p-14", "0x1.4f8b588e368f1p-16", "0x1.4f8b588e368f1p-14", "0x1.bc98a222d5172p-15"),
+        6: ("0x1.1d3671ac14c66p-14", "0x1.1d3671ac14c66p-16", "0x1.1d3671ac14c66p-14", "0x1.bc98a222d5172p-15"),
+        7: ("0x1.f285e2a767006p-15", "0x1.f285e2a767006p-17", "0x1.f285e2a767006p-15", "0x1.bc98a222d5172p-15"),
+        8: ("0x1.bc98a222d5172p-15", "0x1.bc98a222d5172p-17", "0x1.bc98a222d5172p-15", "0x1.bc98a222d5172p-15"),
+    }
+
+    @staticmethod
+    def _costs():
+        return FleetCosts.from_machine(
+            frontier(), model_bytes=1.5e6, step_cost={w: 0.05 / w for w in range(1, 9)}
         )
-        policies = [AlwaysShrink(), SparePool(2), CostAwareCadence(AlwaysShrink())]
-        return trace, policies, costs
 
-    def test_ranking_is_deterministic_and_sorted(self):
-        trace, policies, costs = self._setup()
-        a = compare_policies(trace, policies, costs, 4, cadence=25)
-        b = compare_policies(trace, policies, costs, 4, cadence=25)
-        assert [(r.policy, r.goodput) for r in a] == [(r.policy, r.goodput) for r in b]
-        goodputs = [r.goodput for r in a]
-        assert goodputs == sorted(goodputs, reverse=True)
-        assert {r.policy for r in a} == {p.name for p in policies}
+    @pytest.mark.parametrize("seed,policy", [
+        (0, AlwaysShrink()), (0, SparePool(2)), (1, AlwaysShrink()), (1, SparePool(2)),
+    ])
+    def test_probe_ledger_is_pinned(self, seed, policy):
+        trace = FleetTrace.poisson(
+            100_000, mtbf_steps=1_500, return_after_steps=700, seed=seed
+        )
+        r = simulate_fleet(trace, policy, self._costs(), 4, cadence=25)
+        got = {
+            k: v.hex() if isinstance(v, float) else v
+            for k, v in dataclasses.asdict(r).items()
+            if k in self.PINNED[seed, policy.name]
+        }
+        assert got == self.PINNED[seed, policy.name]
 
-    def test_empty_policy_list_rejected(self):
-        trace, _, costs = self._setup()
-        with pytest.raises(ValueError, match="at least one policy"):
-            compare_policies(trace, [], costs, 4)
-
-
-class TestStepCostTable:
-    class _FakeSchedule:
-        def __init__(self, world_size):
-            self.world_size = world_size
-
-    def test_anchor_replay_and_nearest_scaling(self, monkeypatch):
-        import repro.perf.schedule as sched
-
-        replayed = []
-
-        def fake_replay(schedule, machine, n_steps=1, compute_scale=1.0, **kw):
-            replayed.append(schedule.world_size)
-
-            class R:
-                step_seconds = 1.0 / schedule.world_size
-
-            return R()
-
-        monkeypatch.setattr(sched, "replay", fake_replay)
-        table = sched.StepCostTable()
-        table.add(self._FakeSchedule(2))
-        table.add(self._FakeSchedule(4))
-        assert table.worlds == [2, 4]
-        assert len(table) == 2
-        assert table.is_exact(4) and not table.is_exact(3)
-        # Exact worlds replay (memoized: one replay per anchor).
-        assert table.seconds_for(4) == pytest.approx(0.25)
-        assert table(4) == pytest.approx(0.25)
-        assert replayed.count(4) == 1
-        # World 3 ties between anchors 2 and 4; the smaller anchor wins and
-        # scales by anchor/world (perfect-scaling estimate).
-        assert table.seconds_for(3) == pytest.approx(0.5 * 2 / 3)
-        # World 6 estimates from the nearest anchor 4.
-        assert table.seconds_for(6) == pytest.approx(0.25 * 4 / 6)
-
-    def test_empty_table_raises(self):
-        from repro.perf.schedule import StepCostTable
-
-        with pytest.raises(ValueError):
-            StepCostTable().seconds_for(4)
+    def test_machine_prices_are_pinned(self):
+        costs = self._costs()
+        got = {
+            w: tuple(v.hex() for v in (
+                costs.save_io_seconds(w),
+                costs.snapshot_seconds(w),
+                costs.restore_seconds(w),
+                costs.reshard_seconds(w, w + 1),
+            ))
+            for w in range(1, 9)
+        }
+        assert got == self.COSTS

@@ -12,7 +12,6 @@ import pytest
 from repro.dist import SpmdError, run_spmd, run_spmd_world
 from repro.elastic import (
     AlwaysShrink,
-    CostAwareCadence,
     ElasticError,
     ElasticSupervisor,
     FailurePlan,
@@ -20,9 +19,7 @@ from repro.elastic import (
     RankArrival,
     RankReturn,
     SparePool,
-    StepEconomics,
     fsdp_training_segment,
-    young_daly_interval,
 )
 from repro.nn import MLP, Module
 from repro.tensor import Tensor
@@ -201,7 +198,6 @@ class TestRecoveryPolicies:
         assert p.initial_spares == 0
         assert p.on_failure(4, 0) == (3, 0)
         assert p.on_arrival(3, 0, 2) == (5, 0)
-        assert p.checkpoint_interval(7) == 7
 
     def test_spare_pool_consumes_then_shrinks(self):
         p = SparePool(2)
@@ -220,22 +216,6 @@ class TestRecoveryPolicies:
     def test_spare_pool_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError, match="capacity"):
             SparePool(0)
-
-    def test_young_daly_interval(self):
-        # tau = sqrt(2 * 2 * 10000) = 200 s -> 200 one-second steps.
-        econ = StepEconomics(step_seconds=1.0, save_seconds=2.0, mtbf_seconds=1e4)
-        assert young_daly_interval(econ) == 200
-        # Expensive saves or a stabler fleet stretch the interval.
-        worse = StepEconomics(step_seconds=1.0, save_seconds=8.0, mtbf_seconds=1e4)
-        assert young_daly_interval(worse) == 400
-
-    def test_cost_aware_cadence_delegates_and_overrides(self):
-        p = CostAwareCadence(SparePool(1))
-        assert p.name == "cost-aware[spare-pool-1]"
-        assert p.on_failure(4, 1) == (4, 0)
-        assert p.checkpoint_interval(5) == 5  # no economics: keep the default
-        econ = StepEconomics(step_seconds=1.0, save_seconds=2.0, mtbf_seconds=1e4)
-        assert p.checkpoint_interval(5, econ) == 200
 
 
 class TestElasticGrow:
@@ -267,6 +247,25 @@ class TestElasticGrow:
         assert grow.kind == "grow"
         assert grow.new_world_size == 4  # 3 + 3 arrivals, capped at 4
         np.testing.assert_allclose(res.losses, base.losses, rtol=1e-4, atol=1e-6)
+
+    def test_banked_arrival_is_labelled_spare(self, tmp_path):
+        """A returning rank the pool banks restarts the world at the same
+        size: an arrival (``failed_rank == -1``) of kind ``"spare"``."""
+        plan = FailurePlan.kill(1, 4).rejoin(7)
+        res = run_elastic(tmp_path, 4, plan, sub="elastic", policy=SparePool(1))
+        assert [ev.kind for ev in res.recoveries] == ["spare", "spare"]
+        arrival = res.recoveries[1]
+        assert arrival.failed_rank == -1
+        assert (arrival.old_world_size, arrival.new_world_size) == (4, 4)
+        assert arrival.reshard_bytes == 0
+        assert res.world_sizes == [4] * TOTAL
+
+    def test_capped_arrival_is_labelled_spare(self, tmp_path):
+        plan = FailurePlan().rejoin(7)
+        res = run_elastic(tmp_path, 4, plan, sub="elastic", max_world_size=4)
+        (ev,) = res.recoveries
+        assert ev.kind == "spare" and ev.failed_rank == -1
+        assert (ev.old_world_size, ev.new_world_size) == (4, 4)
 
     def test_rank_arrival_plan_algebra(self):
         plan = FailurePlan.kill(1, 3).rejoin(6, count=2)

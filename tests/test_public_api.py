@@ -1,8 +1,8 @@
 """Every name a ``repro`` subpackage lists in ``__all__`` resolves.
 
-``repro.obs`` and ``repro.elastic`` resolve some exports lazily (PEP 562),
-so an ``__all__`` entry whose module was deleted fails only when something
-accesses it; this walks every export so such a stale entry fails here.
+``repro.obs`` resolves some exports lazily (PEP 562), so an ``__all__``
+entry whose module was deleted fails only when something accesses it; this
+walks every export so such a stale entry fails here.
 """
 
 import pkgutil
