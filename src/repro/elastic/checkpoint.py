@@ -39,17 +39,12 @@ Two durability/throughput layers on top of the base format:
 * **Async (double-buffered) saves.**  :class:`AsyncCheckpointWriter` lets
   :func:`save_sharded` return after an in-memory shard snapshot taken at
   the group barrier; a background thread writes the files (manifest still
-  last) overlapped with subsequent training steps.  ``max_pending`` bounds
-  the snapshots in flight — the classic double buffer at the default of 1.
+  last) overlapped with subsequent training steps.  One snapshot is in
+  flight at a time — the classic double buffer.
 
 DP replicas hold identical shards by construction, so only one replica
 (``write=True``, conventionally ``mesh.coords.dp == 0``) writes files; the
 other replicas still join the group barrier so the save is collective.
-
-``python -m repro.elastic.checkpoint --smoke`` runs the async parity gate
-the ``elastic-smoke`` CI job enforces: async saves bitwise-equal to
-blocking saves, torn saves invisible to :func:`latest_checkpoint`, and
-retention pruning keeping the newest complete saves.
 """
 
 from __future__ import annotations
@@ -60,7 +55,7 @@ import queue
 import shutil
 import threading
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -148,9 +143,9 @@ class AsyncCheckpointWriter:
     strictly last, then fsyncs the directory — so the manifest-last torn-
     save invariant holds for async saves exactly as for blocking ones.
 
-    ``max_pending`` bounds the jobs in flight (default 1: one snapshot
-    being written while the next is being staged — double buffering).  A
-    :meth:`commit` beyond the bound blocks, which is the natural back-
+    One job is in flight at a time: one snapshot being written while the
+    next is being staged (double buffering).  A second :meth:`commit`
+    blocks until the first write finishes, which is the natural back-
     pressure when the write takes longer than a checkpoint interval.
 
     Background write errors surface on the next :meth:`commit`,
@@ -159,11 +154,8 @@ class AsyncCheckpointWriter:
     simulates a crash mid-save, leaving a torn checkpoint.
     """
 
-    def __init__(self, max_pending: int = 1) -> None:
-        if max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        self.max_pending = int(max_pending)
-        self._slots = threading.Semaphore(max_pending)
+    def __init__(self) -> None:
+        self._slots = threading.Semaphore(1)
         self._lock = threading.Lock()
         self._staged: dict[Path, dict[str, dict[str, np.ndarray]]] = {}
         self._queue: queue.Queue = queue.Queue()
@@ -183,8 +175,8 @@ class AsyncCheckpointWriter:
     def commit(self, step_dir: Path, manifest: dict, keep_last: int | None = None) -> None:
         """Enqueue the write of *step_dir*: staged shards, manifest last.
 
-        Blocks while ``max_pending`` earlier jobs are still writing (back-
-        pressure).  Re-raises any background error from earlier jobs.
+        Blocks while the previous job is still writing (back-pressure).
+        Re-raises any background error from earlier jobs.
         """
         self._raise_pending()
         step_dir = Path(step_dir)
@@ -258,13 +250,13 @@ _WRITER_REGISTRY: dict[Path, AsyncCheckpointWriter] = {}
 _WRITER_REGISTRY_LOCK = threading.Lock()
 
 
-def writer_for(root: str | Path, max_pending: int = 1) -> AsyncCheckpointWriter:
+def writer_for(root: str | Path) -> AsyncCheckpointWriter:
     """The shared :class:`AsyncCheckpointWriter` for checkpoint root *root*."""
     key = Path(root).resolve()
     with _WRITER_REGISTRY_LOCK:
         writer = _WRITER_REGISTRY.get(key)
         if writer is None or writer._closed:
-            writer = AsyncCheckpointWriter(max_pending=max_pending)
+            writer = AsyncCheckpointWriter()
             _WRITER_REGISTRY[key] = writer
         return writer
 
@@ -280,6 +272,16 @@ def drain_writers(root: str | Path) -> None:
         writer = _WRITER_REGISTRY.get(key)
     if writer is not None:
         writer.wait()
+
+
+def _close_writer(root: str | Path) -> None:
+    """Drop *root*'s writer from the registry and stop its thread, draining
+    first.  A no-op when no writer was ever created for *root*."""
+    key = Path(root).resolve()
+    with _WRITER_REGISTRY_LOCK:
+        writer = _WRITER_REGISTRY.pop(key, None)
+    if writer is not None:
+        writer.close()
 
 
 def save_sharded(
@@ -601,103 +603,3 @@ def checkpoint_nbytes(step_dir: str | Path) -> int:
         with np.load(step_dir / name) as data:
             total += sum(int(data[k].nbytes) for k in data.files)
     return total
-
-
-# -- CLI parity gate (wired into the elastic-smoke CI job) ------------------
-def main(argv: Sequence[str] | None = None) -> int:  # pragma: no cover
-    """Async checkpoint parity gate: async saves bitwise-equal to blocking
-    ones, torn saves invisible, retention keeping the newest saves."""
-    import argparse
-    import tempfile
-
-    from ..dist import run_spmd
-    from ..nn import MLP
-    from ..tensor import Tensor
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true", help="small fast subset")
-    parser.add_argument("--world", type=int, default=None)
-    opts = parser.parse_args(argv)
-    world = opts.world if opts.world else (2 if opts.smoke else 4)
-    root = Path(tempfile.mkdtemp(prefix="ckpt_gate_"))
-    failures = 0
-
-    def gate(name: str, ok: bool) -> None:
-        nonlocal failures
-        failures += 0 if ok else 1
-        print(f"[{'OK ' if ok else 'FAIL'}] {name}")
-
-    writer = AsyncCheckpointWriter()
-
-    def fn(comm):
-        module = MLP(6, 10, np.random.default_rng(7))
-        model = FSDPModel(comm, None, module, units=[module.fc1, module.fc2])
-        opt = AdamW(model.shard_parameters(), lr=1e-2)
-        x = np.random.default_rng(3).standard_normal((4, 6)).astype(np.float32)
-
-        def train(steps):
-            for _ in range(steps):
-                model.zero_grad()
-                (model(Tensor(x)) ** 2).mean().backward()
-                opt.step()
-
-        train(2)
-        save_sharded(root / "sync", model, opt, step=2)
-        save_sharded(root / "async", model, opt, step=2, writer=writer)
-        for step in (2, 4, 6):
-            save_sharded(root / "prune", model, opt, step=step)
-            train(2)
-
-    run_spmd(fn, world)
-    writer.wait()
-    writer.close()
-
-    sync_c = consolidate(checkpoint_dir(root / "sync", 2))
-    async_c = consolidate(checkpoint_dir(root / "async", 2))
-    gate(
-        "async save bitwise == blocking save",
-        all(np.array_equal(sync_c[k], async_c[k]) for k in sync_c),
-    )
-    gate(
-        "latest_checkpoint sees the async save",
-        latest_checkpoint(root / "async") == checkpoint_dir(root / "async", 2),
-    )
-
-    # Torn full save: shards landed, manifest didn't.
-    torn = AsyncCheckpointWriter()
-    torn.pre_manifest_hook = lambda d: (_ for _ in ()).throw(OSError("killed"))
-
-    def torn_fn(comm):
-        module = MLP(6, 10, np.random.default_rng(7))
-        model = FSDPModel(comm, None, module)
-        save_sharded(root / "torn", model, step=1)
-        save_sharded(root / "torn", model, step=3, writer=torn)
-
-    run_spmd(torn_fn, world)
-    try:
-        torn.wait()
-        gate("kill-during-save surfaces the write error", False)
-    except RuntimeError:
-        gate("kill-during-save surfaces the write error", True)
-    gate(
-        "torn async save skipped by latest_checkpoint",
-        latest_checkpoint(root / "torn") == checkpoint_dir(root / "torn", 1),
-    )
-
-    removed = prune_checkpoints(root / "prune", keep_last=2)
-    gate(
-        "prune keeps the two newest complete saves and removes the oldest",
-        removed == [checkpoint_dir(root / "prune", 2)]
-        and checkpoint_dir(root / "prune", 4).is_dir()
-        and checkpoint_dir(root / "prune", 6).is_dir(),
-    )
-
-    if failures:
-        print(f"{failures} checkpoint gate(s) FAILED")
-        return 1
-    print("all async checkpoint gates passed")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -59,6 +59,7 @@ from ..nn import Module
 from ..parallel.fsdp import FSDPModel
 from ..train.trainer import TrainConfig, Trainer
 from .checkpoint import (
+    _close_writer,
     drain_writers,
     latest_checkpoint,
     load_manifest,
@@ -192,6 +193,14 @@ class ElasticSupervisor:
         self.max_world_size = max_world_size
 
     def run(self, total_steps: int, failure_plan=None) -> ElasticResult:
+        try:
+            return self._run(total_steps, failure_plan)
+        finally:
+            # Final async saves become durable, and the root's writer thread
+            # (if the segment started one) does not outlive the run.
+            _close_writer(self.ckpt_root)
+
+    def _run(self, total_steps: int, failure_plan) -> ElasticResult:
         plan = failure_plan
         world_size = self.world_size
         spares = self.policy.initial_spares
@@ -275,7 +284,6 @@ class ElasticSupervisor:
                 segments.append((resume_step, new_world))
                 world_size, start_step, resume_dir = new_world, resume_step, new_resume_dir
                 continue
-            drain_writers(self.ckpt_root)  # final async saves become durable
             losses = list(results[0])
             world_sizes = [segments[0][1]] * len(losses)
             for seg_start, seg_world in segments[1:]:

@@ -27,9 +27,9 @@ fractions instead:
   replays it under each candidate's placement and compute balance, so every
   plan is ranked with fractions derived from *its own* simulated timeline.
 
-Combined with a host-calibrated machine (``python -m
-repro.perf.calibrate --fit-host PATH``, then :meth:`MachineSpec.load`), the
-search ranks on measured inputs end to end instead of paper constants.
+Link and compute constants come from the :class:`MachineSpec` the caller
+passes, in practice the paper's Frontier numbers
+(:func:`~repro.perf.machine.frontier`).
 """
 
 from __future__ import annotations

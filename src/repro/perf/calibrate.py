@@ -1,6 +1,6 @@
 """Calibration harness: the analytic/measured contract, enforced.
 
-Three layers of cross-checking between the α–β :class:`CostModel` and the
+Two layers of cross-checking between the α–β :class:`CostModel` and the
 SPMD runtime driven with a :class:`VirtualClock`:
 
 1. :func:`calibrate` — runs every ring collective through real
@@ -8,19 +8,7 @@ SPMD runtime driven with a :class:`VirtualClock`:
    placements) and checks the traffic log's **measured wire bytes equal the
    CostModel prediction exactly**, and the virtual step time equals
    :func:`~repro.perf.comm_model.collective_time`.
-2. :func:`fit_machine` — least-squares-fits α (latency/step) and β (1/bw)
-   from (steps, wire, seconds) samples over a payload sweep and reports the
-   residuals against the :class:`MachineSpec` constants.  The samples can
-   come from two sources: **virtual** (the clock re-prices its own
-   CostModel, so the fit recovers the spec to float precision — the
-   two-layers-share-one-core proof) or **wall-clock**
-   (:func:`wallclock_fit_samples`, ``time.perf_counter()`` stamps each rank
-   takes as its collectives return, on warm buffers, on *this host*).
-   :func:`fit_machine_wallclock` turns a wall-clock fit into a
-   host-calibrated :class:`MachineSpec`; ``--fit-host PATH`` saves it with
-   :meth:`MachineSpec.save`, and :meth:`MachineSpec.load` hands it back to
-   the autotuner in place of the paper constants.
-3. :func:`measure_plan` — replays the exact
+2. :func:`measure_plan` — replays the exact
    :func:`~repro.perf.comm_model.step_comm_schedule` of a hybrid
    (tp × sp × fsdp × dp) plan through a real :class:`~repro.parallel.DeviceMesh`
    world, returning per-axis measured wire/seconds plus derived overlap
@@ -31,21 +19,17 @@ SPMD runtime driven with a :class:`VirtualClock`:
    overlaps then come from per-bucket measured exposure instead of the
    ``min(comm, compute)`` bound.
 
-Run the smoke check from a shell (the CI job does; nonzero exit on any
-wire-parity or fit-residual violation)::
-
-    python -m repro.perf.calibrate --ranks 4 --smoke
+``tests/test_virtual_clock.py`` gates both layers (``TestWireParity``,
+``TestMeasuredPlans``, ``TestEagerMeasuredPlans``).
 """
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..dist import run_spmd, run_spmd_world
+from ..dist import run_spmd_world
 from .clock import VirtualClock
 from .comm_model import (
     CommBreakdown,
@@ -66,15 +50,8 @@ __all__ = [
     "CalibrationRow",
     "CalibrationReport",
     "calibrate",
-    "FitSample",
-    "fit_link",
-    "FittedLink",
-    "fit_machine",
-    "wallclock_fit_samples",
-    "fit_machine_wallclock",
     "MeasuredComm",
     "measure_plan",
-    "main",
 ]
 
 #: The collectives whose wire accounting the analytic model prices.
@@ -237,213 +214,6 @@ def calibrate(
                 rows.append(_run_one(op, n, payload, spec))
     report = CalibrationReport(machine=machine, rows=rows)
     return report
-
-
-@dataclass(frozen=True)
-class FitSample:
-    """One (collective, payload) timing sample the α–β fit consumes.
-
-    ``steps`` and ``wire_bytes`` are the CostModel features; ``seconds``
-    the measured duration — virtual (clock-priced) or wall-clock
-    (:func:`wallclock_fit_samples`' rank-side completion stamps).
-    """
-
-    op: str
-    steps: int
-    wire_bytes: int
-    seconds: float
-
-
-@dataclass(frozen=True)
-class FittedLink:
-    """α–β constants recovered from measured samples of one link."""
-
-    intra_node: bool
-    alpha: float            # fitted seconds per latency step
-    beta: float             # fitted seconds per wire byte
-    spec_alpha: float       # MachineSpec latency
-    spec_beta: float        # 1 / MachineSpec bandwidth
-    rms_residual: float     # RMS of (measured − fitted) seconds
-    mean_seconds: float = 0.0  # mean |sample| — the residual's scale
-
-    @property
-    def alpha_error(self) -> float:
-        return abs(self.alpha - self.spec_alpha) / self.spec_alpha
-
-    @property
-    def beta_error(self) -> float:
-        return abs(self.beta - self.spec_beta) / self.spec_beta
-
-    @property
-    def relative_residual(self) -> float:
-        """RMS residual relative to the mean sample — the noise gate."""
-        if not math.isfinite(self.rms_residual):
-            return float("inf")
-        if self.mean_seconds <= 0.0:
-            return 0.0 if self.rms_residual == 0.0 else float("inf")
-        return self.rms_residual / self.mean_seconds
-
-    def within(self, tol: float) -> bool:
-        """Whether the fit explains the samples to within *tol* (relative)."""
-        return self.relative_residual <= tol
-
-    def to_machine(self, base: MachineSpec | None = None, name: str | None = None) -> MachineSpec:
-        """Bake the fitted constants into a :class:`MachineSpec`.
-
-        The host a wall-clock fit measures has one fabric (Python threads),
-        so both links get the fitted α and 1/β; non-positive fits (possible
-        on tiny noisy sweeps) fall back to the spec constants rather than
-        producing a spec that prices collectives backwards.
-        """
-        base = base if base is not None else frontier()
-        alpha = self.alpha if self.alpha > 0.0 else self.spec_alpha
-        beta = self.beta if self.beta > 0.0 else self.spec_beta
-        bw = 1.0 / beta
-        return replace(
-            base,
-            name=name if name is not None else f"{base.name}-fitted",
-            intra_node_bw=bw,
-            inter_node_bw_per_node=bw * base.gpus_per_node,
-            intra_latency=alpha,
-            inter_latency=alpha,
-        )
-
-
-def fit_link(
-    samples: list[FitSample],
-    spec_alpha: float,
-    spec_beta: float,
-    intra_node: bool = True,
-) -> FittedLink:
-    """Least-squares ``seconds = α·steps + β·wire`` over *samples*.
-
-    Pure fitting — callers choose the sample source (virtual clock,
-    wall-clock stamps, or synthetic noisy data in the residual tests).
-    """
-    if len(samples) < 2:
-        raise ValueError(f"α–β fit needs at least 2 samples, got {len(samples)}")
-    a = np.asarray([[s.steps, s.wire_bytes] for s in samples], dtype=np.float64)
-    y = np.asarray([s.seconds for s in samples], dtype=np.float64)
-    coef, _, _, _ = np.linalg.lstsq(a, y, rcond=None)
-    resid = float(np.sqrt(np.mean((a @ coef - y) ** 2)))
-    return FittedLink(
-        intra_node=intra_node,
-        alpha=float(coef[0]),
-        beta=float(coef[1]),
-        spec_alpha=spec_alpha,
-        spec_beta=spec_beta,
-        rms_residual=resid,
-        mean_seconds=float(np.mean(np.abs(y))),
-    )
-
-
-def fit_machine(
-    machine: MachineSpec | None = None,
-    world_size: int = 4,
-    payload_sweep: tuple[int, ...] = (1 << 10, 1 << 12, 1 << 14, 1 << 16),
-    intra_node: bool = True,
-) -> FittedLink:
-    """Recover α and β by least squares over a *virtual* payload sweep.
-
-    Samples come from real virtual-clock runs, so with the clock driving
-    the same CostModel the fit recovers the :class:`MachineSpec` constants
-    to float precision — the residual is the proof the two layers share one
-    pricing core.  For *host* constants use :func:`fit_machine_wallclock`,
-    which feeds real wall-clock samples through the same fit.
-    """
-    machine = machine if machine is not None else frontier()
-    spec = machine if intra_node else replace(machine, gpus_per_node=max(1, world_size // 2))
-    cost = CostModel(spec)
-    samples: list[FitSample] = []
-    for payload in payload_sweep:
-        payload -= payload % world_size
-        for op in RING_OPS:
-            r = _run_one(op, world_size, payload, spec)
-            samples.append(
-                FitSample(
-                    op=op,
-                    steps=cost.latency_steps(op, world_size),
-                    wire_bytes=r.measured_wire,
-                    seconds=r.measured_seconds,
-                )
-            )
-    bw, lat = cost.link(intra_node)
-    return fit_link(samples, spec_alpha=lat, spec_beta=1.0 / bw, intra_node=intra_node)
-
-
-#: Default payload sweep for wall-clock fits.  β (1/bandwidth) is only
-#: identifiable when the largest payload's wire time rivals the host's
-#: per-collective latency (~tens of µs of thread-rendezvous overhead), so
-#: the sweep reaches 2 MiB; latency-only sweeps fit β as pure noise.
-WALLCLOCK_PAYLOAD_SWEEP = (1 << 12, 1 << 18, 1 << 21)
-
-
-def wallclock_fit_samples(
-    world_size: int = 2,
-    payload_sweep: tuple[int, ...] = WALLCLOCK_PAYLOAD_SWEEP,
-    repeats: int = 3,
-    machine: MachineSpec | None = None,
-) -> list[FitSample]:
-    """Time every ring collective on *this host*.
-
-    Each (op, payload) run issues one warm-up plus *repeats* collectives on
-    warm per-rank buffers through a real :func:`~repro.dist.run_spmd` world;
-    every rank stamps ``time.perf_counter()`` as each collective returns.
-    Slot *k*'s completion mark is the latest stamp over the ranks, and a
-    collective's wall duration is the mean spacing of consecutive marks.
-    The CostModel features (steps, wire) come from *machine* (default
-    :func:`frontier`), which shares the step/wire table with every spec.
-    """
-    machine = machine if machine is not None else frontier()
-    cost = CostModel(machine)
-    samples: list[FitSample] = []
-    for payload in payload_sweep:
-        payload -= payload % world_size
-        for op in RING_OPS:
-
-            def fn(comm, op=op, payload=payload):
-                group, scratch, stamps = comm.world.default_group, {}, []
-                for _ in range(repeats + 1):  # first is the warm-up mark
-                    _issue(comm, op, payload, group, scratch)
-                    stamps.append(time.perf_counter())
-                return stamps
-
-            marks = [max(slot) for slot in zip(*run_spmd(fn, world_size))]
-            spacings = [b - a for a, b in zip(marks, marks[1:])]
-            samples.append(
-                FitSample(
-                    op=op,
-                    steps=cost.latency_steps(op, world_size),
-                    wire_bytes=cost.wire_bytes(op, payload, world_size),
-                    seconds=max(0.0, sum(spacings) / len(spacings)),
-                )
-            )
-    return samples
-
-
-def fit_machine_wallclock(
-    base: MachineSpec | None = None,
-    world_size: int = 2,
-    payload_sweep: tuple[int, ...] = WALLCLOCK_PAYLOAD_SWEEP,
-    repeats: int = 3,
-    name: str | None = None,
-) -> tuple[MachineSpec, FittedLink]:
-    """Fit a **host-calibrated** :class:`MachineSpec` from wall-clock runs.
-
-    Returns ``(spec, fit)``: the spec carries the fitted α (latency/step)
-    and 1/β (bandwidth) on both links — the simulated host has one fabric —
-    with every non-link field inherited from *base*.  Persist it with
-    ``spec.save(path)``; :meth:`MachineSpec.load` hands it back to the
-    autotuner in place of the paper constants.
-    """
-    base = base if base is not None else frontier()
-    samples = wallclock_fit_samples(
-        world_size=world_size, payload_sweep=payload_sweep, repeats=repeats, machine=base
-    )
-    cost = CostModel(base)
-    bw, lat = cost.link(True)
-    fit = fit_link(samples, spec_alpha=lat, spec_beta=1.0 / bw, intra_node=True)
-    return fit.to_machine(base, name=name if name is not None else "host-calibrated"), fit
 
 
 @dataclass(frozen=True)
@@ -716,94 +486,3 @@ def measure_plan(
         schedule=clock.schedule() if capture else None,
         world=world if keep_world else None,
     )
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI: run the calibration matrix and print per-op residuals.
-
-    Exits nonzero whenever wire-byte parity, virtual-time residuals or fit
-    residuals exceed tolerance — the CI gate.  ``--smoke`` shortens the
-    sweeps but **still gates everything**; ``--fit-host PATH`` additionally
-    wall-clock-fits this host's α/β, persists the calibrated
-    :class:`MachineSpec` as JSON at PATH, and gates on the fit's relative
-    residual (``--fit-tol``).
-    """
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--ranks", type=int, nargs="+", default=[2, 4],
-                        help="world sizes to calibrate at")
-    parser.add_argument("--payload", type=int, default=4096, help="payload bytes")
-    parser.add_argument("--smoke", action="store_true",
-                        help="smallest quick pass (2 and 4 ranks, short fit sweep)")
-    parser.add_argument("--fit-host", metavar="PATH", default=None,
-                        help="wall-clock-fit this host's alpha/beta and save the "
-                             "calibrated MachineSpec JSON at PATH")
-    parser.add_argument("--fit-tol", type=float, default=0.5,
-                        help="max relative RMS residual for the host fit (default 0.5 "
-                             "— threaded wall timings are noisy)")
-    args = parser.parse_args(argv)
-
-    failures = 0
-    sizes = tuple(args.ranks) if not args.smoke else tuple(r for r in args.ranks if r <= 4)
-    report = calibrate(world_sizes=sizes or (2, 4), payload_bytes=args.payload)
-    header = f"{'op':<16}{'ranks':>6}{'placement':>12}{'wire ok':>9}{'time resid':>12}"
-    print(f"calibration on {report.machine.name} (payload {args.payload} B)")
-    print(header)
-    print("-" * len(header))
-    for r in report.rows:
-        place = "intra" if r.intra_node else "inter"
-        print(
-            f"{r.op:<16}{r.ranks:>6}{place:>12}"
-            f"{'yes' if r.wire_match else 'NO':>9}{r.time_residual:>12.2e}"
-        )
-    if not report.ok:
-        print("FAIL: measured traffic diverges from the CostModel")
-        failures = 1
-    # The virtual fit gate always runs (smoke shrinks the sweep): recovering
-    # the MachineSpec constants to float precision is the proof the runtime
-    # and the analytic layer share one pricing core.
-    sweep = (1 << 10, 1 << 13) if args.smoke else (1 << 10, 1 << 12, 1 << 14, 1 << 16)
-    for intra in (True, False):
-        fit = fit_machine(payload_sweep=sweep, intra_node=intra)
-        place = "intra" if intra else "inter"
-        print(
-            f"fitted {place}: alpha {fit.alpha:.3e}s (spec {fit.spec_alpha:.3e}), "
-            f"beta {fit.beta:.3e}s/B (spec {fit.spec_beta:.3e}), "
-            f"rms residual {fit.rms_residual:.2e}"
-        )
-        if fit.alpha_error > 1e-6 or fit.beta_error > 1e-6 or not math.isfinite(fit.rms_residual):
-            print("FAIL: fitted constants diverge from MachineSpec")
-            failures = 1
-    if args.fit_host:
-        spec, fit = fit_machine_wallclock()
-        spec.save(args.fit_host)
-        print(
-            f"host fit -> {args.fit_host}: alpha {spec.intra_latency:.3e}s, "
-            f"bw {spec.intra_node_bw:.3e} B/s, "
-            f"relative residual {fit.relative_residual:.2f}"
-        )
-        if fit.alpha <= 0.0 or fit.beta <= 0.0:
-            # to_machine already substituted the spec constant for the
-            # degenerate coefficient — say so rather than letting a paper
-            # number masquerade as a measurement.
-            which = "alpha" if fit.alpha <= 0.0 else "beta (bandwidth)"
-            print(
-                f"WARNING: fitted {which} was non-positive — unidentifiable at "
-                f"this payload sweep; the saved spec keeps the unmeasured "
-                f"MachineSpec constant for it"
-            )
-        if not fit.within(args.fit_tol):
-            print(
-                f"FAIL: host fit residual {fit.relative_residual:.2f} exceeds "
-                f"tolerance {args.fit_tol:.2f}"
-            )
-            failures = 1
-    if failures:
-        return failures
-    print(f"OK: wire bytes exact, max time residual {report.max_time_residual:.2e}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised by the CI smoke job
-    raise SystemExit(main())

@@ -13,9 +13,7 @@ Numbers come from the paper and the published MI250X / Slingshot-11 specs:
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, fields, replace
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 __all__ = ["MachineSpec", "frontier"]
 
@@ -49,33 +47,6 @@ class MachineSpec:
 
     def with_efficiency(self, eff: float) -> "MachineSpec":
         return replace(self, compute_efficiency=eff)
-
-    # -- JSON persistence --------------------------------------------------
-    # A fitted (host-calibrated) spec is saved by `python -m
-    # repro.perf.calibrate --fit-host PATH` and loaded by the autotuner in
-    # place of the paper constants.  Round-trips exactly:
-    # every field is a str/int/float and json preserves them losslessly.
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MachineSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown MachineSpec fields {sorted(unknown)}")
-        return cls(**d)
-
-    def save(self, path) -> None:
-        """Write this spec as JSON (parent directories created)."""
-        p = Path(path)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "MachineSpec":
-        """Read a spec saved by :meth:`save` (bitwise field round-trip)."""
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def frontier() -> MachineSpec:

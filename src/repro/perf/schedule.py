@@ -58,9 +58,8 @@ and ``drain`` (settle the rank's eager issue queue).  Dependencies are
 implicit in the per-rank program order plus the cross-rank ``coll`` group
 joins, so the flat list *is* the dependency graph.
 
-Run ``python -m repro.perf.schedule [--smoke]`` for a self-contained
-bitwise live-vs-replay parity check (used by the ``cost-engine-calibration``
-CI job).
+``tests/test_schedule_replay.py`` checks replay against live threaded runs
+bitwise: times, archived intervals, timelines and overlaps.
 """
 
 from __future__ import annotations
@@ -685,84 +684,3 @@ def replay_many(
     amortizes one lowering over every variant.
     """
     return ReplayProgram(schedule, n_steps, eager_phases).run(variants)
-
-
-# -- CLI parity check (wired into the cost-engine-calibration CI job) ------
-def _parity_case(plan, eager, n_steps, machine):  # pragma: no cover
-    """(live clock, live overlaps, replay) for one plan: a live *n_steps*
-    world next to one captured step replayed *n_steps* times."""
-    from .calibrate import measure_plan
-    from .modelcfg import ModelConfig
-    from .plan import Workload
-
-    model = ModelConfig(
-        "replay-parity", dim=64, depth=2, heads=4, patch=4, image_hw=(16, 16)
-    )
-    workload = Workload(channels=16, batch=2)
-    captured = measure_plan(
-        model, workload, plan, machine, eager=eager, capture=True
-    )
-    live = measure_plan(
-        model, workload, plan, machine, eager=eager, n_steps=n_steps,
-        keep_world=True,
-    )
-    return (
-        live.world.clock, live.overlaps,
-        replay(captured.schedule, machine, n_steps=n_steps),
-    )
-
-
-def main(argv: Sequence[str] | None = None) -> int:  # pragma: no cover
-    """Bitwise parity check: live threaded k-step run vs captured replay."""
-    import argparse
-
-    from .machine import frontier
-    from .plan import ParallelPlan
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true", help="small fast subset")
-    parser.add_argument("--steps", type=int, default=None, help="replay steps")
-    opts = parser.parse_args(argv)
-    machine = frontier()
-    cases = [
-        (ParallelPlan("tp", tp=2, fsdp=1, dp=2), 4),
-        (ParallelPlan("tp", tp=1, sp=2, fsdp=1, dp=2), 4),
-        (ParallelPlan("dchag", tp=2, fsdp=2, dp=1, dchag_kind="linear"), 4),
-    ]
-    if not opts.smoke:
-        cases.append(
-            (ParallelPlan("dchag", tp=2, fsdp=2, dp=2, dchag_kind="linear"), 8)
-        )
-    n_steps = opts.steps if opts.steps else (3 if opts.smoke else 10)
-    failures = 0
-    for plan, world_size in cases:
-        for eager in (False, True):
-            live, live_overlaps, replayed = _parity_case(plan, eager, n_steps, machine)
-            checks = {
-                "times": replayed.times() == live.times(),
-                "comm intervals": replayed.clock.comm_intervals() == live.comm_intervals(),
-                "compute intervals": (
-                    replayed.clock.compute_intervals() == live.compute_intervals()
-                ),
-                "overlaps": replayed.overlaps() == live_overlaps,
-            }
-            bad = [name for name, ok in checks.items() if not ok]
-            failures += 1 if bad else 0
-            mode = "eager" if eager else "blocking"
-            status = "FAIL" if bad else "OK "
-            print(
-                f"[{status}] {plan.label:>24s} world={world_size} {mode:>8s} "
-                f"steps={n_steps} makespan={replayed.elapsed:.6e}s"
-            )
-            if bad:
-                print(f"    differs from the live run in: {', '.join(bad)}")
-                print(f"    live:   {live.times()}\n    replay: {replayed.times()}")
-    if failures:
-        print(f"{failures} parity case(s) FAILED")
-        return 1
-    print("all replay parity cases bitwise-identical to live runs")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -6,6 +6,8 @@ run of the same schedule (FSDP math is world-size independent; the
 checkpoint restores parameters, moments and the step index exactly).
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.elastic import (
     SparePool,
     fsdp_training_segment,
 )
+from repro.elastic.checkpoint import _WRITER_REGISTRY
 from repro.nn import MLP, Module
 from repro.tensor import Tensor
 from repro.train import TrainConfig
@@ -303,6 +306,30 @@ class TestElasticGrow:
         base = run_elastic(tmp_path, 4, None, sub="baseline")
         assert [ev.kind for ev in res.recoveries] == ["shrink"]
         np.testing.assert_allclose(res.losses, base.losses, rtol=1e-4, atol=1e-6)
+
+    def test_run_leaves_no_writer_thread_behind(self, tmp_path):
+        """Each run closes its root's async writer, on return and on
+        ElasticError alike: no ``ckpt-writer`` thread or registry entry
+        survives ``run``."""
+        def writer_threads():
+            return {t for t in threading.enumerate() if t.name == "ckpt-writer"}
+
+        def supervise(sub, plan, **kwargs):
+            root = tmp_path / sub
+            segment = fsdp_training_segment(
+                TinyRegressor, batch_fn, make_config(), root, async_save=True
+            )
+            ElasticSupervisor(segment, root, 3, timeout=60, **kwargs).run(
+                TOTAL, failure_plan=plan
+            )
+
+        before = writer_threads()
+        supervise("ok", FailurePlan.kill(1, 7))
+        with pytest.raises(ElasticError):
+            supervise("gave-up", FailurePlan.kill(0, 4).then(0, 7), min_world_size=2)
+        for sub in ("ok", "gave-up"):
+            assert (tmp_path / sub).resolve() not in _WRITER_REGISTRY
+        assert writer_threads() <= before
 
     def test_shard_batch_trajectory_matches_replicated(self, tmp_path):
         root = tmp_path / "sb"

@@ -49,6 +49,9 @@ PLAN_CASES = [
     pytest.param(ParallelPlan("tp", tp=1, fsdp=1, dp=4), id="dp4"),
     pytest.param(ParallelPlan("tp", tp=2, fsdp=1, dp=2), id="tp2dp2"),
     pytest.param(
+        ParallelPlan("dchag", tp=2, fsdp=2, dp=1, dchag_kind="linear"), id="dchag4"
+    ),
+    pytest.param(
         ParallelPlan("dchag", tp=2, fsdp=2, dp=2, dchag_kind="linear"), id="dchag8"
     ),
     pytest.param(ParallelPlan("tp", tp=1, sp=2, fsdp=1, dp=2), id="sp2dp2"),

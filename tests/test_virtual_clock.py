@@ -34,20 +34,14 @@ from repro.perf import (
     derive_overlaps,
     estimate_step_comm,
     frontier,
-    search_configurations,
     step_comm_schedule,
 )
 from repro.perf.calibrate import (
-    FitSample,
-    FittedLink,
+    RING_OPS,
+    CalibrationReport,
     calibrate,
-    fit_link,
-    fit_machine,
-    fit_machine_wallclock,
     measure_plan,
-    wallclock_fit_samples,
 )
-from repro.perf.calibrate import main as calibrate_main
 from repro.perf.overlap import DerivedOverlaps, OverlapReport, derive_overlap
 
 MACHINE = frontier()
@@ -96,6 +90,24 @@ class TestCostModel:
         assert cost.collective_seconds("all_to_all", 64, 8, True) < cost.collective_seconds(
             "broadcast", 64, 8, True
         )
+
+    def test_pricing_rule_is_alpha_steps_plus_wire_over_bw(self):
+        """``collective_seconds`` is ``lat·steps + wire/bw`` with the
+        machine's link constants, for every ring op, group size and
+        placement."""
+        cost = CostModel(MACHINE)
+        assert cost.link(True) == (MACHINE.intra_node_bw, MACHINE.intra_latency)
+        assert cost.link(False) == (MACHINE.inter_node_bw_per_gpu, MACHINE.inter_latency)
+        for op in RING_OPS:
+            for n in (2, 4, 8):
+                for intra in (True, False):
+                    bw, lat = cost.link(intra)
+                    for payload in (4096, 1 << 20):
+                        wire = ring_wire_bytes(op, payload, n)
+                        assert cost.wire_bytes(op, payload, n) == wire
+                        assert cost.collective_seconds(op, payload, n, intra) == (
+                            lat * cost.latency_steps(op, n) + wire / bw
+                        ), (op, n, intra, payload)
 
     def test_topology_placement(self):
         cost = CostModel(MACHINE)  # 8 GPUs per node
@@ -285,14 +297,9 @@ class TestWireParity:
         report = calibrate(world_sizes=(2, 4, 8), payload_bytes=2048)
         assert report.ok
         assert report.max_time_residual == 0.0
-
-    def test_fitted_constants_recover_machine_spec(self):
-        for intra in (True, False):
-            fit = fit_machine(world_size=4, payload_sweep=(1 << 10, 1 << 13, 1 << 16),
-                              intra_node=intra)
-            assert fit.alpha_error < 1e-6, fit
-            assert fit.beta_error < 1e-6, fit
-            assert fit.rms_residual < 1e-12
+        # One mismatching row fails the whole report.
+        bad = replace(report.rows[0], measured_wire=report.rows[0].predicted_wire + 1)
+        assert not CalibrationReport(MACHINE, [*report.rows[1:], bad]).ok
 
 
 class TestMeasuredPlans:
@@ -738,165 +745,6 @@ class TestEagerMeasuredPlans:
             assert b.exposed_seconds >= 0.0
         # generous forward compute fully hides the prefetched gathers
         assert ov.fsdp_overlap == 1.0
-
-
-class TestMachineSpecPersistence:
-    def test_round_trip_identity(self, tmp_path):
-        spec = replace(frontier(), name="tuned", intra_latency=3.3e-6)
-        path = tmp_path / "specs" / "machine.json"
-        spec.save(path)
-        assert MachineSpec.load(path) == spec  # every field, exactly
-
-    def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError):
-            MachineSpec.from_dict({"name": "x", "bogus": 1})
-
-    def test_loaded_spec_ranks_identically(self, tmp_path):
-        """save → load → the autotuner produces a byte-identical ranking."""
-        from repro.perf import named_model
-
-        spec = frontier()
-        path = tmp_path / "machine.json"
-        spec.save(path)
-        loaded = MachineSpec.load(path)
-        a = search_configurations(named_model("1.7B"), 512, 8, spec, 32)
-        b = search_configurations(named_model("1.7B"), 512, 8, loaded, 32)
-        assert [(t.plan.label, t.micro_batch, t.total_tflops) for t in a] == [
-            (t.plan.label, t.micro_batch, t.total_tflops) for t in b
-        ]
-
-
-class TestFitResiduals:
-    @staticmethod
-    def _synthetic(alpha, beta, noise, seed=0, n=24):
-        rng = np.random.default_rng(seed)
-        steps = rng.integers(1, 15, size=n)
-        wire = rng.integers(1 << 8, 1 << 20, size=n)
-        secs = alpha * steps + beta * wire
-        secs = secs + rng.normal(0.0, noise * np.abs(secs))
-        return [
-            FitSample(op="all_reduce", steps=int(s), wire_bytes=int(w), seconds=float(t))
-            for s, w, t in zip(steps, wire, secs)
-        ]
-
-    def test_clean_synthetic_recovers_exactly(self):
-        fit = fit_link(self._synthetic(2e-6, 2e-11, 0.0), 2e-6, 2e-11)
-        assert fit.alpha_error < 1e-9 and fit.beta_error < 1e-9
-        assert fit.relative_residual < 1e-9
-        assert fit.within(1e-6)
-
-    def test_noisy_synthetic_residual_tracks_noise(self):
-        """The relative residual is the noise gate: ~σ for σ-noisy samples,
-        so thresholds separate clean timelines from garbage."""
-        quiet = fit_link(self._synthetic(2e-6, 2e-11, 0.01, seed=1), 2e-6, 2e-11)
-        loud = fit_link(self._synthetic(2e-6, 2e-11, 0.60, seed=1), 2e-6, 2e-11)
-        assert quiet.within(0.05)
-        assert not loud.within(0.05)
-        assert loud.relative_residual > quiet.relative_residual
-
-    def test_too_few_samples_rejected(self):
-        with pytest.raises(ValueError):
-            fit_link(self._synthetic(1e-6, 1e-11, 0.0, n=1), 1e-6, 1e-11)
-
-    def test_to_machine_falls_back_on_degenerate_fit(self):
-        bad = FittedLink(
-            intra_node=True, alpha=-1.0, beta=-1.0,
-            spec_alpha=2e-6, spec_beta=2e-11, rms_residual=0.0,
-        )
-        spec = bad.to_machine(frontier(), name="host")
-        assert spec.intra_latency == 2e-6
-        assert math.isclose(spec.intra_node_bw, 1.0 / 2e-11, rel_tol=1e-12)
-
-
-class TestWallclockFit:
-    def test_samples_come_from_rank_side_stamps(self):
-        samples = wallclock_fit_samples(world_size=2, payload_sweep=(1 << 10,), repeats=2)
-        assert len(samples) == 5  # one per ring op
-        for s in samples:
-            assert s.seconds >= 0.0
-            assert s.steps >= 0 and s.wire_bytes >= 0
-
-    def test_fit_machine_wallclock_builds_host_spec(self):
-        spec, fit = fit_machine_wallclock(
-            world_size=2, payload_sweep=(1 << 10, 1 << 13), repeats=2
-        )
-        assert spec.name == "host-calibrated"
-        assert spec.intra_latency > 0.0 and spec.intra_node_bw > 0.0
-        # host has one fabric: both links carry the fitted constants
-        assert spec.inter_latency == spec.intra_latency
-        assert math.isclose(spec.inter_node_bw_per_gpu, spec.intra_node_bw, rel_tol=1e-12)
-        assert math.isfinite(fit.rms_residual)
-
-    def test_default_sweep_fits_positive_alpha_and_beta(self):
-        """On warm buffers both constants are identifiable at the default
-        sweep, so the saved spec carries measured values, not the
-        MachineSpec fallback (regression: per-collective allocation
-        drove the fitted alpha negative)."""
-        spec, fit = fit_machine_wallclock()
-        assert fit.alpha > 0.0 and fit.beta > 0.0, fit
-        assert spec.intra_latency == fit.alpha
-        assert spec.intra_node_bw == 1.0 / fit.beta
-
-
-class TestCalibrateCLI:
-    """`python -m repro.perf.calibrate` must gate, not just print."""
-
-    def test_smoke_pass_exits_zero(self, capsys):
-        assert calibrate_main(["--ranks", "2", "--smoke"]) == 0
-        out = capsys.readouterr().out
-        assert "OK:" in out
-        assert "fitted intra" in out  # the fit gate runs even under --smoke
-
-    def test_fit_host_saves_a_spec_load_reads_back(self, tmp_path, monkeypatch):
-        """``--fit-host PATH`` persists exactly the fitted spec, and
-        :meth:`MachineSpec.load` reads it back field for field."""
-        import repro.perf.calibrate as cal
-
-        fitted = []
-
-        def fit_and_keep(*args, **kwargs):
-            spec, fit = fit_machine_wallclock(*args, **kwargs)
-            fitted.append(spec)
-            return spec, fit
-
-        monkeypatch.setattr(cal, "fit_machine_wallclock", fit_and_keep)
-        path = tmp_path / "runs" / "machine.json"
-        argv = ["--ranks", "2", "--smoke", "--fit-host", str(path), "--fit-tol", "2.0"]
-        assert calibrate_main(argv) == 0
-        (spec,) = fitted
-        assert MachineSpec.load(path) == spec
-
-    def test_wire_divergence_exits_nonzero(self, monkeypatch, capsys):
-        import repro.perf.calibrate as cal
-
-        bad_row = cal.CalibrationRow(
-            op="all_reduce", ranks=2, intra_node=True, payload_bytes=8,
-            predicted_wire=8, measured_wire=9,
-            predicted_seconds=1e-6, measured_seconds=1e-6,
-        )
-        monkeypatch.setattr(
-            cal, "calibrate",
-            lambda **kw: cal.CalibrationReport(machine=frontier(), rows=[bad_row]),
-        )
-        good_fit = FittedLink(
-            intra_node=True, alpha=2e-6, beta=2e-11,
-            spec_alpha=2e-6, spec_beta=2e-11, rms_residual=0.0, mean_seconds=1e-6,
-        )
-        monkeypatch.setattr(cal, "fit_machine", lambda **kw: good_fit)
-        assert cal.main(["--smoke"]) == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_fit_divergence_exits_nonzero(self, monkeypatch, capsys):
-        import repro.perf.calibrate as cal
-
-        diverged = FittedLink(
-            intra_node=True, alpha=1.0, beta=1.0,
-            spec_alpha=2e-6, spec_beta=2e-11,
-            rms_residual=float("nan"), mean_seconds=1e-6,
-        )
-        monkeypatch.setattr(cal, "fit_machine", lambda **kw: diverged)
-        assert cal.main(["--ranks", "2", "--smoke"]) == 1
-        assert "FAIL: fitted constants diverge" in capsys.readouterr().out
 
 
 class TestOverlapAwareTrainerEndToEnd:
