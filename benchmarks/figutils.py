@@ -24,22 +24,16 @@ GiB = 1024**3
 __all__ = ["GiB", "print_table", "fmt_gb", "fmt_pct", "standalone_main"]
 
 
-def standalone_main(description: str, body, ok_msg: str, fail_msg: str, argv=None) -> int:
-    """Shared scaffolding for direct ``python bench_*.py [--smoke]`` runs.
+def standalone_main(description: str, body, ok_msg: str, fail_msg: str) -> int:
+    """Shared scaffolding for direct ``python bench_*.py`` runs.
 
-    Parses the (currently cosmetic) ``--smoke`` flag, runs *body* — which
-    prints its table and asserts the same claims the pytest suite does — and
-    maps an AssertionError to exit code 1 with *fail_msg*.
+    Parses the command line (``--help`` only), runs *body* — which prints its
+    table and asserts the same claims the pytest suite does — and maps an
+    AssertionError to exit code 1 with *fail_msg*.
     """
     import argparse
 
-    parser = argparse.ArgumentParser(description=description)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="accepted for harness compatibility; runs are a single quick pass either way",
-    )
-    parser.parse_args(argv)
+    argparse.ArgumentParser(description=description).parse_args()
     try:
         body()
     except AssertionError as exc:

@@ -2,22 +2,14 @@
 
 Commands
 --------
-``report``  write the analytic figure report (all memory/throughput tables)
-``plan``    recommend a D-CHAG configuration for a model/channel/GPU budget
+``plan``    recommend a D-CHAG configuration for a model/channel/TP budget
+``tune``    search (strategy, tp, fsdp, dp) factorizations for a GPU budget
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    from .report import write_report
-
-    path = write_report(args.output)
-    print(f"wrote {path}")
-    return 0
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -58,10 +50,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_report = sub.add_parser("report", help="write the analytic figure report")
-    p_report.add_argument("--output", default="report.md")
-    p_report.set_defaults(fn=_cmd_report)
 
     p_plan = sub.add_parser("plan", help="recommend a D-CHAG configuration")
     p_plan.add_argument("--model", default="7B")

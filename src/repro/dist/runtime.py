@@ -8,9 +8,10 @@ collective of every other member, the last arriver reduces the contributions
 across repeated runs — the invariant D-CHAG's replicated final layer relies
 on, §3.3), and everyone leaves with a private result.
 
-Failure semantics: an exception on any rank aborts the whole world.  Blocked
-peers poll an abort flag while waiting, so a barrier whose partner died
-raises instead of deadlocking, and :func:`run_spmd` re-raises the original
+Failure semantics: an exception on any rank aborts the whole world.  The
+abort sets a flag and wakes every rank blocked in a collective, which
+checks the flag before each sleep, so a barrier whose partner died raises
+instead of deadlocking, and :func:`run_spmd` re-raises the original
 failure as :class:`SpmdError` ("rank N failed: ...").  A rank that issues a
 *different* collective than its peers on the same group slot fails fast with
 a mismatch error rather than timing out.
@@ -53,12 +54,13 @@ Run token: each :class:`World` has one lock that a rank thread holds
 whenever it runs rank code.  It gives the token up while it waits in a
 collective, while it reduces and copies as the last arriver, and when it
 exits, and takes it back (polling the abort flag) before it returns to rank
-code.  Python and numpy from different ranks never interleave, so threads
-stop trading the GIL on every numpy call, while a large copy (which releases
-the GIL) still overlaps another rank's compute.  Reductions keep their fixed
-group-rank order, so results do not depend on which rank runs first.  Rank
-code may block only in collectives: waiting on a peer any other way keeps
-the token and deadlocks.
+code.  A collective wait itself does not poll: each rank sleeps on its own
+gate, a lock that the last arriver or an abort opens.  Python and numpy from
+different ranks never interleave, so threads stop trading the GIL on every
+numpy call, while a large copy (which releases the GIL) still overlaps
+another rank's compute.  Reductions keep their fixed group-rank order, so
+results do not depend on which rank runs first.  Rank code may block only in
+collectives: waiting on a peer any other way keeps the token and deadlocks.
 
 Reliance on the GIL: shared state is guarded by locks or by the run token
 (rank code and clock updates run under it, except in a rank unwinding from
@@ -67,8 +69,8 @@ accesses, which are lock-free because the GIL makes one read or write of a
 list cell or attribute atomic:
 
 * ``_Slot.done`` — the last arriver sets it before opening any gate, and
-  waiters read it in the poll-timeout path of the wait loop, neither under
-  the token;
+  waiters read it when they enter the wait loop and after each wake,
+  neither under the token;
 * ``_Slot.error`` / ``start`` / ``finish`` / ``payload_max`` — final
   before the last arriver sets ``done``; each waiter reads them after;
 * ``_Slot.values[me]`` / ``_Slot.value_errors[me]`` — written by the last
@@ -101,9 +103,9 @@ __all__ = [
     "split_sizes",
 ]
 
-# How often blocked ranks re-check the abort flag.  Completions open each
-# waiter's gate directly, so this only bounds abort latency, not collective
-# latency.
+# How often a rank queued for the run token re-checks the abort flag
+# (collective waits do not poll; see World._gates).  It bounds only how fast
+# a rank unwinds while a peer keeps the token after an abort.
 _POLL_S = 0.05
 
 _DEFAULT_TIMEOUT_S = 120.0
@@ -179,8 +181,9 @@ class _Slot:
     number currently occupying the slot).  Completion is a **batched
     wake**: the last arriver runs the reduction, distributes every
     member's private return value into ``values`` while all peers are
-    still blocked, then releases each waiter's pre-locked **gate**.
-    Waiters pick their value up lock-free (see the module docstring).
+    still blocked, sets ``done``, then opens each waiter's rank gate
+    (:attr:`World._gates`).  Waiters pick their value up lock-free (see
+    the module docstring).
     """
 
     __slots__ = (
@@ -190,7 +193,6 @@ class _Slot:
         "consumers",
         "arrived",
         "done",
-        "gates",
         "values",
         "value_errors",
         "error",
@@ -202,15 +204,6 @@ class _Slot:
 
     def __init__(self, size: int) -> None:
         self.gen = -1
-        # One pre-locked gate per member.  Waiters block on their own
-        # gate's timed acquire; the last arriver releases each peer's gate
-        # after ``done`` is set.  A raw lock handoff is the cheapest wake
-        # CPython offers — no per-wait waiter-lock allocation, no
-        # Condition list bookkeeping — and the rendezvous-bound collective
-        # floor is exactly this wake path times the group size.
-        self.gates = [threading.Lock() for _ in range(size)]
-        for gate in self.gates:
-            gate.acquire()
         self.data: list[Any] = [None] * size
         self.consumers: list[Any] = [None] * size
         self.values: list[Any] = [None] * size
@@ -228,12 +221,6 @@ class _Slot:
         """Re-initialize for sequence number *gen* (under the group lock)."""
         self.gen = gen
         self.signature = signature
-        # Re-lock any gate whose release went unconsumed (its waiter left
-        # via the poll timeout after observing ``done``).  No thread can
-        # be blocked on this slot's gates here: every member consumed this
-        # slot's previous generation long ago (see the ring invariant).
-        for gate in self.gates:
-            gate.acquire(False)
         self.data = [None] * size
         self.consumers = [None] * size
         self.values = [None] * size
@@ -250,7 +237,7 @@ class _GroupState:
     """Shared rendezvous state for one ranks-tuple (lazily created).
 
     ``lock`` guards only the brief arrival/consumption bookkeeping; waiting
-    happens on each member's own slot gate, and reductions run on the last
+    happens on each member's own rank gate, and reductions run on the last
     arriver's thread with no lock held at all.
     """
 
@@ -344,6 +331,12 @@ class World:
         self._failure: tuple[int, BaseException] | None = None
         self._token = threading.Lock()  # the run token (module docstring)
         self._holder = -1  # the rank holding it, -1 for none
+        # One pre-locked gate per rank: a rank waiting in a collective
+        # sleeps on its own gate, and the last arriver or an abort opens it.
+        # A raw lock handoff is the cheapest wake CPython offers.
+        self._gates = [threading.Lock() for _ in range(size)]
+        for gate in self._gates:
+            gate.acquire()
         self.default_group = ProcessGroup(self, tuple(range(size)))
 
     # -- group bookkeeping -------------------------------------------------
@@ -381,18 +374,13 @@ class World:
             if self._failure is None:
                 self._failure = (rank, exc)
         self._abort_event.set()
-        with self._lock:
-            states = list(self._group_states.values())
-        for state in states:
-            # Wake every blocked waiter immediately: they observe the slot
-            # still not done, re-check the abort flag, and unwind.
-            for slot in state.ring:
-                for gate in slot.gates:
-                    if gate.locked():
-                        try:
-                            gate.release()
-                        except RuntimeError:
-                            pass  # lost the race with the last arriver (or a second abort)
+        for gate in self._gates:
+            # Wake each rank once: a waiter finds its slot not done, sees
+            # the flag and unwinds.
+            try:
+                gate.release()
+            except RuntimeError:
+                pass  # already open; its rank checks the flag before it sleeps
 
     def _blocked(self) -> list[str]:
         """Every rank still waiting in a collective, read from the slots,
@@ -685,8 +673,11 @@ class Communicator:
         the run token, so a large reduction never serializes unrelated
         groups or ranks.  It then runs every member's ``consume(result)``
         itself, while all peers are still blocked inside the rendezvous, and
-        finally opens each waiter's pre-locked gate; waiters pick their
-        value up without a lock, once they hold the token again.
+        finally opens each waiter's rank gate; waiters pick their value up
+        without a lock, once they hold the token again.  A waiter checks
+        the abort flag before each sleep on its gate, never on a timer, so
+        a collective it finds complete still returns its value after an
+        abort.
 
         Contributions are *not* snapshotted: every contributing rank stays
         blocked until distribution finished, so *compute* and the *consume*
@@ -798,22 +789,23 @@ class Communicator:
             slot.error = error
             slot.start, slot.finish = start, finish
             slot.done = True  # published before the gates open (GIL write order)
-            gates = slot.gates
-            for i in range(size):
-                if i != me:
+            for r in group.ranks:
+                if r != self.rank:
                     try:
-                        gates[i].release()
+                        world._gates[r].release()
                     except RuntimeError:
-                        pass  # a concurrent world abort opened this gate first
+                        pass  # already open: an abort's, or left from an earlier wait
         else:
-            gate = slot.gates[me]
+            # Check the flag before every sleep, the first included: an
+            # abort opens each gate only once, and that release may already
+            # be spent on a wait whose collective completed meanwhile.  A
+            # gate can also be left open by an earlier collective whose
+            # waiter found ``done`` set before it slept; that costs one
+            # extra turn of this loop.
+            gate = world._gates[self.rank]
             while not slot.done:
-                # A successful acquire means the last arriver opened our gate
-                # (``done`` is already visible) or a world abort did; a
-                # timeout is just the abort-flag poll backstop.
-                if gate.acquire(True, _POLL_S) and slot.done:
-                    break
                 world._check_abort()
+                gate.acquire()
         world._take_turn(self.rank)
         error = slot.error
         start, finish = slot.start, slot.finish

@@ -219,6 +219,36 @@ class TestFailureInjection:
         assert "rank 2 in all_reduce on group [0, 1, 2] (1/3 arrived)" in msg
         assert "rank 0" not in msg and "rank 1" not in msg
 
+    def test_abort_wakes_a_peer_whose_last_wake_it_lost(self):
+        """The barrier's last arriver opens its peers' gates, takes the free
+        run token and raises before they have woken.  The abort then finds
+        those gates still open and cannot open them a second time, so each
+        peer wakes once, returns from the barrier and must see the abort
+        flag before it sleeps in the next one.  Fresh worlds of more ranks
+        than cores, under a 10 µs switch interval, vary the interleaving;
+        each must unwind with the fault named, never by waiting out its
+        timeout."""
+        timeout = 5.0
+
+        def fn(comm):
+            comm.barrier()
+            if comm.rank == 3:
+                raise RuntimeError("fault after the barrier")
+            comm.barrier()
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(20):
+                began = time.monotonic()
+                with pytest.raises(SpmdError, match="fault after the barrier") as info:
+                    run_spmd(fn, 4, timeout=timeout)
+                assert time.monotonic() - began < timeout, "a peer slept through the abort"
+                assert info.value.world.rank_status == ["aborted"] * 3 + ["failed"]
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_world_reusable_after_failure(self):
         """A failed run must not poison subsequent runs (fresh worlds)."""
 

@@ -7,6 +7,7 @@ at any world size M, optimizer moments included.
 
 import json
 import struct
+import threading
 import zipfile
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.elastic import (
     save_sharded,
     writer_for,
 )
+from repro.elastic.checkpoint import _WRITER_REGISTRY, _close_writer
 from repro.nn import MLP, load_checkpoint, save_checkpoint
 from repro.parallel import DeviceMesh, FSDPModel
 from repro.tensor import AdamW, Tensor
@@ -268,7 +270,22 @@ class TestSerializationSuffix:
             np.testing.assert_array_equal(pa.data, pb.data)
 
 
+def _writer_threads() -> set[threading.Thread]:
+    return {t for t in threading.enumerate() if t.name == "ckpt-writer"}
+
+
 class TestAsyncCheckpointWriter:
+    @pytest.fixture(autouse=True)
+    def _closes_its_writers(self, tmp_path):
+        """Close every writer a case opened under its ``tmp_path``, then
+        check that none of their threads outlives the case."""
+        before = _writer_threads()
+        yield
+        base = tmp_path.resolve()
+        for root in [key for key in _WRITER_REGISTRY if key.is_relative_to(base)]:
+            _close_writer(root)
+        assert not _writer_threads() - before, "a ckpt-writer thread outlived its case"
+
     def test_async_save_bitwise_equals_sync(self, tmp_path):
         sync_root, async_root = tmp_path / "sync", tmp_path / "async"
 

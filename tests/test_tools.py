@@ -1,5 +1,5 @@
-"""Tests for user-facing tooling: ACC metric, report generator, CLI, and the
-hierarchical Swin additions."""
+"""Tests for user-facing tooling: ACC metric, CLI, and the hierarchical Swin
+additions."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ import pytest
 from repro.__main__ import main as cli_main
 from repro.data import SyntheticERA5, ERA5Config
 from repro.nn.swin import HierarchicalSwinEncoder, PatchMerging
-from repro.report import build_report, write_report
 from repro.tensor import Tensor
 from repro.train import anomaly_correlation
 
@@ -88,26 +87,6 @@ class TestHierarchicalSwin:
             HierarchicalSwinEncoder(16, (1, 1, 1), 4, grid=(8, 8), window=4, rng=RNG)
 
 
-class TestReport:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return build_report()
-
-    def test_contains_every_analytic_figure(self, report):
-        for fig in ("Fig. 6", "Fig. 7", "Fig. 8", "Fig. 9", "Fig. 13", "Fig. 14", "Fig. 15", "Fig. 16"):
-            assert fig in report
-
-    def test_key_conclusions_present(self, report):
-        assert "OOM" in report            # capacity boundaries shown
-        assert "D-CHAG-L-Tree0" in report  # planner recommendation
-        assert "+" in report               # gains
-
-    def test_write_report(self, tmp_path, report):
-        path = write_report(tmp_path / "out" / "report.md")
-        assert path.exists()
-        assert path.read_text() == report
-
-
 class TestCLI:
     def test_plan_command(self, capsys):
         assert cli_main(["plan", "--model", "1.7B", "--channels", "512", "--tp", "2"]) == 0
@@ -115,8 +94,3 @@ class TestCLI:
         assert "recommended: D-CHAG-L" in out
         assert "TFLOP/s/GPU" in out
 
-    def test_report_command(self, tmp_path, capsys):
-        target = tmp_path / "r.md"
-        assert cli_main(["report", "--output", str(target)]) == 0
-        assert target.exists()
-        assert "Fig. 16" in target.read_text()
