@@ -35,7 +35,9 @@ Two durability/throughput layers on top of the base format:
   manifest strictly last, so ``manifest.json`` existing implies every named
   shard is durable; :func:`latest_checkpoint` skips anything else.  A
   damaged shard is caught by ``np.load`` itself: the zip container carries
-  a CRC-32 per member, so flipped or truncated bytes raise on read.
+  a CRC-32 per member, so flipped or truncated bytes raise on read.  Each
+  shard file is opened here and handed to ``np.load``, so it is closed
+  even when the container fails to parse.
 * **Async (double-buffered) saves.**  :class:`AsyncCheckpointWriter` lets
   :func:`save_sharded` return after an in-memory shard snapshot taken at
   the group barrier; a background thread writes the files (manifest still
@@ -475,7 +477,8 @@ def load_sharded(
     if optimizer is not None and not manifest["has_optimizer"]:
         raise ValueError("checkpoint carries no optimizer state")
     n_units = len(model.units)
-    with np.load(step_dir / _shard_name(group.rank_index(model.comm.rank))) as data:
+    shard = step_dir / _shard_name(group.rank_index(model.comm.rank))
+    with open(shard, "rb") as fh, np.load(fh) as data:
         model.load_shard_data([data[f"unit{i}.param"] for i in range(n_units)])
         if optimizer is not None:
             optimizer.load_state_dict(
@@ -535,7 +538,7 @@ def reshard(
     }
     parts: dict[str, list[np.ndarray]] = {name: [] for name in totals}
     for shard in manifest["shards"]:
-        with np.load(src_dir / shard) as data:
+        with open(src_dir / shard, "rb") as fh, np.load(fh) as data:
             for name, chunks in parts.items():
                 chunks.append(data[name])
     resplit = {
@@ -580,7 +583,7 @@ def consolidate(step_dir: str | Path) -> dict[str, np.ndarray]:
     manifest = load_manifest(step_dir)
     flats: list[list[np.ndarray]] = [[] for _ in manifest["units"]]
     for name in manifest["shards"]:
-        with np.load(step_dir / name) as data:
+        with open(step_dir / name, "rb") as fh, np.load(fh) as data:
             for i, flat in enumerate(flats):
                 flat.append(data[f"unit{i}.param"])
     out: dict[str, np.ndarray] = {}
@@ -600,6 +603,6 @@ def checkpoint_nbytes(step_dir: str | Path) -> int:
     manifest = load_manifest(step_dir)
     total = 0
     for name in manifest["shards"]:
-        with np.load(step_dir / name) as data:
+        with open(step_dir / name, "rb") as fh, np.load(fh) as data:
             total += sum(int(data[k].nbytes) for k in data.files)
     return total

@@ -14,7 +14,10 @@ world and reacts to world aborts according to a pluggable
 * **Rank return** — a scripted :class:`~repro.elastic.RankReturn` unwinds
   the world the same way (a live SPMD world cannot admit members
   mid-collective), but the supervisor recognizes the cause and **grows**
-  the world by the returning ranks instead of evicting anyone.
+  the world by the returning ranks instead of evicting anyone.  An arrival
+  that would leave the world at its size — banked as a spare, or capped by
+  ``max_world_size`` — is taken out of the plan before the world starts and
+  never unwinds it (a ``spare`` event with no steps lost).
 
 Either way the recovery mechanics are identical: find the latest *complete*
 checkpoint (torn saves are skipped because the manifest is written last,
@@ -200,6 +203,69 @@ class ElasticSupervisor:
             # (if the segment started one) does not outlive the run.
             _close_writer(self.ckpt_root)
 
+    def _on_arrival(self, world_size: int, spares: int, count: int) -> tuple[int, int]:
+        """The policy's answer to *count* returning ranks, capped by
+        ``max_world_size``."""
+        new_world, spares = self.policy.on_arrival(world_size, spares, count)
+        if self.max_world_size is not None:
+            new_world = min(new_world, self.max_world_size)
+        return new_world, spares
+
+    def _absorb_arrivals(
+        self,
+        plan,
+        world_size: int,
+        spares: int,
+        start_step: int,
+        total_steps: int,
+        recoveries: list[RecoveryEvent],
+    ):
+        """Take out of *plan* each arrival that would leave the world at its
+        current size, so it never aborts the world.
+
+        An arrival the policy banks as a spare, or that ``max_world_size``
+        caps, changes nothing the running world needs: unwinding it would
+        only roll the run back to the last checkpoint.  In step order, up to
+        the first arrival that does resize the world or the first failure
+        that fires no later (a failure is observed first at its step, and
+        changes the sizes the later arrivals see), each such arrival is
+        dropped from the plan, its ranks credited to the pool, and a
+        ``spare`` event with ``steps_lost == 0`` recorded.
+        """
+        arrivals = getattr(plan, "arrivals", ())
+        if not arrivals:
+            return plan, spares
+        first_failure = min(
+            (f.step for f in plan.failures if f.rank < world_size and f.step >= start_step),
+            default=total_steps,
+        )
+        absorbed: set[int] = set()
+        for arrival in sorted(arrivals, key=lambda a: a.step):
+            # Only the first arrival scripted at a step fires (plan.check).
+            if arrival.step < start_step or arrival.step in absorbed:
+                continue
+            if arrival.step >= min(first_failure, total_steps):
+                break
+            new_world, new_spares = self._on_arrival(world_size, spares, arrival.count)
+            if new_world != world_size:
+                break
+            spares = new_spares
+            absorbed.add(arrival.step)
+            plan = plan.without_arrival(arrival.step)
+            recoveries.append(
+                RecoveryEvent(
+                    failed_rank=-1,
+                    failed_step=arrival.step,
+                    resume_step=arrival.step,
+                    steps_lost=0,
+                    old_world_size=world_size,
+                    new_world_size=world_size,
+                    reshard_bytes=0,
+                    kind="spare",
+                )
+            )
+        return plan, spares
+
     def _run(self, total_steps: int, failure_plan) -> ElasticResult:
         plan = failure_plan
         world_size = self.world_size
@@ -215,6 +281,9 @@ class ElasticSupervisor:
         attempts = 0
         while True:
             attempts += 1
+            plan, spares = self._absorb_arrivals(
+                plan, world_size, spares, start_step, total_steps, recoveries
+            )
             try:
                 results, world = run_spmd_world(
                     self.segment,
@@ -231,11 +300,7 @@ class ElasticSupervisor:
                 cause = err.__cause__
                 arrival = isinstance(cause, RankReturn)
                 if arrival:
-                    new_world, spares = self.policy.on_arrival(
-                        world_size, spares, cause.count
-                    )
-                    if self.max_world_size is not None:
-                        new_world = min(new_world, self.max_world_size)
+                    new_world, spares = self._on_arrival(world_size, spares, cause.count)
                 else:
                     new_world, spares = self.policy.on_failure(world_size, spares)
                 kind = ("spare" if new_world == world_size
@@ -246,7 +311,7 @@ class ElasticSupervisor:
                         f"after rank {failed_rank} failed",
                         history=recoveries,
                     ) from err
-                if len(recoveries) >= self.max_recoveries:
+                if attempts > self.max_recoveries:  # world rebuilds so far: attempts - 1
                     raise ElasticError(
                         f"gave up after {len(recoveries)} recoveries",
                         history=recoveries,

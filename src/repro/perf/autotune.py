@@ -27,6 +27,22 @@ fractions instead:
   replays it under each candidate's placement and compute balance, so every
   plan is ranked with fractions derived from *its own* simulated timeline.
 
+Priced once, exposed per pair
+-----------------------------
+
+Everything about a candidate step except its overlap fractions — the memory
+breakdown, own and useful FLOPs, compute seconds, the collective schedule
+and its un-overlapped per-axis seconds and wire bytes — is priced once per
+distinct (plan, micro-batch) and kept in a price book that lives for one
+:func:`search_configurations` call, one :func:`sweep_replay` call or one
+:func:`simulated_overlaps` oracle (never longer, so every call prices
+cold).  Each overlap pair is applied last: exposing a priced step costs two
+multiplies (the FSDP and DP seconds), so the pruned search's bound score
+and its oracle score, and a sweep's budgets sharing a step, share one
+pricing.  The stand-in side of each compute/comm ratio is priced once per
+(stand-in plan, node size).  Results are bitwise those of
+:func:`~repro.perf.throughput.global_batch_throughput`.
+
 Link and compute constants come from the :class:`MachineSpec` the caller
 passes, in practice the paper's Frontier numbers
 (:func:`~repro.perf.machine.frontier`).
@@ -38,20 +54,13 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Union
 
-from .comm_model import axis_intra_node, estimate_step_comm
-from .flops import TRAIN_MULT, estimate_flops
+from .comm_model import axis_intra_node
+from .cost import MAX_DP_BUCKETS, CostModel
 from .machine import MachineSpec
 from .modelcfg import ModelConfig
 from .plan import ParallelPlan, Precision, Workload
 from .schedule import CapturedSchedule, ReplayVariant, replay_many
-from .throughput import (
-    StepEstimate,
-    _accumulated_tflops,
-    batch_efficiency,
-    estimate_step,
-    global_batch_throughput,
-    max_batch_per_replica,
-)
+from .throughput import _PricedStep, _PriceBook, max_batch_per_replica
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .overlap import DerivedOverlaps
@@ -185,7 +194,8 @@ def search_configurations(
 
     ``overlaps`` selects the dp/fsdp hidden fractions the ranking uses
     (module docstring); each returned :class:`TunedPlan` records the pair
-    applied to it.
+    applied to it.  Each candidate is priced once per call; its bound score
+    and its ranking score are two exposures of that pricing.
 
     ``max_sp`` opens the sequence-parallel axis: candidates enumerate
     tp × sp × fsdp × dp with sp up to the cap (default 1 reproduces the
@@ -211,17 +221,17 @@ def search_configurations(
         if global_batch % plan.dp == 0
     ]
 
-    def score(plan: ParallelPlan, ov: "DerivedOverlaps | None") -> float:
-        return global_batch_throughput(
-            model, channels, plan, machine, global_batch, precision, overlaps=ov,
-        )
+    book = _PriceBook(model, channels, machine, precision)
+
+    def score(plan: ParallelPlan, micro: int, ov: "DerivedOverlaps | None") -> float:
+        return book.throughput(plan, micro, global_batch, ov)
 
     results: list[TunedPlan] = []
     if prune_top_k is not None and prune_top_k >= 1 and callable(overlaps):
         bound_pair = _full_overlaps()
         # Deterministic visit order: best bound first, label breaks ties.
         bounded = sorted(
-            ((score(plan, bound_pair), plan, micro) for plan, micro in candidates),
+            ((score(plan, micro, bound_pair), plan, micro) for plan, micro in candidates),
             key=lambda t: (-t[0], t[1].label),
         )
         incumbents: list[float] = []  # top-k simulated scores, descending
@@ -232,7 +242,7 @@ def search_configurations(
             # exactness guarantee through score ties.
             if bound >= kth:
                 ov = overlaps(plan, micro)
-                tflops = score(plan, ov)
+                tflops = score(plan, micro, ov)
                 results.append(TunedPlan(plan, micro, tflops, ov))
                 incumbents.append(tflops)
                 incumbents.sort(reverse=True)
@@ -240,11 +250,11 @@ def search_configurations(
             else:
                 # bound ≤ kth ⇒ no achievable score reaches the top k;
                 # rank the tail by the paper-constant estimate.
-                results.append(TunedPlan(plan, micro, score(plan, None), None))
+                results.append(TunedPlan(plan, micro, score(plan, micro, None), None))
     else:
         for plan, micro in candidates:
             ov = overlaps(plan, micro) if callable(overlaps) else overlaps
-            results.append(TunedPlan(plan, micro, score(plan, ov), ov))
+            results.append(TunedPlan(plan, micro, score(plan, micro, ov), ov))
     results.sort(key=lambda t: t.total_tflops, reverse=True)
     return results
 
@@ -300,6 +310,19 @@ class ReplaySweep:
         )
 
 
+class _Candidate:
+    """One enumerated (plan, micro-batch) of a sweep: its replay key once
+    keyed, and the overlap pair that key priced to."""
+
+    __slots__ = ("plan", "micro", "key", "overlaps")
+
+    def __init__(self, plan: ParallelPlan, micro: int) -> None:
+        self.plan = plan
+        self.micro = micro
+        self.key: tuple | None = None
+        self.overlaps: "DerivedOverlaps | None" = None
+
+
 def sweep_replay(
     model: ModelConfig,
     channels: int,
@@ -326,8 +349,13 @@ def sweep_replay(
     2. capture ONE threaded stand-in world per schedule shape, lower it
        once, and price all of that shape's variants in a single
        :meth:`~repro.perf.schedule.ReplayProgram.run` call;
-    3. estimate each distinct (plan, micro-step batch) once, then score
-       and rank each budget's candidates from those estimates.
+    3. score and rank each budget's candidates, exposing each distinct
+       (plan, micro-step batch) pricing at the candidate's overlap pair.
+
+    One price book serves the whole call: a (plan, micro-batch) is priced
+    once whether the stand-in ratio or a budget's score asks first, and the
+    stand-in side of each ratio once per (stand-in plan, node size); only
+    the dp/fsdp fractions are applied per candidate.
 
     Scores, overlaps and ranking order are equal to per-budget
     ``search_configurations(model, channels, g, machine, b,
@@ -335,29 +363,29 @@ def sweep_replay(
     by ``tests/test_schedule_replay.py``); only the orchestration differs.
     """
     # Phase 1: enumerate, and key every candidate needing an overlap pair.
-    per_budget: list[tuple[tuple[int, int], list[tuple[ParallelPlan, int, tuple | None]]]] = []
-    keys_by_shape: dict[tuple, tuple[ParallelPlan, list[tuple]]] = {}  # shape -> (sim, keys)
-    enumerated: dict[int, list[tuple[ParallelPlan, int]]] = {}  # total_gpus -> candidates
-    standin_keys: dict[tuple[ParallelPlan, int], tuple] = {}  # (plan, micro) -> key
+    pricing = _Pricing(model, channels, machine, precision)
+    per_budget: list[tuple[tuple[int, int], list[_Candidate]]] = []
+    keys_by_shape: dict[tuple, tuple[ParallelPlan, dict]] = {}  # shape -> (sim, keys)
+    enumerated: dict[int, list[_Candidate]] = {}  # total_gpus -> candidates
     for total_gpus, global_batch in budgets:
-        if total_gpus not in enumerated:
-            enumerated[total_gpus] = _enumerate_candidates(
-                model, channels, total_gpus, machine, strategies, precision, max_sp=max_sp,
-            )
-        rows: list[tuple[ParallelPlan, int, tuple | None]] = []
-        for plan, micro in enumerated[total_gpus]:
+        cands = enumerated.get(total_gpus)
+        if cands is None:
+            cands = enumerated[total_gpus] = [
+                _Candidate(plan, micro)
+                for plan, micro in _enumerate_candidates(
+                    model, channels, total_gpus, machine, strategies, precision,
+                    max_sp=max_sp,
+                )
+            ]
+        rows: list[_Candidate] = []
+        for cand in cands:
+            plan = cand.plan
             if global_batch % plan.dp != 0:
                 continue
-            key = None
-            if plan.dp > 1 or plan.fsdp > 1:
-                key = standin_keys.get((plan, micro))
-                if key is None:
-                    sim, key = _standin(model, channels, plan, micro, machine, precision)
-                    standin_keys[plan, micro] = key
-                    keys = keys_by_shape.setdefault(key[0], (sim, []))[1]
-                    if key not in keys:
-                        keys.append(key)
-            rows.append((plan, micro, key))
+            if cand.key is None and (plan.dp > 1 or plan.fsdp > 1):
+                sim, cand.key = _standin(pricing, plan, cand.micro)
+                keys_by_shape.setdefault(cand.key[0], (sim, {}))[1][cand.key] = None
+            rows.append(cand)
         per_budget.append(((total_gpus, global_batch), rows))
 
     # Phase 2: one threaded capture per schedule shape, then one
@@ -368,26 +396,27 @@ def sweep_replay(
         schedule = _capture_standin(sim, buckets, machine, workspace)
         for k, res in zip(keys, replay_many(schedule, [k[1] for k in keys])):
             overlaps_by_key[k] = res.overlaps()
+    for cands in enumerated.values():
+        for cand in cands:
+            if cand.key is not None:
+                cand.overlaps = overlaps_by_key[cand.key]
 
-    # Phase 3: score and rank each budget from the priced pairs; this is
-    # global_batch_throughput with each step estimate computed once.
+    # Phase 3: score and rank each budget, every (plan, micro-step batch)
+    # priced once per sweep in the book the stand-in ratios priced their
+    # real side in.
+    book = pricing.real
     rankings: list[tuple[tuple[int, int], tuple[TunedPlan, ...]]] = []
-    estimates: dict[tuple[ParallelPlan, int], StepEstimate] = {}  # (plan, step batch) -> est
     n_candidates = 0
     for budget, rows in per_budget:
-        results = []
-        for plan, micro, key in rows:
-            per_replica = budget[1] // plan.dp
-            step_batch = min(per_replica, micro)
-            ov = overlaps_by_key.get(key)
-            # Enough of a key: the overlap key is fixed by (plan, b_max) in one sweep.
-            est = estimates.get((plan, step_batch))
-            if est is None:
-                est = estimates[plan, step_batch] = estimate_step(
-                    model, Workload(channels, step_batch), plan, machine, precision,
-                    overlaps=ov,
-                )
-            results.append(TunedPlan(plan, micro, _accumulated_tflops(est, per_replica), ov))
+        global_batch = budget[1]
+        results = [
+            TunedPlan(
+                cand.plan, cand.micro,
+                book.throughput(cand.plan, cand.micro, global_batch, cand.overlaps),
+                cand.overlaps,
+            )
+            for cand in rows
+        ]
         results.sort(key=lambda t: t.total_tflops, reverse=True)
         n_candidates += len(results)
         rankings.append((budget, tuple(results)))
@@ -428,8 +457,9 @@ def _shrink_plan(plan: ParallelPlan) -> ParallelPlan:
     )
 
 
-def _sim_machine(plan: ParallelPlan, machine: MachineSpec, sim: ParallelPlan) -> MachineSpec:
-    """A machine whose node size reproduces the real plan's axis placement.
+def _sim_node_size(plan: ParallelPlan, machine: MachineSpec, sim: ParallelPlan) -> int:
+    """The stand-in machine's node size that reproduces the real plan's
+    axis placement.
 
     The real plan's intra/inter-node flags per axis (TP innermost) decide
     how many of the stand-in world's ranks share a node, so every simulated
@@ -446,80 +476,75 @@ def _sim_machine(plan: ParallelPlan, machine: MachineSpec, sim: ParallelPlan) ->
         gpn = sim.tp
     else:
         gpn = max(1, sim.tp // 2)
-    return replace(machine, gpus_per_node=max(1, gpn))
+    return max(1, gpn)
 
 
-def _compute_scale(
-    model: ModelConfig,
-    channels: int,
-    plan: ParallelPlan,
-    micro: int,
-    machine: MachineSpec,
-    precision: Precision,
-    sim_plan: ParallelPlan,
-    sim_machine: MachineSpec,
-) -> float:
+class _Pricing:
+    """The price books one search oracle or one sweep keys stand-ins with.
+
+    ``real`` prices the real plans; each stand-in node size gets a book of
+    the stand-in model on that machine, so the stand-in side of a
+    compute/comm ratio is priced once per (stand-in plan, node size) and
+    the real side shares the sweep's step pricings.
+    """
+
+    __slots__ = ("real", "_standins")
+
+    def __init__(
+        self, model: ModelConfig, channels: int, machine: MachineSpec, precision: Precision
+    ) -> None:
+        self.real = _PriceBook(model, channels, machine, precision)
+        self._standins: dict[int, _PriceBook] = {}  # node size -> stand-in book
+
+    def standin_book(self, gpus_per_node: int) -> _PriceBook:
+        book = self._standins.get(gpus_per_node)
+        if book is None:
+            real = self.real
+            book = self._standins[gpus_per_node] = _PriceBook(
+                _SIM_MODEL, _SIM_CHANNELS,
+                replace(real.machine, gpus_per_node=gpus_per_node), real.precision,
+            )
+        return book
+
+
+def _compute_scale(real: _PricedStep, standin: _PricedStep) -> float:
     """Scale factor that gives the stand-in the real compute/comm ratio.
 
     Hidden fractions are a function of how much compute is available per
     second of communication; matching that ratio is what makes a 4–8-rank
-    simulation's fractions transfer to the 1,024-GPU plan.
+    simulation's fractions transfer to the 1,024-GPU plan.  Both sides are
+    priced with nothing hidden.
     """
-
-    def ratio(m, ch, p, b, mach):
-        comm = estimate_step_comm(
-            m, Workload(ch, b), p, mach, precision, dp_overlap=0.0, fsdp_overlap=0.0
-        ).total
-        flops = TRAIN_MULT * estimate_flops(m, Workload(ch, b), p).total
-        compute = flops / (mach.peak_flops * batch_efficiency(mach, b))
-        return compute, comm
-
-    real_compute, real_comm = ratio(model, channels, plan, micro, machine)
-    sim_compute, sim_comm = ratio(
-        _SIM_MODEL, _SIM_CHANNELS, sim_plan, _SIM_BATCH, sim_machine
-    )
+    real_comm = real.comm.total
+    sim_comm = standin.comm.total
+    sim_compute = standin.compute_seconds
     if real_comm <= 0.0 or sim_comm <= 0.0 or sim_compute <= 0.0:
         return 1.0
-    return (real_compute / real_comm) / (sim_compute / sim_comm)
+    return (real.compute_seconds / real_comm) / (sim_compute / sim_comm)
 
 
-def _dp_buckets_for(
-    model: ModelConfig,
-    channels: int,
-    plan: ParallelPlan,
-    micro: int,
-    machine: MachineSpec,
-    precision: Precision,
-) -> int:
+def _dp_buckets_for(real: _PricedStep, machine: MachineSpec) -> int:
     """Bucket count the *real* plan's DP volume/latency ratio justifies.
 
     The stand-in's payloads are tiny (latency-dominated), so the in-replay
     cap would always pick 1; the real gradient AllReduce is volume-dominated
-    and buckets profitably.  Computed once here — via the shared
-    :meth:`CostModel.bucket_cap` rule — and passed to the replay as an
-    exact count.
+    and buckets profitably.  Computed once here from the schedule the ratio
+    already priced — via the shared :meth:`CostModel.bucket_cap` rule — and
+    passed to the replay as an exact count.
     """
-    from .comm_model import step_comm_schedule  # local: avoid import cycle noise
-    from .cost import MAX_DP_BUCKETS, CostModel
-
+    plan = real.plan
     if plan.dp <= 1:
         return 1
-    cost = CostModel(machine)
-    intra = axis_intra_node(plan, machine)["dp"]
-    for ev in step_comm_schedule(model, Workload(channels, micro), plan, precision):
+    for ev in real.schedule:
         if ev.axis == "dp" and ev.op == "all_reduce":
-            return cost.bucket_cap(ev.op, ev.payload_bytes, plan.dp, intra, MAX_DP_BUCKETS)
+            intra = axis_intra_node(plan, machine)["dp"]
+            return CostModel(machine).bucket_cap(
+                ev.op, ev.payload_bytes, plan.dp, intra, MAX_DP_BUCKETS
+            )
     return 1
 
 
-def _standin(
-    model: ModelConfig,
-    channels: int,
-    plan: ParallelPlan,
-    micro: int,
-    machine: MachineSpec,
-    precision: Precision,
-) -> tuple[ParallelPlan, tuple]:
+def _standin(pricing: _Pricing, plan: ParallelPlan, micro: int) -> tuple[ParallelPlan, tuple]:
     """The stand-in plan for *plan* and the replay key it is priced under.
 
     The key is ``((sim.label, buckets), variant)``: the schedule *shape*
@@ -527,17 +552,22 @@ def _standin(
     (node placement, compute scale) that re-prices it.  Candidates with
     equal keys share one overlap pair.
     """
+    machine = pricing.real.machine
     sim = _shrink_plan(plan)
-    sim_mach = _sim_machine(plan, machine, sim)
-    scale = _compute_scale(model, channels, plan, micro, machine, precision, sim, sim_mach)
-    buckets = _dp_buckets_for(model, channels, plan, micro, machine, precision)
+    real = pricing.real.step(plan, micro)
+    sim_book = pricing.standin_book(_sim_node_size(plan, machine, sim))
+    scale = _compute_scale(real, sim_book.step(sim, _SIM_BATCH))
+    buckets = _dp_buckets_for(real, machine)
     # Quantize the scale onto a log grid (~26% steps) and price at the
     # quantized value: candidates with nearly the same compute/comm
     # balance then share one key honestly — scales range over orders of
     # magnitude, so rounding the raw value would never hit.
     if scale > 0.0:
         scale = 10.0 ** round(math.log10(scale), 1)
-    return sim, ((sim.label, buckets), ReplayVariant(machine=sim_mach, compute_scale=scale))
+    return sim, (
+        (sim.label, buckets),
+        ReplayVariant(machine=sim_book.machine, compute_scale=scale),
+    )
 
 
 def _capture_standin(
@@ -582,6 +612,7 @@ def simulated_overlaps(
     ``None`` (nothing to overlap — the constants are irrelevant there
     anyway).
     """
+    pricing = _Pricing(model, channels, machine, precision)
     cache: dict[tuple, "DerivedOverlaps"] = {}
     schedules: dict[tuple, CapturedSchedule] = {}  # per stand-in shape
     workspace: dict = {}  # warm replay buffers shared by every capture
@@ -589,7 +620,7 @@ def simulated_overlaps(
     def oracle(plan: ParallelPlan, micro: int) -> "DerivedOverlaps | None":
         if plan.dp <= 1 and plan.fsdp <= 1:
             return None
-        sim, key = _standin(model, channels, plan, micro, machine, precision)
+        sim, key = _standin(pricing, plan, micro)
         if key not in cache:
             shape, variant = key
             if shape not in schedules:

@@ -19,7 +19,7 @@ groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .cost import CostModel
@@ -236,6 +236,67 @@ class CommBreakdown:
         }
 
 
+def _price_comm(
+    schedule: list[CommEvent], plan: ParallelPlan, machine: MachineSpec
+) -> CommBreakdown:
+    """*schedule* priced with nothing hidden: every axis's full α–β seconds
+    and its per-rank wire bytes (the breakdown at dp/fsdp overlap 0).
+
+    :func:`_expose` applies the hidden fractions afterwards, so one priced
+    schedule serves any number of overlap pairs.
+    """
+    cost = CostModel(machine)
+    sizes = axis_group_sizes(plan)
+    intra = axis_intra_node(plan, machine)
+
+    times = dict.fromkeys(sizes, 0.0)
+    wires = dict.fromkeys(sizes, 0)
+    for ev in schedule:
+        n = sizes[ev.axis]
+        times[ev.axis] += ev.count * cost.collective_seconds(
+            ev.op, ev.payload_bytes, n, intra[ev.axis]
+        )
+        if n > 1:
+            wires[ev.axis] += ev.count * cost.wire_bytes(ev.op, ev.payload_bytes, n)
+
+    return CommBreakdown(
+        tp_time=times["tp"],
+        gather_time=times["gather"],
+        sp_time=times["sp"] + times["sp_gather"] + times["sp_scatter"],
+        fsdp_time=times["fsdp"],
+        dp_time=times["dp"],
+        tp_wire=wires["tp"],
+        gather_wire=wires["gather"],
+        sp_wire=wires["sp"],
+        sp_gather_wire=wires["sp_gather"],
+        sp_scatter_wire=wires["sp_scatter"],
+        fsdp_wire=wires["fsdp"],
+        dp_wire=wires["dp"],
+    )
+
+
+def _exposed_seconds(
+    raw: CommBreakdown, dp_overlap: float, fsdp_overlap: float
+) -> tuple[float, float]:
+    """``(fsdp, dp)`` seconds of the un-overlapped *raw* left exposed once
+    the hidden fractions are taken off — the only place they are applied."""
+    return raw.fsdp_time * (1.0 - fsdp_overlap), raw.dp_time * (1.0 - dp_overlap)
+
+
+def _expose(raw: CommBreakdown, dp_overlap: float, fsdp_overlap: float) -> CommBreakdown:
+    """The breakdown of *raw* (from :func:`_price_comm`) at one overlap pair."""
+    fsdp_time, dp_time = _exposed_seconds(raw, dp_overlap, fsdp_overlap)
+    return replace(raw, fsdp_time=fsdp_time, dp_time=dp_time)
+
+
+def _overlap_pair(overlaps: "DerivedOverlaps | None") -> tuple[float, float]:
+    """``(dp, fsdp)`` hidden fractions: *overlaps*' derived pair, or the
+    paper-era defaults when it is None."""
+    if overlaps is None:
+        return DEFAULT_DP_OVERLAP, DEFAULT_FSDP_OVERLAP
+    return overlaps.dp_overlap, overlaps.fsdp_overlap
+
+
 def estimate_step_comm(
     model: ModelConfig,
     workload: Workload,
@@ -254,35 +315,12 @@ def estimate_step_comm(
     implementations — the next op consumes their output immediately.  Pass
     ``overlaps=`` (a :class:`~repro.perf.overlap.DerivedOverlaps` from a
     virtual-clock run) to replace the assumed fractions with derived ones.
+
+    The schedule is priced first with nothing hidden and the two fractions
+    are applied last, so re-exposing a priced step at another pair costs
+    two multiplies, not a re-pricing.
     """
     if overlaps is not None:
-        dp_overlap = overlaps.dp_overlap
-        fsdp_overlap = overlaps.fsdp_overlap
-    cost = CostModel(machine)
-    sizes = axis_group_sizes(plan)
-    intra = axis_intra_node(plan, machine)
-
-    times = dict.fromkeys(sizes, 0.0)
-    wires = dict.fromkeys(sizes, 0)
-    for ev in step_comm_schedule(model, workload, plan, precision):
-        n = sizes[ev.axis]
-        times[ev.axis] += ev.count * cost.collective_seconds(
-            ev.op, ev.payload_bytes, n, intra[ev.axis]
-        )
-        if n > 1:
-            wires[ev.axis] += ev.count * cost.wire_bytes(ev.op, ev.payload_bytes, n)
-
-    return CommBreakdown(
-        tp_time=times["tp"],
-        gather_time=times["gather"],
-        sp_time=times["sp"] + times["sp_gather"] + times["sp_scatter"],
-        fsdp_time=times["fsdp"] * (1.0 - fsdp_overlap),
-        dp_time=times["dp"] * (1.0 - dp_overlap),
-        tp_wire=wires["tp"],
-        gather_wire=wires["gather"],
-        sp_wire=wires["sp"],
-        sp_gather_wire=wires["sp_gather"],
-        sp_scatter_wire=wires["sp_scatter"],
-        fsdp_wire=wires["fsdp"],
-        dp_wire=wires["dp"],
-    )
+        dp_overlap, fsdp_overlap = _overlap_pair(overlaps)
+    raw = _price_comm(step_comm_schedule(model, workload, plan, precision), plan, machine)
+    return _expose(raw, dp_overlap, fsdp_overlap)

@@ -22,7 +22,15 @@ from dataclasses import dataclass
 
 from typing import TYPE_CHECKING
 
-from .comm_model import CommBreakdown, estimate_step_comm
+from .comm_model import (
+    CommBreakdown,
+    CommEvent,
+    _expose,
+    _exposed_seconds,
+    _overlap_pair,
+    _price_comm,
+    step_comm_schedule,
+)
 from .flops import TRAIN_MULT, estimate_flops
 from .machine import MachineSpec
 from .memory_model import MemoryBreakdown, estimate_memory
@@ -129,6 +137,134 @@ def _useful_flops(model: ModelConfig, workload: Workload) -> float:
     return TRAIN_MULT * estimate_flops(model, workload, ParallelPlan("serial")).total
 
 
+@dataclass(frozen=True)
+class _PricedStep:
+    """One (plan, micro-batch) priced with no dp/fsdp overlap applied.
+
+    Everything here is independent of the overlap fractions — memory, the
+    compute seconds, the collective schedule and its un-overlapped per-axis
+    seconds and wire bytes — so one pricing serves every overlap pair:
+    :meth:`estimate` and :meth:`tflops` only discount the FSDP and DP
+    seconds (:func:`~repro.perf.comm_model._exposed_seconds`).
+    """
+
+    plan: ParallelPlan
+    micro_batch: int
+    memory: MemoryBreakdown
+    compute_seconds: float
+    comm: CommBreakdown            # un-overlapped: dp/fsdp fractions 0
+    useful_flops: float
+    fits: bool
+    schedule: list[CommEvent]
+
+    def estimate(self, overlaps: "DerivedOverlaps | None" = None) -> StepEstimate:
+        """The :class:`StepEstimate` at *overlaps* (None ⇒ the constants)."""
+        return StepEstimate(
+            plan=self.plan,
+            micro_batch=self.micro_batch,
+            memory=self.memory,
+            compute_seconds=self.compute_seconds,
+            comm=_expose(self.comm, *_overlap_pair(overlaps)),
+            useful_flops=self.useful_flops,
+            fits=self.fits,
+        )
+
+    def tflops(self, per_replica: int, overlaps: "DerivedOverlaps | None" = None) -> float:
+        """Total useful TFLOP/s serving *per_replica* samples per replica in
+        micro-steps of ``micro_batch`` (gradient accumulation), at *overlaps*."""
+        if not self.fits:
+            return 0.0
+        comm = self.comm
+        fsdp_time, dp_time = _exposed_seconds(comm, *_overlap_pair(overlaps))
+        n_micro = -(-per_replica // self.micro_batch)
+        # DP sync happens once per optimizer step; non-DP comm per micro-step.
+        micro_time = (
+            self.compute_seconds + comm.tp_time + comm.gather_time
+            + comm.sp_time + fsdp_time
+        )
+        step_time = n_micro * micro_time + dp_time
+        useful = self.useful_flops * n_micro * self.plan.dp
+        return useful / step_time / 1e12
+
+
+def _price_step(
+    model: ModelConfig,
+    workload: Workload,
+    plan: ParallelPlan,
+    machine: MachineSpec,
+    precision: Precision,
+    useful_flops: float | None = None,
+) -> _PricedStep:
+    """Price one step at ``workload.batch`` once, before any overlap."""
+    memory = estimate_memory(model, workload, plan, precision)
+    own = TRAIN_MULT * estimate_flops(model, workload, plan).total
+    eff = batch_efficiency(machine, workload.batch)
+    compute = own / (machine.peak_flops * eff)
+    schedule = step_comm_schedule(model, workload, plan, precision)
+    if useful_flops is None:
+        useful_flops = _useful_flops(model, workload)
+    return _PricedStep(
+        plan=plan,
+        micro_batch=workload.batch,
+        memory=memory,
+        compute_seconds=float(compute),
+        comm=_price_comm(schedule, plan, machine),
+        useful_flops=useful_flops,
+        fits=memory.fits(machine),
+        schedule=schedule,
+    )
+
+
+class _PriceBook:
+    """The priced steps of one (model, channels, machine, precision), each
+    distinct (plan, micro-batch) priced once.
+
+    A book lives for one search, one sweep or one overlap oracle and is
+    dropped with it — never module-level, so a fresh call prices cold.
+    Useful FLOPs depend on the batch alone and are kept per batch.
+    """
+
+    __slots__ = ("model", "channels", "machine", "precision", "_steps", "_useful")
+
+    def __init__(
+        self,
+        model: ModelConfig,
+        channels: int,
+        machine: MachineSpec,
+        precision: Precision,
+    ) -> None:
+        self.model = model
+        self.channels = channels
+        self.machine = machine
+        self.precision = precision
+        self._steps: dict[tuple[ParallelPlan, int], _PricedStep] = {}
+        self._useful: dict[int, float] = {}
+
+    def step(self, plan: ParallelPlan, batch: int) -> _PricedStep:
+        priced = self._steps.get((plan, batch))
+        if priced is None:
+            workload = Workload(self.channels, batch)
+            useful = self._useful.get(batch)
+            if useful is None:
+                useful = self._useful[batch] = _useful_flops(self.model, workload)
+            priced = self._steps[plan, batch] = _price_step(
+                self.model, workload, plan, self.machine, self.precision, useful
+            )
+        return priced
+
+    def throughput(
+        self,
+        plan: ParallelPlan,
+        b_max: int,
+        global_batch: int,
+        overlaps: "DerivedOverlaps | None",
+    ) -> float:
+        """:func:`global_batch_throughput` of *plan*, whose largest fitting
+        micro-batch is *b_max* (> 0), from this book's pricing."""
+        per_replica = global_batch // plan.dp
+        return self.step(plan, min(per_replica, b_max)).tflops(per_replica, overlaps)
+
+
 def estimate_step(
     model: ModelConfig,
     workload: Workload,
@@ -141,21 +277,12 @@ def estimate_step(
 
     ``overlaps`` replaces the assumed dp/fsdp overlap fractions with ones
     derived from a virtual-clock run (:func:`repro.perf.overlap.derive_overlaps`).
+    The step is priced once with nothing hidden (memory, FLOPs, the
+    collective schedule and its α–β seconds) and the two fractions are
+    applied last; the search and the sweep keep those pricings for a whole
+    call and re-expose them per overlap pair.
     """
-    memory = estimate_memory(model, workload, plan, precision)
-    own = TRAIN_MULT * estimate_flops(model, workload, plan).total
-    eff = batch_efficiency(machine, workload.batch)
-    compute = own / (machine.peak_flops * eff)
-    comm = estimate_step_comm(model, workload, plan, machine, precision, overlaps=overlaps)
-    return StepEstimate(
-        plan=plan,
-        micro_batch=workload.batch,
-        memory=memory,
-        compute_seconds=float(compute),
-        comm=comm,
-        useful_flops=_useful_flops(model, workload),
-        fits=memory.fits(machine),
-    )
+    return _price_step(model, workload, plan, machine, precision).estimate(overlaps)
 
 
 def sustained_estimate(
@@ -217,33 +344,15 @@ def global_batch_throughput(
     replica's largest fitting micro-batch is served by gradient
     accumulation (more micro-steps, same efficiency, one DP AllReduce per
     optimizer step so its cost amortizes).  ``overlaps`` replaces the
-    assumed dp/fsdp hidden fractions with derived ones — the autotuner
-    passes each candidate's own simulated fractions through here.
+    assumed dp/fsdp hidden fractions with derived ones.  The autotuner
+    scores each candidate the same way (:meth:`_PriceBook.throughput`),
+    from one price book per call.
     """
     if global_batch % plan.dp != 0:
         raise ValueError(f"global batch {global_batch} not divisible by dp={plan.dp}")
-    per_replica = global_batch // plan.dp
     b_max = max_batch_per_replica(model, channels, plan, machine, precision)
     if b_max == 0:
         return 0.0
-    est = estimate_step(
-        model, Workload(channels, min(per_replica, b_max)), plan, machine, precision,
-        overlaps=overlaps,
-    )
-    return _accumulated_tflops(est, per_replica)
+    book = _PriceBook(model, channels, machine, precision)
+    return book.throughput(plan, b_max, global_batch, overlaps)
 
-
-def _accumulated_tflops(est: StepEstimate, per_replica: int) -> float:
-    """Total useful TFLOP/s serving *per_replica* samples per replica in
-    micro-steps of ``est.micro_batch`` (gradient accumulation)."""
-    if not est.fits:
-        return 0.0
-    n_micro = -(-per_replica // est.micro_batch)
-    # DP sync happens once per optimizer step; non-DP comm per micro-step.
-    micro_time = (
-        est.compute_seconds + est.comm.tp_time + est.comm.gather_time
-        + est.comm.sp_time + est.comm.fsdp_time
-    )
-    step_time = n_micro * micro_time + est.comm.dp_time
-    useful = est.useful_flops * n_micro * est.plan.dp
-    return useful / step_time / 1e12

@@ -1,17 +1,35 @@
 """Tests for the configuration autotuner (the §6.2 search, automated)."""
 
+import dataclasses
+import itertools
+
 import pytest
 
 from repro.perf import (
+    CostModel,
     best_configuration,
+    estimate_step,
+    estimate_step_comm,
     frontier,
     global_batch_throughput,
     named_model,
     search_configurations,
     simulated_overlaps,
+    sweep_replay,
+    throughput,
 )
+from repro.perf.comm_model import (
+    CommBreakdown,
+    axis_group_sizes,
+    axis_intra_node,
+    step_comm_schedule,
+)
+from repro.perf.flops import TRAIN_MULT, estimate_flops
+from repro.perf.memory_model import estimate_memory
+from repro.perf.modelcfg import ModelConfig
 from repro.perf.overlap import DerivedOverlaps, OverlapReport
-from repro.perf.plan import ParallelPlan
+from repro.perf.plan import ParallelPlan, Precision, Workload
+from repro.perf.throughput import StepEstimate, batch_efficiency
 
 M = frontier()
 
@@ -328,3 +346,206 @@ class TestSequenceParallelAxis:
     def test_serial_strategy_rejects_sp(self):
         with pytest.raises(ValueError, match="serial strategy requires sp=1"):
             ParallelPlan("serial", sp=2)
+
+
+# -- the pre-split pricing path, kept as the reference --------------------
+
+
+def reference_estimate_step_comm(
+    model, workload, plan, machine, precision=Precision(),
+    dp_overlap=0.8, fsdp_overlap=0.5, overlaps=None,
+):
+    """The step's comm priced and exposed in one pass, as it was before
+    pricing and exposure were split."""
+    if overlaps is not None:
+        dp_overlap = overlaps.dp_overlap
+        fsdp_overlap = overlaps.fsdp_overlap
+    cost = CostModel(machine)
+    sizes = axis_group_sizes(plan)
+    intra = axis_intra_node(plan, machine)
+    times = dict.fromkeys(sizes, 0.0)
+    wires = dict.fromkeys(sizes, 0)
+    for ev in step_comm_schedule(model, workload, plan, precision):
+        n = sizes[ev.axis]
+        times[ev.axis] += ev.count * cost.collective_seconds(
+            ev.op, ev.payload_bytes, n, intra[ev.axis]
+        )
+        if n > 1:
+            wires[ev.axis] += ev.count * cost.wire_bytes(ev.op, ev.payload_bytes, n)
+    return CommBreakdown(
+        tp_time=times["tp"],
+        gather_time=times["gather"],
+        sp_time=times["sp"] + times["sp_gather"] + times["sp_scatter"],
+        fsdp_time=times["fsdp"] * (1.0 - fsdp_overlap),
+        dp_time=times["dp"] * (1.0 - dp_overlap),
+        tp_wire=wires["tp"],
+        gather_wire=wires["gather"],
+        sp_wire=wires["sp"],
+        sp_gather_wire=wires["sp_gather"],
+        sp_scatter_wire=wires["sp_scatter"],
+        fsdp_wire=wires["fsdp"],
+        dp_wire=wires["dp"],
+    )
+
+
+def reference_estimate_step(model, workload, plan, machine, precision=Precision(), overlaps=None):
+    memory = estimate_memory(model, workload, plan, precision)
+    own = TRAIN_MULT * estimate_flops(model, workload, plan).total
+    eff = batch_efficiency(machine, workload.batch)
+    compute = own / (machine.peak_flops * eff)
+    comm = reference_estimate_step_comm(
+        model, workload, plan, machine, precision, overlaps=overlaps
+    )
+    useful = TRAIN_MULT * estimate_flops(model, workload, ParallelPlan("serial")).total
+    return StepEstimate(
+        plan=plan,
+        micro_batch=workload.batch,
+        memory=memory,
+        compute_seconds=float(compute),
+        comm=comm,
+        useful_flops=useful,
+        fits=memory.fits(machine),
+    )
+
+
+def reference_accumulated_tflops(est, per_replica):
+    if not est.fits:
+        return 0.0
+    n_micro = -(-per_replica // est.micro_batch)
+    micro_time = (
+        est.compute_seconds + est.comm.tp_time + est.comm.gather_time
+        + est.comm.sp_time + est.comm.fsdp_time
+    )
+    step_time = n_micro * micro_time + est.comm.dp_time
+    return est.useful_flops * n_micro * est.plan.dp / step_time / 1e12
+
+
+def _fleet_bench():
+    """``benchmarks/bench_fleet_sweep.py`` as a module (its fleet grid)."""
+    import importlib.util
+    from pathlib import Path
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_fleet_sweep",
+        Path(__file__).resolve().parent.parent / "benchmarks" / "bench_fleet_sweep.py",
+    )
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def _hex_fields(obj):
+    """Every field, floats as ``float.hex`` (nested dataclasses flattened)."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, ParallelPlan):
+        return {f.name: _hex_fields(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    return obj
+
+
+class TestPricedOnce:
+    """Pricing is split from exposure: a step is priced once with nothing
+    hidden and the dp/fsdp fractions are applied last.  (a) That split is
+    bitwise equal to the one-pass reference above on every field; (b) the
+    §6.2 search and the fleet sweep price each distinct (plan, micro-batch)
+    once per call."""
+
+    MODELS = (
+        named_model("7B"),
+        ModelConfig("priced", dim=256, depth=6, heads=8, patch=4, image_hw=(32, 32)),
+    )
+    OVERLAPS = _const_overlaps(0.37, 0.61)
+
+    @staticmethod
+    def _plans():
+        strategies = [("tp", "linear", 0), ("dist_tok", "linear", 0)] + [
+            ("dchag", kind, fanout) for kind in ("linear", "cross") for fanout in (0, 2)
+        ]
+        for tp_shard_final, sp, fsdp, dp in itertools.product(
+            (True, False), (1, 2), (1, 2), (1, 2)
+        ):
+            if sp == 1:
+                yield ParallelPlan("serial", fsdp=fsdp, dp=dp, tp_shard_final=tp_shard_final)
+            for (strategy, kind, fanout), tp in itertools.product(strategies, (2, 16)):
+                yield ParallelPlan(
+                    strategy, tp=tp, fsdp=fsdp, dp=dp, dchag_kind=kind,
+                    dchag_fanout=fanout, tp_shard_final=tp_shard_final, sp=sp,
+                )
+
+    def test_split_pricing_is_bitwise_the_one_pass_reference(self):
+        compared = fitting = 0
+        for model, plan in itertools.product(self.MODELS, self._plans()):
+            workload = Workload(64, 3)
+            for ov in (None, self.OVERLAPS):
+                got = estimate_step(model, workload, plan, M, overlaps=ov)
+                want = reference_estimate_step(model, workload, plan, M, overlaps=ov)
+                assert _hex_fields(got) == _hex_fields(want), (plan.label, ov)
+                assert _hex_fields(
+                    estimate_step_comm(model, workload, plan, M, overlaps=ov)
+                ) == _hex_fields(want.comm)
+                got_tflops = global_batch_throughput(model, 64, plan, M, 8, overlaps=ov)
+                b_max = throughput.max_batch_per_replica(model, 64, plan, M)
+                want_tflops = 0.0 if b_max == 0 else reference_accumulated_tflops(
+                    reference_estimate_step(
+                        model, Workload(64, min(8 // plan.dp, b_max)), plan, M, overlaps=ov
+                    ),
+                    8 // plan.dp,
+                )
+                assert got_tflops.hex() == want_tflops.hex(), plan.label
+                compared += 1
+                fitting += got_tflops > 0.0
+            explicit = dict(dp_overlap=0.25, fsdp_overlap=0.9)
+            assert _hex_fields(
+                estimate_step_comm(model, workload, plan, M, **explicit)
+            ) == _hex_fields(reference_estimate_step_comm(model, workload, plan, M, **explicit))
+        # 2 models x 2 overlap sources x (8 serial + 16 axis settings x 6
+        # channel stages x 2 tp widths), most of them fitting.
+        assert compared == 2 * 2 * (8 + 16 * 6 * 2)
+        assert compared // 2 < fitting < compared
+
+    @pytest.fixture
+    def pricings(self, monkeypatch):
+        """Every step pricing as ``(model, plan, batch, node size)``."""
+        calls: list[tuple] = []
+        real = throughput._price_step
+
+        def counting(model, workload, plan, machine, *args, **kwargs):
+            calls.append((model.name, plan, workload.batch, machine.gpus_per_node))
+            return real(model, workload, plan, machine, *args, **kwargs)
+
+        monkeypatch.setattr(throughput, "_price_step", counting)
+        return calls
+
+    @pytest.mark.parametrize("prune", [None, 3])
+    def test_sec62_search_prices_each_candidate_once(self, pricings, prune):
+        """The bound score and the oracle (or constant) score of a
+        candidate are two exposures of one pricing."""
+        ov = self.OVERLAPS
+        results = search_configurations(
+            named_model("7B"), 500, 1024, M, 4096,
+            overlaps=lambda plan, micro: ov, prune_top_k=prune,
+        )
+        assert len(results) == 66
+        assert len(pricings) == len(set(pricings)) == 66
+
+    def test_fleet_sweep_prices_each_distinct_step_once(self, pricings):
+        """Each distinct (plan, micro-step batch) once — the stand-in
+        ratio's real side shares those pricings — and the stand-in side
+        once per distinct (stand-in plan, node size), not once per key."""
+        bench = _fleet_bench()
+        model = named_model(bench.FLEET_MODEL_NAME)
+        sweep = sweep_replay(
+            model, bench.FLEET_CHANNELS, M, bench.FLEET_BUDGETS,
+            strategies=bench.FLEET_STRATEGIES,
+        )
+        assert sweep.candidates == 1304
+        assert len(pricings) == len(set(pricings))
+        steps = {
+            (t.plan, min(b // t.plan.dp, t.micro_batch))
+            for (_g, b), ranked in sweep.rankings
+            for t in ranked
+        }
+        real = [(plan, batch) for name, plan, batch, _ in pricings if name == model.name]
+        assert set(real) == steps and len(steps) == 268
+        standin_side = [c for c in pricings if c[0] != model.name]
+        assert len(standin_side) == 5  # for 163 stand-in keys

@@ -5,9 +5,11 @@ size N consolidates — and, after resharding, loads — **bitwise identically**
 at any world size M, optimizer moments included.
 """
 
+import gc
 import json
 import struct
 import threading
+import warnings
 import zipfile
 
 import numpy as np
@@ -408,11 +410,20 @@ class TestDamagedShard:
         ids=["load_sharded", "reshard", "consolidate"],
     )
     def test_damaged_shard_raises_zip_error(self, tmp_path, damage, read):
+        """... and leaves no handle on the damaged file open."""
         run_spmd(lambda comm: train_and_save(comm, tmp_path), 2)
         step_dir = checkpoint_dir(tmp_path, 2)
         damage(step_dir / "shard_0001.npz")
-        with pytest.raises(zipfile.BadZipFile):
-            read(step_dir, tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(zipfile.BadZipFile):
+                read(step_dir, tmp_path)
+            gc.collect()
+        leaks = [
+            w for w in caught
+            if issubclass(w.category, ResourceWarning) and "shard_0001" in str(w.message)
+        ]
+        assert not leaks, [str(w.message) for w in leaks]
 
 
 class TestDeltaManifestRejected:

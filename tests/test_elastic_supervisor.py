@@ -270,6 +270,28 @@ class TestElasticGrow:
         assert ev.kind == "spare" and ev.failed_rank == -1
         assert (ev.old_world_size, ev.new_world_size) == (4, 4)
 
+    def test_capped_arrival_does_not_roll_back(self, tmp_path):
+        """An arrival ``max_world_size`` caps leaves the world as it is: it
+        must not abort it and replay the steps since the last checkpoint."""
+        res = run_elastic(tmp_path, 4, FailurePlan().rejoin(7), sub="elastic",
+                          max_world_size=4)
+        base = run_elastic(tmp_path, 4, None, sub="baseline")
+        assert res.attempts == 1
+        (ev,) = res.recoveries
+        assert ev.kind == "spare" and ev.steps_lost == 0 and ev.failed_step == 7
+        assert res.total_steps_lost == 0
+        assert [v.hex() for v in res.losses] == [v.hex() for v in base.losses]
+
+    def test_banked_arrival_does_not_roll_back(self, tmp_path):
+        """The pool banks the returning rank after a failure spent the
+        spare: only the failure rebuilds the world."""
+        plan = FailurePlan.kill(1, 4).rejoin(7)
+        res = run_elastic(tmp_path, 4, plan, sub="elastic", policy=SparePool(1))
+        assert res.attempts == 2
+        failure, arrival = res.recoveries
+        assert arrival.failed_rank == -1 and arrival.steps_lost == 0
+        assert res.total_steps_lost == failure.steps_lost
+
     def test_rank_arrival_plan_algebra(self):
         plan = FailurePlan.kill(1, 3).rejoin(6, count=2)
         assert len(plan) == 2 and plan

@@ -604,33 +604,38 @@ class TestSweepReplay:
 
     def test_sweep_prices_each_distinct_input_once(self, monkeypatch):
         """On the fleet grid, candidates are enumerated once per GPU count,
-        stand-in keys computed once per (plan, micro-batch) and step
-        estimates once per (plan, micro-step batch)."""
-        from repro.perf import autotune
+        stand-in keys computed once per (plan, micro-batch) and the fleet
+        model's steps priced once per (plan, micro-step batch)."""
+        from repro.perf import autotune, throughput
 
         calls: dict[str, list] = {}
 
-        def count(name, key):
-            real = getattr(autotune, name)
+        def count(module, name, key):
+            real = getattr(module, name)
             calls[name] = []
 
             def shim(*args, **kwargs):
                 calls[name].append(key(*args))
                 return real(*args, **kwargs)
 
-            monkeypatch.setattr(autotune, name, shim)
+            monkeypatch.setattr(module, name, shim)
 
-        count("_enumerate_candidates", lambda model, channels, gpus, *a: gpus)
-        count("_standin", lambda model, channels, plan, micro, *a: (plan, micro))
-        count("estimate_step", lambda model, workload, plan, *a: (plan, workload.batch))
+        count(autotune, "_enumerate_candidates", lambda model, channels, gpus, *a: gpus)
+        count(autotune, "_standin", lambda pricing, plan, micro: (plan, micro))
+        count(throughput, "_price_step",
+              lambda model, workload, plan, *a: (model.name, plan, workload.batch))
         bench = _load_fleet_bench()
         sweep = sweep_replay(
             named_model(bench.FLEET_MODEL_NAME), bench.FLEET_CHANNELS, MACHINE,
             bench.FLEET_BUDGETS, strategies=bench.FLEET_STRATEGIES,
         )
         assert sweep.candidates == 1304
+        # The stand-in model's few pricings are fenced in test_autotune.py.
+        calls["_price_step"] = [
+            c for c in calls["_price_step"] if c[0] == bench.FLEET_MODEL_NAME
+        ]
         for name, expected in [("_enumerate_candidates", 21), ("_standin", 163),
-                               ("estimate_step", 268)]:
+                               ("_price_step", 268)]:
             assert len(calls[name]) == len(set(calls[name])) == expected, name
 
     def test_fleet_scale_sweep_prices_1000_candidates_from_4_worlds(self):
