@@ -18,9 +18,9 @@ from repro.dist import run_spmd_world
 from repro.nn import ViTEncoder
 from repro.parallel import ParallelContext, scatter_sequence, sequence_parallel, tensor_parallel
 from repro.perf import (
+    CostModel,
     MachineSpec,
     ParallelPlan,
-    collective_time,
     frontier,
     named_model,
 )
@@ -65,9 +65,10 @@ class TestSPvsTP:
 class TestLocality:
     def test_intra_node_collective_cheaper(self):
         payload = 64 << 20
+        cost = CostModel(MACHINE)
         for op in ("all_reduce", "all_gather"):
-            fast = collective_time(op, payload, 8, MACHINE, intra_node=True)
-            slow = collective_time(op, payload, 8, MACHINE, intra_node=False)
+            fast = cost.collective_seconds(op, payload, 8, intra_node=True)
+            slow = cost.collective_seconds(op, payload, 8, intra_node=False)
             assert slow > 3 * fast  # IF 50 GB/s vs 12.5 GB/s per GCD
 
     def test_hybrid_prefers_node_local_tp(self):

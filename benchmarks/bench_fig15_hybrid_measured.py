@@ -8,7 +8,7 @@ replays the plan's exact collective schedule on its
 :class:`~repro.parallel.DeviceMesh` groups under a
 :class:`~repro.perf.VirtualClock`, and the traffic log's measured wire bytes
 are compared byte-for-byte against :func:`~repro.perf.estimate_step_comm` —
-the analytic/measured contract the calibration harness enforces in CI.
+the analytic/measured contract ``tests/test_virtual_clock.py`` enforces in CI.
 
 A scaled-down model keeps the 8-rank worlds fast; the *claims* are
 scale-free: exact wire parity per axis, virtual comm time equal to the

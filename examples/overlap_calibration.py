@@ -6,14 +6,16 @@ assumptions.  This example shows the full derived workflow:
 
 1. Train a real FSDP × DP hybrid world under ``run_spmd(...,
    clock=VirtualClock(machine))`` — every collective advances deterministic
-   per-rank simulated timelines, and the parallel wrappers charge compute
-   intervals alongside.
+   per-rank simulated timelines; FSDP charges per-unit forward compute and
+   the loop charges backward before its ``dp_sync`` gradient AllReduce.
 2. Derive the overlap fractions from those timelines
    (:func:`repro.perf.derive_overlaps`) instead of assuming them.
 3. Feed them back into :func:`repro.perf.estimate_step_comm` and compare
    against the assumed constants for the paper's 7B hybrid plan.
-4. Run the calibration harness: measured wire bytes must equal the shared
-   CostModel's predictions exactly for every ring collective.
+
+The clock itself is calibrated by ``tests/test_virtual_clock.py``
+(``TestWireParity``: measured wire bytes and virtual seconds equal the
+shared CostModel exactly for every ring collective).
 
 Run:  python examples/overlap_calibration.py [--steps 3]
 """
@@ -36,7 +38,6 @@ from repro.perf import (
     frontier,
     named_model,
 )
-from repro.perf.calibrate import calibrate
 from repro.tensor import AdamW, Tensor
 
 DIM, DEPTH, HEADS, TOKENS = 16, 2, 4, 5
@@ -143,15 +144,6 @@ def main() -> None:
     print(f"7B {plan.label} step comm, derived overlaps: "
           f"{fitted.total * 1e3:.2f} ms (fsdp {fitted.fsdp_time * 1e3:.2f}, "
           f"dp {fitted.dp_time * 1e3:.2f})")
-
-    # -- 4. the analytic/measured contract --------------------------------
-    report = calibrate(world_sizes=(2, 4), machine=machine)
-    exact = sum(1 for r in report.rows if r.wire_match)
-    print(f"\ncalibration: {exact}/{len(report.rows)} op/placement combos "
-          f"wire-exact, max time residual {report.max_time_residual:.1e}")
-    if not report.ok:
-        raise SystemExit("calibration failed: measured traffic diverges from CostModel")
-    print("OK: measured wire bytes match the CostModel exactly")
 
 
 if __name__ == "__main__":

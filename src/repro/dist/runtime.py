@@ -873,8 +873,10 @@ class Communicator:
     ) -> tuple[float, float] | None:
         """Advance this rank's virtual clock by a compute interval.
 
-        The parallel wrappers (:class:`~repro.parallel.DataParallel`,
-        :class:`~repro.parallel.FSDPModel`) call this so rank timelines interleave compute with communication and
+        Model code (:class:`~repro.parallel.FSDPModel`'s ``unit_seconds``,
+        a training loop charging its backward before the DP gradient sync,
+        :func:`~repro.perf.calibrate.measure_plan`) calls this so rank
+        timelines interleave compute with communication and
         :mod:`repro.perf.overlap` can derive overlap fractions.  Returns the
         ``(start, end)`` virtual interval, or ``None`` when the world has no
         clock (a no-op, so instrumented code runs unchanged without one).

@@ -366,10 +366,13 @@ def save_sharded(
 def load_manifest(step_dir: str | Path) -> dict:
     """Parse a step directory's manifest.
 
-    Raises ``ValueError`` for a delta manifest written by older code: its
-    shards hold only some units and nothing here resolves the rest.
+    Raises ``ValueError`` for a manifest that is not a JSON object, and for
+    a delta manifest written by older code: its shards hold only some units
+    and nothing here resolves the rest.
     """
     manifest = json.loads((Path(step_dir) / MANIFEST_NAME).read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"checkpoint {step_dir} manifest is not a JSON object")
     if "delta" in manifest:
         raise ValueError(
             f"checkpoint {step_dir} is a delta save; delta checkpoints are no "
@@ -387,8 +390,9 @@ def _step_dirs(root: Path) -> list[Path]:
 def _complete(step_dirs: list[Path]) -> list[tuple[int, str, Path]]:
     """``(step, name, dir)`` of every complete checkpoint, oldest first.
 
-    Complete = a readable manifest (written last) and every shard file it
-    names on disk.
+    Complete = a readable manifest (written last) carrying the keys a load
+    reads — an integer ``step``, ``world_size``, ``units`` and a list of
+    ``shards`` — and every shard file it names on disk.
     """
     out = []
     for d in step_dirs:
@@ -396,7 +400,14 @@ def _complete(step_dirs: list[Path]) -> list[tuple[int, str, Path]]:
             manifest = load_manifest(d)
         except (OSError, ValueError):  # missing, torn, or a rejected format
             continue
-        if all((d / name).is_file() for name in manifest.get("shards", ())):
+        if not (
+            isinstance(manifest.get("step"), int)
+            and "world_size" in manifest
+            and "units" in manifest
+            and isinstance(manifest.get("shards"), list)
+        ):
+            continue  # damaged: a key a load reads is missing or mistyped
+        if all((d / name).is_file() for name in manifest["shards"]):
             out.append((manifest["step"], d.name, d))
     return sorted(out)
 

@@ -2,7 +2,7 @@
 FSDP, DP, and the hybrid device mesh (paper §§3.1, 3.4, 3.5, 4.3)."""
 
 from .dist_token import DistributedTokenizer, channel_shard
-from .dp import DataParallel, shard_batch
+from .dp import shard_batch
 from .fsdp import FlatParamShard, FSDPModel, FSDPUnit
 from .mesh import DeviceMesh, ParallelContext
 from .sp import (
@@ -29,7 +29,6 @@ __all__ = [
     "FSDPModel",
     "FSDPUnit",
     "FlatParamShard",
-    "DataParallel",
     "shard_batch",
     "DeviceMesh",
 ]

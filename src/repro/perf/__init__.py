@@ -8,7 +8,6 @@ in ``tests/test_perf_models.py``.
 from .autotune import (
     ReplaySweep,
     TunedPlan,
-    best_configuration,
     search_configurations,
     simulated_overlaps,
     sweep_replay,
@@ -19,7 +18,6 @@ from .figures import FIGURE_BATCH
 from .comm_model import (
     CommBreakdown,
     CommEvent,
-    collective_time,
     estimate_step_comm,
     step_comm_schedule,
 )
@@ -61,7 +59,6 @@ __all__ = [
     "FIGURE_BATCH",
     "TunedPlan",
     "search_configurations",
-    "best_configuration",
     "MachineSpec",
     "frontier",
     "GiB",
@@ -80,7 +77,6 @@ __all__ = [
     "TRAIN_MULT",
     "CommBreakdown",
     "CommEvent",
-    "collective_time",
     "estimate_step_comm",
     "step_comm_schedule",
     "CostModel",

@@ -70,7 +70,6 @@ __all__ = [
     "OverlapSource",
     "ReplaySweep",
     "search_configurations",
-    "best_configuration",
     "simulated_overlaps",
     "sweep_replay",
 ]
@@ -257,25 +256,6 @@ def search_configurations(
             results.append(TunedPlan(plan, micro, score(plan, micro, ov), ov))
     results.sort(key=lambda t: t.total_tflops, reverse=True)
     return results
-
-
-def best_configuration(
-    model: ModelConfig,
-    channels: int,
-    total_gpus: int,
-    machine: MachineSpec,
-    global_batch: int,
-    **kwargs,
-) -> TunedPlan:
-    """The throughput-optimal plan (raises if nothing fits)."""
-    results = search_configurations(
-        model, channels, total_gpus, machine, global_batch, **kwargs
-    )
-    if not results:
-        raise ValueError(
-            f"no feasible configuration for {model.name} / {channels}ch on {total_gpus} GPUs"
-        )
-    return results[0]
 
 
 # -- fleet-scale batched replay sweep --------------------------------------

@@ -1,31 +1,27 @@
-"""Calibration harness: the analytic/measured contract, enforced.
+"""Measured replay: the analytic/measured contract at plan scale.
 
-Two layers of cross-checking between the α–β :class:`CostModel` and the
-SPMD runtime driven with a :class:`VirtualClock`:
+:func:`measure_plan` replays the exact
+:func:`~repro.perf.comm_model.step_comm_schedule` of a hybrid
+(tp × sp × fsdp × dp) plan through a real :class:`~repro.parallel.DeviceMesh`
+world, returning per-axis measured wire/seconds plus derived overlap
+fractions; the measured fig-15/16 benchmarks sweep factorizations through
+it.  With ``eager=True`` the replay runs on an **issue-queue clock**: FSDP
+gathers prefetch under forward compute and the DP gradient AllReduce is
+split into buckets issued *during* backward — the derived overlaps then
+come from per-bucket measured exposure instead of the
+``min(comm, compute)`` bound.
 
-1. :func:`calibrate` — runs every ring collective through real
-   :func:`~repro.dist.run_spmd` worlds (2/4/8 ranks, intra- and inter-node
-   placements) and checks the traffic log's **measured wire bytes equal the
-   CostModel prediction exactly**, and the virtual step time equals
-   :func:`~repro.perf.comm_model.collective_time`.
-2. :func:`measure_plan` — replays the exact
-   :func:`~repro.perf.comm_model.step_comm_schedule` of a hybrid
-   (tp × sp × fsdp × dp) plan through a real :class:`~repro.parallel.DeviceMesh`
-   world, returning per-axis measured wire/seconds plus derived overlap
-   fractions; the measured fig-15/16 benchmarks sweep factorizations
-   through it.  With ``eager=True`` the replay runs on an **issue-queue
-   clock**: FSDP gathers prefetch under forward compute and the DP gradient
-   AllReduce is split into buckets issued *during* backward — the derived
-   overlaps then come from per-bucket measured exposure instead of the
-   ``min(comm, compute)`` bound.
-
-``tests/test_virtual_clock.py`` gates both layers (``TestWireParity``,
-``TestMeasuredPlans``, ``TestEagerMeasuredPlans``).
+:func:`_issue` issues one ring collective with an exact per-rank payload;
+``tests/test_virtual_clock.py::TestWireParity`` drives every ring op
+through it at 2/4/8 ranks, intra- and inter-node, and checks measured wire
+bytes and virtual seconds equal the :class:`~repro.perf.cost.CostModel`
+exactly.  ``TestMeasuredPlans`` and ``TestEagerMeasuredPlans`` gate
+:func:`measure_plan`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +33,7 @@ from .comm_model import (
     estimate_step_comm,
     step_comm_schedule,
 )
-from .cost import MAX_DP_BUCKETS, CostModel
+from .cost import MAX_DP_BUCKETS
 from .flops import TRAIN_MULT, estimate_flops
 from .machine import MachineSpec, frontier
 from .modelcfg import ModelConfig
@@ -47,9 +43,6 @@ from .throughput import batch_efficiency
 
 __all__ = [
     "RING_OPS",
-    "CalibrationRow",
-    "CalibrationReport",
-    "calibrate",
     "MeasuredComm",
     "measure_plan",
 ]
@@ -122,98 +115,6 @@ def _issue(comm, op: str, payload_bytes: int, group, scratch: dict) -> None:
         comm.all_to_all(np.split(buf, n), group=group, out=outs)
     else:
         raise ValueError(f"unknown ring collective {op!r}")
-
-
-@dataclass(frozen=True)
-class CalibrationRow:
-    """One (op, world size, placement) cross-check."""
-
-    op: str
-    ranks: int
-    intra_node: bool
-    payload_bytes: int
-    predicted_wire: int
-    measured_wire: int
-    predicted_seconds: float
-    measured_seconds: float
-
-    @property
-    def wire_match(self) -> bool:
-        return self.predicted_wire == self.measured_wire
-
-    @property
-    def time_residual(self) -> float:
-        """Relative |measured − predicted| virtual seconds."""
-        scale = max(abs(self.predicted_seconds), 1e-30)
-        return abs(self.measured_seconds - self.predicted_seconds) / scale
-
-
-@dataclass(frozen=True)
-class CalibrationReport:
-    machine: MachineSpec
-    rows: list[CalibrationRow]
-
-    @property
-    def wire_exact(self) -> bool:
-        return all(r.wire_match for r in self.rows)
-
-    @property
-    def max_time_residual(self) -> float:
-        return max((r.time_residual for r in self.rows), default=0.0)
-
-    @property
-    def ok(self) -> bool:
-        return self.wire_exact and self.max_time_residual < 1e-9
-
-
-def _run_one(
-    op: str, world_size: int, payload_bytes: int, machine: MachineSpec
-) -> CalibrationRow:
-    cost = CostModel(machine)
-    clock = VirtualClock(machine)
-
-    def fn(comm):
-        _issue(comm, op, payload_bytes, comm.world.default_group, {})
-        return comm.now()
-
-    _, world = run_spmd_world(fn, world_size, clock=clock, timeout=60.0)
-    intra = cost.intra_node(range(world_size))
-    rec = next(r for r in world.traffic.records() if r.rank == 0 and r.op == op)
-    return CalibrationRow(
-        op=op,
-        ranks=world_size,
-        intra_node=intra,
-        payload_bytes=payload_bytes,
-        predicted_wire=cost.wire_bytes(op, rec.payload_bytes, world_size),
-        measured_wire=world.traffic.wire_bytes(op=op, rank=0),
-        predicted_seconds=cost.collective_seconds(
-            op, rec.payload_bytes, world_size, intra
-        ),
-        measured_seconds=clock.elapsed(),
-    )
-
-
-def calibrate(
-    world_sizes: tuple[int, ...] = (2, 4, 8),
-    machine: MachineSpec | None = None,
-    payload_bytes: int = 4096,
-) -> CalibrationReport:
-    """Cross-check every ring collective at every world size, both placements.
-
-    The inter-node placement reuses the same machine with
-    ``gpus_per_node = world_size // 2`` so the world's default group spans
-    two simulated nodes.
-    """
-    machine = machine if machine is not None else frontier()
-    rows: list[CalibrationRow] = []
-    for n in world_sizes:
-        # Payload divisible by every group size keeps padded conventions exact.
-        payload = payload_bytes - payload_bytes % n
-        for spec in (machine, replace(machine, gpus_per_node=max(1, n // 2))):
-            for op in RING_OPS:
-                rows.append(_run_one(op, n, payload, spec))
-    report = CalibrationReport(machine=machine, rows=rows)
-    return report
 
 
 @dataclass(frozen=True)

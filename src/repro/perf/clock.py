@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from typing import Callable, Collection, Sequence
 
 from .cost import CostModel
-from .machine import MachineSpec
+from .machine import MachineSpec, frontier
 
 __all__ = ["ComputeInterval", "CommInterval", "VirtualClock"]
 
@@ -144,12 +144,11 @@ class VirtualClock:
     def __init__(
         self,
         machine: MachineSpec | None = None,
-        cost: CostModel | None = None,
         eager_phases: Collection[str] | None = None,
         capture: bool = False,
     ) -> None:
-        self.cost = cost = CostModel.resolve(machine, cost)
-        self.machine = cost.machine
+        self.machine = machine = machine if machine is not None else frontier()
+        self.cost = CostModel(machine)
         self.eager_phases = frozenset(eager_phases) if eager_phases else frozenset()
         # Schedule capture: when on, every clock-visible event (compute
         # charge, collective issue, drain) is appended to the issuing

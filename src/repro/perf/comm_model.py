@@ -11,10 +11,10 @@ analytic predictions and measured (simulated) runs can be cross-checked
 byte-for-byte (``perf/calibrate.py``).
 
 :func:`step_comm_schedule` is the single source of the per-step collective
-schedule: :func:`estimate_step_comm` prices it analytically, and the
-calibration harness replays the identical events through real
-:func:`~repro.dist.run_spmd` worlds on :class:`~repro.parallel.DeviceMesh`
-groups.
+schedule: :func:`estimate_step_comm` prices it analytically, and
+:func:`~repro.perf.calibrate.measure_plan` replays the identical events
+through real :func:`~repro.dist.run_spmd` worlds on
+:class:`~repro.parallel.DeviceMesh` groups.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .overlap import DerivedOverlaps
 
 __all__ = [
-    "collective_time",
     "CommEvent",
     "step_comm_schedule",
     "axis_group_sizes",
@@ -45,22 +44,6 @@ __all__ = [
 #: :func:`repro.perf.overlap.derive_overlaps`, then pass ``overlaps=``.
 DEFAULT_DP_OVERLAP = 0.8
 DEFAULT_FSDP_OVERLAP = 0.5
-
-
-def collective_time(
-    op: str,
-    payload_bytes: float,
-    group_size: int,
-    machine: MachineSpec,
-    intra_node: bool,
-) -> float:
-    """Seconds for one collective; *payload_bytes* is the per-rank payload
-    (matching :func:`repro.dist.stats.ring_wire_bytes` conventions).
-
-    Thin wrapper over :meth:`CostModel.collective_seconds` — kept as the
-    historical entry point of the analytic layer.
-    """
-    return CostModel(machine).collective_seconds(op, payload_bytes, group_size, intra_node)
 
 
 @dataclass(frozen=True)

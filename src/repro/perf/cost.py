@@ -1,10 +1,10 @@
 """The α–β pricing core shared by the analytic model and the SPMD runtime.
 
 One :class:`CostModel` instance prices every collective the system issues —
-the analytic layer (:func:`repro.perf.comm_model.collective_time` and
-:func:`~repro.perf.comm_model.estimate_step_comm`) and the runtime's
-:class:`~repro.perf.clock.VirtualClock` both delegate here, so the two
-layers can cross-check each other byte-for-byte (``perf/calibrate.py``).
+the analytic layer (:func:`~repro.perf.comm_model.estimate_step_comm`)
+and the runtime's :class:`~repro.perf.clock.VirtualClock` both delegate
+here, so the two layers can cross-check each other byte-for-byte
+(``tests/test_virtual_clock.py::TestWireParity``).
 
 Pricing convention (§4.1, RCCL ring algorithms)::
 
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..dist.stats import ring_wire_bytes
-from .machine import MachineSpec, frontier
+from .machine import MachineSpec
 
 __all__ = ["CostModel", "MAX_DP_BUCKETS"]
 
@@ -58,19 +58,6 @@ class CostModel:
     """Prices collectives (seconds + wire bytes) on one :class:`MachineSpec`."""
 
     machine: MachineSpec
-
-    @classmethod
-    def resolve(
-        cls, machine: MachineSpec | None, cost: "CostModel | None"
-    ) -> "CostModel":
-        """The one reading of a ``(machine, cost)`` argument pair: *cost* if
-        given (a *machine* beside it must be the one it prices), else a
-        model of *machine*, else of :func:`~repro.perf.machine.frontier`."""
-        if cost is None:
-            return cls(machine if machine is not None else frontier())
-        if machine is not None and cost.machine is not machine:
-            raise ValueError("pass either machine or cost, not conflicting both")
-        return cost
 
     # -- the shared step-count table --------------------------------------
     def latency_steps(self, op: str, group_size: int) -> int:

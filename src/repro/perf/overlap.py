@@ -18,19 +18,23 @@ Two derivation sources, picked per axis by what the run simulated:
   directly, ``1 − exposed / busy`` (``busy`` = channel occupancy, the pure
   α–β cost), and :func:`derive_bucket_exposures` reports it **per bucket**
   (per dp gradient bucket / per fsdp unit gather).
-* ``"bound"`` — the run was blocking (the legacy simulation serializes
-  communication after compute): the best available estimate is the eager
-  upper bound ``min(C, K) / C`` from the axis' total collective wall-time
-  ``C`` and the compute ``K`` that could hide it.
+* ``"bound"`` — the run was blocking (communication serializes after
+  compute; the time-parity reference the analytic model and
+  :func:`~repro.perf.calibrate.measure_plan` ``eager=False`` are checked
+  against): the best available estimate is the eager upper bound
+  ``min(C, K) / C`` from the axis' total collective wall-time ``C`` and
+  the compute ``K`` that could hide it.
 
-Phase conventions (stamped by the parallel wrappers):
+Phase conventions:
 
 ========================  ==================================================
 phase                     producer
 ========================  ==================================================
-``"dp_sync"``             :meth:`repro.parallel.DataParallel.sync_gradients`
+``"dp_sync"``             :func:`repro.dist.average_gradients` under
+                          ``comm.phase_scope("dp_sync")``, or the DP buckets
+                          of :func:`~repro.perf.calibrate.measure_plan`
 ``"fsdp_gather"``         :class:`repro.parallel.FSDPModel` unit materialize
-``"forward"``             compute charged by the wrappers' forward hooks
+``"forward"``             compute charged during forward
 ``"backward"``            compute charged before the DP gradient sync
 ========================  ==================================================
 """

@@ -14,8 +14,8 @@ re-executes it as **pure event arithmetic**, in one pipeline:
   table exactly once and emits a linear program of arithmetic ops with
   every dependency (collective joins, drain order) already resolved.
 * **Run one kernel.**  The program is executed as straight-line python-float
-  arithmetic, once per :class:`ReplayVariant` (a machine or cost model and a
-  compute scale).  It performs the float operations the live
+  arithmetic, once per :class:`ReplayVariant` (a machine and a compute
+  scale).  It performs the float operations the live
   :class:`~repro.perf.clock.VirtualClock` performs under the threaded
   runtime, in the same per-rank order, so the replayed timeline of step *k*
   is **bitwise identical** to a live threaded run of *k* steps (virtual
@@ -68,10 +68,9 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Collection, Sequence
+from typing import Any, Sequence
 
 from .clock import VirtualClock
-from .cost import CostModel
 from .machine import MachineSpec
 
 __all__ = [
@@ -314,12 +313,12 @@ class ReplayResult:
 
 @dataclass(frozen=True)
 class ReplayVariant:
-    """One pricing of a lowered program: a machine (or an explicit cost
-    model) and a compute scale that multiplies every captured compute
-    charge (``1.0`` leaves charges bitwise untouched)."""
+    """One pricing of a lowered program: a machine (``None`` prices
+    :func:`~repro.perf.machine.frontier`) and a compute scale that
+    multiplies every captured compute charge (``1.0`` leaves charges
+    bitwise untouched)."""
 
     machine: MachineSpec | None = None
-    cost: CostModel | None = None
     compute_scale: float = 1.0
 
     def __post_init__(self) -> None:
@@ -327,13 +326,8 @@ class ReplayVariant:
             raise ValueError(
                 f"compute_scale must be >= 0, got {self.compute_scale}"
             )
-        self.resolve_cost()  # a conflicting machine/cost pair fails here
-
-    def resolve_cost(self) -> CostModel:
-        return CostModel.resolve(self.machine, self.cost)
 
 
-_UNSET = object()
 _C_CHARGE, _C_BID_BLOCK, _C_BID_EAGER, _C_COLL, _C_DRAIN = range(5)
 
 
@@ -351,9 +345,8 @@ class ReplayProgram:
     span per charge and per settled collective is the only per-event state
     kept.
 
-    ``eager_phases`` defaults to the set the schedule was captured under;
-    pass an explicit value (or ``None`` for fully blocking) to re-simulate
-    the same step under different issue-queue semantics.
+    The issue-queue semantics are the schedule's own: a replay runs the
+    ``eager_phases`` it was captured under.
 
     :meth:`run` prices the program for any list of :class:`ReplayVariant`.
     Raises :class:`ScheduleReplayError` at construction if the schedule
@@ -366,14 +359,12 @@ class ReplayProgram:
         self,
         schedule: CapturedSchedule,
         n_steps: int = 1,
-        eager_phases: Collection[str] | None | object = _UNSET,
     ) -> None:
         if n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-        eph = schedule.eager_phases if eager_phases is _UNSET else eager_phases
         self.schedule = schedule
         self.n_steps = int(n_steps)
-        self.eager_phases = eager_set = frozenset(eph) if eph else frozenset()
+        self.eager_phases = eager_set = frozenset(schedule.eager_phases)
         n = schedule.world_size
         programs = [schedule.events_for(r) for r in range(n)]
         lengths = [len(p) for p in programs]
@@ -548,7 +539,7 @@ class ReplayProgram:
         for v in variants:
             if not isinstance(v, ReplayVariant):
                 raise TypeError(f"expected ReplayVariant, got {type(v).__name__}")
-            clock = VirtualClock(cost=v.resolve_cost(), eager_phases=self.eager_phases)
+            clock = VirtualClock(v.machine, eager_phases=self.eager_phases)
             scale = float(v.compute_scale)
             times, *recorded = self._execute(
                 scale, [clock.collective_seconds(*key) for key in self._cost_keys]
@@ -655,27 +646,24 @@ def replay(
     schedule: CapturedSchedule,
     machine: MachineSpec | None = None,
     n_steps: int = 1,
-    eager_phases: Collection[str] | None | object = _UNSET,
-    cost: CostModel | None = None,
     compute_scale: float = 1.0,
 ) -> ReplayResult:
     """Replay *n_steps* of *schedule* under one pricing; see :class:`ReplayProgram`.
 
-    With the same ``machine``/``cost``/``eager_phases`` the replayed
-    timeline of step *k* is bitwise equal to a live threaded run of *k*
-    steps.  ``compute_scale`` multiplies every captured compute charge —
-    the knob the autotuner's replay oracle turns to re-price a schedule for
-    a different model size without re-capturing.
+    With the capture's ``machine`` the replayed timeline of step *k* is
+    bitwise equal to a live threaded run of *k* steps.  ``compute_scale``
+    multiplies every captured compute charge — the knob the autotuner's
+    replay oracle turns to re-price a schedule for a different model size
+    without re-capturing.
     """
-    variant = ReplayVariant(machine=machine, cost=cost, compute_scale=compute_scale)
-    return ReplayProgram(schedule, n_steps, eager_phases).run([variant])[0]
+    variant = ReplayVariant(machine=machine, compute_scale=compute_scale)
+    return ReplayProgram(schedule, n_steps).run([variant])[0]
 
 
 def replay_many(
     schedule: CapturedSchedule,
     variants: Sequence[ReplayVariant],
     n_steps: int = 1,
-    eager_phases: Collection[str] | None | object = _UNSET,
 ) -> list[ReplayResult]:
     """Lower once, price many: :func:`replay` for a list of variants.
 
@@ -683,4 +671,4 @@ def replay_many(
     equals ``replay(sched, m, compute_scale=s)``; an N-variant call
     amortizes one lowering over every variant.
     """
-    return ReplayProgram(schedule, n_steps, eager_phases).run(variants)
+    return ReplayProgram(schedule, n_steps).run(variants)

@@ -7,7 +7,6 @@ import pytest
 
 from repro.perf import (
     CostModel,
-    best_configuration,
     estimate_step,
     estimate_step_comm,
     frontier,
@@ -78,14 +77,14 @@ class TestSearch:
 
 class TestBestConfiguration:
     def test_matches_search_head(self):
-        best = best_configuration(named_model("7B"), 500, 1024, M, 4096)
-        head = search_configurations(named_model("7B"), 500, 1024, M, 4096)[0]
-        assert best.plan == head.plan
+        results = search_configurations(named_model("7B"), 500, 1024, M, 4096)
+        best = max(results, key=lambda t: t.total_tflops)
+        assert best.plan == results[0].plan
 
     def test_infeasible_raises(self):
-        with pytest.raises(ValueError):
-            # 26B on a single GPU cannot fit under any strategy.
-            best_configuration(named_model("26B"), 64, 1, M, 8)
+        with pytest.raises(IndexError):
+            # 26B on a single GPU cannot fit under any strategy: no best plan.
+            search_configurations(named_model("26B"), 64, 1, M, 8)[0]
 
     def test_dchag_extends_feasibility_to_tiny_budgets(self):
         """26B with 1024 channels on just one node is only feasible via
@@ -94,7 +93,7 @@ class TestBestConfiguration:
         assert results and all(t.plan.strategy == "dchag" for t in results)
 
     def test_small_budget_still_works(self):
-        best = best_configuration(named_model("1.7B"), 512, 8, M, 32)
+        best = search_configurations(named_model("1.7B"), 512, 8, M, 32)[0]
         assert best.plan.total_gpus == 8
         assert best.total_tflops > 0
 
@@ -272,7 +271,7 @@ class TestPrunedSearch:
         ]
 
     def test_winner_matches_best_configuration(self, pruned):
-        best = best_configuration(*self.ARGS)
+        best = search_configurations(*self.ARGS)[0]
         assert pruned[0].plan == best.plan
 
 

@@ -444,6 +444,39 @@ class TestDeltaManifestRejected:
         assert latest_checkpoint(tmp_path) == checkpoint_dir(tmp_path, 1)
 
 
+def _rename_key(key):
+    # A single-byte change renames the key.
+    return lambda text: text.replace(f'"{key}"', f'"{key[:-1]}X"', 1)
+
+
+#: Manifest damage that leaves valid JSON a load cannot use.
+_MANIFEST_DAMAGE = {
+    **{f"no_{key}": _rename_key(key) for key in ("shards", "step", "world_size", "units")},
+    # Names no shard, so every named shard is vacuously on disk.
+    "shards_not_a_list": lambda text: json.dumps({**json.loads(text), "shards": {}}),
+    "not_an_object": lambda text: "4",
+}
+
+
+class TestDamagedManifest:
+    """A manifest missing or mistyping a key its readers need is incomplete,
+    not the latest checkpoint: discovery falls back to the previous step,
+    and retention removes the damaged one."""
+
+    @pytest.mark.parametrize("damage", list(_MANIFEST_DAMAGE))
+    def test_damaged_manifest_is_skipped(self, tmp_path, damage):
+        def fn(comm):
+            model = FSDPModel(comm, None, make_module())
+            for step in (2, 4):
+                save_sharded(tmp_path, model, step=step)
+
+        run_spmd(fn, 2)
+        manifest_path = checkpoint_dir(tmp_path, 4) / "manifest.json"
+        manifest_path.write_text(_MANIFEST_DAMAGE[damage](manifest_path.read_text()))
+        assert latest_checkpoint(tmp_path) == checkpoint_dir(tmp_path, 2)
+        assert prune_checkpoints(tmp_path, keep_last=1) == [checkpoint_dir(tmp_path, 4)]
+
+
 class TestPruneCheckpoints:
     def _save_steps(self, comm, root, steps):
         module = make_module()

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.dist import run_spmd, run_spmd_world
+from repro.dist import average_gradients, broadcast_parameters, run_spmd, run_spmd_world
 from repro.nn import MLP, ViTEncoder
-from repro.parallel import DataParallel, DeviceMesh, FSDPModel, shard_batch
+from repro.parallel import DeviceMesh, FSDPModel, shard_batch
 from repro.tensor import AdamW, Tensor
 
 RNG = np.random.default_rng(31)
@@ -108,10 +108,11 @@ class TestDataParallel:
         expect = [p.grad.copy() for p in serial.parameters()]
 
         def fn(comm):
-            model = DataParallel(comm, None, make_serial(seed=comm.rank))  # init synced by broadcast
+            model = make_serial(seed=comm.rank)
+            broadcast_parameters(comm, model.parameters())  # init synced by broadcast
             xi = shard_batch(x, comm)
             (model(Tensor(xi)) ** 2).mean().backward()
-            model.sync_gradients()
+            average_gradients(comm, model.parameters())
             return [p.grad.copy() for p in model.parameters()]
 
         for grads in run_spmd(fn, 2):
@@ -120,8 +121,9 @@ class TestDataParallel:
 
     def test_broadcast_synchronises_initialisation(self):
         def fn(comm):
-            model = DataParallel(comm, None, MLP(4, 8, np.random.default_rng(comm.rank)))
-            return model.module.fc1.weight.data.copy()
+            model = MLP(4, 8, np.random.default_rng(comm.rank))
+            broadcast_parameters(comm, model.parameters())
+            return model.fc1.weight.data.copy()
 
         res = run_spmd(fn, 3)
         for w in res[1:]:

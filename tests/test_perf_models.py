@@ -5,13 +5,13 @@ import pytest
 
 from repro.core import plan_channel_stage, sweep_tree_configs
 from repro.perf import (
+    CostModel,
     FIGURE_BATCH,
     MODEL_ZOO,
     ModelConfig,
     ParallelPlan,
     Precision,
     Workload,
-    collective_time,
     estimate_flops,
     estimate_memory,
     estimate_step_comm,
@@ -155,12 +155,13 @@ class TestFlopsModel:
 
 class TestCommModel:
     def test_intra_faster_than_inter(self):
-        intra = collective_time("all_reduce", 1 << 20, 8, M, intra_node=True)
-        inter = collective_time("all_reduce", 1 << 20, 8, M, intra_node=False)
+        cost = CostModel(M)
+        intra = cost.collective_seconds("all_reduce", 1 << 20, 8, intra_node=True)
+        inter = cost.collective_seconds("all_reduce", 1 << 20, 8, intra_node=False)
         assert intra < inter
 
     def test_single_rank_free(self):
-        assert collective_time("all_gather", 1 << 20, 1, M, True) == 0.0
+        assert CostModel(M).collective_seconds("all_gather", 1 << 20, 1, True) == 0.0
 
     def test_dchag_gather_cheaper_than_dist_tok(self):
         w = Workload(512, 8)

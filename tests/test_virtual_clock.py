@@ -5,7 +5,7 @@ Covers the acceptance contract of the cost-engine redesign:
 * ``run_spmd(..., clock=VirtualClock(machine))`` produces **deterministic**
   per-rank timelines — bitwise identical across runs and thread schedules.
 * Measured wire bytes equal the analytic ``ring_wire_bytes`` predictions for
-  every ring collective at 2/4/8 ranks (the calibration harness's claim).
+  every ring collective at 2/4/8 ranks, both placements (``TestWireParity``).
 * The shared :class:`CostModel` is the single source of latency-step truth
   (``all_to_all`` pays one round, rings pay n−1, AllReduce 2·(n−1)).
 * :mod:`repro.perf.overlap` derives dp/fsdp overlap fractions from rank
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.dist import ring_wire_bytes, run_spmd, run_spmd_world
-from repro.parallel import DataParallel, DeviceMesh, FSDPModel, shard_batch
+from repro.parallel import DeviceMesh, FSDPModel, shard_batch
 from repro.perf import (
     CostModel,
     MachineSpec,
@@ -29,19 +29,13 @@ from repro.perf import (
     ParallelPlan,
     VirtualClock,
     Workload,
-    collective_time,
     derive_bucket_exposures,
     derive_overlaps,
     estimate_step_comm,
     frontier,
     step_comm_schedule,
 )
-from repro.perf.calibrate import (
-    RING_OPS,
-    CalibrationReport,
-    calibrate,
-    measure_plan,
-)
+from repro.perf.calibrate import RING_OPS, _issue, measure_plan
 from repro.perf.overlap import DerivedOverlaps, OverlapReport, derive_overlap
 
 MACHINE = frontier()
@@ -74,15 +68,6 @@ class TestCostModel:
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError):
             CostModel(MACHINE).latency_steps("all_shuffle", 4)
-
-    def test_collective_time_delegates_to_cost_model(self):
-        """The analytic entry point and the CostModel are the same function."""
-        cost = CostModel(MACHINE)
-        for op in ("all_reduce", "all_gather", "reduce_scatter", "broadcast", "all_to_all"):
-            for intra in (True, False):
-                assert collective_time(op, 1 << 20, 8, MACHINE, intra) == cost.collective_seconds(
-                    op, 1 << 20, 8, intra
-                )
 
     def test_all_to_all_cheaper_than_ring_latency(self):
         """At small payloads the single-round all_to_all beats a ring pass."""
@@ -281,25 +266,54 @@ class TestVirtualClockSemantics:
             clock.charge(0, -1.0)
 
 
+def _placements(world_size):
+    """The intra-node machine and an inter-node one: ``gpus_per_node =
+    world_size // 2`` makes the default group span two simulated nodes."""
+    return (MACHINE, replace(MACHINE, gpus_per_node=max(1, world_size // 2)))
+
+
+def _run_ring_op(op, world_size, machine, payload_bytes=2048):
+    """Issue one *op* on a fresh clocked world of *world_size* ranks;
+    returns rank 0's traffic record, the world and its clock."""
+    clock = VirtualClock(machine)
+    # A payload divisible by the group size keeps padded conventions exact.
+    payload = payload_bytes - payload_bytes % world_size
+
+    def fn(comm):
+        _issue(comm, op, payload, comm.world.default_group, {})
+
+    _, world = run_spmd_world(fn, world_size, clock=clock, timeout=60.0)
+    rec = next(r for r in world.traffic.records() if r.rank == 0 and r.op == op)
+    return rec, world, clock
+
+
 class TestWireParity:
-    """Measured wire bytes == ring_wire_bytes predictions, all ops, 2/4/8."""
+    """Measured wire bytes == ring_wire_bytes predictions and virtual
+    seconds == CostModel seconds, every ring op at 2/4/8 ranks, intra- and
+    inter-node placement."""
 
     @pytest.mark.parametrize("world_size", [2, 4, 8])
     def test_all_ops_exact(self, world_size):
-        report = calibrate(world_sizes=(world_size,), payload_bytes=2048)
-        for row in report.rows:
-            assert row.wire_match, (row.op, row.ranks, row.intra_node)
-            assert row.measured_wire == ring_wire_bytes(
-                row.op, row.payload_bytes, row.ranks
-            ), row.op
+        for machine in _placements(world_size):
+            cost = CostModel(machine)
+            for op in RING_OPS:
+                rec, world, _ = _run_ring_op(op, world_size, machine)
+                measured = world.traffic.wire_bytes(op=op, rank=0)
+                where = (op, world_size, machine.gpus_per_node)
+                assert measured == cost.wire_bytes(op, rec.payload_bytes, world_size), where
+                assert measured == ring_wire_bytes(op, rec.payload_bytes, world_size), where
 
     def test_virtual_time_matches_analytic_exactly(self):
-        report = calibrate(world_sizes=(2, 4, 8), payload_bytes=2048)
-        assert report.ok
-        assert report.max_time_residual == 0.0
-        # One mismatching row fails the whole report.
-        bad = replace(report.rows[0], measured_wire=report.rows[0].predicted_wire + 1)
-        assert not CalibrationReport(MACHINE, [*report.rows[1:], bad]).ok
+        for world_size in (2, 4, 8):
+            for machine in _placements(world_size):
+                cost = CostModel(machine)
+                intra = cost.intra_node(range(world_size))
+                assert intra == (machine is MACHINE), "both placements covered"
+                for op in RING_OPS:
+                    rec, _, clock = _run_ring_op(op, world_size, machine)
+                    assert clock.elapsed() == cost.collective_seconds(
+                        op, rec.payload_bytes, world_size, intra
+                    ), (op, world_size, intra)
 
 
 class TestMeasuredPlans:
@@ -402,67 +416,6 @@ class TestDerivedOverlap:
 
 
 class TestParallelWrapperHooks:
-    def test_data_parallel_charges_and_tags(self):
-        from repro.nn import MLP
-        from repro.tensor import Tensor
-
-        clock = VirtualClock(MACHINE)
-        x = np.random.default_rng(0).standard_normal((4, 4)).astype(np.float32)
-
-        def fn(comm):
-            model = DataParallel(
-                comm, None, MLP(4, 8, np.random.default_rng(0)),
-                forward_seconds=1e-5, backward_seconds=2e-5,
-            )
-            (model(Tensor(shard_batch(x, comm))) ** 2).mean().backward()
-            model.sync_gradients()
-            return None
-
-        _, world = run_spmd_world(fn, 2, clock=clock)
-        assert world.traffic.count(op="all_reduce", phase="dp_sync") == 2
-        assert math.isclose(clock.compute_seconds(rank=0, phase="forward"), 1e-5, rel_tol=1e-9)
-        assert math.isclose(clock.compute_seconds(rank=0, phase="backward"), 2e-5, rel_tol=1e-9)
-        ov = derive_overlaps(world)
-        assert 0.0 <= ov.dp_overlap <= 1.0
-
-    def test_data_parallel_bucketed_sync_under_issue_queue(self):
-        """grad_buckets=k issues k dp_sync AllReduces interleaved with
-        backward slices; under an eager clock earlier buckets hide under
-        later slices (the bucketed-DDP schedule), and the reduced gradients
-        are identical to the unbucketed sync."""
-        from repro.nn import MLP
-        from repro.tensor import Tensor
-
-        x = np.random.default_rng(0).standard_normal((4, 4)).astype(np.float32)
-
-        def run(buckets):
-            clock = VirtualClock(MACHINE, eager_phases={"dp_sync"})
-
-            def fn(comm):
-                model = DataParallel(
-                    comm, None, MLP(4, 8, np.random.default_rng(0)),
-                    backward_seconds=4e-5, grad_buckets=buckets,
-                )
-                (model(Tensor(shard_batch(x, comm))) ** 2).mean().backward()
-                model.sync_gradients()
-                comm.drain_comm()
-                return [p.grad.copy() for p in model.parameters()]
-
-            grads, world = run_spmd_world(fn, 2, clock=clock)
-            return grads[0], world
-
-        grads1, _ = run(buckets=1)
-        grads2, world = run(buckets=2)
-        assert world.traffic.count(op="all_reduce", phase="dp_sync") == 2 * 2
-        for a, b in zip(grads1, grads2):
-            np.testing.assert_array_equal(a, b)  # bucketing reorders time, not math
-        buckets = derive_bucket_exposures(world, "dp_sync")
-        assert len(buckets) == 2
-        # bucket 0 can hide under the second backward slice; the tail cannot
-        assert buckets[0].hidden_fraction >= buckets[1].hidden_fraction
-        ov = derive_overlaps(world)
-        assert ov.dp.source == "measured"
-
     def test_fsdp_charges_and_tags(self):
         from repro.nn import ViTEncoder
         from repro.tensor import Tensor
@@ -754,6 +707,7 @@ class TestOverlapAwareTrainerEndToEnd:
     analytic ``estimate_step(..., overlaps=derive_overlaps(world))``."""
 
     def test_trainer_step_times_match_overlap_aware_estimate(self):
+        from repro.dist import average_gradients, broadcast_parameters
         from repro.nn import Module
         from repro.perf import Precision, estimate_step, transformer_param_count
         from repro.tensor import Tensor
@@ -792,9 +746,16 @@ class TestOverlapAwareTrainerEndToEnd:
                         ))
 
             inner = _Flat()
-            dp = DataParallel(
-                comm, None, inner, backward_seconds=bwd_seconds, grad_buckets=4
-            )
+            broadcast_parameters(comm, inner.parameters())
+
+            def bucketed_sync():
+                # Bucketed DDP, one bucket per chunk: each bucket's gradients
+                # exist only after its quarter of backward compute — charge
+                # first, then issue (eagerly) so later slices hide it.
+                for p in inner.parameters():
+                    comm.charge_compute(bwd_seconds / 4, phase="backward")
+                    with comm.phase_scope("dp_sync"):
+                        average_gradients(comm, [p])
 
             class _Step(Module):
                 def loss(self, batch):
@@ -813,7 +774,7 @@ class TestOverlapAwareTrainerEndToEnd:
                 # DDP hook point: bucketed sync (charges backward slices and
                 # issues each bucket eagerly), then drain at the optimizer
                 # boundary so each step settles its own exposure.
-                grad_hook=lambda: (dp.sync_gradients(), comm.drain_comm()),
+                grad_hook=lambda: (bucketed_sync(), comm.drain_comm()),
                 pre_step_hook=lambda step: marks.append(comm.now()),
             )
             trainer.fit([np.zeros(1, np.float32)] * n_steps)
