@@ -3,12 +3,13 @@
 Ranks every feasible configuration of a 7B-class model across a whole
 fleet of GPU budgets — ``len(FLEET_BUDGETS)`` (total_gpus, global_batch)
 points, >= 1000 candidate plans in total — through
-:func:`repro.perf.autotune.sweep_replay`: at most a handful of threaded
-stand-in worlds are ever spun up (one per schedule shape; the run asserts
-``captured_worlds <= 4``), each captured schedule is lowered once by
-:class:`repro.perf.schedule.ReplayProgram`, and every distinct
-(placement, compute-scale) variant is priced by one ``replay_many`` call
-per shape.  The per-budget yardstick — one
+:func:`repro.perf.autotune.sweep_replay`, which ranks every budget through
+one shared :func:`repro.perf.simulated_overlaps` oracle: at most a handful
+of threaded stand-in worlds are ever spun up (one per schedule shape; the
+run asserts ``captured_worlds <= 4``), each captured schedule is lowered
+once into a :class:`repro.perf.schedule.ReplayProgram`, and every distinct
+(placement, compute-scale) variant is one run of its shape's program.
+The per-budget yardstick — one
 ``search_configurations(..., overlaps=simulated_overlaps(...))`` call per
 budget, each capturing its own stand-in worlds — is timed once and recorded as
 ``speedup_vs_per_budget``; both paths produce identical rankings (pinned in

@@ -81,8 +81,3 @@ class PartialChannelAggregator(Module):
             return outputs[0]
         mid = Tensor.concat(outputs, axis=1)                  # [B, fanout, N, D]
         return self.root(mid).expand_dims(1)                  # [B, 1, N, D]
-
-    def extra_parameter_count(self) -> int:
-        """Parameters added relative to no partial aggregation (the memory
-        overhead §3.2 trades against activation savings)."""
-        return self.num_parameters()

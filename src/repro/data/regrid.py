@@ -29,10 +29,6 @@ class Grid:
     def shape(self) -> tuple[int, int]:
         return (self.n_lat, self.n_lon)
 
-    def cell_weights(self) -> np.ndarray:
-        """cos(lat) area weights, shape [n_lat, 1] (broadcastable)."""
-        return np.cos(np.deg2rad(self.lats))[:, None]
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Grid({self.n_lat}x{self.n_lon}, {180.0 / self.n_lat:.3f} deg)"
 

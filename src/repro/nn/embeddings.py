@@ -89,10 +89,6 @@ class PositionalEmbedding(Module):
             raise ValueError(f"sequence {n} longer than table {self.num_tokens}")
         return tokens + self.table[:n]
 
-    def lookup(self, indices: np.ndarray) -> Tensor:
-        """Gather rows for the (possibly shuffled) visible-token indices."""
-        return self.table[np.asarray(indices)]
-
 
 class MetadataEmbedding(Module):
     """Embed scalar metadata (time stamp, lead time, geolocation) into a token.

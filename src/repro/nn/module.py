@@ -37,10 +37,6 @@ class Module:
             self._modules[name] = value
         object.__setattr__(self, name, value)
 
-    def register_parameter(self, name: str, param: Tensor) -> None:
-        self._parameters[name] = param
-        object.__setattr__(self, name, param)
-
     # -- traversal ------------------------------------------------------------
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         for name, p in self._parameters.items():
@@ -61,9 +57,6 @@ class Module:
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
-
-    def parameter_bytes(self) -> int:
-        return sum(p.nbytes for p in self.parameters())
 
     # -- state dict -------------------------------------------------------------
     def state_dict(self) -> dict[str, np.ndarray]:

@@ -35,7 +35,6 @@ tests and the ``--smoke`` CI gate rely on.
 CLI::
 
     python -m repro.obs.trace --tp 2 --dp 2 --out step.trace.json
-    python -m repro.obs.trace --schedule captured.json --steps 3 --out replay.trace.json
     python -m repro.obs.trace --smoke
 """
 
@@ -284,16 +283,6 @@ def validate_trace(trace: Any) -> list[str]:
 
 def _trace_from_args(args) -> tuple[dict, str]:
     """Build the trace the CLI asked for; returns (trace, description)."""
-    from ..perf.schedule import CapturedSchedule, replay
-
-    if args.schedule:
-        schedule = CapturedSchedule.load(args.schedule)
-        result = replay(schedule, n_steps=args.steps)
-        return (
-            chrome_trace(result, label=f"replay of {args.schedule}"),
-            f"replayed {args.schedule} × {args.steps} step(s), "
-            f"{schedule.world_size} ranks",
-        )
     from ..perf.calibrate import measure_plan
     from ..perf.plan import ParallelPlan, Workload
     from .commvol import _default_model
@@ -315,7 +304,7 @@ def _trace_from_args(args) -> tuple[dict, str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI: render a trace from a plan spec or a saved CapturedSchedule.
+    """CLI: render the trace of a plan spec's measured step(s).
 
     Always validates the rendered trace and exits nonzero on any
     structural problem — ``--smoke`` is the CI entry point (4-rank eager
@@ -332,8 +321,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--steps", type=int, default=1)
     parser.add_argument("--blocking", action="store_true",
                         help="blocking replay (default is the eager issue queue)")
-    parser.add_argument("--schedule", default=None, metavar="PATH",
-                        help="render a saved CapturedSchedule instead of a plan")
     parser.add_argument("--out", default="step.trace.json", metavar="PATH",
                         help="trace JSON output path")
     parser.add_argument("--smoke", action="store_true",

@@ -34,13 +34,14 @@ Everything about a candidate step except its overlap fractions — the memory
 breakdown, own and useful FLOPs, compute seconds, the collective schedule
 and its un-overlapped per-axis seconds and wire bytes — is priced once per
 distinct (plan, micro-batch) and kept in a price book that lives for one
-:func:`search_configurations` call, one :func:`sweep_replay` call or one
-:func:`simulated_overlaps` oracle (never longer, so every call prices
-cold).  Each overlap pair is applied last: exposing a priced step costs two
-multiplies (the FSDP and DP seconds), so the pruned search's bound score
-and its oracle score, and a sweep's budgets sharing a step, share one
-pricing.  The stand-in side of each compute/comm ratio is priced once per
-(stand-in plan, node size).  Results are bitwise those of
+:func:`search_configurations` call or one :func:`simulated_overlaps` oracle
+(never longer, so every call prices cold; :func:`sweep_replay` ranks every
+budget through one oracle and its book).  Each overlap pair is applied
+last: exposing a priced step costs two multiplies (the FSDP and DP
+seconds), so the pruned search's bound score and its oracle score, and a
+sweep's budgets sharing a step, share one pricing.  The stand-in side of
+each compute/comm ratio is priced once per (stand-in plan, node size).
+Results are bitwise those of
 :func:`~repro.perf.throughput.global_batch_throughput`.
 
 Link and compute constants come from the :class:`MachineSpec` the caller
@@ -59,7 +60,7 @@ from .cost import MAX_DP_BUCKETS, CostModel
 from .machine import MachineSpec
 from .modelcfg import ModelConfig
 from .plan import ParallelPlan, Precision, Workload
-from .schedule import CapturedSchedule, ReplayVariant, replay_many
+from .schedule import CapturedSchedule, ReplayProgram, ReplayVariant
 from .throughput import _PricedStep, _PriceBook, max_batch_per_replica
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -177,6 +178,28 @@ def _enumerate_candidates(
     return out
 
 
+def _rank(
+    book: _PriceBook,
+    candidates: list[tuple[ParallelPlan, int]],
+    global_batch: int,
+    overlaps: OverlapSource,
+) -> list[TunedPlan]:
+    """Score every candidate whose ``dp`` divides *global_batch*, best first.
+
+    Each candidate is exposed at the pair ``overlaps`` gives it (the pair
+    itself, or a per-plan oracle's answer for it).  The sort is stable, so
+    score ties keep enumeration order.
+    """
+    results: list[TunedPlan] = []
+    for plan, micro in candidates:
+        if global_batch % plan.dp == 0:
+            ov = overlaps(plan, micro) if callable(overlaps) else overlaps
+            tflops = book.throughput(plan, micro, global_batch, ov)
+            results.append(TunedPlan(plan, micro, tflops, ov))
+    results.sort(key=lambda t: t.total_tflops, reverse=True)
+    return results
+
+
 def search_configurations(
     model: ModelConfig,
     channels: int,
@@ -212,68 +235,64 @@ def search_configurations(
     ``overlaps=None`` recorded.  ``None`` (default) keeps the exhaustive
     behavior, consulting the oracle for every candidate.
     """
-    candidates = [
-        (plan, micro)
-        for plan, micro in _enumerate_candidates(
-            model, channels, total_gpus, machine, strategies, precision, max_sp=max_sp,
-        )
-        if global_batch % plan.dp == 0
-    ]
-
+    candidates = _enumerate_candidates(
+        model, channels, total_gpus, machine, strategies, precision, max_sp=max_sp,
+    )
     book = _PriceBook(model, channels, machine, precision)
+    if prune_top_k is None or prune_top_k < 1 or not callable(overlaps):
+        return _rank(book, candidates, global_batch, overlaps)
 
     def score(plan: ParallelPlan, micro: int, ov: "DerivedOverlaps | None") -> float:
         return book.throughput(plan, micro, global_batch, ov)
 
+    bound_pair = _full_overlaps()
+    # Deterministic visit order: best bound first, label breaks ties.
+    bounded = sorted(
+        (
+            (score(plan, micro, bound_pair), plan, micro)
+            for plan, micro in candidates
+            if global_batch % plan.dp == 0
+        ),
+        key=lambda t: (-t[0], t[1].label),
+    )
     results: list[TunedPlan] = []
-    if prune_top_k is not None and prune_top_k >= 1 and callable(overlaps):
-        bound_pair = _full_overlaps()
-        # Deterministic visit order: best bound first, label breaks ties.
-        bounded = sorted(
-            ((score(plan, micro, bound_pair), plan, micro) for plan, micro in candidates),
-            key=lambda t: (-t[0], t[1].label),
-        )
-        incumbents: list[float] = []  # top-k simulated scores, descending
-        for bound, plan, micro in bounded:
-            kth = incumbents[prune_top_k - 1] if len(incumbents) >= prune_top_k else float("-inf")
-            # >= : a candidate whose bound ties the k-th incumbent could
-            # still tie into the top k, so it is simulated, keeping the
-            # exactness guarantee through score ties.
-            if bound >= kth:
-                ov = overlaps(plan, micro)
-                tflops = score(plan, micro, ov)
-                results.append(TunedPlan(plan, micro, tflops, ov))
-                incumbents.append(tflops)
-                incumbents.sort(reverse=True)
-                del incumbents[prune_top_k:]
-            else:
-                # bound ≤ kth ⇒ no achievable score reaches the top k;
-                # rank the tail by the paper-constant estimate.
-                results.append(TunedPlan(plan, micro, score(plan, micro, None), None))
-    else:
-        for plan, micro in candidates:
-            ov = overlaps(plan, micro) if callable(overlaps) else overlaps
-            results.append(TunedPlan(plan, micro, score(plan, micro, ov), ov))
+    incumbents: list[float] = []  # top-k simulated scores, descending
+    for bound, plan, micro in bounded:
+        kth = incumbents[prune_top_k - 1] if len(incumbents) >= prune_top_k else float("-inf")
+        # >= : a candidate whose bound ties the k-th incumbent could
+        # still tie into the top k, so it is simulated, keeping the
+        # exactness guarantee through score ties.
+        if bound >= kth:
+            ov = overlaps(plan, micro)
+            tflops = score(plan, micro, ov)
+            results.append(TunedPlan(plan, micro, tflops, ov))
+            incumbents.append(tflops)
+            incumbents.sort(reverse=True)
+            del incumbents[prune_top_k:]
+        else:
+            # bound ≤ kth ⇒ no achievable score reaches the top k;
+            # rank the tail by the paper-constant estimate.
+            results.append(TunedPlan(plan, micro, score(plan, micro, None), None))
     results.sort(key=lambda t: t.total_tflops, reverse=True)
     return results
 
 
-# -- fleet-scale batched replay sweep --------------------------------------
+# -- fleet-scale replay sweep -----------------------------------------------
 
 
 @dataclass(frozen=True)
 class ReplaySweep:
-    """A multi-budget search priced entirely by batched replay.
+    """A multi-budget search priced entirely by replay.
 
     ``rankings`` pairs each ``(total_gpus, global_batch)`` budget with its
     ranked candidate list — element-wise **equal** (same plans, same float
     scores, same :class:`~repro.perf.overlap.DerivedOverlaps`) to what
     ``search_configurations(..., overlaps=simulated_overlaps(...))`` returns
-    for that budget (both price through the same replay kernel).
-    ``captured_worlds`` counts the threaded stand-in
-    worlds actually spun up (one per schedule shape) and ``lanes`` the
-    distinct ``(shape, placement, scale)`` variants priced through them —
-    the sweep's whole point is ``candidates >> lanes >= captured_worlds``.
+    for that budget (both rank with one exhaustive loop through that oracle).
+    ``captured_worlds`` counts the threaded stand-in worlds actually spun
+    up (one per schedule shape) and ``lanes`` the distinct
+    ``(shape, placement, scale)`` variants replayed from them — the sweep's
+    whole point is ``candidates >> lanes >= captured_worlds``.
     """
 
     rankings: tuple[tuple[tuple[int, int], tuple[TunedPlan, ...]], ...]
@@ -290,19 +309,6 @@ class ReplaySweep:
         )
 
 
-class _Candidate:
-    """One enumerated (plan, micro-batch) of a sweep: its replay key once
-    keyed, and the overlap pair that key priced to."""
-
-    __slots__ = ("plan", "micro", "key", "overlaps")
-
-    def __init__(self, plan: ParallelPlan, micro: int) -> None:
-        self.plan = plan
-        self.micro = micro
-        self.key: tuple | None = None
-        self.overlaps: "DerivedOverlaps | None" = None
-
-
 def sweep_replay(
     model: ModelConfig,
     channels: int,
@@ -314,98 +320,38 @@ def sweep_replay(
 ) -> ReplaySweep:
     """Rank every candidate of every budget from a handful of captured worlds.
 
-    The per-candidate oracle of :func:`simulated_overlaps` interleaves
-    capture and pricing: each cache miss lowers the captured schedule again
-    and prices one variant.  A fleet sweep (many GPU budgets x batch sizes)
-    hits hundreds of such misses, all replays of the same few schedules
-    under different node placements and compute scales — exactly the shape
-    :func:`repro.perf.schedule.replay_many` batches.  So this entry runs the
-    sweep in three phases:
-
-    1. enumerate each distinct GPU count once, keep each budget's
-       candidates whose ``dp`` divides its batch, and map every distinct
-       (plan, micro-batch) to its replay variant once (the same stand-in
-       keying the oracle caches under);
-    2. capture ONE threaded stand-in world per schedule shape, lower it
-       once, and price all of that shape's variants in a single
-       :meth:`~repro.perf.schedule.ReplayProgram.run` call;
-    3. score and rank each budget's candidates, exposing each distinct
-       (plan, micro-step batch) pricing at the candidate's overlap pair.
-
-    One price book serves the whole call: a (plan, micro-batch) is priced
-    once whether the stand-in ratio or a budget's score asks first, and the
-    stand-in side of each ratio once per (stand-in plan, node size); only
-    the dp/fsdp fractions are applied per candidate.
+    A fleet sweep (many GPU budgets x batch sizes) is the exhaustive
+    :func:`search_configurations` ranking of each budget, run through ONE
+    :func:`simulated_overlaps` oracle that every budget shares.  Each
+    distinct GPU count is enumerated once.  The oracle captures and lowers
+    one threaded stand-in world per schedule shape, replays one variant
+    per distinct (shape, placement, scale) key, and keys each distinct
+    (plan, micro-batch) once.  Its price book ranks every budget too, so a
+    (plan, micro-step batch) is priced once per sweep, and the stand-in
+    side of each ratio once per (stand-in plan, node size); only the
+    dp/fsdp fractions are applied per candidate.
 
     Scores, overlaps and ranking order are equal to per-budget
     ``search_configurations(model, channels, g, machine, b,
     overlaps=simulated_overlaps(machine, model, channels))`` calls (pinned
-    by ``tests/test_schedule_replay.py``); only the orchestration differs.
+    by ``tests/test_schedule_replay.py``); only the sharing differs.
     """
-    # Phase 1: enumerate, and key every candidate needing an overlap pair.
-    pricing = _Pricing(model, channels, machine, precision)
-    per_budget: list[tuple[tuple[int, int], list[_Candidate]]] = []
-    keys_by_shape: dict[tuple, tuple[ParallelPlan, dict]] = {}  # shape -> (sim, keys)
-    enumerated: dict[int, list[_Candidate]] = {}  # total_gpus -> candidates
-    for total_gpus, global_batch in budgets:
-        cands = enumerated.get(total_gpus)
-        if cands is None:
-            cands = enumerated[total_gpus] = [
-                _Candidate(plan, micro)
-                for plan, micro in _enumerate_candidates(
-                    model, channels, total_gpus, machine, strategies, precision,
-                    max_sp=max_sp,
-                )
-            ]
-        rows: list[_Candidate] = []
-        for cand in cands:
-            plan = cand.plan
-            if global_batch % plan.dp != 0:
-                continue
-            if cand.key is None and (plan.dp > 1 or plan.fsdp > 1):
-                sim, cand.key = _standin(pricing, plan, cand.micro)
-                keys_by_shape.setdefault(cand.key[0], (sim, {}))[1][cand.key] = None
-            rows.append(cand)
-        per_budget.append(((total_gpus, global_batch), rows))
-
-    # Phase 2: one threaded capture per schedule shape, then one
-    # replay_many call pricing every variant of that shape.
-    workspace: dict = {}
-    overlaps_by_key: dict[tuple, "DerivedOverlaps"] = {}
-    for (_label, buckets), (sim, keys) in keys_by_shape.items():
-        schedule = _capture_standin(sim, buckets, machine, workspace)
-        for k, res in zip(keys, replay_many(schedule, [k[1] for k in keys])):
-            overlaps_by_key[k] = res.overlaps()
-    for cands in enumerated.values():
-        for cand in cands:
-            if cand.key is not None:
-                cand.overlaps = overlaps_by_key[cand.key]
-
-    # Phase 3: score and rank each budget, every (plan, micro-step batch)
-    # priced once per sweep in the book the stand-in ratios priced their
-    # real side in.
-    book = pricing.real
+    oracle = _Oracle(model, channels, machine, precision)
+    enumerated: dict[int, list[tuple[ParallelPlan, int]]] = {}  # total_gpus -> candidates
     rankings: list[tuple[tuple[int, int], tuple[TunedPlan, ...]]] = []
-    n_candidates = 0
-    for budget, rows in per_budget:
-        global_batch = budget[1]
-        results = [
-            TunedPlan(
-                cand.plan, cand.micro,
-                book.throughput(cand.plan, cand.micro, global_batch, cand.overlaps),
-                cand.overlaps,
+    for total_gpus, global_batch in budgets:
+        candidates = enumerated.get(total_gpus)
+        if candidates is None:
+            candidates = enumerated[total_gpus] = _enumerate_candidates(
+                model, channels, total_gpus, machine, strategies, precision, max_sp=max_sp,
             )
-            for cand in rows
-        ]
-        results.sort(key=lambda t: t.total_tflops, reverse=True)
-        n_candidates += len(results)
-        rankings.append((budget, tuple(results)))
-
+        ranked = _rank(oracle.real, candidates, global_batch, oracle)
+        rankings.append(((total_gpus, global_batch), tuple(ranked)))
     return ReplaySweep(
         rankings=tuple(rankings),
-        candidates=n_candidates,
-        captured_worlds=len(keys_by_shape),
-        lanes=len(overlaps_by_key),
+        candidates=sum(len(ranked) for _, ranked in rankings),
+        captured_worlds=len(oracle.programs),
+        lanes=len(oracle.lanes),
     )
 
 
@@ -459,22 +405,34 @@ def _sim_node_size(plan: ParallelPlan, machine: MachineSpec, sim: ParallelPlan) 
     return max(1, gpn)
 
 
-class _Pricing:
-    """The price books one search oracle or one sweep keys stand-ins with.
+class _Oracle:
+    """The per-plan overlap oracle :func:`simulated_overlaps` returns.
 
-    ``real`` prices the real plans; each stand-in node size gets a book of
-    the stand-in model on that machine, so the stand-in side of a
-    compute/comm ratio is priced once per (stand-in plan, node size) and
-    the real side shares the sweep's step pricings.
+    Everything it computes is kept for its lifetime, each at its own grain:
+
+    * ``real`` prices the real plans, and each stand-in node size gets a
+      book of the stand-in model on that machine (the two sides of every
+      compute/comm ratio, each priced once);
+    * ``programs`` holds one lowered
+      :class:`~repro.perf.schedule.ReplayProgram` per stand-in shape, each
+      from one threaded capture;
+    * ``lanes`` holds the overlap pair per replay key (shape, variant);
+    * the pair per (plan, micro-batch), so a plan consulted again (by
+      another budget of a sweep, or another search) is neither keyed to
+      its stand-in again nor replayed.
     """
 
-    __slots__ = ("real", "_standins")
+    __slots__ = ("real", "programs", "lanes", "_standins", "_pairs", "_workspace")
 
     def __init__(
         self, model: ModelConfig, channels: int, machine: MachineSpec, precision: Precision
     ) -> None:
         self.real = _PriceBook(model, channels, machine, precision)
+        self.programs: dict[tuple, ReplayProgram] = {}
+        self.lanes: dict[tuple, "DerivedOverlaps"] = {}
         self._standins: dict[int, _PriceBook] = {}  # node size -> stand-in book
+        self._pairs: dict[tuple[ParallelPlan, int], "DerivedOverlaps"] = {}
+        self._workspace: dict = {}  # warm replay buffers shared by every capture
 
     def standin_book(self, gpus_per_node: int) -> _PriceBook:
         book = self._standins.get(gpus_per_node)
@@ -485,6 +443,25 @@ class _Pricing:
                 replace(real.machine, gpus_per_node=gpus_per_node), real.precision,
             )
         return book
+
+    def __call__(self, plan: ParallelPlan, micro: int) -> "DerivedOverlaps | None":
+        if plan.dp <= 1 and plan.fsdp <= 1:
+            return None
+        pair = self._pairs.get((plan, micro))
+        if pair is None:
+            sim, key = _standin(self, plan, micro)
+            pair = self.lanes.get(key)
+            if pair is None:
+                shape, variant = key
+                program = self.programs.get(shape)
+                if program is None:
+                    schedule = _capture_standin(
+                        sim, shape[1], self.real.machine, self._workspace
+                    )
+                    program = self.programs[shape] = ReplayProgram(schedule)
+                pair = self.lanes[key] = program.run([variant])[0].overlaps()
+            self._pairs[plan, micro] = pair
+        return pair
 
 
 def _compute_scale(real: _PricedStep, standin: _PricedStep) -> float:
@@ -524,7 +501,7 @@ def _dp_buckets_for(real: _PricedStep, machine: MachineSpec) -> int:
     return 1
 
 
-def _standin(pricing: _Pricing, plan: ParallelPlan, micro: int) -> tuple[ParallelPlan, tuple]:
+def _standin(oracle: "_Oracle", plan: ParallelPlan, micro: int) -> tuple[ParallelPlan, tuple]:
     """The stand-in plan for *plan* and the replay key it is priced under.
 
     The key is ``((sim.label, buckets), variant)``: the schedule *shape*
@@ -532,10 +509,10 @@ def _standin(pricing: _Pricing, plan: ParallelPlan, micro: int) -> tuple[Paralle
     (node placement, compute scale) that re-prices it.  Candidates with
     equal keys share one overlap pair.
     """
-    machine = pricing.real.machine
+    machine = oracle.real.machine
     sim = _shrink_plan(plan)
-    real = pricing.real.step(plan, micro)
-    sim_book = pricing.standin_book(_sim_node_size(plan, machine, sim))
+    real = oracle.real.step(plan, micro)
+    sim_book = oracle.standin_book(_sim_node_size(plan, machine, sim))
     scale = _compute_scale(real, sim_book.step(sim, _SIM_BATCH))
     buckets = _dp_buckets_for(real, machine)
     # Quantize the scale onto a log grid (~26% steps) and price at the
@@ -584,28 +561,12 @@ def simulated_overlaps(
     (axes capped at 2, placement and compute/comm ratio matched to the real
     plan) and returns its :class:`~repro.perf.overlap.DerivedOverlaps`.
     One threaded :func:`~repro.dist.run_spmd` world on an issue-queue clock
-    is captured per stand-in *shape* (plan shape × bucket count); every
-    cache miss replays that schedule as pure event arithmetic
-    (:func:`repro.perf.schedule.replay_many`) under the candidate's node
-    placement and compute scale, so a 1,024-GPU sweep costs a handful of
-    ≤8-rank captures.  Plans with neither a DP nor an FSDP axis return
-    ``None`` (nothing to overlap — the constants are irrelevant there
-    anyway).
+    is captured and lowered per stand-in *shape* (plan shape × bucket
+    count); each new (placement, compute scale) variant of a shape replays
+    that lowered program as pure event arithmetic
+    (:class:`repro.perf.schedule.ReplayProgram`), so a 1,024-GPU sweep
+    costs a handful of ≤8-rank captures.  Plans with neither a DP nor an
+    FSDP axis return ``None`` (nothing to overlap — the constants are
+    irrelevant there anyway).
     """
-    pricing = _Pricing(model, channels, machine, precision)
-    cache: dict[tuple, "DerivedOverlaps"] = {}
-    schedules: dict[tuple, CapturedSchedule] = {}  # per stand-in shape
-    workspace: dict = {}  # warm replay buffers shared by every capture
-
-    def oracle(plan: ParallelPlan, micro: int) -> "DerivedOverlaps | None":
-        if plan.dp <= 1 and plan.fsdp <= 1:
-            return None
-        sim, key = _standin(pricing, plan, micro)
-        if key not in cache:
-            shape, variant = key
-            if shape not in schedules:
-                schedules[shape] = _capture_standin(sim, shape[1], machine, workspace)
-            cache[key] = replay_many(schedules[shape], [variant])[0].overlaps()
-        return cache[key]
-
-    return oracle
+    return _Oracle(model, channels, machine, precision)

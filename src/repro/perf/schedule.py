@@ -3,8 +3,8 @@
 A steady-state training step repeats an identical schedule of compute
 charges and collectives, yet a live simulated step re-runs Python autograd,
 numpy payloads and thread rendezvous.  This module records one live
-:func:`repro.dist.run_spmd` step as a flat, serializable event list and
-re-executes it as **pure event arithmetic**, in one pipeline:
+:func:`repro.dist.run_spmd` step as a flat event list and re-executes it
+as **pure event arithmetic**, in one pipeline:
 
 ``CapturedSchedule`` → :class:`ReplayProgram` → float kernel → ``VirtualClock``
 
@@ -26,18 +26,19 @@ re-executes it as **pure event arithmetic**, in one pipeline:
   so ``ReplayResult.clock`` answers every query a live clock answers —
   totals, archived intervals, ``timeline()`` for the trace exporter.
 
-Record → serialize → replay::
+Record → replay::
 
     clock = VirtualClock(machine, eager_phases=OVERLAP_PHASES, capture=True)
     run_spmd(one_step, world_size, clock=clock)      # live, instrumented
     sched = clock.schedule()                         # flat event list
-    sched.save("step.json")                          # optional round-trip
     result = replay(sched, machine, n_steps=1000)    # pure arithmetic
     result.clock.times()                             # == live 1000-step run
 
 :func:`replay` prices one variant, :func:`replay_many` amortizes one
-lowering over many (``repro.perf.autotune.sweep_replay`` prices
-thousand-candidate autotuner sweeps this way).
+lowering over many.  The autotuner's overlap oracle
+(``repro.perf.autotune.simulated_overlaps``, which ``sweep_replay`` ranks
+thousand-candidate sweeps through) keeps one lowered :class:`ReplayProgram`
+per captured stand-in shape and runs it once per new variant.
 
 Phase conventions (mirrors :mod:`repro.perf.overlap`):
 
@@ -64,11 +65,10 @@ bitwise: times, archived intervals, timelines and overlaps.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Sequence
+from typing import Sequence
 
 from .clock import VirtualClock
 from .machine import MachineSpec
@@ -84,7 +84,6 @@ __all__ = [
     "replay_many",
 ]
 
-_SCHEMA_VERSION = 1
 _KINDS = frozenset({"compute", "coll", "drain"})
 
 
@@ -134,38 +133,6 @@ class ScheduleEvent:
     payload_bytes: int = 0
     group: tuple[int, ...] = ()
 
-    def to_json(self) -> dict:
-        out: dict[str, Any] = {"kind": self.kind, "rank": self.rank}
-        if self.op:
-            out["op"] = self.op
-        if self.phase:
-            out["phase"] = self.phase
-        if self.label:
-            out["label"] = self.label
-        if self.seconds:
-            out["seconds"] = self.seconds
-        if self.payload_bytes:
-            out["payload_bytes"] = self.payload_bytes
-        if self.group:
-            out["group"] = list(self.group)
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ScheduleEvent":
-        kind = obj["kind"]
-        if kind not in _KINDS:
-            raise ValueError(f"unknown schedule event kind {kind!r}")
-        return cls(
-            kind=kind,
-            rank=int(obj["rank"]),
-            op=str(obj.get("op", "")),
-            phase=str(obj.get("phase", "")),
-            label=str(obj.get("label", "")),
-            seconds=float(obj.get("seconds", 0.0)),
-            payload_bytes=int(obj.get("payload_bytes", 0)),
-            group=tuple(int(r) for r in obj.get("group", ())),
-        )
-
 
 def _event_from_tuple(rank: int, raw: tuple) -> ScheduleEvent:
     kind = raw[0]
@@ -187,7 +154,7 @@ def _event_from_tuple(rank: int, raw: tuple) -> ScheduleEvent:
 
 @dataclass(frozen=True)
 class CapturedSchedule:
-    """A flat, serializable event list lowered from one instrumented step.
+    """A flat event list lowered from one instrumented step.
 
     Events are stored in per-rank program order, concatenated in rank
     order; :meth:`events_for` recovers one rank's program.  The schedule
@@ -203,6 +170,8 @@ class CapturedSchedule:
         if self.world_size < 1:
             raise ValueError(f"world_size must be >= 1, got {self.world_size}")
         for ev in self.events:
+            if ev.kind not in _KINDS:
+                raise ValueError(f"unknown schedule event kind {ev.kind!r}")
             if not 0 <= ev.rank < self.world_size:
                 raise ValueError(
                     f"event rank {ev.rank} out of range for world of size "
@@ -234,39 +203,6 @@ class CapturedSchedule:
     @property
     def n_collectives(self) -> int:
         return sum(1 for ev in self.events if ev.kind == "coll")
-
-    @property
-    def n_compute(self) -> int:
-        return sum(1 for ev in self.events if ev.kind == "compute")
-
-    # -- serialization -----------------------------------------------------
-    def to_json(self) -> dict:
-        return {
-            "version": _SCHEMA_VERSION,
-            "world_size": self.world_size,
-            "eager_phases": sorted(self.eager_phases),
-            "events": [ev.to_json() for ev in self.events],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CapturedSchedule":
-        version = int(obj.get("version", _SCHEMA_VERSION))
-        if version != _SCHEMA_VERSION:
-            raise ValueError(f"unsupported schedule schema version {version}")
-        return cls(
-            world_size=int(obj["world_size"]),
-            eager_phases=frozenset(obj.get("eager_phases", ())),
-            events=tuple(ScheduleEvent.from_json(e) for e in obj.get("events", ())),
-        )
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh)
-
-    @classmethod
-    def load(cls, path) -> "CapturedSchedule":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -484,7 +420,7 @@ class ReplayProgram:
                     ops.append((_C_COLL, kid, tuple(members)))
                     moved = True
                     continue
-                else:  # pragma: no cover - from_json rejects unknown kinds
+                else:  # pragma: no cover - CapturedSchedule rejects unknown kinds
                     raise ScheduleReplayError(f"unknown event kind {kind!r}")
                 pos[rank] += 1
                 moved = True
@@ -669,6 +605,9 @@ def replay_many(
 
     ``replay_many(sched, [ReplayVariant(machine=m, compute_scale=s)])[0]``
     equals ``replay(sched, m, compute_scale=s)``; an N-variant call
-    amortizes one lowering over every variant.
+    amortizes one lowering over every variant.  A caller that meets its
+    variants one at a time keeps the :class:`ReplayProgram` and calls
+    :meth:`ReplayProgram.run` per variant instead, as the autotuner's
+    overlap oracle does.
     """
     return ReplayProgram(schedule, n_steps).run(variants)

@@ -111,22 +111,11 @@ class StepEstimate:
         return self.compute_seconds + self.comm.total
 
     @property
-    def samples_per_second(self) -> float:
-        """Per replica."""
-        if not self.fits:
-            return 0.0
-        return self.micro_batch / self.step_seconds
-
-    @property
     def tflops_per_gpu(self) -> float:
         """Sustained useful TFLOP/s per GPU (0 when the plan does not fit)."""
         if not self.fits:
             return 0.0
         return self.useful_flops / self.step_seconds / self.plan.gpus_per_replica / 1e12
-
-    @property
-    def tflops_total(self) -> float:
-        return self.tflops_per_gpu * self.plan.total_gpus
 
     def tflops_per_node(self, machine: MachineSpec) -> float:
         return self.tflops_per_gpu * machine.gpus_per_node

@@ -30,7 +30,7 @@ Design notes
 from __future__ import annotations
 
 import contextvars
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -174,10 +174,6 @@ class Tensor:
         return Tensor(
             (rng.standard_normal(shape) * std).astype(dtype), requires_grad=requires_grad
         )
-
-    @staticmethod
-    def from_numpy(arr: np.ndarray, requires_grad: bool = False) -> "Tensor":
-        return Tensor(arr, requires_grad=requires_grad)
 
     # ------------------------------------------------------------------
     # basic properties
@@ -703,7 +699,3 @@ class Tensor:
     def flatten(self, start: int = 0) -> "Tensor":
         shape = self.shape[:start] + (-1,)
         return self.reshape(shape)
-
-
-def _tensor_iter(values: Iterable) -> list[Tensor]:  # pragma: no cover - helper
-    return [v if isinstance(v, Tensor) else Tensor(v) for v in values]

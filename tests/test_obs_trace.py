@@ -264,16 +264,6 @@ class TestCli:
         assert trace["otherData"]["world_size"] == 4
         assert "trace valid" in capsys.readouterr().out
 
-    def test_schedule_flag_renders_saved_capture(self, tmp_path):
-        captured = _measured(eager=True, capture=True).schedule
-        sched_path = tmp_path / "captured.json"
-        captured.save(sched_path)
-        out = tmp_path / "replay.trace.json"
-        assert trace_main(
-            ["--schedule", str(sched_path), "--steps", "2", "--out", str(out)]
-        ) == 0
-        assert validate_trace(json.loads(out.read_text())) == []
-
     def test_export_trace_writes_file(self, tmp_path):
         measured = _measured()
         out = tmp_path / "nested" / "x.json"
