@@ -1,23 +1,23 @@
-"""Fleet-scale autotuner sweep priced entirely by captured-schedule replay.
+"""Fleet-scale autotuner sweep priced entirely by step-schedule replay.
 
 Ranks every feasible configuration of a 7B-class model across a whole
 fleet of GPU budgets — ``len(FLEET_BUDGETS)`` (total_gpus, global_batch)
 points, >= 1000 candidate plans in total — through
 :func:`repro.perf.autotune.sweep_replay`, which ranks every budget through
 one shared :func:`repro.perf.simulated_overlaps` oracle: at most a handful
-of threaded stand-in worlds are ever spun up (one per schedule shape; the
-run asserts ``captured_worlds <= 4``), each captured schedule is lowered
-once into a :class:`repro.perf.schedule.ReplayProgram`, and every distinct
-(placement, compute-scale) variant is one run of its shape's program.
-The per-budget yardstick — one
+of stand-in steps are ever written (one per schedule shape; the run
+asserts ``captured_worlds <= 4``; no threaded world is started), each is
+lowered once into a :class:`repro.perf.schedule.ReplayProgram`, and every
+distinct (placement, compute-scale) variant is one run of its shape's
+program.  The per-budget yardstick — one
 ``search_configurations(..., overlaps=simulated_overlaps(...))`` call per
-budget, each capturing its own stand-in worlds — is timed once and recorded as
+budget, each writing its own stand-in steps — is timed once and recorded as
 ``speedup_vs_per_budget``; both paths produce identical rankings (pinned in
 ``tests/test_schedule_replay.py``).
 
 The grid keeps the channel count odd on purpose: D-CHAG requires
 ``channels % tp == 0``, so every candidate collapses to ``tp=1`` and the
-shrunk stand-in shapes stay within the <= 4 captured-world budget while the
+shrunk stand-in shapes stay within the <= 4 stand-in-step budget while the
 (fsdp, dp) factorizations still fan out to 1000+ candidates.
 
 The result row is printed as JSON; ``--out PATH`` also writes it to a file.
@@ -44,7 +44,7 @@ from repro.perf import (
 MACHINE = frontier()
 FLEET_MODEL_NAME = "7B"
 #: Odd on purpose — forces tp=1 under D-CHAG's channels % tp == 0 rule,
-#: capping the sweep at <= 4 captured stand-in worlds (see module docstring).
+#: capping the sweep at <= 4 written stand-in steps (see module docstring).
 FLEET_CHANNELS = 495
 FLEET_STRATEGIES = ("dchag",)
 MAX_WORLDS = 4
@@ -81,8 +81,8 @@ def fleet_sweep_once() -> "object":
 
 def per_budget_seconds() -> float:
     """The per-budget path, timed once: one ``search_configurations`` call
-    per budget under a fresh simulated-overlap oracle, each capturing its
-    own stand-in worlds."""
+    per budget under a fresh simulated-overlap oracle, each writing its
+    own stand-in steps."""
     model = named_model(FLEET_MODEL_NAME)
     t0 = time.perf_counter()
     for total_gpus, global_batch in FLEET_BUDGETS:

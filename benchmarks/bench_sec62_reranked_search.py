@@ -8,10 +8,10 @@ The headline artifact of the overlap-aware autotuner: the full
   0.8 / 0.5 hidden fractions;
 * **derived overlaps**: every candidate ranked with fractions derived from
   *its own* issue-queue simulation (:func:`repro.perf.simulated_overlaps` —
-  a structure-preserving stand-in of the plan, captured once per shape on
-  an eager clock and replayed under the plan's placement and compute
-  balance, FSDP gathers prefetching under forward, the DP AllReduce
-  bucketed through backward).
+  a structure-preserving stand-in of the plan, whose eager step is written
+  once per shape, without a threaded world, and replayed under the plan's
+  placement and compute balance, FSDP gathers prefetching under forward,
+  the DP AllReduce bucketed through backward).
 
 Claims asserted (and pinned by ``tests/test_autotune.py``):
 

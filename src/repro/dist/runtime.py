@@ -259,8 +259,6 @@ class SimClock(Protocol):
     reject anything else up front instead of every call site probing.
     """
 
-    capturing: bool
-
     def bind(self, world_size: int) -> None: ...
     def now(self, rank: int) -> float: ...
     def charge(
@@ -276,11 +274,6 @@ class SimClock(Protocol):
     ) -> None: ...
     def drain(self, rank: int) -> float: ...
     def finalize_rank(self, rank: int) -> None: ...
-    def capture_collective(
-        self, rank: int, op: str, phase: str, payload_bytes: int,
-        ranks: Sequence[int],
-    ) -> None: ...
-    def capture_drain(self, rank: int) -> None: ...
 
 
 class World:
@@ -703,7 +696,7 @@ class Communicator:
         next drain point, and the rank's compute clock keeps running.
 
         A one-rank group returns at once, stamped ``vstart == vend == now``,
-        without a lock, a clock bid, a capture or a completion.
+        without a lock, a clock bid or a completion.
         """
         size = group.size
         if size == 1:
@@ -717,13 +710,6 @@ class Communicator:
         clock = self.world.clock
         op = signature[0]
         if clock is not None:
-            # Schedule capture: record the issue at this rank's program
-            # position (before any clock state moves) so a replay can
-            # re-drive the very same arrival/complete protocol.
-            if clock.capturing:
-                clock.capture_collective(
-                    self.rank, op, self.phase, payload_bytes, group.ranks
-                )
             # The arrival bid feeds the group-wide start maximum.  It is
             # not the rank's compute clock: an eager dispatch bids its
             # channel-free time, a blocking op drains the queue first.
@@ -901,8 +887,6 @@ class Communicator:
         clock = self.world.clock
         if clock is None:
             return -1.0
-        if clock.capturing:
-            clock.capture_drain(self.rank)
         return clock.drain(self.rank)
 
     @contextlib.contextmanager

@@ -3,7 +3,7 @@
 Two pillars over the perf stack's books:
 
 * :mod:`repro.obs.trace` — lower virtual-clock timelines (live worlds,
-  measured replays, captured-schedule replays) to Chrome Trace Event
+  measured replays, step-schedule replays) to Chrome Trace Event
   JSON viewable in Perfetto / ``chrome://tracing``;
 * :mod:`repro.obs.commvol` — reconcile communication volume per
   ``op × phase × link`` across the analytic schedule, the simulated

@@ -45,12 +45,38 @@ class MeshCoords:
     tp: int
 
 
-class DeviceMesh:
-    """Factor the world into (dp, fsdp, sp, tp) process groups.
-
-    Rank layout: ``rank = ((dp_idx * fsdp + fsdp_idx) * sp + sp_idx) * tp
+def _layout(
+    rank: int, tp: int, sp: int, fsdp: int, dp: int
+) -> tuple[MeshCoords, dict[str, tuple[int, ...]]]:
+    """*rank*'s mesh coordinates and the world ranks of its tp, sp, fsdp
+    and dp groups: ``rank = ((dp_idx * fsdp + fsdp_idx) * sp + sp_idx) * tp
     + tp_idx`` — TP contiguous (intra-node), then SP, then FSDP, then DP.
+
+    The one statement of the rank layout: :class:`DeviceMesh` builds its
+    groups from it, and ``repro.perf.calibrate._write_step`` writes
+    ``measure_plan``'s step schedules with it, without a world.
     """
+    c = MeshCoords(
+        dp=rank // (fsdp * sp * tp),
+        fsdp=(rank // (sp * tp)) % fsdp,
+        sp=(rank // tp) % sp,
+        tp=rank % tp,
+    )
+
+    def at(d: int = c.dp, f: int = c.fsdp, s: int = c.sp, t: int = c.tp) -> int:
+        return ((d * fsdp + f) * sp + s) * tp + t
+
+    return c, {
+        "tp": tuple(at(t=t) for t in range(tp)),
+        "sp": tuple(at(s=s) for s in range(sp)),
+        "fsdp": tuple(at(f=f) for f in range(fsdp)),
+        "dp": tuple(at(d=d) for d in range(dp)),
+    }
+
+
+class DeviceMesh:
+    """Factor the world into (dp, fsdp, sp, tp) process groups, TP
+    innermost (the rank layout is stated once, in :func:`_layout`)."""
 
     def __init__(
         self,
@@ -73,27 +99,11 @@ class DeviceMesh:
             )
         self.comm = comm
         self.tp_size, self.sp_size, self.fsdp_size, self.dp_size = tp, sp, fsdp, dp
-        r = comm.rank
-        self.coords = MeshCoords(
-            dp=r // (fsdp * sp * tp),
-            fsdp=(r // (sp * tp)) % fsdp,
-            sp=(r // tp) % sp,
-            tp=r % tp,
-        )
-
-        c = self.coords
-        self.tp_group: ProcessGroup = comm.group(
-            [((c.dp * fsdp + c.fsdp) * sp + c.sp) * tp + t for t in range(tp)]
-        )
-        self.sp_group: ProcessGroup = comm.group(
-            [((c.dp * fsdp + c.fsdp) * sp + s) * tp + c.tp for s in range(sp)]
-        )
-        self.fsdp_group: ProcessGroup = comm.group(
-            [((c.dp * fsdp + f) * sp + c.sp) * tp + c.tp for f in range(fsdp)]
-        )
-        self.dp_group: ProcessGroup = comm.group(
-            [((d * fsdp + c.fsdp) * sp + c.sp) * tp + c.tp for d in range(dp)]
-        )
+        self.coords, groups = _layout(comm.rank, tp, sp, fsdp, dp)
+        self.tp_group: ProcessGroup = comm.group(groups["tp"])
+        self.sp_group: ProcessGroup = comm.group(groups["sp"])
+        self.fsdp_group: ProcessGroup = comm.group(groups["fsdp"])
+        self.dp_group: ProcessGroup = comm.group(groups["dp"])
         # D-CHAG shares the TP group by construction (§3.4).
         self.dchag_group = self.tp_group
 

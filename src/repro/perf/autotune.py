@@ -21,11 +21,12 @@ fractions instead:
 * a :class:`~repro.perf.overlap.DerivedOverlaps` applies one measured pair
   to every candidate;
 * a callable ``(plan, micro_batch) -> DerivedOverlaps | None`` is consulted
-  **per candidate** — :func:`simulated_overlaps` builds one that captures a
-  scaled-down stand-in of each plan shape once on a real issue-queue world
-  (:func:`~repro.perf.calibrate.measure_plan` with ``eager=True``) and
-  replays it under each candidate's placement and compute balance, so every
-  plan is ranked with fractions derived from *its own* simulated timeline.
+  **per candidate** — :func:`simulated_overlaps` builds one that writes the
+  step of a scaled-down stand-in of each plan shape once (the issue-queue
+  step :func:`~repro.perf.calibrate.measure_plan` runs with ``eager=True``)
+  and replays it under each candidate's placement and compute balance, so
+  every plan is ranked with fractions derived from *its own* simulated
+  timeline.
 
 Priced once, exposed per pair
 -----------------------------
@@ -35,8 +36,10 @@ breakdown, own and useful FLOPs, compute seconds, the collective schedule
 and its un-overlapped per-axis seconds and wire bytes — is priced once per
 distinct (plan, micro-batch) and kept in a price book that lives for one
 :func:`search_configurations` call or one :func:`simulated_overlaps` oracle
-(never longer, so every call prices cold; :func:`sweep_replay` ranks every
-budget through one oracle and its book).  Each overlap pair is applied
+(never longer, so every call prices cold).  A search handed an oracle built
+for its own model, channels, machine and precision ranks through that
+oracle's book, and :func:`sweep_replay` ranks every budget through one
+oracle and its book.  Each overlap pair is applied
 last: exposing a priced step costs two multiplies (the FSDP and DP
 seconds), so the pruned search's bound score and its oracle score, and a
 sweep's budgets sharing a step, share one pricing.  The stand-in side of
@@ -60,7 +63,7 @@ from .cost import MAX_DP_BUCKETS, CostModel
 from .machine import MachineSpec
 from .modelcfg import ModelConfig
 from .plan import ParallelPlan, Precision, Workload
-from .schedule import CapturedSchedule, ReplayProgram, ReplayVariant
+from .schedule import ReplayProgram, ReplayVariant
 from .throughput import _PricedStep, _PriceBook, max_batch_per_replica
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -238,7 +241,11 @@ def search_configurations(
     candidates = _enumerate_candidates(
         model, channels, total_gpus, machine, strategies, precision, max_sp=max_sp,
     )
-    book = _PriceBook(model, channels, machine, precision)
+    book = overlaps.real if isinstance(overlaps, _Oracle) else None
+    if book is None or (book.model, book.channels, book.machine, book.precision) != (
+        model, channels, machine, precision
+    ):  # unless the oracle prices these very steps, price them here
+        book = _PriceBook(model, channels, machine, precision)
     if prune_top_k is None or prune_top_k < 1 or not callable(overlaps):
         return _rank(book, candidates, global_batch, overlaps)
 
@@ -289,8 +296,8 @@ class ReplaySweep:
     scores, same :class:`~repro.perf.overlap.DerivedOverlaps`) to what
     ``search_configurations(..., overlaps=simulated_overlaps(...))`` returns
     for that budget (both rank with one exhaustive loop through that oracle).
-    ``captured_worlds`` counts the threaded stand-in worlds actually spun
-    up (one per schedule shape) and ``lanes`` the distinct
+    ``captured_worlds`` counts the stand-in steps written and lowered (one
+    per schedule shape) and ``lanes`` the distinct
     ``(shape, placement, scale)`` variants replayed from them — the sweep's
     whole point is ``candidates >> lanes >= captured_worlds``.
     """
@@ -299,14 +306,6 @@ class ReplaySweep:
     candidates: int
     captured_worlds: int
     lanes: int
-
-    @property
-    def summary(self) -> str:
-        return (
-            f"{self.candidates} candidates priced through "
-            f"{self.lanes} replay variants from {self.captured_worlds} "
-            f"captured world(s)"
-        )
 
 
 def sweep_replay(
@@ -318,13 +317,13 @@ def sweep_replay(
     precision: Precision = Precision(),
     max_sp: int = 1,
 ) -> ReplaySweep:
-    """Rank every candidate of every budget from a handful of captured worlds.
+    """Rank every candidate of every budget from a handful of stand-in steps.
 
     A fleet sweep (many GPU budgets x batch sizes) is the exhaustive
     :func:`search_configurations` ranking of each budget, run through ONE
     :func:`simulated_overlaps` oracle that every budget shares.  Each
-    distinct GPU count is enumerated once.  The oracle captures and lowers
-    one threaded stand-in world per schedule shape, replays one variant
+    distinct GPU count is enumerated once.  The oracle writes and lowers
+    one stand-in step per schedule shape, replays one variant
     per distinct (shape, placement, scale) key, and keys each distinct
     (plan, micro-batch) once.  Its price book ranks every budget too, so a
     (plan, micro-step batch) is priced once per sweep, and the stand-in
@@ -415,14 +414,14 @@ class _Oracle:
       compute/comm ratio, each priced once);
     * ``programs`` holds one lowered
       :class:`~repro.perf.schedule.ReplayProgram` per stand-in shape, each
-      from one threaded capture;
+      lowered from one written stand-in step;
     * ``lanes`` holds the overlap pair per replay key (shape, variant);
     * the pair per (plan, micro-batch), so a plan consulted again (by
       another budget of a sweep, or another search) is neither keyed to
       its stand-in again nor replayed.
     """
 
-    __slots__ = ("real", "programs", "lanes", "_standins", "_pairs", "_workspace")
+    __slots__ = ("real", "programs", "lanes", "_standins", "_pairs")
 
     def __init__(
         self, model: ModelConfig, channels: int, machine: MachineSpec, precision: Precision
@@ -432,7 +431,6 @@ class _Oracle:
         self.lanes: dict[tuple, "DerivedOverlaps"] = {}
         self._standins: dict[int, _PriceBook] = {}  # node size -> stand-in book
         self._pairs: dict[tuple[ParallelPlan, int], "DerivedOverlaps"] = {}
-        self._workspace: dict = {}  # warm replay buffers shared by every capture
 
     def standin_book(self, gpus_per_node: int) -> _PriceBook:
         book = self._standins.get(gpus_per_node)
@@ -455,10 +453,15 @@ class _Oracle:
                 shape, variant = key
                 program = self.programs.get(shape)
                 if program is None:
-                    schedule = _capture_standin(
-                        sim, shape[1], self.real.machine, self._workspace
-                    )
-                    program = self.programs[shape] = ReplayProgram(schedule)
+                    from .calibrate import _write_step  # runtime import: calibrate pulls dist
+
+                    # The stand-in's step as measure_plan(eager=True) runs
+                    # it; placement and compute scale only re-price its
+                    # events, so they are left to the variant.
+                    program = self.programs[shape] = ReplayProgram(_write_step(
+                        _SIM_MODEL, Workload(_SIM_CHANNELS, _SIM_BATCH), sim,
+                        self.real.machine, eager=True, dp_buckets=shape[1],
+                    ))
                 pair = self.lanes[key] = program.run([variant])[0].overlaps()
             self._pairs[plan, micro] = pair
         return pair
@@ -505,7 +508,7 @@ def _standin(oracle: "_Oracle", plan: ParallelPlan, micro: int) -> tuple[Paralle
     """The stand-in plan for *plan* and the replay key it is priced under.
 
     The key is ``((sim.label, buckets), variant)``: the schedule *shape*
-    (one capture each) and the :class:`~repro.perf.schedule.ReplayVariant`
+    (one written step each) and the :class:`~repro.perf.schedule.ReplayVariant`
     (node placement, compute scale) that re-prices it.  Candidates with
     equal keys share one overlap pair.
     """
@@ -527,28 +530,6 @@ def _standin(oracle: "_Oracle", plan: ParallelPlan, micro: int) -> tuple[Paralle
     )
 
 
-def _capture_standin(
-    sim: ParallelPlan, buckets: int, machine: MachineSpec, workspace: dict
-) -> CapturedSchedule:
-    """Record one step of the stand-in on a threaded issue-queue world.
-
-    Node placement and compute scale change only the pricing of the event
-    structure, never the structure itself, so they are left to replay.
-    """
-    from .calibrate import measure_plan  # runtime import: calibrate pulls dist
-
-    return measure_plan(
-        _SIM_MODEL,
-        Workload(_SIM_CHANNELS, _SIM_BATCH),
-        sim,
-        machine,
-        eager=True,
-        dp_buckets=buckets,
-        workspace=workspace,
-        capture=True,
-    ).schedule
-
-
 def simulated_overlaps(
     machine: MachineSpec,
     model: ModelConfig,
@@ -560,12 +541,14 @@ def simulated_overlaps(
     For each candidate the oracle prices a structure-preserving stand-in
     (axes capped at 2, placement and compute/comm ratio matched to the real
     plan) and returns its :class:`~repro.perf.overlap.DerivedOverlaps`.
-    One threaded :func:`~repro.dist.run_spmd` world on an issue-queue clock
-    is captured and lowered per stand-in *shape* (plan shape × bucket
-    count); each new (placement, compute scale) variant of a shape replays
-    that lowered program as pure event arithmetic
-    (:class:`repro.perf.schedule.ReplayProgram`), so a 1,024-GPU sweep
-    costs a handful of ≤8-rank captures.  Plans with neither a DP nor an
+    One stand-in step is written per stand-in *shape* (plan shape × bucket
+    count) — the issue-queue step
+    :func:`~repro.perf.calibrate.measure_plan` would run on a live world —
+    and lowered once; each new (placement, compute scale) variant of a
+    shape replays that lowered program as pure event arithmetic
+    (:class:`repro.perf.schedule.ReplayProgram`).  No threaded world is
+    started, so a 1,024-GPU sweep costs a handful of written ≤16-rank
+    schedules.  Plans with neither a DP nor an
     FSDP axis return ``None`` (nothing to overlap — the constants are
     irrelevant there anyway).
     """

@@ -1,15 +1,18 @@
 """Measured replay: the analytic/measured contract at plan scale.
 
-:func:`measure_plan` replays the exact
+:func:`measure_plan` writes the exact
 :func:`~repro.perf.comm_model.step_comm_schedule` of a hybrid
-(tp × sp × fsdp × dp) plan through a real :class:`~repro.parallel.DeviceMesh`
+(tp × sp × fsdp × dp) plan as a step program per rank
+(:class:`~repro.perf.schedule.CapturedSchedule`, on the
+:class:`~repro.parallel.DeviceMesh` rank layout) and runs it through a real
 world, returning per-axis measured wire/seconds plus derived overlap
 fractions; the measured fig-15/16 benchmarks sweep factorizations through
-it.  With ``eager=True`` the replay runs on an **issue-queue clock**: FSDP
-gathers prefetch under forward compute and the DP gradient AllReduce is
-split into buckets issued *during* backward — the derived overlaps then
-come from per-bucket measured exposure instead of the
-``min(comm, compute)`` bound.
+it.  The replay kernel (:mod:`repro.perf.schedule`) executes the same
+written schedule without a world.  With ``eager=True`` the step runs on an
+**issue-queue clock**: FSDP gathers prefetch under forward compute and the
+DP gradient AllReduce is split into buckets issued *during* backward — the
+derived overlaps then come from per-bucket measured exposure instead of
+the ``min(comm, compute)`` bound.
 
 :func:`_issue` issues one ring collective with an exact per-rank payload;
 ``tests/test_virtual_clock.py::TestWireParity`` drives every ring op
@@ -33,12 +36,13 @@ from .comm_model import (
     estimate_step_comm,
     step_comm_schedule,
 )
-from .cost import MAX_DP_BUCKETS
+from .cost import MAX_DP_BUCKETS, CostModel
 from .flops import TRAIN_MULT, estimate_flops
 from .machine import MachineSpec, frontier
 from .modelcfg import ModelConfig
 from .overlap import OVERLAP_PHASES, DerivedOverlaps, derive_overlaps, phase_comm_seconds
 from .plan import ParallelPlan, Precision, Workload
+from .schedule import CapturedSchedule, ScheduleEvent, _checked_scale
 from .throughput import batch_efficiency
 
 __all__ = [
@@ -63,6 +67,17 @@ AXIS_PHASES = {
     "dp": "dp_sync",
 }
 
+#: Schedule axis → the mesh group that carries it.
+_AXIS_GROUPS = {
+    "tp": "tp",
+    "gather": "tp",
+    "sp": "sp",
+    "sp_gather": "sp",
+    "sp_scatter": "sp",
+    "fsdp": "fsdp",
+    "dp": "dp",
+}
+
 #: Axes whose collectives block on the critical path in the eager replay —
 #: TP AllReduces, the channel gather and the Ulysses SP collectives all
 #: produce activations the next op consumes immediately.
@@ -75,17 +90,11 @@ def _issue(comm, op: str, payload_bytes: int, group, scratch: dict) -> None:
 
     *scratch* is the calling rank's buffer cache: input and ``out=``
     buffers are allocated once per (kind, size) and reused across calls,
-    so a replay or a wall-clock fit measures the runtime's steady-state
-    data path (warm buffers, zero allocations per collective) instead of
-    the allocator.
+    so :func:`measure_plan` measures the runtime's steady-state data path
+    (warm buffers, zero allocations per collective) instead of the
+    allocator.
     """
     n = group.size
-    if op in ("reduce_scatter", "all_to_all") and payload_bytes % n != 0:
-        raise ValueError(
-            f"{op} payload {payload_bytes} not divisible by group size {n}: "
-            "pick shapes whose payloads split evenly or the padded-collective "
-            "convention breaks exact wire parity"
-        )
 
     def buffer(kind: str, nbytes: int) -> np.ndarray:
         key = (kind, nbytes)
@@ -165,6 +174,106 @@ def _dp_bucket_payloads(payload: int, group_size: int, buckets: int) -> list[int
     return chunks
 
 
+def _write_step(
+    model: ModelConfig,
+    workload: Workload,
+    plan: ParallelPlan,
+    machine: MachineSpec,
+    precision: Precision = Precision(),
+    eager: bool = False,
+    dp_buckets: int | None = None,
+    compute_scale: float = 1.0,
+) -> CapturedSchedule:
+    """Write one step of *plan* as a :class:`CapturedSchedule`, rank by rank.
+
+    Each rank's program is the :func:`step_comm_schedule` collectives on
+    its own mesh groups, phase-tagged per axis, with forward/backward
+    compute charged around them, by :func:`measure_plan`'s rules.  A
+    zero-second charge is left out, as ``Communicator.charge_compute``
+    skips it.
+    """
+    from ..parallel.mesh import _layout  # runtime import: parallel pulls nn
+
+    scale = _checked_scale(compute_scale)
+    events = step_comm_schedule(model, workload, plan, precision)
+    sizes = axis_group_sizes(plan)
+    for ev in events:
+        if ev.op in ("reduce_scatter", "all_to_all") and ev.payload_bytes % sizes[ev.axis]:
+            raise ValueError(
+                f"{ev.op} payload {ev.payload_bytes} not divisible by group size "
+                f"{sizes[ev.axis]}: pick shapes whose payloads split evenly or the "
+                "padded-collective convention breaks exact wire parity"
+            )
+    colls = [(ev.axis, ev.op, ev.payload_bytes) for ev in events for _ in range(ev.count)]
+    own = TRAIN_MULT * estimate_flops(model, workload, plan).total
+    compute = own / (machine.peak_flops * batch_efficiency(machine, workload.batch))
+    compute *= scale
+    fwd_seconds, bwd_seconds = compute / 3.0, 2.0 * compute / 3.0
+    cost = CostModel(machine)
+    written: list[ScheduleEvent] = []
+    for rank in range(plan.total_gpus):
+        _, mesh = _layout(rank, plan.tp, plan.sp, plan.fsdp, plan.dp)
+
+        def charge(seconds: float, phase: str) -> None:
+            if seconds > 0.0:
+                written.append(ScheduleEvent("compute", rank, phase=phase, seconds=seconds))
+
+        def issue(axis: str, op: str, payload: int) -> None:
+            written.append(ScheduleEvent(
+                "coll", rank, op=op, phase=AXIS_PHASES[axis], payload_bytes=payload,
+                group=mesh[_AXIS_GROUPS[axis]],
+            ))
+
+        if not eager:
+            charge(fwd_seconds, "forward")
+            for c in colls:
+                if c[0] != "dp":
+                    issue(*c)
+            charge(bwd_seconds, "backward")
+            for c in colls:
+                if c[0] == "dp":
+                    issue(*c)
+            continue
+        # Critical-path collectives first: TP AllReduces, the channel
+        # gather and the Ulysses SP collectives block exactly as in a
+        # Megatron-style implementation.
+        for c in colls:
+            if c[0] in BLOCKING_AXES:
+                issue(*c)
+        # Forward: dispatch each FSDP gather, then hide it under the next
+        # slice of forward compute (the prefetch schedule).
+        gathers = [c for c in colls if c[:2] == ("fsdp", "all_gather")]
+        for c in gathers:
+            issue(*c)
+            charge(fwd_seconds / len(gathers), "forward")
+        if not gathers:
+            charge(fwd_seconds, "forward")
+        # Backward: each gradient collective is ready only after its slice
+        # of backward compute — charge first, then dispatch (bucketed DDP).
+        grads: list[tuple[str, str, int]] = []
+        for axis, op, payload in colls:
+            if (axis, op) == ("dp", "all_reduce"):
+                k = dp_buckets if dp_buckets is not None else cost.bucket_cap(
+                    op, payload, plan.dp, cost.intra_node(mesh["dp"]), MAX_DP_BUCKETS
+                )
+                grads.extend((axis, op, p) for p in _dp_bucket_payloads(payload, plan.dp, k))
+            elif axis == "dp" or (axis == "fsdp" and op != "all_gather"):
+                grads.append((axis, op, payload))
+        for c in grads:
+            charge(bwd_seconds / len(grads), "backward")
+            issue(*c)
+        if not grads:
+            charge(bwd_seconds, "backward")
+        # The end-of-step drain charges whatever exposure the schedule
+        # failed to hide (run_spmd finalizes each rank too, but the
+        # explicit drain marks the optimizer boundary inside the step, so
+        # a replayed step settles at the same point).
+        written.append(ScheduleEvent("drain", rank))
+    return CapturedSchedule(
+        plan.total_gpus, OVERLAP_PHASES if eager else frozenset(), tuple(written)
+    )
+
+
 def measure_plan(
     model: ModelConfig,
     workload: Workload,
@@ -179,22 +288,23 @@ def measure_plan(
     capture: bool = False,
     keep_world: bool = False,
 ) -> MeasuredComm:
-    """Replay one step's collective schedule through a real SPMD world.
+    """Run one step's collective schedule through a real SPMD world.
 
-    The world is factored by a :class:`~repro.parallel.DeviceMesh` exactly
-    as the plan prescribes (TP innermost); each rank issues the events of
-    :func:`step_comm_schedule` on its own mesh groups, phase-tagged per
-    axis, with forward/backward compute charged around them (⅓ / ⅔ of the
-    plan's step FLOPs at the plan's batch efficiency).  Returns measured
-    per-axis wire/seconds — comparable byte-for-byte with
-    :func:`estimate_step_comm` — plus overlap fractions derived from the
-    run's own timelines.
+    The step is first written down as a :class:`CapturedSchedule`: each
+    rank issues the events of :func:`step_comm_schedule` on its own mesh
+    groups (the :class:`~repro.parallel.DeviceMesh` layout the plan
+    prescribes, TP innermost), phase-tagged per axis, with forward/backward
+    compute charged around them (⅓ / ⅔ of the plan's step FLOPs at the
+    plan's batch efficiency).  Every rank of a real world then executes its
+    own events.  Returns measured per-axis wire/seconds — comparable
+    byte-for-byte with :func:`estimate_step_comm` — plus overlap fractions
+    derived from the run's own timelines.
 
-    ``eager=False`` (default) keeps the blocking replay: communication
+    ``eager=False`` (default) keeps the blocking step: communication
     serializes after compute, measured collective seconds equal the
     analytic un-overlapped total, and the derived overlaps are the
-    ``min(comm, compute)`` bound.  ``eager=True`` runs the schedule the way
-    an overlapped implementation would, on an issue-queue clock:
+    ``min(comm, compute)`` bound.  ``eager=True`` writes the step the way
+    an overlapped implementation runs it, on an issue-queue clock:
 
     * TP, channel-gather and Ulysses SP collectives stay blocking
       (critical path);
@@ -206,156 +316,67 @@ def measure_plan(
       scheduling).  ``dp_buckets=None`` picks the bucket count with
       :meth:`~repro.perf.cost.CostModel.bucket_cap` (at most
       :data:`~repro.perf.cost.MAX_DP_BUCKETS`); an int splits into exactly
-      that many — what a scaled-down stand-in world passes when the real
-      plan's volume/latency ratio justifies it (see
-      :func:`~repro.perf.autotune.simulated_overlaps`).
+      that many — what a scaled-down stand-in passes when the real plan's
+      volume/latency ratio justifies it (see
+      :func:`~repro.perf.autotune.simulated_overlaps`);
+    * an end-of-step drain settles what is still in flight.
 
     Exposure is whatever the end-of-step drain cannot hide, so
     ``overlaps`` carries **measured per-bucket** fractions
     (:class:`~repro.perf.overlap.BucketExposure`) and ``step_seconds`` is
     the overlapped makespan.  Wire accounting is identical in both modes.
 
-    ``compute_scale`` multiplies the charged forward/backward seconds, so a
-    scaled-down world can reproduce a larger plan's compute/comm balance
-    (overlap fractions depend on exactly that ratio).  The autotuner's
-    oracle captures at ``1.0`` and turns the same knob at replay time
+    ``compute_scale`` (finite, ``>= 0``) multiplies the charged
+    forward/backward seconds, so a scaled-down world can reproduce a larger
+    plan's compute/comm balance (overlap fractions depend on exactly that
+    ratio).  The autotuner's oracle writes its stand-in steps at ``1.0``
+    and turns the same knob at replay time
     (:class:`~repro.perf.schedule.ReplayVariant`).
 
     ``workspace`` is an optional caller-held dict that carries each rank's
-    replay buffers across calls: a sweep (or a benchmark loop) that replays
-    many plans reuses warm preallocated buffers instead of first-touching
-    a fresh working set per world.  Results are unaffected — only the
-    allocator traffic changes.
+    collective buffers across calls: a sweep (or a benchmark loop) that
+    runs many plans reuses warm preallocated buffers instead of
+    first-touching a fresh working set per world.  Results are unaffected —
+    only the allocator traffic changes.
 
-    ``n_steps`` repeats the step body that many times in one world (the
-    reported ``wire``/``seconds``/``step_seconds`` stay **per step**;
-    ``rank_times`` carries the whole run's final per-rank clocks).
-    ``capture=True`` records the run on a schedule-capturing clock and
-    attaches the lowered :class:`~repro.perf.schedule.CapturedSchedule` —
-    the entry point of the record → replay pipeline (capture one step,
-    then :func:`repro.perf.schedule.replay` advances it arbitrarily many
-    steps as pure event arithmetic).
+    ``n_steps`` runs the step that many times in one world (the reported
+    ``wire``/``seconds``/``step_seconds`` stay **per step**; ``rank_times``
+    carries the whole run's final per-rank clocks).  ``capture=True``
+    attaches the written one-step schedule: :func:`repro.perf.schedule.replay`
+    advances it arbitrarily many steps as pure event arithmetic, bitwise
+    equal to this world run for as many steps.
 
     ``keep_world=True`` attaches the finished world to the result — the
     observability layer reads its clock intervals and traffic log
     (:func:`repro.obs.commvol.comm_volume_report`,
     :func:`repro.obs.trace.chrome_trace`).
     """
-    from ..parallel.mesh import DeviceMesh  # runtime import: parallel pulls nn
-
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     machine = machine if machine is not None else frontier()
-    events = step_comm_schedule(model, workload, plan, precision)
-    own = TRAIN_MULT * estimate_flops(model, workload, plan).total
-    compute = own / (machine.peak_flops * batch_efficiency(machine, workload.batch))
-    compute *= float(compute_scale)
-    fwd_seconds, bwd_seconds = compute / 3.0, 2.0 * compute / 3.0
-    clock = VirtualClock(
-        machine, eager_phases=OVERLAP_PHASES if eager else None, capture=capture
+    schedule = _write_step(
+        model, workload, plan, machine, precision, eager, dp_buckets, compute_scale
     )
+    programs = [schedule.events_for(rank) for rank in range(schedule.world_size)]
+    clock = VirtualClock(machine, eager_phases=schedule.eager_phases)
 
     def fn(comm):
-        mesh = DeviceMesh(comm, tp=plan.tp, sp=plan.sp, fsdp=plan.fsdp, dp=plan.dp)
-        groups = {
-            "tp": mesh.tp_group,
-            "gather": mesh.tp_group,
-            "sp": mesh.sp_group,
-            "sp_gather": mesh.sp_group,
-            "sp_scatter": mesh.sp_group,
-            "fsdp": mesh.fsdp_group,
-            "dp": mesh.dp_group,
-        }
-        # Per-rank buffer cache: the replay reuses warm input/out buffers
+        program = programs[comm.rank]
+        groups = {ev.group: comm.group(ev.group) for ev in program if ev.kind == "coll"}
+        # Per-rank buffer cache: the run reuses warm input/out buffers
         # across the schedule, measuring the runtime's steady-state data
         # path rather than the host allocator.  A caller-held *workspace*
         # extends the reuse across worlds (sweeps, benchmark repetitions).
         scratch: dict = {} if workspace is None else workspace.setdefault(comm.rank, {})
-
-        def blocking_step():
-            comm.charge_compute(fwd_seconds, phase="forward")
-            for ev in events:
-                if ev.axis == "dp":
-                    continue
-                with comm.phase_scope(AXIS_PHASES[ev.axis]):
-                    for _ in range(ev.count):
-                        _issue(comm, ev.op, ev.payload_bytes, groups[ev.axis], scratch)
-            comm.charge_compute(bwd_seconds, phase="backward")
-            for ev in events:
-                if ev.axis != "dp":
-                    continue
-                with comm.phase_scope(AXIS_PHASES["dp"]):
-                    for _ in range(ev.count):
-                        _issue(comm, ev.op, ev.payload_bytes, groups["dp"], scratch)
-
-        def eager_step():
-            # Critical-path collectives first: TP AllReduces, the channel
-            # gather and the Ulysses SP collectives block exactly as in a
-            # Megatron-style implementation.
-            for ev in events:
-                if ev.axis in BLOCKING_AXES:
-                    with comm.phase_scope(AXIS_PHASES[ev.axis]):
-                        for _ in range(ev.count):
-                            _issue(comm, ev.op, ev.payload_bytes, groups[ev.axis], scratch)
-            # Forward: dispatch each FSDP gather, then hide it under the next
-            # slice of forward compute (the prefetch schedule).
-            gathers = [
-                ev
-                for ev in events
-                if ev.axis == "fsdp" and ev.op == "all_gather"
-                for _ in range(ev.count)
-            ]
-            if gathers:
-                per = fwd_seconds / len(gathers)
-                for ev in gathers:
-                    with comm.phase_scope(AXIS_PHASES["fsdp"]):
-                        _issue(comm, ev.op, ev.payload_bytes, groups["fsdp"], scratch)
-                    comm.charge_compute(per, phase="forward")
-            else:
-                comm.charge_compute(fwd_seconds, phase="forward")
-            # Backward: each gradient collective is ready only after its slice
-            # of backward compute — charge first, then dispatch (bucketed DDP).
-            issues: list[tuple[str, str, int]] = []
-            for ev in events:
-                if ev.axis == "fsdp" and ev.op != "all_gather":
-                    issues.extend(("fsdp", ev.op, ev.payload_bytes) for _ in range(ev.count))
-                elif ev.axis == "dp":
-                    for _ in range(ev.count):
-                        if ev.op == "all_reduce":
-                            cost, n = clock.cost, groups["dp"].size
-                            k = dp_buckets
-                            if k is None:
-                                k = cost.bucket_cap(
-                                    ev.op,
-                                    ev.payload_bytes,
-                                    n,
-                                    cost.intra_node(groups["dp"].ranks),
-                                    MAX_DP_BUCKETS,
-                                )
-                            issues.extend(
-                                ("dp", ev.op, p)
-                                for p in _dp_bucket_payloads(
-                                    ev.payload_bytes, n, k
-                                )
-                            )
-                        else:
-                            issues.append(("dp", ev.op, ev.payload_bytes))
-            per = bwd_seconds / max(1, len(issues))
-            if not issues:
-                comm.charge_compute(bwd_seconds, phase="backward")
-            for axis, op, payload in issues:
-                comm.charge_compute(per, phase="backward")
-                with comm.phase_scope(AXIS_PHASES[axis]):
-                    _issue(comm, op, payload, groups[axis], scratch)
-            # The end-of-step drain charges whatever exposure the schedule
-            # failed to hide (run_spmd finalizes each rank too, but the
-            # explicit drain marks the optimizer boundary inside the step —
-            # and is captured, so a replayed step settles at the same point).
-            comm.drain_comm()
-
-        step = eager_step if eager else blocking_step
         for _ in range(n_steps):
-            step()
+            for ev in program:
+                if ev.kind == "coll":
+                    comm.phase = ev.phase
+                    _issue(comm, ev.op, ev.payload_bytes, groups[ev.group], scratch)
+                elif ev.kind == "compute":
+                    comm.charge_compute(ev.seconds, phase=ev.phase, label=ev.label)
+                else:
+                    comm.drain_comm()
         return comm.now()
 
     _, world = run_spmd_world(fn, plan.total_gpus, clock=clock)
@@ -384,6 +405,6 @@ def measure_plan(
         eager=eager,
         n_steps=n_steps,
         rank_times=tuple(clock.times()),
-        schedule=clock.schedule() if capture else None,
+        schedule=schedule if capture else None,
         world=world if keep_world else None,
     )

@@ -49,8 +49,9 @@ world produce bitwise-identical timelines (eager or not).
 Thread-safety contract (by construction, no locks needed): ``bind`` runs
 before the rank threads start; ``now``/``charge``/``sync``/``drain`` touch
 only the calling rank's own slot; the cross-rank ``max`` over arrival bids
-happens inside the runtime's rendezvous, whose condition variable already
-orders the reads after every write.
+happens inside the runtime's rendezvous, where the group lock orders every
+bid before the last arriver reads them and each waiter reads the result
+only after the last arriver opened its gate.
 """
 
 from __future__ import annotations
@@ -145,19 +146,10 @@ class VirtualClock:
         self,
         machine: MachineSpec | None = None,
         eager_phases: Collection[str] | None = None,
-        capture: bool = False,
     ) -> None:
         self.machine = machine = machine if machine is not None else frontier()
         self.cost = CostModel(machine)
         self.eager_phases = frozenset(eager_phases) if eager_phases else frozenset()
-        # Schedule capture: when on, every clock-visible event (compute
-        # charge, collective issue, drain) is appended to the issuing
-        # rank's event list as a plain tuple; the runtime feeds collectives
-        # and drains through the ``capture_*`` hooks below.  Same
-        # thread-safety contract as the timelines: each rank appends only to
-        # its own slot.
-        self.capture = bool(capture)
-        self._captured: list[list[tuple]] = []
         self._times: list[float] = []
         self._compute: list[list[ComputeInterval]] = []
         # Issue-queue state: per-rank serial-channel free time, the in-flight
@@ -196,7 +188,6 @@ class VirtualClock:
     def bind(self, world_size: int) -> None:
         """Attach to a fresh world: zero all per-rank timelines."""
         n = int(world_size)
-        self._captured = [[] for _ in range(n)]
         self._times = [0.0] * n
         self._compute = [[] for _ in range(n)]
         self._chan_free = [0.0] * n
@@ -233,8 +224,6 @@ class VirtualClock:
         """
         if seconds < 0.0:
             raise ValueError(f"compute seconds must be >= 0, got {seconds}")
-        if self.capture:
-            self._captured[rank].append(("compute", phase, label, float(seconds)))
         start = self._times[rank]
         end = start + seconds
         self._times[rank] = end
@@ -271,42 +260,6 @@ class VirtualClock:
         """α–β cost of one collective over the given world ranks (memoized)."""
         grp = ranks if isinstance(ranks, tuple) else tuple(ranks)
         return self._price(op, payload_bytes, grp)[2]
-
-    # -- schedule capture (hooks called by repro.dist.runtime) -------------
-    @property
-    def capturing(self) -> bool:
-        """Whether the runtime should feed the ``capture_*`` hooks."""
-        return self.capture
-
-    def capture_collective(
-        self, rank: int, op: str, phase: str, payload_bytes: int,
-        ranks: Sequence[int],
-    ) -> None:
-        """Record a collective issue at *rank*'s current program position.
-
-        ``payload_bytes`` is this rank's arrival bid (ranks may bid
-        differently, e.g. a broadcast non-root bids 0); replay re-derives
-        the group payload as the max over member bids, exactly like the
-        rendezvous slot does.
-        """
-        self._captured[rank].append(
-            ("coll", op, phase, int(payload_bytes), tuple(ranks))
-        )
-
-    def capture_drain(self, rank: int) -> None:
-        """Record an explicit drain (``Communicator.drain_comm``).  Implicit
-        drains — blocking arrivals, rank exit — are re-derived by replay."""
-        self._captured[rank].append(("drain",))
-
-    def captured_events(self, rank: int) -> tuple[tuple, ...]:
-        """The raw captured event tuples for one rank, in program order."""
-        return tuple(self._captured[rank])
-
-    def schedule(self):
-        """Package the captured events as a :class:`~repro.perf.schedule.CapturedSchedule`."""
-        from .schedule import CapturedSchedule  # local: schedule.py imports this module
-
-        return CapturedSchedule.from_clock(self)
 
     # -- issue-queue engine (called by the runtime's rendezvous) -----------
     def is_eager(self, op: str, phase: str) -> bool:

@@ -1,10 +1,12 @@
-"""Captured-schedule replay: record one instrumented step, replay N cheaply.
+"""Step-schedule replay: write one step as events, replay N cheaply.
 
 A steady-state training step repeats an identical schedule of compute
-charges and collectives, yet a live simulated step re-runs Python autograd,
-numpy payloads and thread rendezvous.  This module records one live
-:func:`repro.dist.run_spmd` step as a flat event list and re-executes it
-as **pure event arithmetic**, in one pipeline:
+charges and collectives.  A :class:`CapturedSchedule` writes one step down
+as per-rank event lists — :func:`~repro.perf.calibrate.measure_plan`
+writes its step from :func:`~repro.perf.comm_model.step_comm_schedule`,
+and its live world executes those very events rank by rank — and this
+module re-executes such a schedule as **pure event arithmetic**, in one
+pipeline:
 
 ``CapturedSchedule`` → :class:`ReplayProgram` → float kernel → ``VirtualClock``
 
@@ -18,27 +20,27 @@ as **pure event arithmetic**, in one pipeline:
   scale).  It performs the float operations the live
   :class:`~repro.perf.clock.VirtualClock` performs under the threaded
   runtime, in the same per-rank order, so the replayed timeline of step *k*
-  is **bitwise identical** to a live threaded run of *k* steps (virtual
-  times are pure functions of program order; see the determinism note in
-  :mod:`repro.perf.clock`).
+  is **bitwise identical** to a live threaded run of the same events for
+  *k* steps (virtual times are pure functions of program order; see the
+  determinism note in :mod:`repro.perf.clock`).
 * **Read out through the clock.**  The kernel's output is loaded into a real
   ``VirtualClock`` (:meth:`~repro.perf.clock.VirtualClock.load_timeline`),
   so ``ReplayResult.clock`` answers every query a live clock answers —
   totals, archived intervals, ``timeline()`` for the trace exporter.
 
-Record → replay::
+Write → replay::
 
-    clock = VirtualClock(machine, eager_phases=OVERLAP_PHASES, capture=True)
-    run_spmd(one_step, world_size, clock=clock)      # live, instrumented
-    sched = clock.schedule()                         # flat event list
-    result = replay(sched, machine, n_steps=1000)    # pure arithmetic
-    result.clock.times()                             # == live 1000-step run
+    sched = measure_plan(model, workload, plan, machine, eager=True,
+                         capture=True).schedule     # the step, as events
+    result = replay(sched, machine, n_steps=1000)   # pure arithmetic
+    result.clock.times()  # == measure_plan(..., n_steps=1000).rank_times
 
 :func:`replay` prices one variant, :func:`replay_many` amortizes one
 lowering over many.  The autotuner's overlap oracle
 (``repro.perf.autotune.simulated_overlaps``, which ``sweep_replay`` ranks
-thousand-candidate sweeps through) keeps one lowered :class:`ReplayProgram`
-per captured stand-in shape and runs it once per new variant.
+thousand-candidate sweeps through) writes one stand-in step per shape,
+keeps its lowered :class:`ReplayProgram` and runs it once per new variant;
+it starts no threaded world.
 
 Phase conventions (mirrors :mod:`repro.perf.overlap`):
 
@@ -53,9 +55,11 @@ Phase conventions (mirrors :mod:`repro.perf.overlap`):
     ``gather``     head-gather AllGather    blocking (critical path)
     =============  =======================  =================================
 
-Event kinds: ``compute`` (charge seconds onto the rank timeline), ``coll``
+Event kinds (the live calls each stands for): ``compute`` (charge seconds
+onto the rank timeline, ``Communicator.charge_compute``), ``coll``
 (join a group collective: ``start = max(bids)``, ``end = start + cost``),
-and ``drain`` (settle the rank's eager issue queue).  Dependencies are
+and ``drain`` (settle the rank's eager issue queue,
+``Communicator.drain_comm``).  Dependencies are
 implicit in the per-rank program order plus the cross-rank ``coll`` group
 joins, so the flat list *is* the dependency graph.
 
@@ -65,6 +69,7 @@ bitwise: times, archived intervals, timelines and overlaps.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -88,12 +93,12 @@ _KINDS = frozenset({"compute", "coll", "drain"})
 
 
 class ScheduleReplayError(RuntimeError):
-    """A captured schedule could not be replayed (mismatched groups,
+    """A schedule could not be replayed (mismatched groups,
     an op disagreement inside a group slot, or a collective some member
     never joins).
 
     Carries the failure's coordinates so drivers can localize a mismatched
-    capture without parsing the message: ``rank`` (the rank whose program
+    schedule without parsing the message: ``rank`` (the rank whose program
     failed, or the first blocked rank for a deadlock), ``index`` (its
     0-based event position), and ``op`` (the offending event's op, ``""``
     for opless kinds).  All three also appear in the rendered text.
@@ -114,7 +119,7 @@ class ScheduleReplayError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScheduleEvent:
-    """One captured runtime event on one rank's program order.
+    """One event of one rank's step program.
 
     Field usage by kind — unused fields hold their defaults:
 
@@ -134,32 +139,14 @@ class ScheduleEvent:
     group: tuple[int, ...] = ()
 
 
-def _event_from_tuple(rank: int, raw: tuple) -> ScheduleEvent:
-    kind = raw[0]
-    if kind == "compute":
-        _, phase, label, seconds = raw
-        return ScheduleEvent(
-            kind="compute", rank=rank, phase=phase, label=label, seconds=seconds
-        )
-    if kind == "coll":
-        _, op, phase, payload, ranks = raw
-        return ScheduleEvent(
-            kind="coll", rank=rank, op=op, phase=phase,
-            payload_bytes=payload, group=ranks,
-        )
-    if kind == "drain":
-        return ScheduleEvent(kind="drain", rank=rank)
-    raise ValueError(f"unknown captured event tuple {raw!r}")
-
-
 @dataclass(frozen=True)
 class CapturedSchedule:
-    """A flat event list lowered from one instrumented step.
+    """One step as a flat event list.
 
     Events are stored in per-rank program order, concatenated in rank
     order; :meth:`events_for` recovers one rank's program.  The schedule
-    carries the eager-phase set it was captured under so a replay defaults
-    to the same issue-queue semantics.
+    carries the eager-phase set it was written for, so a replay runs the
+    same issue-queue semantics.
     """
 
     world_size: int
@@ -180,24 +167,8 @@ class CapturedSchedule:
             if ev.seconds < 0.0:
                 raise ValueError(f"compute seconds must be >= 0, got {ev.seconds}")
 
-    @classmethod
-    def from_clock(cls, clock: VirtualClock) -> "CapturedSchedule":
-        """Lower a capture-enabled clock's recorded events."""
-        if not clock.capture:
-            raise ValueError("clock was not created with capture=True")
-        events: list[ScheduleEvent] = []
-        n = clock.world_size
-        for rank in range(n):
-            for raw in clock.captured_events(rank):
-                events.append(_event_from_tuple(rank, raw))
-        return cls(
-            world_size=n,
-            eager_phases=frozenset(clock.eager_phases),
-            events=tuple(events),
-        )
-
     def events_for(self, rank: int) -> tuple[ScheduleEvent, ...]:
-        """One rank's captured program, in issue order."""
+        """One rank's program, in issue order."""
         return tuple(ev for ev in self.events if ev.rank == rank)
 
     @property
@@ -251,17 +222,23 @@ class ReplayResult:
 class ReplayVariant:
     """One pricing of a lowered program: a machine (``None`` prices
     :func:`~repro.perf.machine.frontier`) and a compute scale that
-    multiplies every captured compute charge (``1.0`` leaves charges
+    multiplies every compute charge of the schedule (``1.0`` leaves charges
     bitwise untouched)."""
 
     machine: MachineSpec | None = None
     compute_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if float(self.compute_scale) < 0.0:
-            raise ValueError(
-                f"compute_scale must be >= 0, got {self.compute_scale}"
-            )
+        _checked_scale(self.compute_scale)
+
+
+def _checked_scale(scale: float) -> float:
+    """The one ``compute_scale`` rule, shared with
+    :func:`~repro.perf.calibrate.measure_plan`: a finite float ``>= 0``."""
+    s = float(scale)
+    if not (math.isfinite(s) and s >= 0.0):
+        raise ValueError(f"compute_scale must be finite and >= 0, got {scale}")
+    return s
 
 
 _C_CHARGE, _C_BID_BLOCK, _C_BID_EAGER, _C_COLL, _C_DRAIN = range(5)
@@ -270,7 +247,7 @@ _C_CHARGE, _C_BID_BLOCK, _C_BID_EAGER, _C_COLL, _C_DRAIN = range(5)
 class ReplayProgram:
     """A :class:`CapturedSchedule` lowered to a linear op program.
 
-    Lowering walks each rank's captured program with a cursor for
+    Lowering walks each rank's program with a cursor for
     ``n_steps`` (plus the rank-exit drains): collectives wait in a
     rendezvous table until every group member's cursor reaches them — the
     protocol the threaded runtime runs under its slot lock — and every
@@ -281,8 +258,8 @@ class ReplayProgram:
     span per charge and per settled collective is the only per-event state
     kept.
 
-    The issue-queue semantics are the schedule's own: a replay runs the
-    ``eager_phases`` it was captured under.
+    The issue-queue semantics are the schedule's own: a replay runs its
+    ``eager_phases``.
 
     :meth:`run` prices the program for any list of :class:`ReplayVariant`.
     Raises :class:`ScheduleReplayError` at construction if the schedule
@@ -586,11 +563,11 @@ def replay(
 ) -> ReplayResult:
     """Replay *n_steps* of *schedule* under one pricing; see :class:`ReplayProgram`.
 
-    With the capture's ``machine`` the replayed timeline of step *k* is
-    bitwise equal to a live threaded run of *k* steps.  ``compute_scale``
-    multiplies every captured compute charge — the knob the autotuner's
-    replay oracle turns to re-price a schedule for a different model size
-    without re-capturing.
+    With the ``machine`` a live world ran the schedule on, the replayed
+    timeline of step *k* is bitwise equal to that live run of *k* steps.
+    ``compute_scale`` multiplies every compute charge — the knob the
+    autotuner's replay oracle turns to re-price a schedule for a different
+    model size without writing it again.
     """
     variant = ReplayVariant(machine=machine, compute_scale=compute_scale)
     return ReplayProgram(schedule, n_steps).run([variant])[0]

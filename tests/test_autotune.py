@@ -527,6 +527,24 @@ class TestPricedOnce:
         assert len(results) == 66
         assert len(pricings) == len(set(pricings)) == 66
 
+    @pytest.mark.parametrize("prune", [None, 3])
+    def test_sec62_search_shares_the_oracle_book(self, pricings, prune):
+        """Handed a simulated oracle built for its own model, channels,
+        machine and precision, the search ranks through the oracle's book:
+        each real-model step is priced once, whether the ranking or the
+        stand-in ratio asks first (the exhaustive search: 70 distinct
+        steps)."""
+        model = named_model("7B")
+        results = search_configurations(
+            model, 500, 1024, M, 4096,
+            overlaps=simulated_overlaps(M, model, 500), prune_top_k=prune,
+        )
+        assert len(results) == 66
+        real = [c for c in pricings if c[0] == model.name]
+        assert len(real) == len(set(real))
+        if prune is None:
+            assert len(real) == 70
+
     def test_fleet_sweep_prices_each_distinct_step_once(self, pricings):
         """Each distinct (plan, micro-step batch) once — the stand-in
         ratio's real side shares those pricings — and the stand-in side

@@ -1,11 +1,11 @@
-"""Captured-schedule replay: bitwise parity with the live threaded runtime.
+"""Step-schedule replay: bitwise parity with the live threaded runtime.
 
-The tentpole contract: a schedule captured from ONE instrumented step and
-replayed for k steps produces per-rank virtual timelines **bitwise equal**
-to a live threaded run of k steps — across plans, world sizes and
-eager/blocking clock modes, and for arbitrary hypothesis-generated SPMD
-programs (compute charges, world / half / single-rank group collectives,
-drains).
+The contract: a schedule written for ONE step and replayed for k steps
+produces per-rank virtual timelines **bitwise equal** to a live threaded
+run of k steps — across plans, world sizes and eager/blocking clock modes,
+and for arbitrary hypothesis-generated SPMD programs (compute charges,
+world / half / single-rank group collectives, drains) whose schedule the
+tests write by hand.
 """
 
 import dataclasses
@@ -60,7 +60,7 @@ PLAN_CASES = [
 
 
 class TestPlanParity:
-    """Plan-level parity: one captured measure_plan step replayed k times
+    """Plan-level parity: one written measure_plan step replayed k times
     equals a live k-step world, bitwise."""
 
     @pytest.mark.parametrize("plan", PLAN_CASES)
@@ -100,6 +100,25 @@ class TestPlanParity:
         assert ov_rep.dp.source == "bound"
         assert ov_rep.dp_overlap == ov_live.dp_overlap
         assert ov_rep.dp.comm_seconds == ov_live.dp.comm_seconds
+
+    @pytest.mark.parametrize("plan", PLAN_CASES)
+    @pytest.mark.parametrize("eager", [False, True], ids=["blocking", "eager"])
+    def test_traffic_log_follows_the_written_events(self, plan, eager):
+        """Every rank's traffic records are its written collectives, in
+        order: op, phase, payload bytes and group size."""
+        m = measure_plan(
+            MODEL, WORKLOAD, plan, MACHINE, eager=eager, capture=True, keep_world=True
+        )
+        for rank in range(m.world_size):
+            logged = [
+                (rec.op, rec.phase, rec.payload_bytes, rec.group_size)
+                for rec in m.world.traffic.records(rank=rank)
+            ]
+            assert logged == [
+                (ev.op, ev.phase, ev.payload_bytes, len(ev.group))
+                for ev in m.schedule.events_for(rank)
+                if ev.kind == "coll"
+            ]
 
     def test_per_step_semantics_of_multi_step_measure(self):
         plan = ParallelPlan("tp", tp=2, fsdp=1, dp=2)
@@ -180,15 +199,40 @@ def _run_program(comm, program):
             comm.drain_comm()
 
 
+def _written(program, world_size, eager) -> CapturedSchedule:
+    """:func:`_run_program`'s step written down: each rank's charges,
+    collective bids and drains in its program order.  A one-rank group
+    never reaches the clock, so it writes nothing; a barrier and a
+    broadcast's non-root bid no payload."""
+    n = world_size
+    events = []
+    for rank in range(n):
+        half = tuple(range(n // 2)) if rank < n // 2 else tuple(range(n // 2, n))
+        groups = {"coll": tuple(range(n)), "coll_half": half}
+        for item in program:
+            kind = item[0]
+            if kind == "compute":
+                _, phase, seconds = item
+                events.append(ScheduleEvent("compute", rank, phase=phase, seconds=seconds))
+            elif kind in groups and len(groups[kind]) > 1:
+                _, op, phase, units = item
+                group = groups[kind]
+                nbytes = 4 * units * (1 if op == "all_gather" else len(group))
+                if op == "barrier" or (op == "broadcast" and rank != group[0]):
+                    nbytes = 0
+                events.append(ScheduleEvent(
+                    "coll", rank, op=op, phase=phase, payload_bytes=nbytes, group=group,
+                ))
+            elif kind == "drain":
+                events.append(ScheduleEvent("drain", rank))
+    return CapturedSchedule(n, eager, tuple(events))
+
+
 class TestProgramParity:
     @settings(max_examples=25, deadline=None)
     @given(_PROGRAM, st.sampled_from([2, 4]), _EAGER, st.sampled_from([1, 3]))
     def test_replay_is_bitwise_identical_to_live(self, program, world_size, eager, k):
-        cap_clock = VirtualClock(MACHINE, eager_phases=eager, capture=True)
-        run_spmd_world(lambda comm: _run_program(comm, program), world_size,
-                       clock=cap_clock)
-        schedule = cap_clock.schedule()
-
+        schedule = _written(program, world_size, eager)
         live_clock = VirtualClock(MACHINE, eager_phases=eager)
 
         def live_fn(comm):
@@ -221,10 +265,6 @@ class TestSerialization:
                 world_size=1,
                 events=(ScheduleEvent(kind="compute", rank=0, seconds=-1e-6),),
             )
-
-    def test_from_clock_requires_capture(self):
-        with pytest.raises(ValueError, match="capture"):
-            CapturedSchedule.from_clock(VirtualClock(MACHINE))
 
 
 #: A collective on (0, 1) that rank 1 never issues: lowering deadlocks.
@@ -399,9 +439,6 @@ class TestReadOutParity:
     def test_arbitrary_program_readouts_match_the_live_clock(
         self, program, world_size, eager, k
     ):
-        cap_clock = VirtualClock(MACHINE, eager_phases=eager, capture=True)
-        run_spmd_world(lambda comm: _run_program(comm, program), world_size,
-                       clock=cap_clock)
         live_clock = VirtualClock(MACHINE, eager_phases=eager)
 
         def live_fn(comm):
@@ -409,7 +446,7 @@ class TestReadOutParity:
                 _run_program(comm, program)
 
         _, world = run_spmd_world(live_fn, world_size, clock=live_clock)
-        replayed = replay(cap_clock.schedule(), MACHINE, n_steps=k)
+        replayed = replay(_written(program, world_size, eager), MACHINE, n_steps=k)
         _assert_same_readouts(live_clock, replayed.clock)
         assert replayed.overlaps() == derive_overlaps(world)
 
@@ -480,10 +517,27 @@ class TestReadOutParity:
         )
         with pytest.raises(ValueError, match="n_steps"):
             ReplayProgram(sched, n_steps=0)
-        with pytest.raises(ValueError, match="compute_scale"):
-            replay_many(sched, [ReplayVariant(machine=MACHINE, compute_scale=-1.0)])
+        # One compute_scale rule for a variant and for measure_plan, whose
+        # negative scale would otherwise charge no compute and nan price
+        # nan times: finite and >= 0.
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="compute_scale"):
+                replay_many(sched, [ReplayVariant(machine=MACHINE, compute_scale=bad)])
+            with pytest.raises(ValueError, match="compute_scale"):
+                measure_plan(MODEL, WORKLOAD, ParallelPlan("tp", tp=1, fsdp=1, dp=2),
+                             MACHINE, eager=True, compute_scale=bad)
         with pytest.raises(TypeError, match="ReplayVariant"):
             replay_many(sched, [MACHINE])
+
+    def test_written_step_rejects_a_payload_that_does_not_split(self):
+        """The uneven-split check holds for a schedule that is only
+        written, never run: an all_to_all of 18 bytes over 4 ranks."""
+        from repro.perf.calibrate import _write_step
+
+        odd = ModelConfig("odd", dim=9, depth=1, heads=3, patch=4, image_hw=(8, 8))
+        with pytest.raises(ValueError, match="not divisible by group size 4"):
+            _write_step(odd, Workload(4, 1), ParallelPlan("tp", tp=1, sp=4, fsdp=1, dp=1),
+                        MACHINE)
 
 
 def _load_fleet_bench():
@@ -624,9 +678,35 @@ def _count_replays(monkeypatch) -> dict[str, int]:
 
 
 class TestReplayOracle:
+    def test_planner_starts_no_world(self, monkeypatch):
+        """An exhaustive §6.2 search through the simulated oracle and the
+        fleet sweep write their stand-in steps: neither builds a World."""
+        from repro.dist import World
+
+        worlds = []
+        init = World.__init__
+
+        def counting_init(self, *args, **kwargs):
+            worlds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(World, "__init__", counting_init)
+        model = named_model("7B")
+        search_configurations(
+            model, 500, 1024, MACHINE, 4096,
+            overlaps=simulated_overlaps(MACHINE, model, 500),
+        )
+        searched = len(worlds)
+        bench = _load_fleet_bench()
+        sweep_replay(
+            named_model(bench.FLEET_MODEL_NAME), bench.FLEET_CHANNELS, MACHINE,
+            bench.FLEET_BUDGETS, strategies=bench.FLEET_STRATEGIES,
+        )
+        assert (searched, len(worlds) - searched) == (0, 0)
+
     def test_sec62_search_lowers_each_shape_once(self, monkeypatch):
         """An exhaustive §6.2 search replays 32 variants of 10 stand-in
-        shapes: each shape's capture is lowered once, not once per
+        shapes: each shape's written step is lowered once, not once per
         variant."""
         counts = _count_replays(monkeypatch)
         model = named_model("7B")
@@ -638,8 +718,8 @@ class TestReplayOracle:
         assert counts == {"lowered": 10, "variants": 32}
 
     def test_fleet_sweep_lowers_each_captured_world_once(self, monkeypatch):
-        """A fleet sweep lowers one program per captured world and runs
-        one variant per lane."""
+        """A fleet sweep lowers one program per written stand-in step
+        (``captured_worlds``) and runs one variant per lane."""
         counts = _count_replays(monkeypatch)
         bench = _load_fleet_bench()
         sweep = sweep_replay(
@@ -652,7 +732,7 @@ class TestReplayOracle:
 
     def test_replay_oracle_spins_up_one_world_per_shape(self):
         """The replay oracle's whole point: repeated consultations with
-        different compute scales re-use one captured schedule."""
+        different compute scales re-use one written schedule."""
         model = ModelConfig("sweep", dim=256, depth=6, heads=8, patch=4,
                             image_hw=(32, 32))
         oracle = simulated_overlaps(MACHINE, model, 32)

@@ -426,14 +426,14 @@ def _issue_solo(comm, name, reduce_op, group, mine, use_out):
 class TestSoloGroupParity:
     """A collective on a one-rank group is a private copy of the input: one
     zero-wire traffic record stamped at the rank's current virtual time, no
-    clock movement (an eager collective stays pending) and no captured
-    schedule event."""
+    clock movement (an eager collective stays pending) and no clock
+    interval."""
 
     @pytest.mark.parametrize("name,reduce_op,use_out", SOLO_CASES)
     def test_solo_group_is_a_local_copy(self, name, reduce_op, use_out):
         from repro.perf import VirtualClock, frontier
 
-        clock = VirtualClock(frontier(), eager_phases={"dp_sync"}, capture=True)
+        clock = VirtualClock(frontier(), eager_phases={"dp_sync"})
 
         def fn(comm):
             solo = comm.group([comm.rank])
@@ -463,8 +463,7 @@ class TestSoloGroupParity:
                 assert rec.op == name
                 assert rec.wire_bytes == 0
                 assert rec.vstart == rec.vend == before
-        sched = clock.schedule()
-        assert [(ev.rank, ev.op, ev.group) for ev in sched.events if ev.kind == "coll"] == [
+        assert [(iv.rank, iv.op, iv.group) for iv in clock.comm_intervals()] == [
             (0, "all_reduce", (0, 1)), (1, "all_reduce", (0, 1)),
         ]
 
