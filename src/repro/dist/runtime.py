@@ -270,7 +270,7 @@ class SimClock(Protocol):
     def collective_arrival(self, rank: int, op: str, phase: str) -> float: ...
     def collective_complete(
         self, rank: int, op: str, phase: str, issue: float, start: float,
-        end: float, payload_bytes: int = ..., ranks: Sequence[int] = ...,
+        end: float, payload_bytes: int, ranks: Sequence[int],
     ) -> None: ...
     def drain(self, rank: int) -> float: ...
     def finalize_rank(self, rank: int) -> None: ...

@@ -545,7 +545,7 @@ def simulated_overlaps(
     count) — the issue-queue step
     :func:`~repro.perf.calibrate.measure_plan` would run on a live world —
     and lowered once; each new (placement, compute scale) variant of a
-    shape replays that lowered program as pure event arithmetic
+    shape replays that lowered program on a fresh clock
     (:class:`repro.perf.schedule.ReplayProgram`).  No threaded world is
     started, so a 1,024-GPU sweep costs a handful of written ≤16-rank
     schedules.  Plans with neither a DP nor an

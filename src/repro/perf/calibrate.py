@@ -7,8 +7,8 @@
 :class:`~repro.parallel.DeviceMesh` rank layout) and runs it through a real
 world, returning per-axis measured wire/seconds plus derived overlap
 fractions; the measured fig-15/16 benchmarks sweep factorizations through
-it.  The replay kernel (:mod:`repro.perf.schedule`) executes the same
-written schedule without a world.  With ``eager=True`` the step runs on an
+it.  :mod:`repro.perf.schedule` replays the same written schedule without
+a world, making the same clock calls on one thread.  With ``eager=True`` the step runs on an
 **issue-queue clock**: FSDP gathers prefetch under forward compute and the
 DP gradient AllReduce is split into buckets issued *during* backward — the
 derived overlaps then come from per-bucket measured exposure instead of
@@ -343,8 +343,8 @@ def measure_plan(
     ``wire``/``seconds``/``step_seconds`` stay **per step**; ``rank_times``
     carries the whole run's final per-rank clocks).  ``capture=True``
     attaches the written one-step schedule: :func:`repro.perf.schedule.replay`
-    advances it arbitrarily many steps as pure event arithmetic, bitwise
-    equal to this world run for as many steps.
+    advances it arbitrarily many steps on one thread, through the same
+    clock calls, bitwise equal to this world run for as many steps.
 
     ``keep_world=True`` attaches the finished world to the result — the
     observability layer reads its clock intervals and traffic log

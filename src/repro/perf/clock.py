@@ -44,7 +44,10 @@ cost``, ``0 ≤ exposed ≤ end − issue``.
 Determinism: virtual times are pure functions of each rank's *program
 order* — compute charges plus the maxima taken at collective rendezvous —
 never of wall-clock time or thread scheduling, so repeated runs of the same
-world produce bitwise-identical timelines (eager or not).
+world produce bitwise-identical timelines (eager or not).  Step-schedule
+replay (:class:`repro.perf.schedule.ReplayProgram`) rests on this: it makes
+the same calls on one thread, in an order that keeps each rank's program
+and every group join.
 
 Thread-safety contract (by construction, no locks needed): ``bind`` runs
 before the rank threads start; ``now``/``charge``/``sync``/``drain`` touch
@@ -58,7 +61,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Collection, Sequence
+from typing import Collection, Sequence
 
 from .cost import CostModel
 from .machine import MachineSpec, frontier
@@ -97,8 +100,7 @@ class CommInterval:
     it, ``intra`` the link class the group rode (every member on one
     node), and ``group`` the member world ranks — the identity the trace
     exporter uses to tie one collective's per-rank intervals into a single
-    flow.  All default to the no-information values for legacy callers
-    that complete a collective without payload metadata.
+    flow.
     """
 
     rank: int
@@ -108,10 +110,10 @@ class CommInterval:
     start: float
     end: float
     exposed: float
-    payload_bytes: int = 0
-    wire_bytes: int = 0
-    intra: bool = True
-    group: tuple[int, ...] = ()
+    payload_bytes: int
+    wire_bytes: int
+    intra: bool
+    group: tuple[int, ...]
 
     @property
     def seconds(self) -> float:
@@ -180,9 +182,6 @@ class VirtualClock:
         # under their world's run token (repro.dist.runtime); a fill that
         # still raced, from a rank unwinding an abort, only recomputes.
         self._price_memo: dict[tuple[str, int, tuple], tuple[int, bool, float]] = {}
-        # Span source of a loaded timeline not yet folded into the archives
-        # (see :meth:`load_timeline`); ``None`` on every live clock.
-        self._unfolded: Callable[[], Sequence[tuple]] | None = None
 
     # -- world plumbing (called by repro.dist.runtime) ---------------------
     def bind(self, world_size: int) -> None:
@@ -198,7 +197,6 @@ class VirtualClock:
         self._exposed_tot = [{} for _ in range(n)]
         self._count_tot = [{} for _ in range(n)]
         self._vol_tot = [{} for _ in range(n)]
-        self._unfolded = None
 
     @property
     def world_size(self) -> int:
@@ -246,11 +244,7 @@ class VirtualClock:
                 intra = self.cost.intra_node(grp)
             else:
                 wire, intra = 0, True
-            secs = (
-                self.cost.collective_seconds_for(op, payload_bytes, grp)
-                if grp
-                else 0.0
-            )
+            secs = self.cost.collective_seconds_for(op, payload_bytes, grp)
             hit = self._price_memo[key] = (wire, intra, secs)
         return hit
 
@@ -287,8 +281,8 @@ class VirtualClock:
         issue: float,
         start: float,
         end: float,
-        payload_bytes: int = 0,
-        ranks: Sequence[int] = (),
+        payload_bytes: int,
+        ranks: Sequence[int],
     ) -> None:
         """Record one priced collective for *rank*.
 
@@ -318,8 +312,8 @@ class VirtualClock:
 
     def _archive(
         self, rank: int, op: str, phase: str, issue: float, start: float,
-        end: float, exposed: float, payload: int = 0, wire: int = 0,
-        intra: bool = True, group: tuple[int, ...] = (),
+        end: float, exposed: float, payload: int, wire: int, intra: bool,
+        group: tuple[int, ...],
     ) -> None:
         """Record one settled collective and fold it into the totals."""
         self._comm[rank].append(
@@ -366,47 +360,6 @@ class VirtualClock:
         """Rank exit hook: drain so ``times()`` is the true makespan."""
         self.drain(rank)
 
-    # -- loaded timelines (filled by repro.perf.schedule.ReplayProgram) ----
-    def load_timeline(
-        self, times: Sequence[float], spans: Callable[[], Sequence[tuple]]
-    ) -> None:
-        """Adopt a finished timeline that was computed outside this clock.
-
-        The lowered replay executor advances plain float arrays instead of
-        calling :meth:`charge` / :meth:`collective_complete` per event;
-        loading its output here means every read-out below keeps exactly
-        one implementation.  *times* are the final per-rank clocks (their
-        count is the world size).  *spans* is called once, on the first
-        read-out other than ``now``/``times``/``elapsed``, and returns per
-        rank a ``(charges, collectives)`` pair of rows in that rank's
-        program order: ``(phase, label, start, seconds)`` and ``(op, phase,
-        issue, start, end, exposed, payload_bytes, group)``.  They are
-        folded through the same archive step the live methods use, so the
-        per-phase totals sum in the live order (bitwise equal).  A loaded
-        clock is a finished timeline: read it, or :meth:`bind` it afresh.
-        """
-        self.bind(len(times))
-        self._times = list(times)
-        self._unfolded = spans
-
-    def _fold_loaded(self) -> None:
-        if self._unfolded is None:
-            return
-        spans, self._unfolded = self._unfolded, None
-        for rank, (charges, collectives) in enumerate(spans()):
-            intervals, tot = self._compute[rank], self._compute_tot[rank]
-            for phase, label, start, seconds in charges:
-                intervals.append(
-                    ComputeInterval(rank, phase, label, start, start + seconds)
-                )
-                tot[phase] = tot.get(phase, 0.0) + seconds
-            for op, phase, issue, start, end, exposed, payload, grp in collectives:
-                wire, intra, _ = self._price(op, payload, grp)
-                self._archive(
-                    rank, op, phase, issue, start, end, exposed, payload, wire,
-                    intra, grp,
-                )
-
     # -- read-out ----------------------------------------------------------
     def times(self) -> list[float]:
         """Per-rank virtual completion times (a copy)."""
@@ -419,7 +372,6 @@ class VirtualClock:
     def compute_intervals(
         self, rank: int | None = None, phase: str | None = None
     ) -> list[ComputeInterval]:
-        self._fold_loaded()
         ranks = range(len(self._compute)) if rank is None else (rank,)
         out: list[ComputeInterval] = []
         for r in ranks:
@@ -437,7 +389,6 @@ class VirtualClock:
     def _total(
         self, tables: list[dict[str, float]], rank: int | None, phase: str | None
     ) -> float:
-        self._fold_loaded()
         ranks = range(len(tables)) if rank is None else (rank,)
         if phase is None:
             return sum(sum(tables[r].values()) for r in ranks)
@@ -447,7 +398,6 @@ class VirtualClock:
         self, rank: int | None = None, phase: str | None = None
     ) -> list[CommInterval]:
         """Settled collectives in issue order (pendings only after drain)."""
-        self._fold_loaded()
         ranks = range(len(self._comm)) if rank is None else (rank,)
         out: list[CommInterval] = []
         for r in ranks:
@@ -470,7 +420,6 @@ class VirtualClock:
 
     def comm_count(self, rank: int, phase: str | None = None) -> int:
         """Number of settled collectives on *rank*'s timeline (O(1))."""
-        self._fold_loaded()
         if phase is None:
             return sum(self._count_tot[rank].values())
         return self._count_tot[rank].get(phase, 0)
@@ -485,7 +434,6 @@ class VirtualClock:
         collectives still in the pending queue are not included; drain (or
         let :func:`repro.dist.run_spmd` finalize the rank) first.
         """
-        self._fold_loaded()
         merged: list[ComputeInterval | CommInterval] = [
             *self._compute[rank], *self._comm[rank]
         ]
@@ -504,7 +452,6 @@ class VirtualClock:
         interval lists — the comm-volume report's *simulated* column
         (:func:`repro.obs.commvol.comm_volume_report`) reads this.
         """
-        self._fold_loaded()
         ranks = range(len(self._vol_tot)) if rank is None else (rank,)
         out: dict[tuple[str, str, bool], tuple[int, int, float]] = {}
         for r in ranks:

@@ -158,6 +158,14 @@ _ITEM = st.one_of(
     st.tuples(st.just("drain")),
 )
 _PROGRAM = st.lists(_ITEM, min_size=1, max_size=10)
+# A one-rank group leaves the clock alone: it neither drains the eager
+# dp_sync AllReduce in flight nor archives an interval, so the compute
+# after it still hides that AllReduce.
+_SOLO_AFTER_EAGER = [
+    ("coll", "all_reduce", "dp_sync", 8),
+    ("coll_solo", "all_reduce", "tp", 8),
+    ("compute", "backward", 1e-5),
+]
 _EAGER = st.sampled_from([frozenset(), frozenset({"dp_sync"}), OVERLAP_PHASES])
 
 
@@ -201,20 +209,19 @@ def _run_program(comm, program):
 
 def _written(program, world_size, eager) -> CapturedSchedule:
     """:func:`_run_program`'s step written down: each rank's charges,
-    collective bids and drains in its program order.  A one-rank group
-    never reaches the clock, so it writes nothing; a barrier and a
+    collective bids and drains in its program order.  A barrier and a
     broadcast's non-root bid no payload."""
     n = world_size
     events = []
     for rank in range(n):
         half = tuple(range(n // 2)) if rank < n // 2 else tuple(range(n // 2, n))
-        groups = {"coll": tuple(range(n)), "coll_half": half}
+        groups = {"coll": tuple(range(n)), "coll_half": half, "coll_solo": (rank,)}
         for item in program:
             kind = item[0]
             if kind == "compute":
                 _, phase, seconds = item
                 events.append(ScheduleEvent("compute", rank, phase=phase, seconds=seconds))
-            elif kind in groups and len(groups[kind]) > 1:
+            elif kind in groups:
                 _, op, phase, units = item
                 group = groups[kind]
                 nbytes = 4 * units * (1 if op == "all_gather" else len(group))
@@ -231,6 +238,7 @@ def _written(program, world_size, eager) -> CapturedSchedule:
 class TestProgramParity:
     @settings(max_examples=25, deadline=None)
     @given(_PROGRAM, st.sampled_from([2, 4]), _EAGER, st.sampled_from([1, 3]))
+    @example(_SOLO_AFTER_EAGER, 2, OVERLAP_PHASES, 1)
     def test_replay_is_bitwise_identical_to_live(self, program, world_size, eager, k):
         schedule = _written(program, world_size, eager)
         live_clock = VirtualClock(MACHINE, eager_phases=eager)
@@ -367,7 +375,7 @@ class TestReplaySemantics:
 
     def test_replayed_clock_rebinds_to_a_live_world(self):
         """A replay result's clock is a real VirtualClock: binding it to a
-        new world discards the loaded timeline, read or not."""
+        new world discards the replayed timeline."""
         sched = measure_plan(
             MODEL, WORKLOAD, ParallelPlan("tp", tp=1, fsdp=1, dp=4), MACHINE,
             eager=True, capture=True,
@@ -436,6 +444,7 @@ class TestReadOutParity:
     @given(_PROGRAM, st.sampled_from([2, 4]), _EAGER, st.sampled_from([1, 3]))
     # A barrier costs clock time but is never logged as traffic.
     @example([("coll", "barrier", "dp_sync", 1)], 2, frozenset(), 1)
+    @example(_SOLO_AFTER_EAGER, 2, OVERLAP_PHASES, 1)
     def test_arbitrary_program_readouts_match_the_live_clock(
         self, program, world_size, eager, k
     ):
